@@ -63,7 +63,4 @@ class CubicDifferentialField:
 
     def flat_area(self) -> float:
         """Quadrature of |q|^(2/3) over the grid domain."""
-        if self.grid.bc == "periodic":
-            return float(self.abs23.sum() * self.grid.cell_area())
-        return float(np.trapz(np.trapz(self.abs23, dx=self.grid.dx, axis=1),
-                              dx=self.grid.dy))
+        return self.grid.integrate(self.abs23)

@@ -105,12 +105,7 @@ def area_and_bounds(sol: BlaschkeSolution, q: CubicDifferentialField,
     equality for constant q; on a subregion the caveat flag is cleared and
     the numbers are reported without the closed-surface interpretation.
     """
-    grid = sol.grid
-    h = sol.h
-    if grid.bc != DIRICHLET:
-        area_h = float(h.sum() * grid.cell_area())
-    else:
-        area_h = float(np.trapz(np.trapz(h, dx=grid.dx, axis=1), dx=grid.dy))
+    area_h = sol.grid.integrate(sol.h)
     flat = q.flat_area()
     lower = CBRT2 * flat
     if region == "torus":

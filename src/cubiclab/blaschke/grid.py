@@ -83,6 +83,17 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
+    def integrate(self, field) -> float:
+        """Quadrature of a node field over the domain: the trapezoid rule on
+        Dirichlet grids, the cell sum (the periodic trapezoid rule) on the
+        torus."""
+        wx = np.ones(self.nx)
+        wy = np.ones(self.ny)
+        if self.bc == DIRICHLET:
+            wx[[0, -1]] = wy[[0, -1]] = 0.5
+        return float(wy @ np.asarray(field, dtype=float) @ wx) \
+            * self.cell_area()
+
 
 def square_window(center: complex, side: float, n: int,
                   bc: str = DIRICHLET) -> Grid2D:

@@ -9,9 +9,14 @@ the flat comparison metric 2^(1/3)|q|^(2/3) satisfies
 
     Lap F = 3 * 2^(4/3) |q|^(2/3) e^(-F/3) sinh(F).
 
-Both linearizations have strictly positive zeroth-order coefficients, so
-the Newton systems are uniformly invertible (also in the doubly periodic
-case) and the discrete solutions obey the maximum principle.
+Both read Lap x = f(x) with f' > 0, so the Newton systems are uniformly
+invertible (also on the torus) and the discrete solutions obey the maximum
+principle.  One matrix-free damped Newton kernel solves both on the free
+nodes (those not pinned to boundary values), applying the 5-point stencil by
+array slicing.  Each step solves (-Lap + diag f') d = r by conjugate
+gradients, preconditioned by (-Lap + c I)^-1 on the whole rectangle, c the
+mean of f' over the free nodes: a type-1 sine transform on Dirichlet grids,
+an FFT on the torus, with free-node vectors zero-padded to the rectangle.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, fft2, idstn, ifft2
 
 from ..errors import NegativeBoundary, NoConvergence, NoSolution, \
     SingularJacobian
@@ -28,41 +33,11 @@ from .cubic import CubicDifferentialField
 from .grid import DIRICHLET, Grid2D
 
 _EXP_CAP = 300.0
+_CG_MAXITER = 500
 
 
 def _safe_exp(x):
     return np.exp(np.clip(x, -_EXP_CAP, _EXP_CAP))
-
-
-def laplacian_matrix(grid: Grid2D, fixed_mask=None) -> sp.csr_matrix:
-    """5-point Laplacian; rows of fixed (Dirichlet) nodes are identity rows.
-
-    ``fixed_mask`` defaults to the rectangle boundary; a caller may fix a
-    larger node set (e.g. everything outside an inscribed disk).
-    """
-    nx, ny = grid.nx, grid.ny
-    idx2 = 1.0 / grid.dx ** 2
-    idy2 = 1.0 / grid.dy ** 2
-
-    def d2(n, step, periodic):
-        main = -2.0 * np.ones(n)
-        off = np.ones(n - 1)
-        mat = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-        if periodic:
-            mat[0, -1] = 1.0
-            mat[-1, 0] = 1.0
-        return mat * step
-
-    periodic = grid.bc != DIRICHLET
-    L = (sp.kron(sp.identity(ny), d2(nx, idx2, periodic))
-         + sp.kron(d2(ny, idy2, periodic), sp.identity(nx))).tolil()
-    if not periodic:
-        if fixed_mask is None:
-            fixed_mask = ~grid.interior_mask()
-        for i in np.flatnonzero(np.asarray(fixed_mask).ravel()):
-            L.rows[i] = [i]
-            L.data[i] = [1.0]
-    return L.tocsr()
 
 
 @dataclass
@@ -95,14 +70,76 @@ class BlaschkeSolution:
         return 1.5 * (self.psi - flat)
 
 
-def _newton(L, f_and_deriv, x0, tol, max_iter, label):
-    """Damped Newton for Lap x = f(x) with monotone f' > 0."""
-    x = x0.copy()
-    n = x.size
+def _laplacian(grid: Grid2D, x: np.ndarray) -> np.ndarray:
+    """5-point Laplacian of a node field; zero on the rim of a Dirichlet
+    grid, wrapped around on the torus."""
+    idx2 = 1.0 / grid.dx ** 2
+    idy2 = 1.0 / grid.dy ** 2
+    if grid.bc != DIRICHLET:
+        return ((np.roll(x, -1, 1) - 2.0 * x + np.roll(x, 1, 1)) * idx2
+                + (np.roll(x, -1, 0) - 2.0 * x + np.roll(x, 1, 0)) * idy2)
+    out = np.zeros_like(x)
+    c = x[1:-1, 1:-1]
+    out[1:-1, 1:-1] = ((x[1:-1, 2:] - 2.0 * c + x[1:-1, :-2]) * idx2
+                       + (x[2:, 1:-1] - 2.0 * c + x[:-2, 1:-1]) * idy2)
+    return out
+
+
+def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
+    """Eigenvalues of the 1-D negative second difference, in FFT order on n
+    periodic nodes, in type-1 sine transform order on n - 2 inner nodes."""
+    j, m = (np.arange(n), n) if periodic else (np.arange(1, n - 1), 2 * n - 2)
+    return (2.0 / h * np.sin(np.pi * j / m)) ** 2
+
+
+def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, r: np.ndarray,
+         tol: float, label: str) -> np.ndarray:
+    """Solve (-Lap + diag fp) d = r on the free nodes; d = 0 elsewhere."""
+    periodic = grid.bc != DIRICHLET
+    eig = (_symbol(grid.ny, grid.dy, periodic)[:, None]
+           + _symbol(grid.nx, grid.dx, periodic)[None, :] + float(fp.mean()))
+
+    def pad(v):
+        full = np.zeros((grid.ny, grid.nx))
+        full[free] = v
+        return full
+
+    def matvec(v):
+        return fp * v - _laplacian(grid, pad(v))[free]
+
+    def precondition(v):
+        full = pad(v)
+        if periodic:
+            full = ifft2(fft2(full) / eig).real
+        else:
+            full[1:-1, 1:-1] = idstn(dstn(full[1:-1, 1:-1], type=1) / eig,
+                                     type=1)
+        return full[free]
+
+    op = (r.size, r.size)
+    d, info = spla.cg(spla.LinearOperator(op, matvec, dtype=float), r,
+                      rtol=1e-3 * min(1.0, float(np.abs(r).max())),
+                      atol=0.01 * tol, maxiter=_CG_MAXITER,
+                      M=spla.LinearOperator(op, precondition, dtype=float))
+    if info != 0 or not np.all(np.isfinite(d)):
+        rel = np.linalg.norm(r - matvec(d)) / np.linalg.norm(r)
+        raise SingularJacobian(
+            f"{label}: CG stopped after {info} iterations at relative "
+            f"residual {rel:.3e}")
+    return pad(d)
+
+
+def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
+                      x0, tol, max_iter, label):
+    """Damped Newton for Lap x = f(x), f' > 0, on the nodes outside
+    ``fixed_mask`` (x = ``fixed_values`` on it): the solution field, its
+    max-norm residual over the free nodes and the Newton step count."""
+    free = ~fixed_mask
+    x = np.where(fixed_mask, fixed_values, x0)
 
     def residual(v):
         fv, _ = f_and_deriv(v)
-        return L @ v - fv
+        return (_laplacian(grid, v) - fv)[free]
 
     r = residual(x)
     rn = float(np.abs(r).max())
@@ -110,13 +147,7 @@ def _newton(L, f_and_deriv, x0, tol, max_iter, label):
         if rn <= tol:
             return x, rn, it
         _, fp = f_and_deriv(x)
-        J = L - sp.diags(fp)
-        try:
-            delta = spla.spsolve(J.tocsc(), -r)
-        except Exception as err:  # pragma: no cover - factorization failure
-            raise SingularJacobian(f"{label}: {err}")
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian(f"{label}: non-finite Newton step")
+        delta = _pcg(grid, free, fp[free], r, tol, label)
         step = 1.0
         while step > 1e-8:
             xn = x + step * delta
@@ -141,66 +172,47 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
     Dirichlet solves take boundary psi values (array or callable of z);
     doubly periodic solves need q not identically zero.
     """
-    abs2 = q.abs2.ravel()
+    abs2 = q.abs2
     periodic = grid.bc != DIRICHLET
     if periodic and float(abs2.max()) == 0.0:
         raise NoSolution(
             "q = 0 on a periodic grid: the integral of Lap psi vanishes "
             "but the right side 2 e^psi is strictly positive")
 
-    L = laplacian_matrix(grid)
-    bmask = (~grid.interior_mask()).ravel()
-
-    if periodic:
-        bc_vec = None
-    else:
-        if boundary_psi is None:
-            raise ValueError("Dirichlet solves need boundary psi values")
-        if callable(boundary_psi):
-            bvals = np.asarray(boundary_psi(grid.zs), dtype=float)
-        else:
-            bvals = np.asarray(boundary_psi, dtype=float)
-        if bvals.shape != (grid.ny, grid.nx):
-            raise ValueError("boundary field shape mismatch")
-        if not np.all(np.isfinite(bvals.ravel()[bmask])):
-            raise ValueError("boundary psi must be finite")
-        bc_vec = bvals.ravel()
-
-    def f_and_deriv(psi):
-        e1 = _safe_exp(psi)
-        e2 = _safe_exp(-2.0 * psi)
-        fv = 2.0 * e1 - 4.0 * abs2 * e2
-        fp = 2.0 * e1 + 8.0 * abs2 * e2
-        if not periodic:
-            fv = fv.copy()
-            fp = fp.copy()
-            fv[bmask] = bc_vec[bmask]
-            fp[bmask] = 0.0
-        return fv, fp
-
+    fixed = ~grid.interior_mask()
     # initial guess: capped subsolution, blended with boundary data
     with np.errstate(divide="ignore"):
         sub = np.log(2.0 * abs2) / 3.0
     if periodic:
-        floor = sub[np.isfinite(sub)].max() - 50.0
-        x0 = np.maximum(sub, floor)
+        bvals = 0.0
+        x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
     else:
-        bmin = float(bc_vec[bmask].min())
-        harmonic = spla.spsolve(L.tocsc(), np.where(bmask, bc_vec, 0.0))
-        x0 = np.maximum(harmonic, np.maximum(sub, bmin - 50.0))
-        x0[bmask] = bc_vec[bmask]
+        if boundary_psi is None:
+            raise ValueError("Dirichlet solves need boundary psi values")
+        bvals = np.asarray(boundary_psi(grid.zs) if callable(boundary_psi)
+                           else boundary_psi, dtype=float)
+        if bvals.shape != (grid.ny, grid.nx):
+            raise ValueError("boundary field shape mismatch")
+        if not np.all(np.isfinite(bvals[fixed])):
+            raise ValueError("boundary psi must be finite")
+        # harmonic extension: f' = 0 makes the preconditioner exact
+        base = np.where(fixed, bvals, 0.0)
+        harmonic = base + _pcg(grid, ~fixed, np.zeros(int((~fixed).sum())),
+                               _laplacian(grid, base)[~fixed], tol, "wang")
+        x0 = np.maximum(harmonic, np.maximum(sub, bvals[fixed].min() - 50.0))
 
-    psi, rn, its = _newton(L, f_and_deriv, x0, tol, max_iter, "wang")
-    psi = psi.reshape(grid.ny, grid.nx)
+    def f_and_deriv(psi):
+        e1 = _safe_exp(psi)
+        e2 = _safe_exp(-2.0 * psi)
+        return 2.0 * e1 - 4.0 * abs2 * e2, 2.0 * e1 + 8.0 * abs2 * e2
+
+    psi, rn, its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
+                                     tol, max_iter, "wang")
     sol = BlaschkeSolution(grid, q, psi, rn, its)
     margin = sol.h - 2.0 ** (1.0 / 3.0) * q.abs23
     sol.flags["subsolution_ok"] = bool(margin.min() >= -1e-8 * max(
         1.0, float(sol.h.max())))
-    if np.any(q.abs2 > 0):
-        sol.flags["gap_nonnegative"] = bool(
-            np.nanmin(np.where(q.abs2 > 0, sol.gap, np.nan)) >= -1e-7)
-    else:
-        sol.flags["gap_nonnegative"] = True
+    sol.flags["gap_nonnegative"] = bool((sol.gap[abs2 > 0] >= -1e-7).all())
     return sol
 
 
@@ -211,22 +223,16 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
 
     Dirichlet boundary values must be nonnegative; the discrete solution
     then satisfies F >= 0 everywhere (comparison with the zero solution).
-    ``fixed_mask`` may pin additional nodes to the boundary value, e.g. to
-    solve on an inscribed disk.
+    ``fixed_mask`` may pin additional nodes of a Dirichlet grid to the
+    boundary value, e.g. to solve on an inscribed disk.
     """
-    c = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23.ravel()
-    periodic = grid.bc != DIRICHLET
-    if fixed_mask is not None:
-        fixed_mask = np.asarray(fixed_mask, dtype=bool) \
-            | ~grid.interior_mask()
-    L = laplacian_matrix(grid, fixed_mask)
-    bmask = (~grid.interior_mask()).ravel() if fixed_mask is None \
-        else fixed_mask.ravel()
-
-    if periodic:
-        bc_vec = None
-        x0 = np.zeros(grid.nx * grid.ny)
+    c = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23
+    fixed = ~grid.interior_mask()
+    if grid.bc != DIRICHLET:
+        bvals = x0 = 0.0
     else:
+        if fixed_mask is not None:
+            fixed = fixed | np.asarray(fixed_mask, dtype=bool)
         if boundary is None:
             raise ValueError("Dirichlet solves need boundary values")
         bvals = np.asarray(boundary, dtype=float)
@@ -234,24 +240,17 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
             bvals = np.full((grid.ny, grid.nx), float(bvals))
         if bvals.shape != (grid.ny, grid.nx):
             raise ValueError("boundary field shape mismatch")
-        bc_vec = bvals.ravel()
-        if bc_vec[bmask].min() < 0:
+        if bvals[fixed].min() < 0:
             raise NegativeBoundary(
-                f"boundary gap value {bc_vec[bmask].min():.6g} < 0")
-        x0 = np.full(grid.nx * grid.ny, float(bc_vec[bmask].mean()))
-        x0[bmask] = bc_vec[bmask]
+                f"boundary gap value {bvals[fixed].min():.6g} < 0")
+        x0 = np.full((grid.ny, grid.nx), float(bvals[fixed].mean()))
 
     def f_and_deriv(F):
         Fc = np.clip(F, -_EXP_CAP, _EXP_CAP)
         e3 = np.exp(-Fc / 3.0)
-        fv = c * e3 * np.sinh(Fc)
-        fp = c * e3 * (np.cosh(Fc) - np.sinh(Fc) / 3.0)
-        if not periodic:
-            fv = fv.copy()
-            fp = fp.copy()
-            fv[bmask] = bc_vec[bmask]
-            fp[bmask] = 0.0
-        return fv, fp
+        return (c * e3 * np.sinh(Fc),
+                c * e3 * (np.cosh(Fc) - np.sinh(Fc) / 3.0))
 
-    F, rn, _ = _newton(L, f_and_deriv, x0, tol, max_iter, "tzitzeica")
-    return F.reshape(grid.ny, grid.nx)
+    F, _rn, _its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
+                                     tol, max_iter, "tzitzeica")
+    return F

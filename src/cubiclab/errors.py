@@ -55,7 +55,7 @@ class NoSolution(CubiclabError):
 
 
 class SingularJacobian(CubiclabError):
-    """The Newton linearization could not be factorized."""
+    """The Newton linearization could not be solved."""
 
 
 class NegativeBoundary(CubiclabError):

@@ -21,6 +21,7 @@ from .geodesics import (
     _Strip,
     tighten_geodesic,
 )
+from .planar import cross
 from .subdivide import Piece, Soup, edge_sub_tag, slot_partner_tag, split_piece
 from .surface import TriangulatedFlatSurface
 
@@ -74,10 +75,10 @@ def _straightened(s: TriangulatedFlatSurface,
     anchor = p0 + off * n
     params = []
     for A, B in st.edges:
-        denom = float(np.cross(d, B - A))
+        denom = cross(d, B - A)
         if abs(denom) < 1e-15:
             raise NotCylindrical("core geodesic runs along an edge")
-        u = float(np.cross(d, anchor - A)) / denom
+        u = cross(d, anchor - A) / denom
         if not 1e-9 < u < 1.0 - 1e-9:
             raise NotCylindrical("core geodesic touches the one-skeleton")
         params.append(u)
@@ -212,14 +213,14 @@ def _reseat_on_vertex_line(st: _Strip, kept_map, first_new, n_new, vparam,
     new_params = []
     for k in range(len(st.crossings)):
         A, B = st.edges[k]
-        denom = float(np.cross(d, B - A))
+        denom = cross(d, B - A)
         if abs(denom) < 1e-12 * scale:
-            on_line = (abs(float(np.cross(d, A - V))) < 1e-9 * scale
-                       and abs(float(np.cross(d, B - V))) < 1e-9 * scale)
+            on_line = (abs(cross(d, A - V)) < 1e-9 * scale
+                       and abs(cross(d, B - V)) < 1e-9 * scale)
             if not on_line:
                 raise RuntimeError("sweep line parallel to an off-line edge")
             continue  # drop: the translate runs along this edge
-        u = float(np.cross(d, V - A)) / denom
+        u = cross(d, V - A) / denom
         keep_idx.append(k)
         new_params.append(min(1.0, max(0.0, u)))
     if (len(st.crossings) - len(keep_idx)) % 2 != 0:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .geodesics import GeodesicRepresentative
+from .planar import cross
 
 
 def _segments_with_offsets(g: GeodesicRepresentative):
@@ -46,17 +47,17 @@ def geometric_intersection_count(s, g1: GeodesicRepresentative,
             d2 = b2 - a2
             for (a1, b1, off1, ln1) in lst1:
                 d1 = b1 - a1
-                cr = float(np.cross(d1, d2))
+                cr = cross(d1, d2)
                 if abs(cr) > 1e-9 * ln1 * ln2:
                     r = a2 - a1
-                    t1 = float(np.cross(r, d2)) / cr
-                    t2 = float(np.cross(r, d1)) / cr
+                    t1 = cross(r, d2) / cr
+                    t2 = cross(r, d1) / cr
                     if -1e-9 <= t1 <= 1 + 1e-9 and -1e-9 <= t2 <= 1 + 1e-9:
                         pos = off1 + min(max(t1, 0.0), 1.0) * ln1
                         crossings.append(pos % L1)
                     continue
                 # parallel; collinear iff a2 sits on the line of segment 1
-                if abs(float(np.cross(d1, a2 - a1))) > 1e-9 * ln1 * max(ln2, 1):
+                if abs(cross(d1, a2 - a1)) > 1e-9 * ln1 * max(ln2, 1):
                     continue
                 u_lo = float((a2 - a1) @ d1) / (ln1 * ln1)
                 u_hi = float((b2 - a1) @ d1) / (ln1 * ln1)
@@ -156,7 +157,7 @@ def _g2_side(flat2, tri, point, d1, entering, tol):
             probe = b
         else:
             continue
-        sgn = float(np.cross(d1, probe - point))
+        sgn = cross(d1, probe - point)
         if abs(sgn) > tol:
             return 1 if sgn > 0 else -1
     return None

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .planar import cross
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
 
@@ -32,20 +33,16 @@ class SaddleConnection:
         return math.hypot(*self.holonomy)
 
 
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
 def _in_cone(d, w1, w2, tol=1e-12) -> bool:
     """Whether direction d lies strictly inside the ccw cone (w1, w2)."""
-    return _cross(w1, d) > tol and _cross(d, w2) > tol
+    return cross(w1, d) > tol and cross(d, w2) > tol
 
 
 def _cone_intersect(a1, a2, b1, b2):
     """Intersection of two ccw cones of angular span < pi, or None."""
-    s = b1 if _cross(a1, b1) > 0 else a1
-    e = b2 if _cross(b2, a2) > 0 else a2
-    if _cross(s, e) <= 1e-14:
+    s = b1 if cross(a1, b1) > 0 else a1
+    e = b2 if cross(b2, a2) > 0 else a2
+    if cross(s, e) <= 1e-14:
         return None
     return s, e
 
@@ -66,7 +63,7 @@ def _ccw_angle(r, d) -> float:
     A vanishing cross product is snapped to zero so directions exactly
     along the ray never wrap to 2*pi through rounding noise.
     """
-    cr = _cross(r, d)
+    cr = cross(r, d)
     dt = float(np.dot(r, d))
     if abs(cr) < 1e-9 * math.hypot(cr, dt):
         cr = 0.0

@@ -20,6 +20,7 @@ from ..errors import (
     NegativeOrderAtInterior,
     NonInvolutiveGluing,
 )
+from .planar import cross
 from .saddles import enumerate_saddle_connections
 from .subdivide import Piece, Soup
 from .surface import PlanarIsometry, TriangulatedFlatSurface
@@ -54,7 +55,7 @@ class _Carve:
 
 def _point_line_dist(p, a, b) -> float:
     d = b - a
-    return abs(float(np.cross(d, p - a))) / float(np.linalg.norm(d))
+    return abs(cross(d, p - a)) / float(np.linalg.norm(d))
 
 
 def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,

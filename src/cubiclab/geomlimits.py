@@ -210,9 +210,11 @@ class FramedBasepoint:
     direction: complex = 1.0 + 0.0j
 
     def validated_on(self, m: ModelSurface) -> "FramedBasepoint":
-        if injectivity_radius(m, self.z) < 1.0 - 1e-12:
+        rad = injectivity_radius(m, self.z)
+        if rad < 1.0 - 1e-12:
             raise BadParameters(
-                f"injectivity radius at {self.z} below one on {m.variant}")
+                f"injectivity radius {rad:.6g} at {self.z} below one on "
+                f"{m.variant}")
         return self
 
 

@@ -162,8 +162,8 @@ def brute_saddle_connections(s, max_length: float, depth: int):
             for (wx, wy), _cand in candidates.items():
                 w = np.array([wx, wy])
                 # the segment must leave through this corner's wedge
-                if (float(np.cross(ray1, w)) < -1e-12
-                        or float(np.cross(w, ray2)) < -1e-12):
+                if (ray1[0] * w[1] - ray1[1] * w[0] < -1e-12
+                        or w[0] * ray2[1] - w[1] * ray2[0] < -1e-12):
                     continue
                 arrival = _trace_from_corner(s, t0, i0, shift, w)
                 if arrival is None:
@@ -198,7 +198,7 @@ def _fan_cumulative(s):
 
 def _intrinsic(s, cum, corner, ray, d):
     total = float(s.orbit_angles[s.orbit_of[corner]])
-    cr = float(np.cross(ray, d))
+    cr = float(ray[0] * d[1] - ray[1] * d[0])
     dt = float(np.dot(ray, d))
     if abs(cr) < 1e-9 * math.hypot(cr, dt):
         cr = 0.0
@@ -227,10 +227,11 @@ def _trace_from_corner(s, t0, i0, phi0, w, max_steps=500):
         exit_s, exit_e = None, None
         for e in range(3):
             a, b = dev[e], dev[(e + 1) % 3]
-            denom = float(np.cross(d, b - a))
+            ab = b - a
+            denom = float(d[0] * ab[1] - d[1] * ab[0])
             if abs(denom) < 1e-14:
                 continue
-            s_hit = float(np.cross(a, b - a)) / denom
+            s_hit = float(a[0] * ab[1] - a[1] * ab[0]) / denom
             if s_hit <= s_cur + 1e-12 * max(1.0, norm):
                 continue
             p_hit = s_hit * d

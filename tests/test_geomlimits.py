@@ -230,5 +230,5 @@ def test_framed_basepoint_injectivity_validation():
     v = FramedBasepoint(1.0 / math.sqrt(thick.R))
     assert v.validated_on(thick) is v
     thin = ModelSurface(ANNULUS, kappa=-1.0, R=math.exp(30.0))  # 0.329
-    with pytest.raises(BadParameters):
+    with pytest.raises(BadParameters, match=r"injectivity radius 0\.328987 "):
         FramedBasepoint(1.0 / math.sqrt(thin.R)).validated_on(thin)

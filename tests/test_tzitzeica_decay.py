@@ -7,8 +7,10 @@ from cubiclab.blaschke import (
     CubicDifferentialField,
     Grid2D,
     decay_experiment,
+    discrete_laplacian,
     flat_metric_path_length,
     solve_tzitzeica,
+    square_window,
     unit_torus_grid,
 )
 from cubiclab.errors import NegativeBoundary, ProbeTooCloseToZero
@@ -45,6 +47,21 @@ def test_dirichlet_barrier_refinement():
         F = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
         vals.append(float(F[n // 2, n // 2]))
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
+
+
+def test_disk_masked_residual_by_independent_stencil():
+    # the gap solve of decay_experiment on the inscribed disk, residual
+    # recomputed with estimates.discrete_laplacian on the free nodes
+    probe, t = 1.0 + 0j, 8.0
+    g = square_window(probe, 1.6, 65)
+    disk_fixed = np.abs(g.zs - probe) >= 0.999 * 0.8
+    q = CubicDifferentialField.from_polynomial(g, [0.0, t])
+    F = solve_tzitzeica(g, q, boundary=1.0, tol=1e-10, fixed_mask=disk_fixed)
+    assert (F[disk_fixed] == 1.0).all()
+    free = ~disk_fixed & g.interior_mask()
+    lap = discrete_laplacian(F, g.dx, g.dy)
+    rhs = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23 * np.exp(-F / 3.0) * np.sinh(F)
+    assert np.abs(lap - rhs)[free].max() <= 1e-10
 
 
 def test_negative_boundary_rejected():

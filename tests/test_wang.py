@@ -10,17 +10,22 @@ from cubiclab.blaschke import (
     area_and_bounds,
     check_subsolution,
     curvature_field,
+    discrete_laplacian,
     gap_upper_bound,
     largest_root,
     log_density_curvature,
     minimal_surface_metric,
     solve_wang,
+    square_window,
     unit_torus_grid,
 )
+from cubiclab.blaschke import solver
 from cubiclab.errors import (
     NegativeInput,
+    NoConvergence,
     NonpositiveRadius,
     NoSolution,
+    SingularJacobian,
 )
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -79,6 +84,66 @@ def test_torus_area_scaling():
         sol = solve_wang(g, q, tol=1e-12)
         ab = area_and_bounds(sol, q, region="torus")
         assert abs(ab.area_h - CBRT2 * c ** (2.0 / 3.0)) < 1e-8
+
+
+def test_window_area_constant_q():
+    # constant q = c has the flat solution e^(3 psi) = 2|c|^2, so on a
+    # Dirichlet window both areas are exact: |c|^(2/3) side^2 and 2^(1/3) of it
+    c, side = 2.0 - 1.0j, 2.5
+    g = square_window(0.3 + 0.2j, side, 33)
+    q = CubicDifferentialField.constant(g, c)
+    flat = abs(c) ** (2.0 / 3.0) * side ** 2
+    assert abs(q.flat_area() - flat) < 1e-12
+    psi = np.full((g.ny, g.nx), math.log(2.0 * abs(c) ** 2) / 3.0)
+    sol = solve_wang(g, q, tol=1e-12, boundary_psi=psi)
+    ab = area_and_bounds(sol, q, region="window")
+    assert math.isfinite(ab.area_h) and math.isfinite(ab.lower)
+    assert abs(ab.flat_area - flat) < 1e-12
+    assert abs(ab.area_h - CBRT2 * flat) < 1e-9
+    assert not ab.literal and ab.upper == math.inf
+
+
+def _zcubic_problem(n):
+    g = Grid2D(-4, 4, -4, 4, n, n)
+    q = CubicDifferentialField.from_polynomial(g, [0.0, 1.0])
+    with np.errstate(divide="ignore"):
+        bc = np.log(2.0 * np.abs(g.zs) ** 2) / 3.0
+    return g, q, bc
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_wang_residual_by_independent_stencil(periodic):
+    # the solver's own residual cannot see a wrong stencil: recompute it
+    # with estimates.discrete_laplacian on every free node
+    if periodic:
+        g = unit_torus_grid(24)
+        q = CubicDifferentialField.from_polynomial(g, [0.3, 1.0])
+        sol = solve_wang(g, q, tol=1e-10)
+    else:
+        g, q, bc = _zcubic_problem(65)
+        sol = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
+        assert np.array_equal(sol.psi[~g.interior_mask()],
+                              bc[~g.interior_mask()])
+    lap = discrete_laplacian(sol.psi, g.dx, g.dy, periodic=periodic)
+    rhs = 2.0 * np.exp(sol.psi) - 4.0 * q.abs2 * np.exp(-2.0 * sol.psi)
+    assert np.abs(lap - rhs)[g.interior_mask()].max() <= 1e-10
+
+
+def test_wang_newton_budget_reports_residual():
+    g, q, bc = _zcubic_problem(65)
+    with pytest.raises(NoConvergence, match=r"residual \d\.\d{3}e[+-]\d+ "
+                                            r"after 1 steps"):
+        solve_wang(g, q, tol=1e-10, boundary_psi=bc, max_iter=1)
+
+
+def test_wang_cg_failure_reports_iterations(monkeypatch):
+    # the harmonic start converges within two CG iterations, the first
+    # Newton step needs five
+    g, q, bc = _zcubic_problem(65)
+    monkeypatch.setattr(solver, "_CG_MAXITER", 2)
+    with pytest.raises(SingularJacobian, match=r"wang: CG stopped after 2 "
+                       r"iterations at relative residual \d\.\d{3}e[+-]\d+"):
+        solve_wang(g, q, tol=1e-10, boundary_psi=bc)
 
 
 def test_q_zero_periodic_has_no_solution():
