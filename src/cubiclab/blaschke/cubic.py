@@ -21,13 +21,14 @@ class CubicDifferentialField:
         if values is None:
             if self.coeffs is None:
                 raise ValueError("need samples or polynomial coefficients")
-            values = np.polyval(self.coeffs[::-1], grid.zs)
-        vals = np.asarray(values, dtype=complex)
+            vals = np.polyval(self.coeffs[::-1], grid.zs)
+        else:
+            vals = np.asarray(values, dtype=complex)
         if vals.shape != (grid.ny, grid.nx):
             raise ValueError("sample shape does not match the grid")
         if not np.all(np.isfinite(vals)):
             raise ValueError("cubic differential samples must be finite")
-        if self.coeffs is not None:
+        if values is not None and self.coeffs is not None:
             ref = np.polyval(self.coeffs[::-1], grid.zs)
             scale = max(1.0, float(np.abs(ref).max()))
             if float(np.abs(ref - vals).max()) > 1e-9 * scale:

@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, fft2, idstn, ifft2
 
-from ..errors import NegativeBoundary, NoConvergence, NoSolution, \
-    SingularJacobian
+from ..errors import BadParameters, NegativeBoundary, NoConvergence, \
+    NoSolution, SingularJacobian
 from .cubic import CubicDifferentialField
 from .grid import DIRICHLET, Grid2D
 
@@ -224,11 +224,19 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
     Dirichlet boundary values must be nonnegative; the discrete solution
     then satisfies F >= 0 everywhere (comparison with the zero solution).
     ``fixed_mask`` may pin additional nodes of a Dirichlet grid to the
-    boundary value, e.g. to solve on an inscribed disk.
+    boundary value, e.g. to solve on an inscribed disk.  A torus grid takes
+    neither ``boundary`` nor ``fixed_mask``: it raises ``BadParameters``.
     """
     c = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23
     fixed = ~grid.interior_mask()
     if grid.bc != DIRICHLET:
+        if fixed_mask is not None or boundary is not None:
+            masked = 0 if fixed_mask is None else \
+                int(np.count_nonzero(fixed_mask))
+            given = "given" if boundary is not None else "none"
+            raise BadParameters(
+                f"a torus grid has no boundary: got {masked} masked nodes "
+                f"and boundary values {given}")
         bvals = x0 = 0.0
     else:
         if fixed_mask is not None:

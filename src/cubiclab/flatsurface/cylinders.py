@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import NotCylindrical, NotNonsingular
 from .geodesics import (
+    PIN_TOL,
     GeodesicRepresentative,
     HomotopyClassPath,
     _Strip,
@@ -56,33 +57,13 @@ def _strip_direction(st: _Strip):
     return dvec / ell, ell
 
 
-def _straightened(s: TriangulatedFlatSurface,
-                  g: GeodesicRepresentative) -> GeodesicRepresentative:
-    """Project a nonsingular representative exactly onto its holonomy line.
-
-    Coordinate descent leaves the crossing points within ~sqrt(tol) of the
-    straight line of the flat valley; cutting and sweeping need them exactly
-    collinear.
-    """
-    from dataclasses import replace
-
-    st = _Strip(s, list(g.crossings), list(g.params))
-    d, _ = _strip_direction(st)
-    n = _perp(d)
-    pts = [st.point(k) for k in range(len(st.crossings))]
-    p0 = pts[0]
-    off = float(np.mean([(p - p0) @ n for p in pts]))
-    anchor = p0 + off * n
-    params = []
-    for A, B in st.edges:
-        denom = cross(d, B - A)
-        if abs(denom) < 1e-15:
-            raise NotCylindrical("core geodesic runs along an edge")
-        u = cross(d, anchor - A) / denom
-        if not 1e-9 < u < 1.0 - 1e-9:
-            raise NotCylindrical("core geodesic touches the one-skeleton")
-        params.append(u)
-    return replace(g, params=tuple(params))
+def _require_core_line(g: GeodesicRepresentative) -> None:
+    """tighten_geodesic returns a cylinder's core line inside every edge;
+    a nonsingular geodesic pinned at flat vertices is no such line (the
+    class traverses its cylinder more than once, or its strip holds no
+    open family)."""
+    if not all(PIN_TOL < u < 1.0 - PIN_TOL for u in g.params):
+        raise NotCylindrical("core geodesic touches the one-skeleton")
 
 
 def _sweep(s: TriangulatedFlatSurface, g: GeodesicRepresentative, side: int,
@@ -254,7 +235,7 @@ def detect_cylinder(s: TriangulatedFlatSurface,
         raise NotNonsingular("geodesic passes through a cone point")
     if abs(g.holonomy.rot) > 1e-7:
         return None
-    g = _straightened(s, g)
+    _require_core_line(g)
     core = HomotopyClassPath(g.crossings, label=g.label)
     up, closed, orbits_up = _sweep(s, g, +1)
     if closed:
@@ -403,7 +384,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     if g.kind != "nonsingular":
         raise NotCylindrical("core class is not cylindrical "
                              "(geodesic passes through a cone point)")
-    g = _straightened(s, g)
+    _require_core_line(g)
     n = len(g.crossings)
 
     cut_ids: dict = {}

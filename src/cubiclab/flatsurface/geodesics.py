@@ -2,11 +2,21 @@
 
 A class is encoded combinatorially as a cyclic sequence of directed edge
 crossings (a triangle strip).  Tightening alternates two moves until the
-local geodesic criterion holds: exact coordinate-descent shortening of the
-polyline within the current strip, and a combinatorial slide of the strip
-across a vertex whenever the polyline pins there with angle < pi on one
-side.  A returned representative is certified by the angle condition: at
-every visited cone point both side angles are at least pi.
+local geodesic criterion holds: the exact shortest closed polyline within
+the current strip, and a combinatorial slide of the strip across a vertex
+whenever the polyline pins there with angle < pi on one side.  A returned
+representative is certified by the angle condition: at every visited cone
+point both side angles are at least pi.
+
+The in-strip solve develops the strip once.  For a point P0 on the first
+edge, the funnel (string-pulling) algorithm of Lee and Preparata gives the
+shortest path through the strip from P0 to its image under the holonomy;
+its length is convex in the position of P0, which a safeguarded root find
+on the slope fixes (Hershberger and Snoeyink, "Computing minimum length
+paths of a given homotopy class", CGTA 4, 1994, treat closed classes the
+same way).  When the holonomy is a translation and a straight line crosses
+the whole strip, the class is cylindrical and the line through the middle
+of the family is returned: exactly collinear and off the one-skeleton.
 """
 
 from __future__ import annotations
@@ -17,10 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoConvergence, TrivialClass
+from .planar import cross, turn
 from .surface import PlanarIsometry, Slot, TriangulatedFlatSurface
 
 ANGLE_TOL = 1e-9
 PIN_TOL = 1e-12
+# bracket width on the edge-0 parameter at which a strip solve stops
+_U_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -121,33 +134,6 @@ def develop_strip(s: TriangulatedFlatSurface, crossings) -> list[PlanarIsometry]
     return phis
 
 
-def _heron_param(A, B, p, q):
-    """Minimize |z - p| + |z - q| over z on segment [A, B]; returns the param.
-
-    Exact one-dimensional step for the convex polyline-shortening objective.
-    """
-    d = B - A
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return 0.0
-    nx, ny = -d[1], d[0]
-    sp = (p[0] - A[0]) * nx + (p[1] - A[1]) * ny
-    sq = (q[0] - A[0]) * nx + (q[1] - A[1]) * ny
-    if sp * sq > 0.0:
-        # same side: reflect q across the edge line
-        scale = 2.0 * sq / L2
-        q = np.array([q[0] - scale * nx, q[1] - scale * ny])
-        sq = -sq
-    denom = sp - sq
-    if abs(denom) < 1e-300:
-        z = 0.5 * (p + q)
-    else:
-        t = sp / denom
-        z = p + t * (q - p)
-    u = float((z - A) @ d) / L2
-    return min(1.0, max(0.0, u))
-
-
 class _Strip:
     """Mutable tightening state: a strip with developed data and params."""
 
@@ -164,6 +150,14 @@ class _Strip:
             a, b = self.s.edge_endpoints(slot)
             self.edges.append((self.phis[k].apply(a), self.phis[k].apply(b)))
         self.holonomy = self.phis[-1]
+        # shares[k]: the endpoint side (0 right, 1 left) that edges k and
+        # k+1 have in common, from the triangle between them
+        self.shares = []
+        n = len(self.crossings)
+        for k, slot in enumerate(self.crossings):
+            _t2, e2 = self.s.gluings[slot]
+            e_next = self.crossings[(k + 1) % n][1]
+            self.shares.append(0 if e_next == (e2 + 1) % 3 else 1)
 
     def point(self, k):
         A, B = self.edges[k]
@@ -180,22 +174,175 @@ class _Strip:
         return float(sum(np.linalg.norm(pts[k + 1] - pts[k])
                          for k in range(len(self.crossings))))
 
-    def sweep(self) -> float:
-        """One Gauss-Seidel pass of exact 1-d shortening steps."""
+    def solve(self, tol: float) -> None:
+        """Put the params on the shortest polyline of the current strip.
+
+        The portals are the developed edges 1..n-1.  For a start point P0 on
+        edge 0 the funnel gives the shortest path from P0 to H(P0), H the
+        holonomy; its length f(u0) is convex in the edge-0 parameter u0, and
+        u0 is found by a safeguarded root find on the slope f'(u0).  When H
+        is a translation and a straight line crosses every portal, the
+        minimisers form a flat family and P0 goes to the middle of it.
+        """
         n = len(self.crossings)
-        hinv = self.holonomy.inverse()
-        for k in range(n):
-            if k == 0:
-                p = hinv.apply(self.point(n - 1))
-            else:
-                p = self.point(k - 1)
-            if k == n - 1:
-                q = self.closing_point()
-            else:
-                q = self.point(k + 1)
-            A, B = self.edges[k]
-            self.params[k] = _heron_param(A, B, p, q)
-        return self.length()
+        pts = [(tuple(map(float, A)), tuple(map(float, B)))
+               for A, B in self.edges]
+        scale = max(abs(c) for ab in pts for p in ab for c in p)
+        tiny = 1e-12 * scale
+        H = self.holonomy
+        if abs(H.rot) <= ANGLE_TOL and self._straight_family(pts, tiny):
+            return
+        (ax, ay), (bx, by) = pts[0]
+        ex, ey = bx - ax, by - ay
+        el = math.hypot(ex, ey)
+        c, sn = math.cos(H.rot), math.sin(H.rot)
+        rex, rey = c * ex - sn * ey, sn * ex + c * ey  # R e0
+        rights = [a for a, _b in pts[1:]]
+        lefts = [b for _a, b in pts[1:]]
+
+        def hol(p):
+            return (c * p[0] - sn * p[1] + H.tx, sn * p[0] + c * p[1] + H.ty)
+
+        def wraps(side, first, last):
+            """Whether the path turns by more than pi through the strip
+            round the vertex P sits on (side 0: A0, 1: B0) where it leaves
+            P, and round its image where it reaches Q.  The spokes are the
+            far ends of the edges through the vertex, in strip order."""
+            sign = 2 * side - 1  # clockwise round a right vertex
+            spokes = [pts[j][1 - side] for j in self._fan(0, side, 0, n - 1)]
+            at_p = _swept(pts[0][side], spokes + [first], sign)
+            spokes = [pts[j][1 - side] for j in self._fan(n, side, 1, n)
+                      if j < n] + [hol(pts[0][1 - side])]
+            at_q = _swept(hol(pts[0][side]), [last] + spokes, sign)
+            return at_p > math.pi, at_q > math.pi
+
+        def evaluate(u):
+            """(slope f'(u), candidate u from the corners, corners, P, Q).
+
+            f'(u) = (R^T v_last - v_first) . e0 for the unit directions of
+            the first and the last segment.  At u = 0 or 1 these are the
+            one-sided limits from inside edge 0: a path that wraps round
+            the vertex runs along edge 0 next to it.
+            """
+            P = (ax + u * ex, ay + u * ey)
+            Q = hol(P)
+            corners = _funnel(P, Q, rights, lefts, tiny)
+            verts = [pts[k][side] for k, side in corners]
+            first = verts[0] if verts else Q
+            last = verts[-1] if verts else P
+            fx, fy = _unit(first[0] - P[0], first[1] - P[1], tiny)
+            lx, ly = _unit(Q[0] - last[0], Q[1] - last[1], tiny)
+            if u in (0.0, 1.0):
+                w_p, w_q = wraps(int(u), first, last)
+                toward = 2.0 * u - 1.0  # along e0 toward the vertex
+                if w_p or (fx, fy) == (0.0, 0.0):
+                    fx, fy = toward * ex / el, toward * ey / el
+                if w_q or (lx, ly) == (0.0, 0.0):
+                    lx, ly = -toward * rex / el, -toward * rey / el
+            slope = lx * rex + ly * rey - (fx * ex + fy * ey)
+            cand = None
+            if verts:
+                # edge 0 meets the line through H^-1(last corner) and the
+                # first corner: exact if the corners stay the same
+                hx, hy = verts[-1][0] - H.tx, verts[-1][1] - H.ty
+                X = (c * hx + sn * hy, -sn * hx + c * hy)
+                dx, dy = verts[0][0] - X[0], verts[0][1] - X[1]
+                den = dx * ey - dy * ex
+                if den != 0.0:
+                    cand = (dx * (X[1] - ay) - dy * (X[0] - ax)) / den
+            return slope, cand, corners, P, Q
+
+        # an end of edge 0 is the minimiser iff the length does not fall
+        # into the edge from there: decided by sign, so that a loose tol
+        # never pins the path at a vertex
+        slope_tol = tol * el
+        u = 0.0
+        slope, cand, *path = evaluate(u)
+        if slope < 0.0:
+            u = 1.0
+            slope, cand, *path = evaluate(u)
+            lo, hi, width = 0.0, 1.0, 2.0
+            while slope > 0.0 if u == 1.0 else abs(slope) > slope_tol:
+                if slope < 0.0:
+                    lo = u
+                else:
+                    hi = u
+                if hi - lo <= _U_EPS:
+                    break
+                # bisect when the corner step leaves the bracket, or when
+                # the last step did not halve it
+                bisect = (hi - lo > 0.5 * width or cand is None
+                          or not lo < cand < hi)
+                width = hi - lo
+                u = 0.5 * (lo + hi) if bisect else cand
+                slope, cand, *path = evaluate(u)
+        self._place(u, *path, pts)
+
+    def _straight_family(self, pts, tiny) -> bool:
+        """Centre a straight line with the holonomy's direction in the strip.
+
+        The line through P0 with direction T crosses portal k inside iff
+        its offset nu = cross(d, P0) lies in [nu(A_k), nu(B_k)], d = T/|T|.
+        Returns False (and changes nothing) if no such line exists.
+        """
+        H = self.holonomy
+        tl = math.hypot(H.tx, H.ty)
+        if tl == 0.0:
+            return False
+        dx, dy = H.tx / tl, H.ty / tl
+        nus = [(dx * a[1] - dy * a[0], dx * b[1] - dy * b[0]) for a, b in pts]
+        lo = max(a for a, _b in nus)
+        hi = min(b for _a, b in nus)
+        if hi - lo <= tiny:
+            return False
+        mid = 0.5 * (lo + hi)
+        self.params = [(mid - a) / (b - a) for a, b in nus]
+        return True
+
+    def _place(self, u, corners, P, Q, pts) -> None:
+        """Set the params from the funnel path P, corners..., Q."""
+        n = len(self.crossings)
+        params = [u] + [None] * (n - 1)
+        if u in (0.0, 1.0):
+            # edges through the vertex P (and Q) sits on are crossed there
+            for j in self._fan(0, int(u), 0, n - 1):
+                params[j] = u
+            for j in self._fan(n, int(u), 1, n):
+                params[j % n] = u
+        path = [(0, P)]
+        for k, side in corners:
+            path.append((k, pts[k][side]))
+            # every edge through the corner's vertex is crossed there
+            for j in self._fan(k, side, 1, n - 1):
+                params[j] = float(side)
+        path.append((n, Q))
+        for (ka, X), (kb, Y) in zip(path, path[1:]):
+            dx, dy = Y[0] - X[0], Y[1] - X[1]
+            for k in range(ka + 1, kb):
+                if params[k] is not None:
+                    continue
+                A, B = pts[k]
+                den = dx * (B[1] - A[1]) - dy * (B[0] - A[0])
+                if den == 0.0:
+                    # a zero-length segment sits on an endpoint
+                    params[k] = 0.0 if math.dist(A, X) <= math.dist(B, X) \
+                        else 1.0
+                    continue
+                t = (dx * (X[1] - A[1]) - dy * (X[0] - A[0])) / den
+                params[k] = min(1.0, max(0.0, t))
+        self.params = params
+
+    def _fan(self, k, side, lo, hi):
+        """Edges lo..hi joined to edge k by edges that all share its
+        endpoint on ``side`` (0 right, 1 left); edge n is edge 0 moved by
+        the holonomy."""
+        j0 = k
+        while j0 > lo and self.shares[j0 - 1] == side:
+            j0 -= 1
+        j1 = k
+        while j1 < hi and self.shares[j1] == side:
+            j1 += 1
+        return range(j0, j1 + 1)
 
     # -- pivots and slides --------------------------------------------------
 
@@ -326,16 +473,16 @@ class _Strip:
         else:
             opposite_step = s.corner_step_cw
             vertex_param = 0.0
+        # the fan is empty when the path enters and leaves the vertex in
+        # one corner: the strip then wound round it the whole way
         new_slots = []
         corner = start
-        budget = 3 * s.num_triangles + 3
         target = cj_out
-        while budget > 0:
-            crossed, corner = opposite_step(*corner)
-            new_slots.append(crossed)
+        for _ in range(3 * s.num_triangles + 3):
             if corner == target:
                 break
-            budget -= 1
+            crossed, corner = opposite_step(*corner)
+            new_slots.append(crossed)
         else:
             raise RuntimeError("pivot slide did not close up around the vertex")
 
@@ -395,13 +542,81 @@ class _Strip:
             raise TrivialClass("class simplified to the trivial loop")
 
 
+def _unit(x: float, y: float, tiny: float):
+    """(x, y) normalised, or (0, 0) if it is shorter than tiny."""
+    r = math.hypot(x, y)
+    if r <= tiny:
+        return 0.0, 0.0
+    return x / r, y / r
+
+
+def _swept(V, points, sign) -> float:
+    """Angle at V turned from points[0] through points[1:], each step
+    counterclockwise (sign 1) or clockwise (sign -1) by less than pi."""
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        ux, uy = a[0] - V[0], a[1] - V[1]
+        vx, vy = b[0] - V[0], b[1] - V[1]
+        total += math.atan2(sign * (ux * vy - uy * vx), ux * vx + uy * vy)
+    return total
+
+
+def _funnel(P, Q, rights, lefts, tiny):
+    """Corners of the shortest path from P to Q through a chain of portals.
+
+    Portal i runs from rights[i] to lefts[i], the endpoints on the right
+    and the left of the direction of travel; points are (x, y) tuples.
+    Returns the corners in path order as (portal index + 1, side), side 0
+    for a right endpoint and 1 for a left one (the string-pulling funnel of
+    Lee and Preparata).  A point closer than tiny to the apex is the apex:
+    it constrains no direction, and vertices shared by consecutive portals
+    but developed through different charts agree.
+    """
+    rights = rights + [Q]
+    lefts = lefts + [Q]
+    apex = right = left = P
+    right_i = left_i = -1
+    corners = []
+
+    def near(a, b):
+        return math.dist(a, b) <= tiny
+
+    i = 0
+    while i < len(rights):
+        r, l = rights[i], lefts[i]
+        if near(r, apex) or near(l, apex):
+            i += 1  # the portal passes through the apex
+            continue
+        if not near(r, right) and (near(right, apex)
+                                   or turn(apex, right, r) >= 0.0):
+            if near(left, apex) or near(r, left) or \
+                    turn(apex, left, r) <= 0.0:
+                right, right_i = r, i
+            else:
+                # the right side crossed the left one: its vertex is a corner
+                corners.append((left_i + 1, 1))
+                apex = right = left
+                right_i = left_i
+                i = left_i + 1
+                continue
+        if not near(l, left) and (near(left, apex)
+                                  or turn(apex, left, l) <= 0.0):
+            if near(right, apex) or near(l, right) or \
+                    turn(apex, right, l) >= 0.0:
+                left, left_i = l, i
+            else:
+                corners.append((right_i + 1, 0))
+                apex = left = right
+                left_i = right_i
+                i = right_i + 1
+                continue
+        i += 1
+    return corners
+
+
 def _angle_between(u, v) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = float(np.dot(u, v)) / (nu * nv)
-    return math.acos(min(1.0, max(-1.0, c)))
+    """The unsigned angle between u and v, accurate near 0 and pi."""
+    return math.atan2(abs(cross(u, v)), float(np.dot(u, v)))
 
 
 def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
@@ -409,42 +624,35 @@ def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
                      initial_params=None) -> GeodesicRepresentative:
     """Shorten a combinatorial loop to a geodesic representative.
 
-    Iterates in-strip coordinate descent with combinatorial slides across
-    vertices until the angle condition certifies a geodesic.  ``tol`` bounds
-    the length change per sweep at convergence.
+    Alternates an exact shortest-path solve in the current strip with
+    combinatorial slides across vertices until the angle condition
+    certifies a geodesic.  ``tol`` bounds the slope of the length in the
+    edge-0 parameter, per unit edge length, at which a solve stops;
+    ``max_iterations`` bounds the solves plus slides.  ``initial_params``
+    is accepted for existing callers; the exact solve does not read it.
     """
     path.validate_on(s)
-    strip = _Strip(s, path.crossings, initial_params)
+    strip = _Strip(s, path.crossings)
     strip.simplify()
     strip.refresh()
 
-    budget = max_iterations
-    prev_len = strip.length()
-    while budget > 0:
-        # phase 1: coordinate descent inside the current strip
-        while budget > 0:
-            cur = strip.sweep()
-            budget -= 1
-            if prev_len - cur <= tol * max(1.0, cur):
-                prev_len = cur
-                break
-            prev_len = cur
-        # phase 2: examine pivots, slide where a side angle is < pi
-        slid = False
-        for group, orbit in strip.pivots():
-            strip_side, far_side, orbit = strip.pivot_angles(group)
-            if min(strip_side, far_side) < math.pi - 10 * ANGLE_TOL:
-                strip.slide(group)
-                prev_len = strip.length()
-                budget -= 1
-                slid = True
-                break
-        if not slid:
+    solves = slides = 0
+    while True:
+        strip.solve(tol)
+        solves += 1
+        group = next((g for g, _orbit in strip.pivots()
+                      if min(strip.pivot_angles(g)[:2])
+                      < math.pi - 10 * ANGLE_TOL), None)
+        if group is None:
             break
-    else:
-        raise NoConvergence(
-            f"tightening exhausted {max_iterations} iterations "
-            f"(last length {prev_len:.12g})")
+        if solves + slides >= max_iterations:
+            raise NoConvergence(
+                f"tightening used its budget of {max_iterations} solves "
+                f"plus slides ({solves} solves, {slides} slides) with a "
+                f"pivot left to slide; strip of {len(strip.crossings)} "
+                f"crossings, last length {strip.length():.12g}")
+        strip.slide(group)
+        slides += 1
 
     visits = []
     for group, orbit in strip.pivots():

@@ -42,6 +42,18 @@ def test_spectrum_after_insert():
     assert all(abs(v - e) < 1e-9 for v, e in zip(sp.values, expect))
 
 
+@pytest.mark.parametrize("height", [1.0, 4.0])
+def test_cylinder_ray_spectrum_exact(height):
+    # a height-h cylinder along (1,0) turns the lattice basis (1,0), (0,1)
+    # into (1,0), (0,1+h); the transported marking has the lattice norms
+    s = presets.square_torus()
+    res = insert_cylinder_detailed(s, presets.torus_class(1, 0), height)
+    moved = [res.transport.transport(c) for c in presets.torus_marking()]
+    sp = spectrum_from_flat(res.surface, moved)
+    expect = (1.0, 1.0 + height, math.hypot(1.0, 1.0 + height))
+    assert all(abs(v - e) <= 1e-12 * e for v, e in zip(sp.values, expect))
+
+
 def test_self_intersection_flat():
     assert abs(self_intersection_flat(presets.square_torus())
                - math.pi / 2) < 1e-12

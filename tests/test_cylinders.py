@@ -47,13 +47,13 @@ def test_octagon_vertical_cylinder():
     assert cyl.circumference * cyl.height < area(o)
 
 
-def test_cone_concatenation_rejected():
+def test_cone_concatenation_rejected(octagon_commutator):
     o = presets.regular_octagon()
-    g = tighten_geodesic(o, presets.octagon_class_product(), tol=1e-12)
+    g = tighten_geodesic(o, octagon_commutator, tol=1e-12)
     with pytest.raises(NotNonsingular):
         detect_cylinder(o, g)
     with pytest.raises(NotCylindrical):
-        insert_cylinder(o, presets.octagon_class_product(), 1.0)
+        insert_cylinder(o, octagon_commutator, 1.0)
 
 
 def test_insert_cylinder_torus_geometry():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cubiclab.errors import TrivialClass
+from cubiclab.errors import NoConvergence, TrivialClass
 from cubiclab.flatsurface import HomotopyClassPath, presets, tighten_geodesic
+from cubiclab.flatsurface.cylinders import detect_cylinder
+from cubiclab.flatsurface.geodesics import develop_strip
 from oracles import lattice_norm, strip_dijkstra_length
 
 TORUS_CLASSES = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (-1, 2), (3, -2)]
@@ -35,15 +37,38 @@ def test_octagon_width_classes():
 
 
 def test_octagon_product_class_certified():
+    # vert*horiz has holonomy (1+sqrt2)(1, 1), parallel to sides 1 and 5.
+    # In that direction the long diagonals cut the octagon into a central
+    # rectangle and two trapezoids; the trapezoids glue into one flat
+    # cylinder of circumference 1 + (1+sqrt2) = 2+sqrt2 and height sqrt2/2,
+    # and vert*horiz is its core.
     o = presets.regular_octagon()
     g = tighten_geodesic(o, presets.octagon_class_product(), tol=1e-12)
+    assert g.kind == "nonsingular"
+    assert not g.cone_visits
+    assert abs(g.length - (2.0 + math.sqrt(2.0))) < 1e-12
+    cyl = detect_cylinder(o, g)
+    assert not cyl.closed
+    assert abs(cyl.circumference - (2.0 + math.sqrt(2.0))) < 1e-12
+    assert abs(cyl.height - math.sqrt(2.0) / 2.0) < 1e-12
+    assert cyl.boundary_orbits == ((0,), (0,))
+
+
+def test_octagon_commutator_cone_concatenation(octagon_commutator):
+    # [vert, horiz] runs along four sides of the octagon, saddle
+    # connections of length 1 from the cone point to itself; at each of
+    # the four visits the cone angle 6 pi splits into 3 pi/2 and 9 pi/2
+    o = presets.regular_octagon()
+    g = tighten_geodesic(o, octagon_commutator, tol=1e-12)
     assert g.kind == "cone-concatenation"
-    assert g.cone_visits
-    assert g.angle_condition_ok(tol=1e-6)
-    # geodesic through the cone point: both side angles >= pi, summing to 6 pi
+    assert abs(g.length - 4.0) < 1e-12
+    assert len(g.cone_visits) == 4
+    assert g.angle_condition_ok(tol=1e-12)
     for v in g.cone_visits:
-        assert min(v.side_angles) >= math.pi - 1e-6
-        assert abs(sum(v.side_angles) - 6.0 * math.pi) < 1e-6
+        assert v.orbit == 0
+        assert abs(min(v.side_angles) - 1.5 * math.pi) < 1e-9
+        assert abs(max(v.side_angles) - 4.5 * math.pi) < 1e-9
+        assert abs(sum(v.side_angles) - 6.0 * math.pi) < 1e-9
 
 
 def test_dijkstra_oracle_upper_bounds_and_monotone_gap():
@@ -114,3 +139,107 @@ def test_segments_concatenate():
     g = tighten_geodesic(s, presets.torus_class(1, 2), tol=1e-12)
     total = sum(float(np.linalg.norm(b - a)) for _t, a, b in g.segments)
     assert abs(total - g.length) < 1e-9
+
+
+def test_long_torus_class_exact_from_any_start():
+    # (34, 55) crosses 110 edges; the solve is exact, so near and far
+    # starts give the lattice norm sqrt(4181) to rounding
+    s = presets.square_torus()
+    cls = presets.torus_class(34, 55)
+    assert len(cls) == 110
+    rng = np.random.default_rng(5)
+    lengths = []
+    for lo, hi in ((0.45, 0.55), (0.3, 0.7)):
+        init = rng.uniform(lo, hi, size=len(cls)).tolist()
+        lengths.append(tighten_geodesic(s, cls, tol=1e-12,
+                                        initial_params=init).length)
+    for length in lengths:
+        assert abs(length - math.sqrt(4181.0)) / math.sqrt(4181.0) < 1e-12
+    assert abs(lengths[0] - lengths[1]) < 1e-13 * lengths[0]
+
+
+@pytest.mark.parametrize("surface,cls", [
+    ("torus", (1, 0)), ("torus", (2, 3)), ("torus", (5, 8)),
+    ("octagon", "vert"), ("octagon", "vert*horiz")])
+def test_cylinder_core_is_straight_and_off_the_skeleton(surface, cls):
+    # a cylindrical class comes back as the core line of its family:
+    # every crossing inside its edge, all developed points on one line
+    if surface == "torus":
+        s, path = presets.square_torus(), presets.torus_class(*cls)
+    else:
+        s = presets.regular_octagon()
+        path = {"vert": presets.octagon_class_vertical(),
+                "vert*horiz": presets.octagon_class_product()}[cls]
+    g = tighten_geodesic(s, path, tol=1e-12)
+    assert g.kind == "nonsingular"
+    assert all(1e-9 < u < 1.0 - 1e-9 for u in g.params)
+    dx, dy = g.holonomy.tx / g.length, g.holonomy.ty / g.length
+    phis = develop_strip(s, g.crossings)
+    pts = [phis[k].apply(s.edge_point(slot, u))
+           for k, (slot, u) in enumerate(zip(g.crossings, g.params))]
+    offsets = [dx * (p[1] - pts[0][1]) - dy * (p[0] - pts[0][0]) for p in pts]
+    assert max(abs(o) for o in offsets) < 1e-12
+
+
+def test_budget_error_names_solves_slides_and_length():
+    # the (1, -1) class drawn right, up, right, down, left, down: its strip
+    # holds no straight line, the shortest path in it bends at the vertex
+    # (length 2), and one slide across the vertex straightens it
+    s = presets.square_torus()
+    cls = HomotopyClassPath(((0, 1), (1, 1), (0, 1), (1, 0), (0, 0), (1, 2),
+                             (0, 0), (1, 0)))
+    with pytest.raises(NoConvergence,
+                       match=r"\(1 solves, 0 slides\).* 8 crossings, "
+                             r"last length 2\b"):
+        tighten_geodesic(s, cls, tol=1e-12, max_iterations=1)
+    g = tighten_geodesic(s, cls, tol=1e-12)
+    assert g.kind == "nonsingular"
+    assert abs(g.length - math.sqrt(2.0)) < 1e-12
+
+
+def _random_closed_strip(s, rng, min_len):
+    """A random closed walk through the triangles, started in triangle 0,
+    that never steps straight back across the edge it just crossed."""
+    t, seq, entered = 0, [], None
+    while True:
+        e = rng.choice([e for e in range(3) if (t, e) != entered])
+        seq.append((t, e))
+        entered = s.gluings[(t, e)]
+        t = entered[0]
+        if len(seq) >= min_len and t == 0 and s.gluings[seq[-1]] != seq[0]:
+            return HomotopyClassPath(tuple(seq))
+
+
+def test_random_torus_classes_reach_the_holonomy_norm():
+    # on a flat torus the geodesic length of a class is the norm of its
+    # holonomy translation; random walks give strips that wind round the
+    # vertex, pin on it and need slides (some of them through a whole turn)
+    s = presets.rectangle_torus(1.3, 0.7)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(40):
+        cls = _random_closed_strip(s, rng, int(rng.integers(6, 31)))
+        hol = develop_strip(s, cls.crossings)[-1]
+        want = math.hypot(hol.tx, hol.ty)
+        if want < 1e-9:
+            with pytest.raises(TrivialClass):
+                tighten_geodesic(s, cls, tol=1e-12)
+            continue
+        g = tighten_geodesic(s, cls, tol=1e-12, max_iterations=500)
+        assert g.kind == "nonsingular"
+        assert abs(g.length - want) <= 1e-12 * want
+        checked += 1
+    assert checked >= 30
+
+
+def test_line_through_flat_vertex_is_accepted():
+    # three times the (-1,-1) class, drawn down, left, down, across, down,
+    # left, across, left: its geodesic runs straight through the flat
+    # vertex, where both side angles are exactly pi
+    s = presets.square_torus()
+    cls = HomotopyClassPath(((0, 0), (1, 2), (0, 0), (1, 0), (0, 0), (1, 2),
+                             (0, 2), (1, 2)))
+    g = tighten_geodesic(s, cls, tol=1e-12, max_iterations=50)
+    assert g.kind == "nonsingular"
+    assert abs(g.length - 3.0 * math.sqrt(2.0)) < 1e-12
+    assert all(u in (0.0, 1.0) for u in g.params)

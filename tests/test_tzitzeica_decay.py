@@ -13,7 +13,8 @@ from cubiclab.blaschke import (
     square_window,
     unit_torus_grid,
 )
-from cubiclab.errors import NegativeBoundary, ProbeTooCloseToZero
+from cubiclab.errors import BadParameters, NegativeBoundary, \
+    ProbeTooCloseToZero
 
 
 def test_torus_gap_vanishes():
@@ -21,6 +22,18 @@ def test_torus_gap_vanishes():
     q = CubicDifferentialField.constant(g, 1.0)
     F = solve_tzitzeica(g, q, tol=1e-12)
     assert np.abs(F).max() < 1e-10
+
+
+def test_torus_rejects_boundary_data():
+    g = unit_torus_grid(24)
+    q = CubicDifferentialField.from_polynomial(g, [0.3, 1.0])
+    mask = np.zeros((g.ny, g.nx), dtype=bool)
+    mask[10:15, 10:15] = True
+    with pytest.raises(BadParameters, match=r"got 25 masked nodes"):
+        solve_tzitzeica(g, q, boundary=5.0, fixed_mask=mask)
+    with pytest.raises(BadParameters, match=r"got 0 masked nodes and "
+                                            r"boundary values given"):
+        solve_tzitzeica(g, q, boundary=5.0)
 
 
 def test_dirichlet_barrier_bound():

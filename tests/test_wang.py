@@ -146,6 +146,25 @@ def test_wang_cg_failure_reports_iterations(monkeypatch):
         solve_wang(g, q, tol=1e-10, boundary_psi=bc)
 
 
+def test_polynomial_field_evaluated_once(monkeypatch):
+    g = square_window(0.5j, 2.0, 17)
+    calls = []
+    polyval = np.polyval
+
+    def counting_polyval(*args):
+        calls.append(1)
+        return polyval(*args)
+
+    monkeypatch.setattr(np, "polyval", counting_polyval)
+    q = CubicDifferentialField.from_polynomial(g, [0.5, 0.8])
+    assert len(calls) == 1
+    assert np.array_equal(q.values, polyval([0.8, 0.5], g.zs))
+    # samples and coefficients together are still checked against each other
+    CubicDifferentialField(g, values=q.values, coeffs=[0.5, 0.8])
+    with pytest.raises(ValueError, match="disagree"):
+        CubicDifferentialField(g, values=q.values + 1e-3, coeffs=[0.5, 0.8])
+
+
 def test_q_zero_periodic_has_no_solution():
     g = unit_torus_grid(16)
     q = CubicDifferentialField.constant(g, 0.0)
