@@ -168,12 +168,7 @@ def cmd_spectrum(config: dict, out: Path, verbose: bool) -> RunReport:
     s = _surface_from_config(config["surface"])
     marking = _marking_from_config(config["marking"])
     tol = float(config.get("tol", 1e-12))
-    rng = np.random.default_rng(int(config.get("seed", 0)))
-
-    reps = []
-    for path in marking:
-        init = rng.uniform(0.3, 0.7, size=len(path.crossings)).tolist()
-        reps.append(tighten_geodesic(s, path, tol=tol, initial_params=init))
+    reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
 
     _write_csv(out / "spectrum.csv", fsio.spectrum_csv_rows(reps))
     for g in reps:

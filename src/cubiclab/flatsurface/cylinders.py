@@ -23,7 +23,7 @@ from .geodesics import (
     tighten_geodesic,
 )
 from .planar import cross
-from .subdivide import Piece, Soup, edge_sub_tag, slot_partner_tag, split_piece
+from .subdivide import Soup, slot_partner_tag, split_piece, triangle_piece
 from .surface import TriangulatedFlatSurface
 
 
@@ -59,9 +59,17 @@ def _strip_direction(st: _Strip):
 
 def _require_core_line(g: GeodesicRepresentative) -> None:
     """tighten_geodesic returns a cylinder's core line inside every edge;
-    a nonsingular geodesic pinned at flat vertices is no such line (the
-    class traverses its cylinder more than once, or its strip holds no
-    open family)."""
+    a nonsingular geodesic pinned at flat vertices is no such line (its
+    strip holds no open family).  A crossing word that is a proper cyclic
+    power belongs to a class traversing its cylinder more than once."""
+    w = g.crossings
+    n = len(w)
+    period = next(p for p in range(1, n + 1)
+                  if n % p == 0 and w[p:] + w[:p] == w)
+    if period < n:
+        raise NotCylindrical(
+            f"core class traverses its cylinder {n // period} times: its "
+            f"{n} crossings repeat a primitive word of {period} crossings")
     if not all(PIN_TOL < u < 1.0 - PIN_TOL for u in g.params):
         raise NotCylindrical("core geodesic touches the one-skeleton")
 
@@ -147,9 +155,8 @@ def _sweep(s: TriangulatedFlatSurface, g: GeodesicRepresentative, side: int,
         for k in range(len(st.crossings)):
             a, b = nus[k]
             st.params[k] = min(1.0, max(0.0, (s_star - a) / (b - a)))
-        groups = _pinned_groups(st)
         ks = next(iter(hit_orbits.values()))
-        group = next(gr for gr in groups if ks[0] in gr)
+        group = next(gr for gr, _ in st.pivots() if ks[0] in gr)
         in_group = set(group)
         behind_ref = None
         for k in range(len(st.crossings)):
@@ -166,16 +173,6 @@ def _sweep(s: TriangulatedFlatSurface, g: GeodesicRepresentative, side: int,
         marker = _reseat_on_vertex_line(st, kept_map, first_new, n_new,
                                         vparam, behind_ref)
     raise RuntimeError("cylinder sweep exhausted its phase budget")
-
-
-def _pinned_groups(st: _Strip):
-    """Cyclic runs of crossings pinned at one developed point."""
-    n = len(st.crossings)
-    pins = [st.pinned_vertex(k) for k in range(n)]
-    if all(p is not None for p in pins):
-        if all(st._same_point(k, (k + 1) % n) for k in range(n - 1)):
-            return [list(range(n))]
-    return [g for g, _ in st.pivots()]
 
 
 def _reseat_on_vertex_line(st: _Strip, kept_map, first_new, n_new, vparam,
@@ -416,7 +413,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     for t in range(s.num_triangles):
         info = _TriInfo()
         tri_info[t] = info
-        piece = _triangle_piece(s, t, cut_ids)
+        piece = triangle_piece(s, t, cut_ids)
         tchords = chords[t]
         if not tchords:
             info.pieces.append(soup.add_fan(piece))
@@ -426,12 +423,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
         info.normal = normal
         levels = sorted((float(0.5 * (pi + po) @ normal), k, eid, xid)
                         for k, eid, xid, pi, po in tchords)
-        if len({round(lv, 9) for lv, *_ in levels}) != len(levels):
-            raise NotCylindrical(
-                "core meets a triangle twice along one line; "
-                "use a primitive core class")
         pending = [piece]
-        done = []
         for lv, cid, eid, xid in levels:
             info.levels.append(lv)
             info.chord_ids.append(cid)
@@ -449,16 +441,10 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
         for p in done:
             info.pieces.append(soup.add_fan(p))
 
-    rects = {}
-    for k in range(n):
-        w = widths[k]
-        bk = soup.add_triangle([(0, 0), (w, 0), (w, height)],
-                               [("chordrect", k, "A"), ("seamR", k),
-                                ("diag", k)])
-        tk = soup.add_triangle([(0, 0), (w, height), (0, height)],
-                               [("diag", k, "twin"), ("chordrect", k, "B"),
-                                ("seamL", k)])
-        rects[k] = (bk, tk)
+    rects = {k: soup.add_rectangle(widths[k], height,
+                                   [("chordrect", k, "A"), ("seamR", k),
+                                    ("chordrect", k, "B"), ("seamL", k)])
+             for k in range(n)}
 
     def partner(tag):
         kind = tag[0]
@@ -468,15 +454,17 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
             return ("chordrect", tag[1], tag[2])
         if kind == "chordrect":
             return ("chord", tag[1], tag[2])
-        if kind == "diag":
-            return tag + ("twin",) if len(tag) == 2 else tag[:2]
         if kind == "seamR":
             return ("seamL", (tag[1] + 1) % n)
         if kind == "seamL":
             return ("seamR", (tag[1] - 1) % n)
         return None
 
-    punctures = _surviving_punctures(s, soup, tri_info)
+    punctures = []
+    for orbit in s.marked_punctures:
+        t, i = s.vertex_orbits[orbit][0]
+        subtris = [ti for fan in tri_info[t].pieces for ti in fan.subtris]
+        punctures.append(soup.vertex_at(subtris, s.triangles[t][i]))
     new_surface = soup.assemble(partner, marked_punctures=punctures)
 
     subslot_map: dict = {}
@@ -491,7 +479,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
             if not isinstance(tag, tuple):
                 continue
             if tag[0] == "slot":
-                _, slot, a_id, b_id = tag
+                _, _key, slot, a_id, b_id = tag
                 lookup = {cid: u for u, cid in cut_ids.get(slot, ())}
                 lookup.update({"lo": 0.0, "hi": 1.0})
                 u0, u1 = lookup[a_id], lookup[b_id]
@@ -514,49 +502,3 @@ def insert_cylinder(s: TriangulatedFlatSurface,
                     core: HomotopyClassPath | GeodesicRepresentative,
                     height: float) -> TriangulatedFlatSurface:
     return insert_cylinder_detailed(s, core, height).surface
-
-
-def _triangle_piece(s, t, cut_ids) -> Piece:
-    """Triangle t as a polygon piece with cut points inserted on its edges."""
-    tri = s.triangles[t]
-    verts, coords, tags = [], [], []
-    for e in range(3):
-        slot = (t, e)
-        verts.append(("corner", t, e))
-        coords.append(np.array(tri[e], dtype=float))
-        boundary = [(0.0, "lo")] + list(cut_ids.get(slot, ())) + [(1.0, "hi")]
-        a, b = tri[e], tri[(e + 1) % 3]
-        prev_id = "lo"
-        for u, cid in boundary[1:]:
-            tags.append(edge_sub_tag(slot, prev_id, cid))
-            prev_id = cid
-            if cid != "hi":
-                verts.append(cid)
-                coords.append(a + u * (b - a))
-    if len(set(verts)) != len(verts):
-        raise NotCylindrical(
-            "a cut id appears twice on one triangle; core too degenerate")
-    return Piece(verts, coords, tags)
-
-
-def _surviving_punctures(s, soup, tri_info):
-    out = []
-    for orbit in s.marked_punctures:
-        t, i = s.vertex_orbits[orbit][0]
-        pos = s.triangles[t][i]
-        found = None
-        for fan in tri_info[t].pieces:
-            for ti in fan.subtris:
-                for li in range(3):
-                    if (abs(soup.tris[ti][li][0] - pos[0]) < 1e-12
-                            and abs(soup.tris[ti][li][1] - pos[1]) < 1e-12):
-                        found = (ti, li)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            raise RuntimeError("marked puncture lost during subdivision")
-        out.append(found)
-    return tuple(out)

@@ -65,12 +65,6 @@ class HomotopyClassPath:
                     f"crossings {k} -> {(k + 1) % n} do not share a triangle: "
                     f"edge {(t, e)} leads into {nxt_tri}, not {t_next}")
 
-    def rotated(self, shift: int) -> "HomotopyClassPath":
-        n = len(self.crossings)
-        shift %= n
-        return HomotopyClassPath(self.crossings[shift:] + self.crossings[:shift],
-                                 label=self.label)
-
     def __len__(self) -> int:
         return len(self.crossings)
 

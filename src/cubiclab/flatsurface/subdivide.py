@@ -1,8 +1,18 @@
-"""Tagged triangle soup: rebuild surfaces after cut-and-glue surgery.
+"""Tagged triangle soup: the cut-and-glue layer shared by the surgeries.
 
-Surgeries retriangulate some triangles into convex pieces whose boundary
-edges carry symbolic tags.  Tags are matched in pairs to produce the gluing
-list of the rebuilt surface, so no floating-point keys enter the matching.
+Cylinder insertion and triangle surgery both cut triangles into convex
+pieces, add flat parts between the cuts and rebuild a surface.  The shared
+decisions live here:
+
+- ``triangle_piece`` turns a triangle into a piece with the cut points of
+  its edges inserted, each sub-edge tagged ``("slot", key, slot, a, b)``;
+- ``slot_partner_tag`` names the same sub-edge seen from the glued slot;
+- ``Soup.add_fan`` and ``Soup.add_rectangle`` triangulate pieces and flat
+  rectangles, pairing their internal diagonals;
+- ``Soup.vertex_at`` finds a vertex again after subdivision;
+- ``Soup.assemble`` pairs the tags and builds the validated surface.
+
+Tags are matched symbolically, so no floating-point keys enter the matching.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .planar import turn
 from .surface import TriangulatedFlatSurface
 
 # A tag is any hashable value; each tag appears on exactly one soup edge and
@@ -31,14 +42,6 @@ class Piece:
 
     def index_of(self, vid) -> int:
         return self.verts.index(vid)
-
-    def signed_area(self) -> float:
-        a = 0.0
-        n = len(self.verts)
-        for j in range(n):
-            p, q = self.coords[j], self.coords[(j + 1) % n]
-            a += float(p[0] * q[1] - p[1] * q[0])
-        return 0.5 * a
 
     def centroid(self) -> np.ndarray:
         return np.mean(np.asarray(self.coords), axis=0)
@@ -107,12 +110,8 @@ class Soup:
         for a in range(m):
             ok = True
             for i in range(1, m - 1):
-                p0 = piece.coords[a]
-                p1 = piece.coords[(a + i) % m]
-                p2 = piece.coords[(a + i + 1) % m]
-                area2 = ((p1[0] - p0[0]) * (p2[1] - p0[1])
-                         - (p2[0] - p0[0]) * (p1[1] - p0[1]))
-                if area2 <= 1e-12 * scale:
+                if turn(piece.coords[a], piece.coords[(a + i) % m],
+                        piece.coords[(a + i + 1) % m]) <= 1e-12 * scale:
                     ok = False
                     break
             if ok:
@@ -139,6 +138,23 @@ class Soup:
             prev_diag = idx
             fan.subtris.append(idx)
         return fan
+
+    def add_rectangle(self, w: float, h: float, tags4) -> list[int]:
+        """A w x h rectangle as two triangles cut along the diagonal from
+        (0, 0); ``tags4`` tags the bottom, right, top and left sides."""
+        corners = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+        return self.add_fan(Piece([0, 1, 2, 3], corners, list(tags4))).subtris
+
+    def vertex_at(self, subtris, pos) -> tuple[int, int]:
+        """(soup triangle, corner) of the first corner of ``subtris`` at
+        ``pos``, to 1e-12 in each coordinate."""
+        for ti in subtris:
+            for li in range(3):
+                if (abs(self.tris[ti][li][0] - pos[0]) < 1e-12
+                        and abs(self.tris[ti][li][1] - pos[1]) < 1e-12):
+                    return ti, li
+        raise RuntimeError(f"no corner of soup triangles {list(subtris)} "
+                           f"lies at ({pos[0]:.17g}, {pos[1]:.17g})")
 
     def assemble(self, partner_fn, marked_punctures=()) -> TriangulatedFlatSurface:
         """Pair all tagged edges and build the validated surface.
@@ -172,24 +188,41 @@ class Soup:
             [t for t in self.tris], gluings, marked_punctures=marked_punctures)
 
 
-def edge_sub_tag(slot, a_id, b_id):
-    """Tag for the piece of original edge ``slot`` between two cut ids.
+def triangle_piece(s: TriangulatedFlatSurface, t: int, cuts, key=None,
+                   ) -> Piece:
+    """Triangle t as a piece with the cut points of its edges inserted.
 
-    Endpoint markers "lo"/"hi" refer to the slot's own parameter 0/1; cut
-    ids are shared with the glued partner.
+    ``cuts[slot]`` lists (param, cut id) sorted by param; a cut id names a
+    point shared with the glued slot.  The sub-edge of ``slot`` between the
+    ids a and b ("lo"/"hi" at the slot's own ends 0/1) is tagged
+    ``("slot", key, slot, a, b)``; ``key`` tells apart the surfaces that
+    enter one soup.
     """
-    return ("slot", slot, a_id, b_id)
+    tri = s.triangles[t]
+    verts, coords, tags = [], [], []
+    for e in range(3):
+        slot = (t, e)
+        verts.append(("corner", t, e))
+        coords.append(np.array(tri[e], dtype=float))
+        a, b = tri[e], tri[(e + 1) % 3]
+        prev_id = "lo"
+        for u, cid in list(cuts.get(slot, ())) + [(1.0, "hi")]:
+            tags.append(("slot", key, slot, prev_id, cid))
+            prev_id = cid
+            if cid != "hi":
+                verts.append(cid)
+                coords.append(a + u * (b - a))
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"a cut id appears twice on triangle {t}: {verts}")
+    return Piece(verts, coords, tags)
 
 
-def flip_endpoint(eid):
-    if eid == "lo":
-        return "hi"
-    if eid == "hi":
-        return "lo"
-    return eid
+_FLIP = {"lo": "hi", "hi": "lo"}
 
 
 def slot_partner_tag(tag, gluings):
-    """Partner of an edge_sub_tag under the original gluing."""
-    _, slot, a_id, b_id = tag
-    return ("slot", gluings[slot], flip_endpoint(b_id), flip_endpoint(a_id))
+    """The tag of a ``triangle_piece`` sub-edge seen from the glued slot:
+    cut ids are shared, the slot's own ends swap."""
+    _, key, slot, a_id, b_id = tag
+    return ("slot", key, gluings[slot],
+            _FLIP.get(b_id, b_id), _FLIP.get(a_id, a_id))

@@ -21,6 +21,7 @@ from ..errors import (
     NegativeOrderAtInterior,
     NonInvolutiveGluing,
 )
+from .planar import turn
 
 # Geometric equality tolerance used throughout the triangle complex code.
 GEOM_TOL = 1e-9
@@ -95,10 +96,6 @@ class ConePoint:
     orbit: int
     angle: float
     order: int  # the integer k
-
-    @property
-    def curvature_defect(self) -> float:
-        return 2.0 * math.pi - self.angle
 
 
 class TriangulatedFlatSurface:
@@ -355,8 +352,7 @@ class TriangulatedFlatSurface:
 
 
 def _signed_area(tri: np.ndarray) -> float:
-    a, b, c = tri
-    return 0.5 * float((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
+    return 0.5 * turn(*tri)
 
 
 def build_surface(spec: dict) -> TriangulatedFlatSurface:

@@ -22,7 +22,7 @@ from ..errors import (
 )
 from .planar import cross
 from .saddles import enumerate_saddle_connections
-from .subdivide import Piece, Soup
+from .subdivide import Piece, Soup, slot_partner_tag, triangle_piece
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
 WEDGE = math.pi / 3.0
@@ -217,27 +217,6 @@ def _apply_carve(piece: Piece, s, cv: _Carve, op) -> Piece:
     return Piece(verts, coords, tags)
 
 
-def _part_triangle_piece(s, gid, t, ray_cuts) -> Piece:
-    tri = s.triangles[t]
-    verts, coords, tags = [], [], []
-    for e in range(3):
-        slot = (t, e)
-        verts.append(("corner", t, e))
-        coords.append(np.array(tri[e], dtype=float))
-        boundary = [(0.0, "lo")] + list(ray_cuts.get(slot, ())) + [(1.0, "hi")]
-        a, b = tri[e], tri[(e + 1) % 3]
-        prev_id = "lo"
-        for u, cid in boundary[1:]:
-            tags.append(("slot", gid, slot, prev_id, cid))
-            prev_id = cid
-            if cid != "hi":
-                verts.append(cid)
-                coords.append(a + u * (b - a))
-    if len(set(verts)) != len(verts):
-        raise ValueError("coincident cut ids on one triangle")
-    return Piece(verts, coords, tags)
-
-
 def _fix_leg_a(piece_tags_pairs, cv: _Carve, gid):
     """Retag the partner-side stub of the first fan ray as the legA cut.
 
@@ -314,7 +293,7 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
         pieces = []
         tri_map = {}
         for t in range(s_i.num_triangles):
-            piece = _part_triangle_piece(s_i, gid, t, ray_cuts)
+            piece = triangle_piece(s_i, t, ray_cuts, key=gid)
             if t in corner_ops:
                 cv, op = corner_ops[t]
                 piece = _apply_carve(piece, s_i, cv, op)
@@ -325,7 +304,7 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
             tri_map[t] = soup.add_fan(piece).subtris
         tri_maps[gid] = tri_map
 
-    prism_rect = {}
+    n_rects = {}
     for p, w in enumerate(weights):
         if w == 0.0:
             continue
@@ -334,21 +313,16 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
         seq = [("legB", 2 * p)]
         seq += [("base", 2 * p, j) for j in range(m_base - 1, -1, -1)]
         seq += [("legA", 2 * p)]
-        n_rects = len(seq)
+        n_rects[p] = len(seq)
         for r, bottom_tag in enumerate(seq):
             if bottom_tag[0] == "base":
                 j = bottom_tag[2]
                 width = (pa.base_taus[j + 1] - pa.base_taus[j]) * eps
             else:
                 width = eps
-            bk = soup.add_triangle(
-                [(0, 0), (width, 0), (width, w)],
-                [("prismB", p, r), ("prismSeamR", p, r), ("prismDiag", p, r)])
-            tk = soup.add_triangle(
-                [(0, 0), (width, w), (0, w)],
-                [("prismDiag", p, r, "t"), ("prismT", p, r),
-                 ("prismSeamL", p, r)])
-            prism_rect[(p, r)] = (bk, tk, n_rects)
+            soup.add_rectangle(width, w, [
+                ("prismB", p, r), ("prismSeamR", p, r),
+                ("prismT", p, r), ("prismSeamL", p, r)])
 
     def pair_partner(tag):
         """Boundary pairing for a weight-zero glued pair."""
@@ -395,13 +369,7 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
     def partner(tag):
         kind = tag[0]
         if kind == "slot":
-            _, gid, slot, a_id, b_id = tag
-            s_i = groups[gid][0]
-
-            def flip(x):
-                return {"lo": "hi", "hi": "lo"}.get(x, x)
-
-            return ("slot", gid, s_i.gluings[slot], flip(b_id), flip(a_id))
+            return slot_partner_tag(tag, groups[tag[1]][0].gluings)
         if kind in ("legA", "legB", "base"):
             p = tag[1] // 2
             if weights[p] > 0.0:
@@ -409,18 +377,14 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
             return pair_partner(tag)
         if kind in ("prismB", "prismT"):
             return boundary_of_rect[tag]
-        if kind == "prismDiag":
-            return tag + ("t",) if len(tag) == 3 else tag[:3]
         if kind == "prismSeamR":
             # bottoms attach orientation-reversed, so the band adjoins
             # right-to-left along the boundary walk
             _, p, r = tag
-            n_rects = prism_rect[(p, r)][2]
-            return ("prismSeamL", p, (r - 1) % n_rects)
+            return ("prismSeamL", p, (r - 1) % n_rects[p])
         if kind == "prismSeamL":
             _, p, r = tag
-            n_rects = prism_rect[(p, r)][2]
-            return ("prismSeamR", p, (r + 1) % n_rects)
+            return ("prismSeamR", p, (r + 1) % n_rects[p])
         return None
 
     # surviving marked punctures (those not glued here), by position
@@ -431,19 +395,8 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
             if (gid, orbit) in glued:
                 continue
             t, i = s_i.vertex_orbits[orbit][0]
-            pos = s_i.triangles[t][i]
-            found = None
-            for ti in tri_maps[gid][t]:
-                for li in range(3):
-                    if (abs(soup.tris[ti][li][0] - pos[0]) < 1e-12
-                            and abs(soup.tris[ti][li][1] - pos[1]) < 1e-12):
-                        found = (ti, li)
-                        break
-                if found:
-                    break
-            if found is None:
-                raise RuntimeError("unglued puncture lost during surgery")
-            punctures.append(found)
+            punctures.append(soup.vertex_at(tri_maps[gid][t],
+                                            s_i.triangles[t][i]))
 
     try:
         return soup.assemble(partner, marked_punctures=punctures)

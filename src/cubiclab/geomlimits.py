@@ -15,10 +15,9 @@ Supported models (kappa < 0 throughout where it appears):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BadParameters,
@@ -191,12 +190,13 @@ def far_end_mass_quadrature(kappa: float, R: float, C: float,
 
 def core_length_quadrature(R: float, kappa: float = -1.0,
                            n: int = 20000) -> float:
-    """Line integral of the model density along the core circle."""
+    """Line integral of lambda |dz| along the core circle |z| = 1/sqrt(R):
+    the sum of sqrt(density) r dtheta over n equally spaced points."""
     m = ModelSurface(ANNULUS, kappa=kappa, R=R)
     rad = 1.0 / math.sqrt(R)
-    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    lam = math.sqrt(density(m, rad))  # density is constant on the circle
-    return float(lam * rad * 2.0 * math.pi + 0.0 * theta.sum())
+    dtheta = 2.0 * math.pi / n
+    return math.fsum(math.sqrt(density(m, rad * cmath.exp(1j * j * dtheta)))
+                     * rad * dtheta for j in range(n))
 
 
 # -- geometric limits of parameter sequences ---------------------------------

@@ -23,7 +23,7 @@ def test_torus_whole_surface_cylinder():
     assert abs(cyl.height - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 3)])
 def test_torus_cylinder_heights(p, q):
     # the (p, q) cylinder fills the torus: height = area / circumference
     s = presets.square_torus()
@@ -32,6 +32,22 @@ def test_torus_cylinder_heights(p, q):
     assert cyl.closed
     expected = 1.0 / lattice_norm(p, q)
     assert abs(cyl.height - expected) < 1e-8
+    assert abs(cyl.circumference * cyl.height - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p,q,k,prim", [(2, 0, 2, 2), (2, 2, 2, 2),
+                                         (3, 3, 3, 2), (4, 6, 2, 6)])
+def test_multiple_traversal_is_not_a_core(p, q, k, prim):
+    # k times the primitive (p/k, q/k) class: the tightened crossing word
+    # repeats the primitive word of `prim` crossings k times
+    s = presets.square_torus()
+    g = tighten_geodesic(s, presets.torus_class(p, q), tol=1e-12)
+    msg = f"traverses its cylinder {k} times: its {k * prim} crossings " \
+          f"repeat a primitive word of {prim} crossings"
+    with pytest.raises(NotCylindrical, match=msg):
+        detect_cylinder(s, g)
+    with pytest.raises(NotCylindrical, match=msg):
+        insert_cylinder(s, presets.torus_class(p, q), 1.0)
 
 
 def test_octagon_vertical_cylinder():
@@ -118,3 +134,15 @@ def test_iterated_insert():
     core2 = res.transport.transport(presets.torus_class(1, 0))
     s3 = insert_cylinder(res.surface, core2, 1.0)
     assert abs(area(s3) - 3.0) < 1e-9
+
+
+def test_insert_keeps_marked_puncture():
+    s = presets.square_torus(mark_vertex=True)
+    s2 = insert_cylinder(s, presets.torus_class(1, 0), 2.0)
+    assert len(s2.marked_punctures) == 1
+    (orbit,) = s2.marked_punctures
+    assert s2.orbit_orders[orbit] == 0
+    # the marked orbit is the torus vertex, not a new vertex on the cut
+    assert all(float(c) in (0.0, 1.0) for ti, i in s2.vertex_orbits[orbit]
+               for c in s2.triangles[ti][i])
+    assert abs(area(s2) - 3.0) < 1e-12

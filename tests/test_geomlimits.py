@@ -93,8 +93,14 @@ def test_modulus_identities():
 def test_core_length_identities():
     assert abs(core_length(math.exp(2 * math.pi ** 2)) - 1.0) < 1e-15
     assert core_length(1e8) < core_length(1e4)  # pinching
-    R = math.exp(2 * math.pi)
-    assert abs(core_length_quadrature(R) - core_length(R)) < 1e-8
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -0.3])
+@pytest.mark.parametrize("R", [math.exp(2 * math.pi), math.exp(5.0)])
+def test_core_length_quadrature(kappa, R):
+    # the line integral of lambda |dz| over the core circle |z| = 1/sqrt(R)
+    want = core_length(R, kappa)
+    assert abs(core_length_quadrature(R, kappa) - want) <= 1e-12 * want
 
 
 def test_injectivity_radius():

@@ -132,3 +132,13 @@ def test_cli_limits_and_glue(tmp_path):
     rows = (tmp_path / "lim" / "limits.csv").read_text().splitlines()
     assert rows[0].startswith("sweep")
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cli_preset_passes(tmp_path, name):
+    out = tmp_path / name
+    assert main([PRESETS[name]["command"], "--preset", name,
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]
+    assert all(c["passed"] for c in report["checks"])

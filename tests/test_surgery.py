@@ -79,16 +79,30 @@ def test_weight_and_pairing_validation():
         triangle_surgery_glue([(t1, 0), (t2, 0)], 0.1, weights=[0.0, 0.0])
 
 
-def test_unglued_punctures_survive():
-    d1 = presets.doubled_triangle()
-    d2 = presets.doubled_triangle()
-    # glue two flat spheres at one k=-1-free puncture is rejected (k=-2),
-    # so instead glue tori and check an untouched puncture elsewhere:
-    t1 = presets.square_torus(mark_vertex=True)
-    t2 = presets.square_torus(mark_vertex=True)
-    g = triangle_surgery_glue([(t1, 0), (t2, 0)], 0.15)
-    assert not g.marked_punctures  # both listed punctures were consumed
-    assert d1.marked_punctures and d2.marked_punctures  # inputs untouched
+def _two_by_one_torus():
+    """A 2 x 1 torus of two unit squares: two flat vertex orbits, orbit 0
+    at x = 0 and orbit 1 at x = 1 in the triangle charts, both marked."""
+    tris = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)],
+            [(1, 0), (2, 0), (2, 1)], [(1, 0), (2, 1), (1, 1)]]
+    gluings = [((0, 0), (1, 1)), ((0, 1), (3, 2)), ((0, 2), (1, 0)),
+               ((1, 2), (2, 1)), ((2, 0), (3, 1)), ((2, 2), (3, 0))]
+    return TriangulatedFlatSurface(tris, gluings, marked_punctures=(0, 1))
+
+
+def test_unglued_puncture_survives():
+    t = presets.square_torus(mark_vertex=True)
+    b = _two_by_one_torus()
+    assert b.orbit_orders == [0, 0]
+    assert all(b.triangles[ti][i][0] == 1.0 for ti, i in b.vertex_orbits[1])
+    eps = 0.2
+    g = triangle_surgery_glue([(t, 0), (b, 0)], eps)
+    assert g.num_triangles == 16
+    assert abs(gauss_bonnet_defect(g)) < 1e-9
+    assert abs(area(g) - (3.0 - 2.0 * WEDGE_AREA * eps ** 2)) < 1e-12
+    # orbit 1 of the 2 x 1 torus is the only marked puncture left, still flat
+    (orbit,) = g.marked_punctures
+    assert g.orbit_orders[orbit] == 0
+    assert all(g.triangles[ti][i][0] == 1.0 for ti, i in g.vertex_orbits[orbit])
 
 
 def test_prism_core_lengths_scale_with_eps():
