@@ -2,10 +2,16 @@
 nonsingular closed geodesic, and insertion of a flat cylinder of given
 height along it.
 
-The sweep translates the geodesic in the normal direction.  Passing a
-flat (k = 0) vertex only changes the combinatorial strip (a slide); the
-sweep stops when the translate hits a cone point, or closes up onto the
-starting line (cone-free direction, as on a torus).
+In a developed strip whose holonomy is a translation by d, the lines
+parallel to d that cross every portal are those with offset
+nu = cross(d, P) strictly between the highest right end and the lowest
+left end.  The width of that interval does not depend on the development
+frame, so the height of a cylinder is a sum of widths, one per strip its
+family passes through.  A rise measures the current strip and moves it
+past its far level: a slide across the flat vertex found there.  A
+cylinder is bounded on a side by the first level holding a cone point,
+and is closed (the whole of a cone-free component, as on a torus) when
+the core's crossing word comes back.
 """
 
 from __future__ import annotations
@@ -14,17 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NotCylindrical, NotNonsingular
+from ..errors import NoConvergence, NotCylindrical, NotNonsingular
 from .geodesics import (
-    PIN_TOL,
     GeodesicRepresentative,
     HomotopyClassPath,
     _Strip,
     tighten_geodesic,
 )
-from .planar import cross
 from .subdivide import Soup, slot_partner_tag, split_piece, triangle_piece
 from .surface import TriangulatedFlatSurface
+
+# levels match to this fraction of the strip's largest offset
+_LEVEL_TOL = 1e-9
+# rises one sweep may take before it gives up
+_MAX_RISES = 10_000
 
 
 @dataclass(frozen=True)
@@ -48,21 +57,62 @@ def _perp(v):
     return np.array([-v[1], v[0]])
 
 
-def _strip_direction(st: _Strip):
-    H = st.holonomy
-    if abs(H.rot) > 1e-7:
+def _family(st: _Strip):
+    """The strip's portal offsets nu and the interval (lo, hi) of the
+    parallel family, max nu(right ends) < nu < min nu(left ends), with the
+    tolerance at which two levels match."""
+    if abs(st.holonomy.rot) > 1e-7:
         raise NotCylindrical("strip holonomy is not a translation")
-    dvec = np.array([H.tx, H.ty])
-    ell = float(np.linalg.norm(dvec))
-    return dvec / ell, ell
+    nus, lo, hi = st.family()
+    return nus, lo, hi, _LEVEL_TOL * max(abs(v) for ab in nus for v in ab)
 
 
-def _require_core_line(g: GeodesicRepresentative) -> None:
-    """tighten_geodesic returns a cylinder's core line inside every edge;
-    a nonsingular geodesic pinned at flat vertices is no such line (its
-    strip holds no open family).  A crossing word that is a proper cyclic
-    power belongs to a class traversing its cylinder more than once."""
-    w = g.crossings
+def _rise(st: _Strip, side: int):
+    """Move the strip past the far level of its family on one side.
+
+    Returns (width of the family, cone orbits at the far level).  With no
+    cone point there, the params go onto that level and one group of
+    crossings pinned at their far ends slides across its vertex; the strip
+    is then the next one on that side, of zero width while the level holds
+    further vertices.
+    """
+    nus, lo, hi, tol = _family(st)
+    level, end = (hi, 1) if side > 0 else (lo, 0)
+    at_level = {k for k, ab in enumerate(nus) if abs(ab[end] - level) <= tol}
+    s = st.s
+    orbits = {s.orbit_of[(t, (e + end) % 3)]
+              for t, e in (st.crossings[k] for k in at_level)}
+    cones = tuple(sorted(o for o in orbits if s.orbit_orders[o] != 0))
+    if not cones:
+        st.params = [float(end) if k in at_level
+                     else min(1.0, max(0.0, (level - a) / (b - a)))
+                     for k, (a, b) in enumerate(nus)]
+        st.slide(next(g for g, _orbit in st.pivots()
+                      if st.params[g[0]] == end))
+    return hi - lo, cones
+
+
+def _core_strip(s: TriangulatedFlatSurface,
+                g: GeodesicRepresentative) -> _Strip:
+    """The strip of the parallel family that g belongs to.
+
+    A geodesic through flat vertices comes in a strip of zero width; it
+    rises into the family above, and only then are the params put on the
+    middle line.  A crossing word that is a proper cyclic power belongs to
+    a class traversing its cylinder more than once.
+    """
+    st = _Strip(s, g.crossings, g.params)
+    for rises in range(_MAX_RISES):
+        nus, lo, hi, tol = _family(st)
+        if hi - lo > tol:
+            break
+        _rise(st, +1)
+    else:
+        raise NoConvergence(f"core strip still of zero width after "
+                            f"{_MAX_RISES} rises")
+    if rises:
+        st.centre_family(tol)
+    w = st.crossings
     n = len(w)
     period = next(p for p in range(1, n + 1)
                   if n % p == 0 and w[p:] + w[:p] == w)
@@ -70,158 +120,34 @@ def _require_core_line(g: GeodesicRepresentative) -> None:
         raise NotCylindrical(
             f"core class traverses its cylinder {n // period} times: its "
             f"{n} crossings repeat a primitive word of {period} crossings")
-    if not all(PIN_TOL < u < 1.0 - PIN_TOL for u in g.params):
-        raise NotCylindrical("core geodesic touches the one-skeleton")
+    return st
 
 
-def _sweep(s: TriangulatedFlatSurface, g: GeodesicRepresentative, side: int,
-           max_phases: int = 10_000):
-    """Translate g in one normal direction until a cone point or closure.
+def _sweep(core: _Strip, side: int):
+    """Rise from the core strip until a cone orbit bounds the family or the
+    core's word comes back (the family closes up).
 
-    Returns (height, closed, cone orbits at the bounding level).
+    Returns (height on this side, closed, cone orbits at the bound).  The
+    core line sits in the middle of its strip, so the core's width counts
+    half towards a bound and fully towards a closed turn.
     """
-    start_slots = tuple(g.crossings)
-    start_params = tuple(g.params)
-    n_start = len(start_slots)
-    st = _Strip(s, list(start_slots), list(start_params))
-    d, _ = _strip_direction(st)
-    # marker: (crossing index, endpoint index, 'behind' | 'ahead') fixing
-    # the forward normal across re-developments
-    marker = None
-    p0 = st.point(0)
-    n_vec = side * _perp(d)
-    for k in range(len(st.crossings)):
-        A, B = st.edges[k]
-        for idx, pt in ((0, A), (1, B)):
-            if float((pt - p0) @ n_vec) < -1e-12:
-                marker = (k, idx, "behind")
-                break
-        if marker:
-            break
-    if marker is None:
-        raise RuntimeError("sweep needs a starting line through edge interiors")
-
-    cumulative = 0.0
-    for _phase in range(max_phases):
-        d, _ = _strip_direction(st)
-        p0 = st.point(0)
-        n_vec = _perp(d)
-        mk, midx, mkind = marker
-        A, B = st.edges[mk]
-        mpt = A if midx == 0 else B
-        mnu = float((mpt - p0) @ n_vec)
-        if (mkind == "behind" and mnu > 0) or (mkind == "ahead" and mnu < 0):
-            n_vec = -n_vec
-
-        nus = []
-        for k in range(len(st.crossings)):
-            A, B = st.edges[k]
-            nus.append((float((A - p0) @ n_vec), float((B - p0) @ n_vec)))
-        scale = max(1.0, max(abs(a) for ab in nus for a in ab))
-        tol = 1e-9 * scale
-        s_star = min(max(a, b) for a, b in nus)
-
-        # closure: does the starting line reappear inside this phase?
-        if cumulative > 0 and len(st.crossings) == n_start:
-            cur = tuple(st.crossings)
-            best = None
-            for r in range(n_start):
-                if cur != start_slots[r:] + start_slots[:r]:
-                    continue
-                u0 = start_params[r]
-                a, b = nus[0]
-                nu_here = a + u0 * (b - a)
-                if tol < nu_here <= s_star + tol:
-                    best = nu_here if best is None else min(best, nu_here)
-            if best is not None:
-                return cumulative + best, True, ()
-
-        # vertices reached at level s_star
-        hit_orbits = {}
-        for k in range(len(st.crossings)):
-            a, b = nus[k]
-            for idx, nu in ((0, a), (1, b)):
-                if abs(nu - s_star) <= tol:
-                    t, e = st.crossings[k]
-                    vert = (t, e) if idx == 0 else (t, (e + 1) % 3)
-                    hit_orbits.setdefault(s.orbit_of[vert], []).append(k)
-        cones = tuple(sorted(o for o in hit_orbits
-                             if s.orbit_orders[o] != 0))
+    word = tuple(core.crossings)
+    n = len(word)
+    st = _Strip(core.s, core.crossings, core.params)
+    core_width, cones = _rise(st, side)
+    height = 0.5 * core_width
+    for _ in range(_MAX_RISES):
         if cones:
-            return cumulative + s_star, False, cones
-        cumulative += s_star
-
-        # place the line on the event level, then slide across one vertex
-        for k in range(len(st.crossings)):
-            a, b = nus[k]
-            st.params[k] = min(1.0, max(0.0, (s_star - a) / (b - a)))
-        ks = next(iter(hit_orbits.values()))
-        group = next(gr for gr, _ in st.pivots() if ks[0] in gr)
-        in_group = set(group)
-        behind_ref = None
-        for k in range(len(st.crossings)):
-            if k in in_group:
-                continue
-            a, b = nus[k]
-            if a < s_star - tol:
-                behind_ref = (k, 0)
-                break
-            if b < s_star - tol:
-                behind_ref = (k, 1)
-                break
-        kept_map, first_new, n_new, vparam = st.slide(group, simplify=False)
-        marker = _reseat_on_vertex_line(st, kept_map, first_new, n_new,
-                                        vparam, behind_ref)
-    raise RuntimeError("cylinder sweep exhausted its phase budget")
-
-
-def _reseat_on_vertex_line(st: _Strip, kept_map, first_new, n_new, vparam,
-                           behind_ref=None):
-    """After a slide, put the strip back on the line through the vertex.
-
-    Crossings of edges lying along the line itself are backtrack artefacts
-    of the slide (the translate runs along those edges at the event level);
-    they are removed in partner pairs.  Returns the new orientation marker.
-    """
-    d, _ = _strip_direction(st)
-    vA, vB = st.edges[first_new]
-    V = vA if vparam == 0.0 else vB
-    scale = max(1.0, float(np.abs(np.asarray(st.edges)).max()))
-    keep_idx = []
-    new_params = []
-    for k in range(len(st.crossings)):
-        A, B = st.edges[k]
-        denom = cross(d, B - A)
-        if abs(denom) < 1e-12 * scale:
-            on_line = (abs(cross(d, A - V)) < 1e-9 * scale
-                       and abs(cross(d, B - V)) < 1e-9 * scale)
-            if not on_line:
-                raise RuntimeError("sweep line parallel to an off-line edge")
-            continue  # drop: the translate runs along this edge
-        u = cross(d, V - A) / denom
-        keep_idx.append(k)
-        new_params.append(min(1.0, max(0.0, u)))
-    if (len(st.crossings) - len(keep_idx)) % 2 != 0:
-        raise RuntimeError("slide artefacts did not cancel in pairs")
-    remap = {old: new for new, old in enumerate(keep_idx)}
-    st.crossings = [st.crossings[k] for k in keep_idx]
-    st.params = new_params
-    s = st.s
-    for k in range(len(st.crossings)):
-        nxt = st.crossings[(k + 1) % len(st.crossings)]
-        if s.gluings[st.crossings[k]][0] != nxt[0]:
-            raise RuntimeError("strip lost adjacency while dropping artefacts")
-    st.refresh()
-    # orientation marker: surviving fan slots open into the forward side
-    for k in range(first_new, first_new + n_new):
-        if k in remap:
-            return (remap[k], 1 - int(vparam), "ahead")
-    if behind_ref is not None:
-        old_k, idx = behind_ref
-        pre = kept_map.get(old_k)
-        if pre is not None and pre in remap:
-            return (remap[pre], idx, "behind")
-    raise RuntimeError("no usable orientation marker after slide")
+            return height, False, cones
+        cur = tuple(st.crossings)
+        if len(cur) == n and any(cur == word[r:] + word[:r]
+                                 for r in range(n)):
+            return height + 0.5 * core_width, True, ()
+        width, cones = _rise(st, side)
+        height += width
+    raise NoConvergence(f"cylinder sweep used its {_MAX_RISES} rises and "
+                        f"reached height {height:.12g} with no cone point "
+                        f"and no closure")
 
 
 def detect_cylinder(s: TriangulatedFlatSurface,
@@ -232,12 +158,12 @@ def detect_cylinder(s: TriangulatedFlatSurface,
         raise NotNonsingular("geodesic passes through a cone point")
     if abs(g.holonomy.rot) > 1e-7:
         return None
-    _require_core_line(g)
-    core = HomotopyClassPath(g.crossings, label=g.label)
-    up, closed, orbits_up = _sweep(s, g, +1)
+    st = _core_strip(s, g)
+    core = HomotopyClassPath(st.crossings, label=g.label)
+    up, closed, orbits_up = _sweep(st, +1)
     if closed:
         return FlatCylinder(core, g.length, up, True, ((), ()))
-    down, _closed, orbits_down = _sweep(s, g, -1)
+    down, _closed, orbits_down = _sweep(st, -1)
     return FlatCylinder(core, g.length, up + down, False,
                         (orbits_up, orbits_down))
 
@@ -381,12 +307,12 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     if g.kind != "nonsingular":
         raise NotCylindrical("core class is not cylindrical "
                              "(geodesic passes through a cone point)")
-    _require_core_line(g)
-    n = len(g.crossings)
+    st = _core_strip(s, g)
+    n = len(st.crossings)
 
     cut_ids: dict = {}
     for k in range(n):
-        slot, u = g.crossings[k], g.params[k]
+        slot, u = st.crossings[k], st.params[k]
         pslot, pu = s.partner_param(slot, u)
         if slot[0] == pslot[0]:
             raise NotCylindrical(
@@ -400,11 +326,11 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     chords: dict[int, list] = {t: [] for t in range(s.num_triangles)}
     widths = []
     for k in range(n):
-        t = g.crossings[k][0]
+        t = st.crossings[k][0]
         prev = (k - 1) % n
-        eslot, eu = s.partner_param(g.crossings[prev], g.params[prev])
+        eslot, eu = s.partner_param(st.crossings[prev], st.params[prev])
         p_in = s.edge_point(eslot, eu)
-        p_out = s.edge_point(g.crossings[k], g.params[k])
+        p_out = s.edge_point(st.crossings[k], st.params[k])
         chords[t].append((k, ("x", prev), ("x", k), p_in, p_out))
         widths.append(float(np.linalg.norm(p_out - p_in)))
 
@@ -493,7 +419,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     tmap = TransportMap(
         s, new_surface, tri_info, subslot_map, chord_edge, rects, subtri_pos,
         {sl: sorted(u for u, _ in cut_ids[sl]) for sl in cut_ids})
-    core_path = HomotopyClassPath(g.crossings, label=g.label)
+    core_path = HomotopyClassPath(st.crossings, label=g.label)
     cyl = FlatCylinder(core_path, g.length, height, False, ((), ()))
     return InsertResult(new_surface, cyl, tmap)
 

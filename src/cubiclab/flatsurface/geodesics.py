@@ -184,7 +184,7 @@ class _Strip:
         scale = max(abs(c) for ab in pts for p in ab for c in p)
         tiny = 1e-12 * scale
         H = self.holonomy
-        if abs(H.rot) <= ANGLE_TOL and self._straight_family(pts, tiny):
+        if abs(H.rot) <= ANGLE_TOL and self.centre_family(tiny):
             return
         (ax, ay), (bx, by) = pts[0]
         ex, ey = bx - ax, by - ay
@@ -272,21 +272,30 @@ class _Strip:
                 slope, cand, *path = evaluate(u)
         self._place(u, *path, pts)
 
-    def _straight_family(self, pts, tiny) -> bool:
-        """Centre a straight line with the holonomy's direction in the strip.
+    def family(self):
+        """Offsets of a translation holonomy's parallel lines in the strip.
 
         The line through P0 with direction T crosses portal k inside iff
         its offset nu = cross(d, P0) lies in [nu(A_k), nu(B_k)], d = T/|T|.
-        Returns False (and changes nothing) if no such line exists.
+        Returns the offsets of the portal ends and the interval (lo, hi) of
+        the lines that cross every portal.
         """
         H = self.holonomy
         tl = math.hypot(H.tx, H.ty)
-        if tl == 0.0:
+        d = (H.tx / tl, H.ty / tl)
+        nus = [(cross(d, a), cross(d, b)) for a, b in self.edges]
+        return nus, max(a for a, _b in nus), min(b for _a, b in nus)
+
+    def centre_family(self, tiny) -> bool:
+        """Centre a straight line with the holonomy's direction in the strip.
+
+        Returns False (and changes nothing) if the lines that cross every
+        portal span no more than tiny.
+        """
+        H = self.holonomy
+        if math.hypot(H.tx, H.ty) == 0.0:
             return False
-        dx, dy = H.tx / tl, H.ty / tl
-        nus = [(dx * a[1] - dy * a[0], dx * b[1] - dy * b[0]) for a, b in pts]
-        lo = max(a for a, _b in nus)
-        hi = min(b for _a, b in nus)
+        nus, lo, hi = self.family()
         if hi - lo <= tiny:
             return False
         mid = 0.5 * (lo + hi)
@@ -443,14 +452,13 @@ class _Strip:
         total = float(s.orbit_angles[orbit])
         return ang, total - ang, orbit
 
-    def slide(self, group, simplify: bool = True):
+    def slide(self, group) -> None:
         """Push the polyline across the pivot vertex to the far side.
 
-        Returns (kept_index_map, first_new_index, new_count, vertex_param):
-        kept_index_map maps old crossing indices to their new positions,
-        the new fan crossings occupy [first_new_index, first_new_index +
-        new_count), and vertex_param (0.0 or 1.0) is the edge parameter of
-        the pivot vertex on every new crossing.
+        The pinned crossings are replaced by the complementary fan round
+        the vertex, and immediate backtracks are removed.  The params of
+        the new crossings start away from the vertex, for the caller to
+        solve or set.
         """
         s = self.s
         i, j = group[0], group[-1]
@@ -490,24 +498,13 @@ class _Strip:
                 break
             order.append(k)
             k = (k + 1) % n
-        new_crossings = []
-        new_params = []
-        kept_index_map = {}
-        for k in order:
-            kept_index_map[k] = len(new_crossings)
-            new_crossings.append(self.crossings[k])
-            new_params.append(self.params[k])
-        first_new = len(new_crossings)
-        for slot in new_slots:
-            new_crossings.append(slot)
-            # initialise away from the pivot end of the new edge
-            new_params.append(0.25 if vertex_param == 1.0 else 0.75)
-        self.crossings = new_crossings
-        self.params = new_params
-        if simplify:
-            self.simplify()
+        # the new crossings start away from the pivot end of their edges
+        u_new = 0.25 if vertex_param == 1.0 else 0.75
+        self.crossings = [self.crossings[k] for k in order] + new_slots
+        self.params = ([self.params[k] for k in order]
+                       + [u_new] * len(new_slots))
+        self.simplify()
         self.refresh()
-        return kept_index_map, first_new, len(new_slots), vertex_param
 
     def _exit_corner(self, j):
         """Corner of the pivot vertex in the triangle after crossing j."""

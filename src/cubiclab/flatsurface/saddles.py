@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import NoConvergence
 from .planar import cross
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
@@ -147,8 +148,11 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
             queue.append((t0, shift, (i0 + 1) % 3, (v1, v2)))
             while queue:
                 if budget <= 0:
-                    raise RuntimeError(
-                        "saddle-connection enumeration budget exhausted")
+                    raise NoConvergence(
+                        f"saddle-connection enumeration used its budget of "
+                        f"{max_expansions} wedge expansions with "
+                        f"max_length={max_length:g}; {len(found)} "
+                        f"connections found so far")
                 budget -= 1
                 t, phi, e_in, wedge = queue.popleft()
                 t2, e2 = s.gluings[(t, e_in)]

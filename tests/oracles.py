@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: shortest homotopic loops
 come from Dijkstra on a refined strip mesh, saddle connections from
 depth-limited unfolding with explicit segment tracing, torus intersection
-numbers from the lattice formula.
+numbers from the lattice formula.  ``random_closed_strip`` draws the
+random classes that several tests share.
 """
 
 from __future__ import annotations
@@ -15,12 +16,25 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from cubiclab.flatsurface.geodesics import develop_strip
+from cubiclab.flatsurface.geodesics import HomotopyClassPath, develop_strip
 from cubiclab.flatsurface.surface import PlanarIsometry
 
 
 def lattice_norm(p, q, a=1.0, b=1.0):
     return math.hypot(p * a, q * b)
+
+
+def random_closed_strip(s, rng, min_len):
+    """A random closed walk through the triangles, started in triangle 0,
+    that never steps straight back across the edge it just crossed."""
+    t, seq, entered = 0, [], None
+    while True:
+        e = rng.choice([e for e in range(3) if (t, e) != entered])
+        seq.append((t, e))
+        entered = s.gluings[(t, e)]
+        t = entered[0]
+        if len(seq) >= min_len and t == 0 and s.gluings[seq[-1]] != seq[0]:
+            return HomotopyClassPath(tuple(seq))
 
 
 def lattice_intersection(c1, c2):

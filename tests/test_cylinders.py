@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from cubiclab.flatsurface.cylinders import (
     insert_cylinder,
     insert_cylinder_detailed,
 )
+from cubiclab.flatsurface.geodesics import develop_strip
 from cubiclab.flatsurface.surface import area, gauss_bonnet_defect
-from oracles import lattice_norm
+from oracles import lattice_norm, random_closed_strip
 
 
 def test_torus_whole_surface_cylinder():
@@ -31,7 +33,7 @@ def test_torus_cylinder_heights(p, q):
     cyl = detect_cylinder(s, g)
     assert cyl.closed
     expected = 1.0 / lattice_norm(p, q)
-    assert abs(cyl.height - expected) < 1e-8
+    assert abs(cyl.height - expected) < 1e-12
     assert abs(cyl.circumference * cyl.height - 1.0) < 1e-12
 
 
@@ -50,6 +52,99 @@ def test_multiple_traversal_is_not_a_core(p, q, k, prim):
         insert_cylinder(s, presets.torus_class(p, q), 1.0)
 
 
+def test_random_torus_strips_yield_their_cylinders():
+    # the random strips of test_random_torus_classes_reach_the_holonomy_norm,
+    # twice as many.  A class of holonomy (1.3 i, 0.7 j) winds k = gcd(i, j)
+    # times round the cylinder of the primitive class, which fills the
+    # torus; most k-fold classes tighten to a line through the flat vertex
+    s = presets.rectangle_torus(1.3, 0.7)
+    rng = np.random.default_rng(3)
+    folds = Counter()
+    for _ in range(80):
+        cls = random_closed_strip(s, rng, int(rng.integers(6, 31)))
+        hol = develop_strip(s, cls.crossings)[-1]
+        k = math.gcd(round(hol.tx / 1.3), round(hol.ty / 0.7))
+        folds[k] += 1
+        if k == 0:
+            continue  # trivial class
+        g = tighten_geodesic(s, cls, tol=1e-12, max_iterations=500)
+        if k == 1:
+            cyl = detect_cylinder(s, g)
+            assert cyl.closed
+            assert abs(cyl.circumference * cyl.height - 0.91) < 1e-12
+            grafted = area(insert_cylinder(s, cls, 0.5))
+            assert abs(grafted - (0.91 + 0.5 * cyl.circumference)) < 1e-12
+            continue
+        msg = f"traverses its cylinder {k} times"
+        with pytest.raises(NotCylindrical, match=msg):
+            detect_cylinder(s, g)
+        with pytest.raises(NotCylindrical, match=msg):
+            insert_cylinder(s, cls, 0.5)
+    assert folds == {0: 2, 1: 45, 2: 18, 3: 9, 4: 2, 5: 1, 6: 1, 7: 1, 9: 1}
+
+
+def test_cores_through_flat_vertices_graft_on_their_middle_line():
+    # a graft leaves flat vertices on the torus, and many random classes
+    # tighten to lines through them; the graft then cuts along the middle
+    # line of the family above.  The grafted torus is 1.3 x 1.2.
+    s = insert_cylinder(presets.rectangle_torus(1.3, 0.7),
+                        presets.torus_class(1, 0, 1.3, 0.7), 0.5)
+    rng = np.random.default_rng(7)
+    primitive = through_vertex = 0
+    for _ in range(60):
+        cls = random_closed_strip(s, rng, int(rng.integers(4, 20)))
+        hol = develop_strip(s, cls.crossings)[-1]
+        if math.gcd(round(hol.tx / 1.3), round(hol.ty / 1.2)) != 1:
+            continue
+        g = tighten_geodesic(s, cls, tol=1e-12)
+        primitive += 1
+        through_vertex += not all(0.0 < u < 1.0 for u in g.params)
+        cyl = detect_cylinder(s, g)
+        assert abs(cyl.circumference * cyl.height - 1.56) < 1e-12
+        grafted = area(insert_cylinder(s, g, 0.3))
+        assert abs(grafted - (1.56 + 0.3 * g.length)) < 1e-12
+    assert (primitive, through_vertex) == (43, 13)
+
+
+def _measure(s, cls):
+    return detect_cylinder(s, tighten_geodesic(s, cls, tol=1e-12))
+
+
+def test_grafted_cylinders_are_measured():
+    # a graft of height h along a core: the core's cylinder grows to
+    # height 1 + h, and a crossing class's circumference grows by h
+    torus = presets.square_torus()
+    for h in (0.5, 2.0):
+        res = insert_cylinder_detailed(torus, presets.torus_class(1, 0), h)
+        for (p, q), circ, height in (((1, 0), 1.0, 1.0 + h),
+                                     ((0, 1), 1.0 + h, 1.0)):
+            cyl = _measure(res.surface,
+                           res.transport.transport(presets.torus_class(p, q)))
+            assert cyl.closed
+            assert abs(cyl.circumference - circ) < 1e-12
+            assert abs(cyl.height - height) < 1e-12
+    o = presets.regular_octagon()
+    side = 1.0 + math.sqrt(2.0)
+    for h in (1.0, 3.0):
+        res = insert_cylinder_detailed(o, presets.octagon_class_vertical(), h)
+        (cone,) = [cp.orbit for cp in res.surface.cone_points]
+        for cls, circ, height in (
+                (presets.octagon_class_vertical(), side, 1.0 + h),
+                (presets.octagon_class_horizontal(), side + h, 1.0)):
+            cyl = _measure(res.surface, res.transport.transport(cls))
+            assert not cyl.closed
+            assert cyl.boundary_orbits == ((cone,), (cone,))
+            assert abs(cyl.circumference - circ) < 1e-12
+            assert abs(cyl.height - height) < 1e-12
+    # heights scale with the surface
+    for cls in (presets.octagon_class_vertical(),
+                presets.octagon_class_product()):
+        unit = _measure(o, cls).height
+        for f in (1e-4, 1e5):
+            scaled = _measure(o.scaled(f), cls).height
+            assert abs(scaled - f * unit) <= 1e-12 * f * unit
+
+
 def test_octagon_vertical_cylinder():
     o = presets.regular_octagon()
     g = tighten_geodesic(o, presets.octagon_class_vertical(), tol=1e-12)
@@ -57,7 +152,7 @@ def test_octagon_vertical_cylinder():
     assert not cyl.closed
     assert abs(cyl.circumference - (1.0 + math.sqrt(2.0))) < 1e-9
     # direct octagon dissection: the middle column sweeps width 1
-    assert abs(cyl.height - 1.0) < 1e-9
+    assert abs(cyl.height - 1.0) < 1e-12
     assert cyl.boundary_orbits == ((0,), (0,))
     # the cylinder covers half the surface area
     assert cyl.circumference * cyl.height < area(o)

@@ -7,7 +7,7 @@ from cubiclab.errors import NoConvergence, TrivialClass
 from cubiclab.flatsurface import HomotopyClassPath, presets, tighten_geodesic
 from cubiclab.flatsurface.cylinders import detect_cylinder
 from cubiclab.flatsurface.geodesics import develop_strip
-from oracles import lattice_norm, strip_dijkstra_length
+from oracles import lattice_norm, random_closed_strip, strip_dijkstra_length
 
 TORUS_CLASSES = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (-1, 2), (3, -2)]
 
@@ -197,19 +197,6 @@ def test_budget_error_names_solves_slides_and_length():
     assert abs(g.length - math.sqrt(2.0)) < 1e-12
 
 
-def _random_closed_strip(s, rng, min_len):
-    """A random closed walk through the triangles, started in triangle 0,
-    that never steps straight back across the edge it just crossed."""
-    t, seq, entered = 0, [], None
-    while True:
-        e = rng.choice([e for e in range(3) if (t, e) != entered])
-        seq.append((t, e))
-        entered = s.gluings[(t, e)]
-        t = entered[0]
-        if len(seq) >= min_len and t == 0 and s.gluings[seq[-1]] != seq[0]:
-            return HomotopyClassPath(tuple(seq))
-
-
 def test_random_torus_classes_reach_the_holonomy_norm():
     # on a flat torus the geodesic length of a class is the norm of its
     # holonomy translation; random walks give strips that wind round the
@@ -218,7 +205,7 @@ def test_random_torus_classes_reach_the_holonomy_norm():
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(40):
-        cls = _random_closed_strip(s, rng, int(rng.integers(6, 31)))
+        cls = random_closed_strip(s, rng, int(rng.integers(6, 31)))
         hol = develop_strip(s, cls.crossings)[-1]
         want = math.hypot(hol.tx, hol.ty)
         if want < 1e-9:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cubiclab.errors import NoConvergence
 from cubiclab.flatsurface import presets
 from cubiclab.flatsurface.saddles import enumerate_saddle_connections
 from oracles import brute_saddle_connections
@@ -72,3 +73,11 @@ def test_doubled_triangle_edges():
 def test_bad_bound():
     with pytest.raises(ValueError):
         enumerate_saddle_connections(presets.regular_octagon(), 0.0)
+
+
+def test_budget_exhaustion_names_its_numbers():
+    o = presets.regular_octagon()
+    with pytest.raises(NoConvergence,
+                       match=r"budget of 10 wedge expansions with "
+                             r"max_length=3; \d+ connections found so far"):
+        enumerate_saddle_connections(o, 3.0, max_expansions=10)
