@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import NoConvergence, NotCylindrical, NotNonsingular
 from .geodesics import (
     GeodesicRepresentative,
@@ -27,6 +25,7 @@ from .geodesics import (
     _Strip,
     tighten_geodesic,
 )
+from .planar import dot
 from .subdivide import Soup, slot_partner_tag, split_piece, triangle_piece
 from .surface import TriangulatedFlatSurface
 
@@ -53,15 +52,11 @@ class FlatCylinder:
     boundary_orbits: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _perp(v):
-    return np.array([-v[1], v[0]])
-
-
 def _family(st: _Strip):
     """The strip's portal offsets nu and the interval (lo, hi) of the
     parallel family, max nu(right ends) < nu < min nu(left ends), with the
     tolerance at which two levels match."""
-    if abs(st.holonomy.rot) > 1e-7:
+    if abs(st.holonomy.rot - 1.0) > 1e-7:
         raise NotCylindrical("strip holonomy is not a translation")
     nus, lo, hi = st.family()
     return nus, lo, hi, _LEVEL_TOL * max(abs(v) for ab in nus for v in ab)
@@ -156,7 +151,7 @@ def detect_cylinder(s: TriangulatedFlatSurface,
     the holonomy does not permit a parallel family."""
     if g.kind != "nonsingular":
         raise NotNonsingular("geodesic passes through a cone point")
-    if abs(g.holonomy.rot) > 1e-7:
+    if abs(g.holonomy.rot - 1.0) > 1e-7:
         return None
     st = _core_strip(s, g)
     core = HomotopyClassPath(st.crossings, label=g.label)
@@ -172,7 +167,7 @@ def detect_cylinder(s: TriangulatedFlatSurface,
 
 @dataclass
 class _TriInfo:
-    normal: np.ndarray | None = None
+    normal: complex | None = None
     levels: list[float] = field(default_factory=list)
     chord_ids: list[int] = field(default_factory=list)
     pieces: list = field(default_factory=list)  # FanPiece per strip
@@ -218,8 +213,8 @@ class TransportMap:
             if info.normal is not None and info.levels:
                 entry_pt = s.edge_point(entry_slot, entry_u)
                 exit_pt = s.edge_point(exit_slot, exit_u)
-                nu_in = float(entry_pt @ info.normal)
-                nu_out = float(exit_pt @ info.normal)
+                nu_in = dot(entry_pt, info.normal)
+                nu_out = dot(exit_pt, info.normal)
                 crossed = [(lv, cid) for lv, cid in
                            zip(info.levels, info.chord_ids)
                            if min(nu_in, nu_out) + 1e-12 < lv
@@ -285,7 +280,6 @@ class TransportMap:
 @dataclass
 class InsertResult:
     surface: TriangulatedFlatSurface
-    cylinder: FlatCylinder
     transport: TransportMap
 
 
@@ -332,7 +326,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
         p_in = s.edge_point(eslot, eu)
         p_out = s.edge_point(st.crossings[k], st.params[k])
         chords[t].append((k, ("x", prev), ("x", k), p_in, p_out))
-        widths.append(float(np.linalg.norm(p_out - p_in)))
+        widths.append(abs(p_out - p_in))
 
     soup = Soup()
     tri_info: dict[int, _TriInfo] = {}
@@ -345,9 +339,9 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
             info.pieces.append(soup.add_fan(piece))
             continue
         dvec = tchords[0][4] - tchords[0][3]
-        normal = _perp(dvec / np.linalg.norm(dvec))
+        normal = 1j * (dvec / abs(dvec))
         info.normal = normal
-        levels = sorted((float(0.5 * (pi + po) @ normal), k, eid, xid)
+        levels = sorted((dot(0.5 * (pi + po), normal), k, eid, xid)
                         for k, eid, xid, pi, po in tchords)
         pending = [piece]
         for lv, cid, eid, xid in levels:
@@ -360,10 +354,10 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
                                      ("chordtmp", cid, "ab"),
                                      ("chordtmp", cid, "ba"))
             for pc in (p_ab, p_ba):
-                side = "A" if float(pc.centroid() @ normal) < lv else "B"
+                side = "A" if dot(pc.centroid(), normal) < lv else "B"
                 pc.tags[-1] = ("chord", cid, side)
                 pending.append(pc)
-        done = sorted(pending, key=lambda p: float(p.centroid() @ normal))
+        done = sorted(pending, key=lambda p: dot(p.centroid(), normal))
         for p in done:
             info.pieces.append(soup.add_fan(p))
 
@@ -419,9 +413,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     tmap = TransportMap(
         s, new_surface, tri_info, subslot_map, chord_edge, rects, subtri_pos,
         {sl: sorted(u for u, _ in cut_ids[sl]) for sl in cut_ids})
-    core_path = HomotopyClassPath(st.crossings, label=g.label)
-    cyl = FlatCylinder(core_path, g.length, height, False, ((), ()))
-    return InsertResult(new_surface, cyl, tmap)
+    return InsertResult(new_surface, tmap)
 
 
 def insert_cylinder(s: TriangulatedFlatSurface,

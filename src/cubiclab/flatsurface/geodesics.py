@@ -24,11 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import NoConvergence, TrivialClass
-from .planar import cross, turn
-from .surface import PlanarIsometry, Slot, TriangulatedFlatSurface
+from .planar import PlanarIsometry, angle_between, cross, dot, turn
+from .surface import Slot, TriangulatedFlatSurface
 
 ANGLE_TOL = 1e-9
 PIN_TOL = 1e-12
@@ -97,7 +95,7 @@ class GeodesicRepresentative:
     label: str | None = None
 
     @property
-    def segments(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def segments(self) -> list[tuple[int, complex, complex]]:
         s = self.surface
         n = len(self.crossings)
         out = []
@@ -121,7 +119,7 @@ def develop_strip(s: TriangulatedFlatSurface, crossings) -> list[PlanarIsometry]
     phi_k maps the chart of the triangle entered after crossing k-1 into the
     common developed frame (phi_0 is the identity on the start triangle).
     """
-    phis = [PlanarIsometry.identity()]
+    phis = [PlanarIsometry(1 + 0j, 0j)]
     for slot in crossings:
         iso = s.isometries[slot]
         phis.append(phis[-1].compose(iso.inverse()))
@@ -142,7 +140,7 @@ class _Strip:
         self.edges = []
         for k, slot in enumerate(self.crossings):
             a, b = self.s.edge_endpoints(slot)
-            self.edges.append((self.phis[k].apply(a), self.phis[k].apply(b)))
+            self.edges.append((self.phis[k](a), self.phis[k](b)))
         self.holonomy = self.phis[-1]
         # shares[k]: the endpoint side (0 right, 1 left) that edges k and
         # k+1 have in common, from the triangle between them
@@ -158,15 +156,14 @@ class _Strip:
         return A + self.params[k] * (B - A)
 
     def closing_point(self):
-        a, b = self.s.edge_endpoints(self.crossings[0])
-        z = a + self.params[0] * (b - a)
-        return self.holonomy.apply(z)
+        return self.holonomy(self.s.edge_point(self.crossings[0],
+                                               self.params[0]))
 
     def length(self) -> float:
         pts = [self.point(k) for k in range(len(self.crossings))]
         pts.append(self.closing_point())
-        return float(sum(np.linalg.norm(pts[k + 1] - pts[k])
-                         for k in range(len(self.crossings))))
+        return sum(abs(pts[k + 1] - pts[k])
+                   for k in range(len(self.crossings)))
 
     def solve(self, tol: float) -> None:
         """Put the params on the shortest polyline of the current strip.
@@ -179,23 +176,19 @@ class _Strip:
         minimisers form a flat family and P0 goes to the middle of it.
         """
         n = len(self.crossings)
-        pts = [(tuple(map(float, A)), tuple(map(float, B)))
-               for A, B in self.edges]
-        scale = max(abs(c) for ab in pts for p in ab for c in p)
-        tiny = 1e-12 * scale
+        pts = self.edges
+        tiny = 1e-12 * max(abs(z) for ab in pts for z in ab)
         H = self.holonomy
-        if abs(H.rot) <= ANGLE_TOL and self.centre_family(tiny):
+        if abs(H.rot - 1.0) <= ANGLE_TOL and self.centre_family(tiny):
             return
-        (ax, ay), (bx, by) = pts[0]
-        ex, ey = bx - ax, by - ay
-        el = math.hypot(ex, ey)
-        c, sn = math.cos(H.rot), math.sin(H.rot)
-        rex, rey = c * ex - sn * ey, sn * ex + c * ey  # R e0
+        A0, B0 = pts[0]
+        e0 = B0 - A0
+        el = abs(e0)
+        ends_q = (H(A0), H(B0))  # edge 0 moved by the holonomy
+        re0 = H.rot * e0  # its direction, turned by the linear part of H
+        H_inv = H.inverse()
         rights = [a for a, _b in pts[1:]]
         lefts = [b for _a, b in pts[1:]]
-
-        def hol(p):
-            return (c * p[0] - sn * p[1] + H.tx, sn * p[0] + c * p[1] + H.ty)
 
         def wraps(side, first, last):
             """Whether the path turns by more than pi through the strip
@@ -206,8 +199,8 @@ class _Strip:
             spokes = [pts[j][1 - side] for j in self._fan(0, side, 0, n - 1)]
             at_p = _swept(pts[0][side], spokes + [first], sign)
             spokes = [pts[j][1 - side] for j in self._fan(n, side, 1, n)
-                      if j < n] + [hol(pts[0][1 - side])]
-            at_q = _swept(hol(pts[0][side]), [last] + spokes, sign)
+                      if j < n] + [ends_q[1 - side]]
+            at_q = _swept(ends_q[side], [last] + spokes, sign)
             return at_p > math.pi, at_q > math.pi
 
         def evaluate(u):
@@ -218,32 +211,31 @@ class _Strip:
             one-sided limits from inside edge 0: a path that wraps round
             the vertex runs along edge 0 next to it.
             """
-            P = (ax + u * ex, ay + u * ey)
-            Q = hol(P)
+            P = A0 + u * e0
+            Q = H(P)
             corners = _funnel(P, Q, rights, lefts, tiny)
             verts = [pts[k][side] for k, side in corners]
             first = verts[0] if verts else Q
             last = verts[-1] if verts else P
-            fx, fy = _unit(first[0] - P[0], first[1] - P[1], tiny)
-            lx, ly = _unit(Q[0] - last[0], Q[1] - last[1], tiny)
+            v_first = _unit(first - P, tiny)
+            v_last = _unit(Q - last, tiny)
             if u in (0.0, 1.0):
                 w_p, w_q = wraps(int(u), first, last)
                 toward = 2.0 * u - 1.0  # along e0 toward the vertex
-                if w_p or (fx, fy) == (0.0, 0.0):
-                    fx, fy = toward * ex / el, toward * ey / el
-                if w_q or (lx, ly) == (0.0, 0.0):
-                    lx, ly = -toward * rex / el, -toward * rey / el
-            slope = lx * rex + ly * rey - (fx * ex + fy * ey)
+                if w_p or v_first == 0:
+                    v_first = toward * e0 / el
+                if w_q or v_last == 0:
+                    v_last = -toward * re0 / el
+            slope = dot(v_last, re0) - dot(v_first, e0)
             cand = None
             if verts:
                 # edge 0 meets the line through H^-1(last corner) and the
                 # first corner: exact if the corners stay the same
-                hx, hy = verts[-1][0] - H.tx, verts[-1][1] - H.ty
-                X = (c * hx + sn * hy, -sn * hx + c * hy)
-                dx, dy = verts[0][0] - X[0], verts[0][1] - X[1]
-                den = dx * ey - dy * ex
+                X = H_inv(verts[-1])
+                d = verts[0] - X
+                den = cross(d, e0)
                 if den != 0.0:
-                    cand = (dx * (X[1] - ay) - dy * (X[0] - ax)) / den
+                    cand = cross(d, X - A0) / den
             return slope, cand, corners, P, Q
 
         # an end of edge 0 is the minimiser iff the length does not fall
@@ -280,9 +272,8 @@ class _Strip:
         Returns the offsets of the portal ends and the interval (lo, hi) of
         the lines that cross every portal.
         """
-        H = self.holonomy
-        tl = math.hypot(H.tx, H.ty)
-        d = (H.tx / tl, H.ty / tl)
+        T = self.holonomy.shift
+        d = T / abs(T)
         nus = [(cross(d, a), cross(d, b)) for a, b in self.edges]
         return nus, max(a for a, _b in nus), min(b for _a, b in nus)
 
@@ -292,8 +283,7 @@ class _Strip:
         Returns False (and changes nothing) if the lines that cross every
         portal span no more than tiny.
         """
-        H = self.holonomy
-        if math.hypot(H.tx, H.ty) == 0.0:
+        if self.holonomy.shift == 0:
             return False
         nus, lo, hi = self.family()
         if hi - lo <= tiny:
@@ -320,18 +310,17 @@ class _Strip:
                 params[j] = float(side)
         path.append((n, Q))
         for (ka, X), (kb, Y) in zip(path, path[1:]):
-            dx, dy = Y[0] - X[0], Y[1] - X[1]
+            d = Y - X
             for k in range(ka + 1, kb):
                 if params[k] is not None:
                     continue
                 A, B = pts[k]
-                den = dx * (B[1] - A[1]) - dy * (B[0] - A[0])
+                den = cross(d, B - A)
                 if den == 0.0:
                     # a zero-length segment sits on an endpoint
-                    params[k] = 0.0 if math.dist(A, X) <= math.dist(B, X) \
-                        else 1.0
+                    params[k] = 0.0 if abs(A - X) <= abs(B - X) else 1.0
                     continue
-                t = (dx * (X[1] - A[1]) - dy * (X[0] - A[0])) / den
+                t = cross(d, X - A) / den
                 params[k] = min(1.0, max(0.0, t))
         self.params = params
 
@@ -414,8 +403,7 @@ class _Strip:
         p1, p2 = self.point(k1), self.point(k2)
         if k2 == 0 and k1 == len(self.crossings) - 1:
             p2 = self.closing_point()
-        scale = max(1.0, float(np.abs(p1).max()), float(np.abs(p2).max()))
-        return bool(np.linalg.norm(p1 - p2) <= 1e-9 * scale)
+        return abs(p1 - p2) <= 1e-9 * max(1.0, abs(p1), abs(p2))
 
     def pivot_angles(self, group):
         """(strip-side angle, far-side angle, orbit) for a pinned run."""
@@ -425,7 +413,7 @@ class _Strip:
         V = self.point(i)
         # incoming point (previous crossing, honoring the cyclic closing)
         if i == 0:
-            p_in = self.holonomy.inverse().apply(self.point(n - 1))
+            p_in = self.holonomy.inverse()(self.point(n - 1))
         else:
             p_in = self.point((i - 1) % n)
         if j == n - 1:
@@ -439,7 +427,7 @@ class _Strip:
             far = B if self.params[k] <= 0.5 else A
             return far - self.point(k)
 
-        ang = _angle_between(p_in - V, ray(i))
+        ang = angle_between(p_in - V, ray(i))
         for idx in range(1, len(group)):
             k = group[idx]
             t, e = self.crossings[k]
@@ -447,7 +435,7 @@ class _Strip:
             ang += s.corner_angle(t, c)
         # outgoing wedge lives in the triangle after crossing j
         Vj = self.point(j)
-        ang += _angle_between(ray(j), p_out - Vj)
+        ang += angle_between(ray(j), p_out - Vj)
         orbit = self.pinned_vertex(group[0])[1]
         total = float(s.orbit_angles[orbit])
         return ang, total - ang, orbit
@@ -533,12 +521,10 @@ class _Strip:
             raise TrivialClass("class simplified to the trivial loop")
 
 
-def _unit(x: float, y: float, tiny: float):
-    """(x, y) normalised, or (0, 0) if it is shorter than tiny."""
-    r = math.hypot(x, y)
-    if r <= tiny:
-        return 0.0, 0.0
-    return x / r, y / r
+def _unit(z: complex, tiny: float) -> complex:
+    """z normalised, or 0 if it is shorter than tiny."""
+    r = abs(z)
+    return 0j if r <= tiny else z / r
 
 
 def _swept(V, points, sign) -> float:
@@ -546,9 +532,7 @@ def _swept(V, points, sign) -> float:
     counterclockwise (sign 1) or clockwise (sign -1) by less than pi."""
     total = 0.0
     for a, b in zip(points, points[1:]):
-        ux, uy = a[0] - V[0], a[1] - V[1]
-        vx, vy = b[0] - V[0], b[1] - V[1]
-        total += math.atan2(sign * (ux * vy - uy * vx), ux * vx + uy * vy)
+        total += math.atan2(sign * cross(a - V, b - V), dot(a - V, b - V))
     return total
 
 
@@ -556,7 +540,7 @@ def _funnel(P, Q, rights, lefts, tiny):
     """Corners of the shortest path from P to Q through a chain of portals.
 
     Portal i runs from rights[i] to lefts[i], the endpoints on the right
-    and the left of the direction of travel; points are (x, y) tuples.
+    and the left of the direction of travel.
     Returns the corners in path order as (portal index + 1, side), side 0
     for a right endpoint and 1 for a left one (the string-pulling funnel of
     Lee and Preparata).  A point closer than tiny to the apex is the apex:
@@ -570,7 +554,7 @@ def _funnel(P, Q, rights, lefts, tiny):
     corners = []
 
     def near(a, b):
-        return math.dist(a, b) <= tiny
+        return abs(a - b) <= tiny
 
     i = 0
     while i < len(rights):
@@ -603,11 +587,6 @@ def _funnel(P, Q, rights, lefts, tiny):
                 continue
         i += 1
     return corners
-
-
-def _angle_between(u, v) -> float:
-    """The unsigned angle between u and v, accurate near 0 and pi."""
-    return math.atan2(abs(cross(u, v)), float(np.dot(u, v)))
 
 
 def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,

@@ -10,63 +10,61 @@ entered.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .geodesics import GeodesicRepresentative
-from .planar import cross
+from .planar import cross, dot
 
 
-def _segments_with_offsets(g: GeodesicRepresentative):
-    """Per-triangle list of (entry, exit, arclength offset); zero segments
-    are dropped but still advance nothing."""
-    per_tri: dict[int, list] = {}
+def _flat_segments(g: GeodesicRepresentative):
+    """(triangle, entry, exit, arclength offset, length) for every segment
+    longer than 1e-12, and the total length."""
+    out = []
     off = 0.0
     for (t, a, b) in g.segments:
-        ln = float(np.linalg.norm(b - a))
+        ln = abs(b - a)
         if ln > 1e-12:
-            per_tri.setdefault(t, []).append((a, b, off, ln))
+            out.append((t, a, b, off, ln))
         off += ln
-    return per_tri, off
+    return out, off
 
 
 def geometric_intersection_count(s, g1: GeodesicRepresentative,
                                  g2: GeodesicRepresentative) -> int:
     """Number of transverse crossings of two tightened geodesics."""
-    segs1, L1 = _segments_with_offsets(g1)
-    segs2, L2 = _segments_with_offsets(g2)
+    flat1, L1 = _flat_segments(g1)
+    flat2, L2 = _flat_segments(g2)
     scale = max(1.0, L1, L2)
     tol = 1e-9 * scale
+    segs2: dict[int, list] = {}
+    for seg in flat2:
+        segs2.setdefault(seg[0], []).append(seg)
 
     crossings: list[float] = []   # positions along g1
     overlaps: list[tuple[float, float, int]] = []  # (lo, hi, seg2 dir sign)
 
-    for t, lst1 in segs1.items():
-        for (a2, b2, off2, ln2) in segs2.get(t, ()):
+    for (t, a1, b1, off1, ln1) in flat1:
+        d1 = b1 - a1
+        for (_t, a2, b2, _off2, ln2) in segs2.get(t, ()):
             d2 = b2 - a2
-            for (a1, b1, off1, ln1) in lst1:
-                d1 = b1 - a1
-                cr = cross(d1, d2)
-                if abs(cr) > 1e-9 * ln1 * ln2:
-                    r = a2 - a1
-                    t1 = cross(r, d2) / cr
-                    t2 = cross(r, d1) / cr
-                    if -1e-9 <= t1 <= 1 + 1e-9 and -1e-9 <= t2 <= 1 + 1e-9:
-                        pos = off1 + min(max(t1, 0.0), 1.0) * ln1
-                        crossings.append(pos % L1)
-                    continue
-                # parallel; collinear iff a2 sits on the line of segment 1
-                if abs(cross(d1, a2 - a1)) > 1e-9 * ln1 * max(ln2, 1):
-                    continue
-                u_lo = float((a2 - a1) @ d1) / (ln1 * ln1)
-                u_hi = float((b2 - a1) @ d1) / (ln1 * ln1)
-                sgn = 1 if u_hi >= u_lo else -1
-                lo, hi = sorted((u_lo, u_hi))
-                lo, hi = max(lo, 0.0), min(hi, 1.0)
-                if hi - lo > 1e-9:
-                    overlaps.append(((off1 + lo * ln1) % L1,
-                                     (off1 + hi * ln1) % L1, sgn))
+            cr = cross(d1, d2)
+            if abs(cr) > 1e-9 * ln1 * ln2:
+                r = a2 - a1
+                t1 = cross(r, d2) / cr
+                t2 = cross(r, d1) / cr
+                if -1e-9 <= t1 <= 1 + 1e-9 and -1e-9 <= t2 <= 1 + 1e-9:
+                    pos = off1 + min(max(t1, 0.0), 1.0) * ln1
+                    crossings.append(pos % L1)
+                continue
+            # parallel; collinear iff a2 sits on the line of segment 1
+            if abs(cross(d1, a2 - a1)) > 1e-9 * ln1 * max(ln2, 1):
+                continue
+            u_lo = dot(a2 - a1, d1) / (ln1 * ln1)
+            u_hi = dot(b2 - a1, d1) / (ln1 * ln1)
+            sgn = 1 if u_hi >= u_lo else -1
+            lo, hi = sorted((u_lo, u_hi))
+            lo, hi = max(lo, 0.0), min(hi, 1.0)
+            if hi - lo > 1e-9:
+                overlaps.append(((off1 + lo * ln1) % L1,
+                                 (off1 + hi * ln1) % L1, sgn))
 
     count = _distinct_positions(crossings, L1, tol)
     if not overlaps:
@@ -77,7 +75,7 @@ def geometric_intersection_count(s, g1: GeodesicRepresentative,
         # the curves coincide; no transverse crossings by the convention
         return 0
     runs = _merge_runs(overlaps, L1, tol)
-    count += _overlap_crossings(s, g1, g2, runs, tol)
+    count += _overlap_crossings(flat1, L1, flat2, runs, tol)
     return count
 
 
@@ -118,22 +116,9 @@ def _point_at(g_segments_flat, pos, period):
     raise RuntimeError("position outside the curve")
 
 
-def _flat_segments(g):
-    out = []
-    off = 0.0
-    for (t, a, b) in g.segments:
-        ln = float(np.linalg.norm(b - a))
-        if ln > 1e-12:
-            out.append((t, a, b, off, ln))
-        off += ln
-    return out, off
-
-
-def _overlap_crossings(s, g1, g2, runs, tol) -> int:
+def _overlap_crossings(flat1, L1, flat2, runs, tol) -> int:
     """Left-push rule: one crossing per shared arc that g2 traverses from
     one side of g1 to the other."""
-    flat1, L1 = _flat_segments(g1)
-    flat2, L2 = _flat_segments(g2)
     extra = 0
     for lo, hi in runs:
         t_lo, p_lo, d1_lo = _point_at(flat1, lo, L1)
@@ -151,9 +136,9 @@ def _g2_side(flat2, tri, point, d1, entering, tol):
     for (t, a, b, off, ln) in flat2:
         if t != tri:
             continue
-        if entering and np.linalg.norm(b - point) <= 10 * tol:
+        if entering and abs(b - point) <= 10 * tol:
             probe = a
-        elif not entering and np.linalg.norm(a - point) <= 10 * tol:
+        elif not entering and abs(a - point) <= 10 * tol:
             probe = b
         else:
             continue

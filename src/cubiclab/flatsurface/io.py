@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .geodesics import GeodesicRepresentative, HomotopyClassPath, develop_strip
 from .surface import TriangulatedFlatSurface, build_surface
 
@@ -25,9 +23,10 @@ def surface_to_dict(s: TriangulatedFlatSurface) -> dict:
             continue
         iso = s.isometries[slot]
         gluings.append([list(slot), list(partner),
-                        {"rot": iso.rot, "tx": iso.tx, "ty": iso.ty}])
+                        {"rot": iso.angle, "tx": iso.shift.real,
+                         "ty": iso.shift.imag}])
     return {
-        "triangles": [t.tolist() for t in s.triangles],
+        "triangles": [[[z.real, z.imag] for z in t] for t in s.triangles],
         "gluings": gluings,
         "punctures": sorted(s.marked_punctures),
     }
@@ -72,28 +71,23 @@ def render_geodesic_svg(s: TriangulatedFlatSurface,
                         g: GeodesicRepresentative, path) -> None:
     """Draw the developed strip of a geodesic with its polyline."""
     phis = develop_strip(s, g.crossings)
-    polys = []
-    for k, slot in enumerate(g.crossings):
-        tri = s.triangles[slot[0]]
-        polys.append(np.array([phis[k].apply(v) for v in tri]))
-    pts = []
-    for k, slot in enumerate(g.crossings):
-        a, b = s.edge_endpoints(slot)
-        pts.append(phis[k].apply(a + g.params[k] * (b - a)))
-    a, b = s.edge_endpoints(g.crossings[0])
-    pts.append(phis[-1].apply(a + g.params[0] * (b - a)))
-    pts = np.array(pts)
+    polys = [[phis[k](v) for v in s.triangles[slot[0]]]
+             for k, slot in enumerate(g.crossings)]
+    pts = [phis[k](s.edge_point(slot, u))
+           for k, (slot, u) in enumerate(zip(g.crossings, g.params))]
+    pts.append(phis[-1](s.edge_point(g.crossings[0], g.params[0])))
 
-    allpts = np.vstack([np.vstack(polys), pts])
-    lo = allpts.min(axis=0) - 0.2
-    hi = allpts.max(axis=0) + 0.2
-    span = hi - lo
+    allpts = [z for poly in polys for z in poly] + pts
+    lo_x = min(z.real for z in allpts) - 0.2
+    lo_y = min(z.imag for z in allpts) - 0.2
+    hi_x = max(z.real for z in allpts) + 0.2
+    hi_y = max(z.imag for z in allpts) + 0.2
     width = 640.0
-    scale = width / span[0]
-    height = span[1] * scale
+    scale = width / (hi_x - lo_x)
+    height = (hi_y - lo_y) * scale
 
-    def xy(p):
-        return ((p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale)
+    def xy(z):
+        return ((z.real - lo_x) * scale, (hi_y - z.imag) * scale)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
              f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']

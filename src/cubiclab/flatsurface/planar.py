@@ -1,13 +1,86 @@
-"""Planar predicates shared by the flat-surface modules."""
+"""Planar geometry in complex numbers, shared by the flat-surface modules.
+
+A point or vector of a chart is a Python ``complex``.  The flat metric
+|q|^(2/3) comes from natural coordinates w with dw^3 = q, and every chart
+change w -> zeta w + c is one ``PlanarIsometry``: it is the only thing
+that rotates a point.
+"""
 
 from __future__ import annotations
 
+import cmath
+import math
+from dataclasses import dataclass
 
-def cross(u, v) -> float:
-    """The z-component u0 v1 - u1 v0 of the cross product of 2-vectors."""
-    return float(u[0] * v[1] - u[1] * v[0])
+
+def cross(u: complex, v: complex) -> float:
+    """Im(conj(u) v) = u.x v.y - u.y v.x: positive when v points left of u."""
+    return (u.conjugate() * v).imag
 
 
-def turn(o, a, b) -> float:
+def dot(u: complex, v: complex) -> float:
+    """Re(conj(u) v) = u.x v.x + u.y v.y."""
+    return (u.conjugate() * v).real
+
+
+def turn(o: complex, a: complex, b: complex) -> float:
     """cross(a - o, b - o): positive when b lies left of the ray o -> a."""
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+    return cross(a - o, b - o)
+
+
+def angle_between(u: complex, v: complex) -> float:
+    """The unsigned angle between u and v, accurate near 0 and pi."""
+    w = u.conjugate() * v
+    return math.atan2(abs(w.imag), w.real)
+
+
+def ccw_angle(r: complex, d: complex) -> float:
+    """Counterclockwise angle from ray r to direction d, in [0, 2*pi).
+
+    A cross product below 1e-9 of |r| |d| is snapped to zero so directions
+    exactly along the ray never wrap to 2*pi through rounding noise.
+    """
+    w = r.conjugate() * d
+    cr = w.imag
+    if abs(cr) < 1e-9 * abs(w):
+        cr = 0.0
+    a = math.atan2(cr, w.real)
+    return a + 2.0 * math.pi if a < 0 else a
+
+
+@dataclass(frozen=True, slots=True)
+class PlanarIsometry:
+    """Orientation-preserving isometry z -> rot * z + shift, |rot| = 1."""
+
+    rot: complex
+    shift: complex
+
+    def __call__(self, z: complex) -> complex:
+        return self.rot * z + self.shift
+
+    def compose(self, other: "PlanarIsometry") -> "PlanarIsometry":
+        """self after other: (self o other)(z) = self(other(z))."""
+        return PlanarIsometry(self.rot * other.rot, self(other.shift))
+
+    def inverse(self) -> "PlanarIsometry":
+        r = self.rot.conjugate()
+        return PlanarIsometry(r, -(r * self.shift))
+
+    @property
+    def angle(self) -> float:
+        """The rotation angle in (-pi, pi], for the surface JSON."""
+        # adding 0.0 drops a negative zero, which would read -pi or -0.0
+        return cmath.phase(complex(self.rot.real, self.rot.imag + 0.0))
+
+    @staticmethod
+    def from_segment_match(a: complex, b: complex,
+                           c: complex, d: complex) -> "PlanarIsometry":
+        """The orientation-preserving isometry with a -> c and b -> d
+        (|d - c| = |b - a| up to rounding)."""
+        rot = (d - c) / (b - a)
+        rot /= abs(rot)
+        return PlanarIsometry(rot, c - rot * a)
+
+    def is_close(self, other: "PlanarIsometry", tol: float) -> bool:
+        return (abs(self.rot - other.rot) <= tol
+                and abs(self.shift - other.shift) <= tol)

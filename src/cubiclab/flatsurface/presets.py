@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 from .geodesics import HomotopyClassPath
 from .surface import TriangulatedFlatSurface
@@ -18,8 +17,8 @@ def rectangle_torus(a: float = 1.0, b: float = 1.0,
     four corners are one vertex orbit of angle 2*pi (k = 0).
     """
     tris = [
-        [(0.0, 0.0), (a, 0.0), (a, b)],
-        [(0.0, 0.0), (a, b), (0.0, b)],
+        [0j, complex(a, 0.0), complex(a, b)],
+        [0j, complex(a, b), complex(0.0, b)],
     ]
     gluings = [
         ((0, 0), (1, 1)),  # bottom <-> top
@@ -90,8 +89,7 @@ def regular_octagon() -> TriangulatedFlatSurface:
     as a fan from vertex 0; the bottom side is horizontal.
     """
     rc = 1.0 / (2.0 * math.sin(math.pi / 8.0))
-    verts = [np.array([rc * math.cos(-5 * math.pi / 8 + j * math.pi / 4),
-                       rc * math.sin(-5 * math.pi / 8 + j * math.pi / 4)])
+    verts = [cmath.rect(rc, -5 * math.pi / 8 + j * math.pi / 4)
              for j in range(8)]
     tris = [[verts[0], verts[i + 1], verts[i + 2]] for i in range(6)]
 
@@ -141,8 +139,8 @@ def doubled_triangle(side: float = 1.0) -> TriangulatedFlatSurface:
     at its punctures.
     """
     h = side * math.sqrt(3.0) / 2.0
-    front = [(0.0, 0.0), (side, 0.0), (side / 2.0, h)]
-    back = [(side, 0.0), (0.0, 0.0), (side / 2.0, -h)]
+    front = [0j, complex(side, 0.0), complex(side / 2.0, h)]
+    back = [complex(side, 0.0), 0j, complex(side / 2.0, -h)]
     gluings = [
         ((0, 0), (1, 0)),
         ((0, 1), (1, 2)),

@@ -6,7 +6,8 @@ Segments are deduplicated as unoriented objects.  Since charts are only
 defined up to the gluing rotations, the canonical identity of a segment is
 not its raw holonomy vector but the pair of intrinsic outgoing angles at its
 two endpoints (angles measured inside each vertex orbit's corner fan),
-together with the endpoint orbits and the length.
+together with the endpoint orbits and the length (in units of the
+surface's longest edge).
 """
 
 from __future__ import annotations
@@ -15,61 +16,55 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import NoConvergence
-from .planar import cross
-from .surface import PlanarIsometry, TriangulatedFlatSurface
+from .planar import PlanarIsometry, ccw_angle, cross, dot
+from .surface import TriangulatedFlatSurface
+
+# a cross product of u and v below this fraction of |u| |v| is zero
+_PARALLEL_TOL = 1e-12
+# lengths are cut and deduplicated at this fraction of the longest edge
+_LENGTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SaddleConnection:
     start_orbit: int
     end_orbit: int
-    holonomy: tuple[float, float]  # in a developing chart of the start corner
+    holonomy: complex  # in a developing chart of the start corner
     directions: tuple[float, float]  # intrinsic outgoing angles at both ends
 
     @property
     def length(self) -> float:
-        return math.hypot(*self.holonomy)
+        return abs(self.holonomy)
 
 
-def _in_cone(d, w1, w2, tol=1e-12) -> bool:
+def _left_of(u: complex, v: complex) -> bool:
+    """Whether v points strictly left of u, beyond rounding."""
+    return cross(u, v) > _PARALLEL_TOL * abs(u) * abs(v)
+
+
+def _in_cone(d, w1, w2) -> bool:
     """Whether direction d lies strictly inside the ccw cone (w1, w2)."""
-    return cross(w1, d) > tol and cross(d, w2) > tol
+    return _left_of(w1, d) and _left_of(d, w2)
 
 
 def _cone_intersect(a1, a2, b1, b2):
     """Intersection of two ccw cones of angular span < pi, or None."""
     s = b1 if cross(a1, b1) > 0 else a1
     e = b2 if cross(b2, a2) > 0 else a2
-    if cross(s, e) <= 1e-14:
+    if not _left_of(s, e):
         return None
     return s, e
 
 
-def _seg_min_dist(a, b) -> float:
+def _seg_min_dist(a: complex, b: complex) -> float:
     """Distance from the origin to segment [a, b]."""
     d = b - a
-    L2 = float(d @ d)
+    L2 = dot(d, d)
     if L2 == 0.0:
-        return float(np.linalg.norm(a))
-    t = min(1.0, max(0.0, float(-(a @ d)) / L2))
-    return float(np.linalg.norm(a + t * d))
-
-
-def _ccw_angle(r, d) -> float:
-    """Counterclockwise angle from ray r to direction d, in [0, 2*pi).
-
-    A vanishing cross product is snapped to zero so directions exactly
-    along the ray never wrap to 2*pi through rounding noise.
-    """
-    cr = cross(r, d)
-    dt = float(np.dot(r, d))
-    if abs(cr) < 1e-9 * math.hypot(cr, dt):
-        cr = 0.0
-    a = math.atan2(cr, dt)
-    return a + 2.0 * math.pi if a < 0 else a
+        return abs(a)
+    t = min(1.0, max(0.0, -dot(a, d) / L2))
+    return abs(a + t * d)
 
 
 class _FanTable:
@@ -92,7 +87,7 @@ class _FanTable:
         ``d`` the developed outgoing direction, both in the same frame.
         """
         total = float(self.s.orbit_angles[self.s.orbit_of[corner]])
-        a = self.cum[corner] + _ccw_angle(ray, d)
+        a = self.cum[corner] + ccw_angle(ray, d)
         a = math.fmod(a, total)
         if a > total - 1e-9:
             a = 0.0
@@ -104,7 +99,8 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                                  ) -> list[SaddleConnection]:
     """All saddle connections of length <= max_length, deduplicated up to
     the identification of unoriented segments.  Returns an empty list when
-    the surface has no cone points.
+    the surface has no cone points.  Tolerances scale with the surface, so
+    a rescaled surface gives the rescaled connections.
     """
     if max_length <= 0:
         raise ValueError("max_length must be positive")
@@ -112,40 +108,42 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
     fans = _FanTable(s)
     found: dict[tuple, SaddleConnection] = {}
     budget = max_expansions
+    unit = max(s.edge_length(slot) for slot in s.gluings)
+    cut = max_length + _LENGTH_TOL * unit
 
     def record(origin_orbit, start_corner, start_ray, w,
-               target_corner, target_ray, frame_pos) -> None:
+               target_corner, target_ray) -> None:
         """Candidate segment from the origin to developed point w."""
         t_orbit = s.orbit_of[target_corner]
         if t_orbit not in cone_orbits:
             return
-        norm = float(np.linalg.norm(w))
-        if norm > max_length + 1e-12 or norm <= 1e-12:
+        norm = abs(w)
+        if norm > cut or norm <= _LENGTH_TOL * unit:
             return
         ang_start = fans.intrinsic(start_corner, start_ray, w)
-        ang_end = fans.intrinsic(target_corner, target_ray, frame_pos - w)
+        ang_end = fans.intrinsic(target_corner, target_ray, -w)
         pair = tuple(sorted((round(ang_start, 7), round(ang_end, 7))))
         key = (min(origin_orbit, t_orbit), max(origin_orbit, t_orbit),
-               round(norm, 9), pair)
+               round(norm / unit, 9), pair)
         if key not in found:
-            found[key] = SaddleConnection(origin_orbit, t_orbit,
-                                          (float(w[0]), float(w[1])),
+            found[key] = SaddleConnection(origin_orbit, t_orbit, w,
                                           (ang_start, ang_end))
 
     for cp in s.cone_points:
         for (t0, i0) in s.vertex_orbits[cp.orbit]:
             tri = s.triangles[t0]
-            shift = PlanarIsometry(0.0, -float(tri[i0][0]), -float(tri[i0][1]))
-            v1 = shift.apply(tri[(i0 + 1) % 3])
-            v2 = shift.apply(tri[(i0 + 2) % 3])
+            # the developing frame puts the start vertex at the origin
+            frame = PlanarIsometry(1 + 0j, -tri[i0])
+            v1 = frame(tri[(i0 + 1) % 3])
+            v2 = frame(tri[(i0 + 2) % 3])
             start_corner = (t0, i0)
             # the two boundary edges of the corner are themselves candidates
             record(cp.orbit, start_corner, v1, v1,
-                   (t0, (i0 + 1) % 3), v2 - v1, np.zeros(2))
+                   (t0, (i0 + 1) % 3), v2 - v1)
             record(cp.orbit, start_corner, v1, v2,
-                   (t0, (i0 + 2) % 3), shift.apply(tri[i0]) - v2, np.zeros(2))
+                   (t0, (i0 + 2) % 3), -v2)
             queue = deque()
-            queue.append((t0, shift, (i0 + 1) % 3, (v1, v2)))
+            queue.append((t0, frame, (i0 + 1) % 3, (v1, v2)))
             while queue:
                 if budget <= 0:
                     raise NoConvergence(
@@ -159,13 +157,13 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                 phi2 = phi.compose(s.isometries[(t, e_in)].inverse())
                 tri2 = s.triangles[t2]
                 apex_idx = (e2 + 2) % 3
-                A = phi2.apply(tri2[e2])
-                B = phi2.apply(tri2[(e2 + 1) % 3])
-                C = phi2.apply(tri2[apex_idx])
+                A = phi2(tri2[e2])
+                B = phi2(tri2[(e2 + 1) % 3])
+                C = phi2(tri2[apex_idx])
                 w1, w2 = wedge
                 if _in_cone(C, w1, w2):
                     record(cp.orbit, start_corner, v1, C,
-                           (t2, apex_idx), A - C, np.zeros(2))
+                           (t2, apex_idx), A - C)
                 # far edges: B -> C is edge (e2+1)%3, C -> A is edge (e2+2)%3
                 for (p, q, e_next) in ((B, C, (e2 + 1) % 3),
                                        (C, A, (e2 + 2) % 3)):

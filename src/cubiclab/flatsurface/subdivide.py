@@ -20,8 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .planar import turn
 from .surface import TriangulatedFlatSurface
 
@@ -37,14 +35,14 @@ class Piece:
     """
 
     verts: list
-    coords: list  # np arrays aligned with verts
+    coords: list  # complex points aligned with verts
     tags: list
 
     def index_of(self, vid) -> int:
         return self.verts.index(vid)
 
-    def centroid(self) -> np.ndarray:
-        return np.mean(np.asarray(self.coords), axis=0)
+    def centroid(self) -> complex:
+        return sum(self.coords) / len(self.coords)
 
 
 def split_piece(piece: Piece, id_a, id_b, tag_ab, tag_ba) -> tuple[Piece, Piece]:
@@ -86,13 +84,13 @@ class Soup:
     """Accumulates tagged triangles and assembles the final surface."""
 
     def __init__(self):
-        self.tris: list[np.ndarray] = []
+        self.tris: list[tuple[complex, complex, complex]] = []
         self.tags: list[list] = []
         self._fresh = itertools.count()
         self._internal_pairs: list[tuple] = []
 
     def add_triangle(self, pts, tags3) -> int:
-        self.tris.append(np.asarray(pts, dtype=float).reshape(3, 2))
+        self.tris.append(tuple(pts))
         self.tags.append(list(tags3))
         return len(self.tris) - 1
 
@@ -106,7 +104,7 @@ class Soup:
         if m == 3:
             idx = self.add_triangle(piece.coords, piece.tags)
             return FanPiece([idx])
-        scale = max(1.0, float(np.abs(np.asarray(piece.coords)).max())) ** 2
+        scale = max(1.0, max(abs(z) for z in piece.coords)) ** 2
         for a in range(m):
             ok = True
             for i in range(1, m - 1):
@@ -142,19 +140,18 @@ class Soup:
     def add_rectangle(self, w: float, h: float, tags4) -> list[int]:
         """A w x h rectangle as two triangles cut along the diagonal from
         (0, 0); ``tags4`` tags the bottom, right, top and left sides."""
-        corners = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+        corners = [0j, complex(w, 0.0), complex(w, h), complex(0.0, h)]
         return self.add_fan(Piece([0, 1, 2, 3], corners, list(tags4))).subtris
 
     def vertex_at(self, subtris, pos) -> tuple[int, int]:
-        """(soup triangle, corner) of the first corner of ``subtris`` at
-        ``pos``, to 1e-12 in each coordinate."""
+        """(soup triangle, corner) of the first corner of ``subtris``
+        within 1e-12 of ``pos``."""
         for ti in subtris:
             for li in range(3):
-                if (abs(self.tris[ti][li][0] - pos[0]) < 1e-12
-                        and abs(self.tris[ti][li][1] - pos[1]) < 1e-12):
+                if abs(self.tris[ti][li] - pos) < 1e-12:
                     return ti, li
         raise RuntimeError(f"no corner of soup triangles {list(subtris)} "
-                           f"lies at ({pos[0]:.17g}, {pos[1]:.17g})")
+                           f"lies at ({pos.real:.17g}, {pos.imag:.17g})")
 
     def assemble(self, partner_fn, marked_punctures=()) -> TriangulatedFlatSurface:
         """Pair all tagged edges and build the validated surface.
@@ -203,7 +200,7 @@ def triangle_piece(s: TriangulatedFlatSurface, t: int, cuts, key=None,
     for e in range(3):
         slot = (t, e)
         verts.append(("corner", t, e))
-        coords.append(np.array(tri[e], dtype=float))
+        coords.append(tri[e])
         a, b = tri[e], tri[(e + 1) % 3]
         prev_id = "lo"
         for u, cid in list(cuts.get(slot, ())) + [(1.0, "hi")]:

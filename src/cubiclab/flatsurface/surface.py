@@ -10,6 +10,7 @@ with k < 0 allowed only at marked punctures.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,72 +22,12 @@ from ..errors import (
     NegativeOrderAtInterior,
     NonInvolutiveGluing,
 )
-from .planar import turn
+from .planar import PlanarIsometry, angle_between, turn
 
 # Geometric equality tolerance used throughout the triangle complex code.
 GEOM_TOL = 1e-9
 
 Slot = tuple[int, int]  # (triangle index, edge index); edge e runs v[e] -> v[e+1]
-
-
-@dataclass(frozen=True)
-class PlanarIsometry:
-    """Orientation-preserving isometry p -> R(rot) p + (tx, ty)."""
-
-    rot: float
-    tx: float
-    ty: float
-
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.rot), math.sin(self.rot)
-        return np.array([[c, -s], [s, c]])
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return p @ self.matrix().T + np.array([self.tx, self.ty])
-
-    def compose(self, other: "PlanarIsometry") -> "PlanarIsometry":
-        """self after other: (self o other)(p) = self(other(p))."""
-        t = self.apply(np.array([other.tx, other.ty]))
-        return PlanarIsometry(_wrap_angle(self.rot + other.rot),
-                              float(t[0]), float(t[1]))
-
-    def inverse(self) -> "PlanarIsometry":
-        c, s = math.cos(self.rot), math.sin(self.rot)
-        tx = -(c * self.tx + s * self.ty)
-        ty = -(-s * self.tx + c * self.ty)
-        return PlanarIsometry(_wrap_angle(-self.rot), tx, ty)
-
-    @staticmethod
-    def identity() -> "PlanarIsometry":
-        return PlanarIsometry(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_segment_match(a: np.ndarray, b: np.ndarray,
-                           c: np.ndarray, d: np.ndarray) -> "PlanarIsometry":
-        """The unique orientation-preserving isometry with a -> c, b -> d."""
-        u = b - a
-        v = d - c
-        rot = math.atan2(v[1], v[0]) - math.atan2(u[1], u[0])
-        rot = _wrap_angle(rot)
-        cs, sn = math.cos(rot), math.sin(rot)
-        ra = np.array([cs * a[0] - sn * a[1], sn * a[0] + cs * a[1]])
-        t = c - ra
-        return PlanarIsometry(rot, float(t[0]), float(t[1]))
-
-    def is_close(self, other: "PlanarIsometry", tol: float = GEOM_TOL) -> bool:
-        dr = abs(_wrap_angle(self.rot - other.rot))
-        return (dr <= tol and abs(self.tx - other.tx) <= tol
-                and abs(self.ty - other.ty) <= tol)
-
-
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a, 2.0 * math.pi)
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    elif a > math.pi:
-        a -= 2.0 * math.pi
-    return a
 
 
 @dataclass(frozen=True)
@@ -101,23 +42,28 @@ class ConePoint:
 class TriangulatedFlatSurface:
     """A closed flat cone surface encoded as glued Euclidean triangles.
 
-    Instances are immutable; all derived combinatorics (vertex orbits, cone
-    points, Euler characteristic) are computed at construction time and the
-    constructor raises if any invariant fails.
+    ``triangles[t]`` holds the three corners of triangle t, counterclockwise,
+    as complex numbers in its own chart.  Instances are immutable; all
+    derived combinatorics (vertex orbits, cone points, Euler characteristic)
+    are computed at construction time and the constructor raises if any
+    invariant fails.
     """
 
-    def __init__(self, triangles, gluings, marked_punctures=(), _isometries=None):
-        tris = [np.array(t, dtype=float).reshape(3, 2) for t in triangles]
+    def __init__(self, triangles, gluings, marked_punctures=()):
+        tris = [tuple(map(complex, t)) for t in triangles]
         for idx, t in enumerate(tris):
-            if _signed_area(t) <= GEOM_TOL * max(1.0, float(np.abs(t).max())) ** 2:
+            if len(t) != 3:
+                raise ValueError(f"triangle {idx} has {len(t)} corners")
+            longest = max(abs(t[1] - t[0]), abs(t[2] - t[1]),
+                          abs(t[0] - t[2]))
+            if _signed_area(t) <= GEOM_TOL * longest ** 2:
                 raise ValueError(
                     f"triangle {idx} is degenerate or not counterclockwise")
-            t.setflags(write=False)
-        self.triangles: list[np.ndarray] = tris
+        self.triangles: list[tuple[complex, complex, complex]] = tris
 
         self.gluings: dict[Slot, Slot] = {}
         self.isometries: dict[Slot, PlanarIsometry] = {}
-        self._install_gluings(gluings, _isometries)
+        self._install_gluings(gluings)
         self._check_involution()
         self._check_edges()
 
@@ -138,7 +84,7 @@ class TriangulatedFlatSurface:
 
     # -- construction helpers ---------------------------------------------
 
-    def _install_gluings(self, gluings, isometries) -> None:
+    def _install_gluings(self, gluings) -> None:
         pairs: dict[Slot, Slot] = {}
         isos: dict[Slot, PlanarIsometry] = {}
         if isinstance(gluings, dict):
@@ -168,13 +114,11 @@ class TriangulatedFlatSurface:
             pairs[b] = a
             if iso is not None:
                 if isinstance(iso, dict):
-                    iso = PlanarIsometry(float(iso.get("rot", 0.0)),
-                                         float(iso.get("tx", 0.0)),
-                                         float(iso.get("ty", 0.0)))
+                    iso = PlanarIsometry(
+                        cmath.rect(1.0, float(iso.get("rot", 0.0))),
+                        complex(float(iso.get("tx", 0.0)),
+                                float(iso.get("ty", 0.0))))
                 isos[a] = iso
-        if isometries:
-            for slot, iso in isometries.items():
-                isos[(int(slot[0]), int(slot[1]))] = iso
 
         all_slots = {(t, e) for t in range(len(self.triangles)) for e in range(3)}
         missing = all_slots - set(pairs)
@@ -266,25 +210,23 @@ class TriangulatedFlatSurface:
 
     # -- basic geometry -----------------------------------------------------
 
-    def edge_endpoints(self, slot: Slot) -> tuple[np.ndarray, np.ndarray]:
+    def edge_endpoints(self, slot: Slot) -> tuple[complex, complex]:
         t, e = slot
         tri = self.triangles[t]
         return tri[e], tri[(e + 1) % 3]
 
     def edge_length(self, slot: Slot) -> float:
         a, b = self.edge_endpoints(slot)
-        return float(np.linalg.norm(b - a))
+        return abs(b - a)
 
-    def edge_point(self, slot: Slot, u: float) -> np.ndarray:
+    def edge_point(self, slot: Slot, u: float) -> complex:
         a, b = self.edge_endpoints(slot)
         return a + u * (b - a)
 
     def corner_angle(self, t: int, i: int) -> float:
         tri = self.triangles[t]
-        u = tri[(i + 1) % 3] - tri[i]
-        v = tri[(i + 2) % 3] - tri[i]
-        cosv = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-        return math.acos(min(1.0, max(-1.0, cosv)))
+        return angle_between(tri[(i + 1) % 3] - tri[i],
+                             tri[(i + 2) % 3] - tri[i])
 
     def partner_param(self, slot: Slot, u: float) -> tuple[Slot, float]:
         """The same surface point seen from the glued slot."""
@@ -341,7 +283,7 @@ class TriangulatedFlatSurface:
         """A copy with all lengths multiplied by factor > 0."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        tris = [t * factor for t in self.triangles]
+        tris = [[factor * z for z in t] for t in self.triangles]
         return TriangulatedFlatSurface(tris, self.gluings,
                                        marked_punctures=self.marked_punctures)
 
@@ -351,7 +293,7 @@ class TriangulatedFlatSurface:
                 f"{len(self.cone_points)} cone points)")
 
 
-def _signed_area(tri: np.ndarray) -> float:
+def _signed_area(tri) -> float:
     return 0.5 * turn(*tri)
 
 
@@ -363,7 +305,7 @@ def build_surface(spec: dict) -> TriangulatedFlatSurface:
     optional "punctures" (list of vertex-orbit ids).
     """
     return TriangulatedFlatSurface(
-        spec["triangles"],
+        [[complex(x, y) for x, y in t] for t in spec["triangles"]],
         spec.get("gluings", []),
         marked_punctures=spec.get("punctures", ()),
     )

@@ -8,10 +8,9 @@ when the pair's weight w is positive.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..errors import (
     AngleClash,
@@ -26,6 +25,8 @@ from .subdivide import Piece, Soup, slot_partner_tag, triangle_piece
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
 WEDGE = math.pi / 3.0
+# the wedge's legs run from the apex along 1 and along _LEG2
+_LEG2 = cmath.rect(1.0, WEDGE)
 
 
 def _rho(eps: float, alpha: float) -> float:
@@ -35,10 +36,8 @@ def _rho(eps: float, alpha: float) -> float:
 
 def _tau(eps: float, alpha: float) -> float:
     """Base-chord parameter (0 at the first leg, 1 at the second)."""
-    p1 = np.array([eps, 0.0])
-    p2 = eps * np.array([math.cos(WEDGE), math.sin(WEDGE)])
-    pt = _rho(eps, alpha) * np.array([math.cos(alpha), math.sin(alpha)])
-    return float(np.linalg.norm(pt - p1) / np.linalg.norm(p2 - p1))
+    pt = cmath.rect(_rho(eps, alpha), alpha)
+    return abs(pt - eps) / abs(eps * _LEG2 - eps)
 
 
 @dataclass
@@ -55,7 +54,7 @@ class _Carve:
 
 def _point_line_dist(p, a, b) -> float:
     d = b - a
-    return abs(cross(d, p - a)) / float(np.linalg.norm(d))
+    return abs(cross(d, p - a)) / abs(d)
 
 
 def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
@@ -147,9 +146,8 @@ def _chart_to_fan(s, t, i, alpha_lo) -> PlanarIsometry:
     """Chart-to-fan-frame isometry: apex to origin, first ray to alpha_lo."""
     tri = s.triangles[t]
     c, x = tri[i], tri[(i + 1) % 3]
-    ray = np.array([math.cos(alpha_lo), math.sin(alpha_lo)])
     return PlanarIsometry.from_segment_match(
-        c, x, np.zeros(2), float(np.linalg.norm(x - c)) * ray)
+        c, x, 0j, cmath.rect(abs(x - c), alpha_lo))
 
 
 def _apply_carve(piece: Piece, s, cv: _Carve, op) -> Piece:
@@ -166,11 +164,10 @@ def _apply_carve(piece: Piece, s, cv: _Carve, op) -> Piece:
 
     to_chart = _chart_to_fan(s, t, i, op["alpha_lo"]).inverse()
     eps = cv.eps
-    p1 = np.array([eps, 0.0])
-    p2 = eps * np.array([math.cos(WEDGE), math.sin(WEDGE)])
+    p1, p2 = complex(eps), eps * _LEG2
 
     def base_chart(tau):
-        return to_chart.apply(p1 + tau * (p2 - p1))
+        return to_chart(p1 + tau * (p2 - p1))
 
     taus12 = [round(x, 12) for x in cv.base_taus]
 
@@ -184,9 +181,9 @@ def _apply_carve(piece: Piece, s, cv: _Carve, op) -> Piece:
 
     verts, coords, tags = [], [], []
 
-    def emit(vid, xy, tag):
+    def emit(vid, z, tag):
         verts.append(vid)
-        coords.append(np.asarray(xy, dtype=float))
+        coords.append(z)
         tags.append(tag)
 
     if op["final"]:

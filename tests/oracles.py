@@ -3,21 +3,77 @@
 These deliberately avoid the library's algorithms: shortest homotopic loops
 come from Dijkstra on a refined strip mesh, saddle connections from
 depth-limited unfolding with explicit segment tracing, torus intersection
-numbers from the lattice formula.  ``random_closed_strip`` draws the
-random classes that several tests share.
+numbers from the lattice formula.  Strips are developed here with 2 x 2
+rotation matrices and (x, y) arrays, not with the library's complex
+isometries.  ``random_closed_strip`` draws the random classes that several
+tests share.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from cubiclab.flatsurface.geodesics import HomotopyClassPath, develop_strip
-from cubiclab.flatsurface.surface import PlanarIsometry
+from cubiclab.flatsurface.geodesics import HomotopyClassPath
+
+
+# -- developing strips with rotation matrices ---------------------------------
+
+def _corners(s, t):
+    """The corners of triangle t as (x, y) arrays."""
+    return [np.array([z.real, z.imag]) for z in s.triangles[t]]
+
+
+def _rotation(angle):
+    c, sn = math.cos(angle), math.sin(angle)
+    return np.array([[c, -sn], [sn, c]])
+
+
+@dataclass(frozen=True)
+class _Isometry:
+    """p -> R(rot) p + t, R the rotation matrix of the angle rot."""
+
+    rot: float
+    t: np.ndarray
+
+    def apply(self, p):
+        return _rotation(self.rot) @ p + self.t
+
+    def compose(self, other):
+        """self after other."""
+        return _Isometry(self.rot + other.rot, self.apply(other.t))
+
+    def inverse(self):
+        return _Isometry(-self.rot, -(_rotation(-self.rot) @ self.t))
+
+
+def _unfolders(s):
+    """For each slot, the isometry from the chart of the glued triangle
+    into the chart of the slot's own triangle.  The slot's edge a -> b
+    is the partner edge d -> c, reversed."""
+    out = {}
+    for (t, e), (t2, e2) in s.gluings.items():
+        tri, tri2 = _corners(s, t), _corners(s, t2)
+        a, b = tri[e], tri[(e + 1) % 3]
+        c, d = tri2[e2], tri2[(e2 + 1) % 3]
+        u, v = b - a, c - d
+        rot = math.atan2(v[1], v[0]) - math.atan2(u[1], u[0])
+        out[(t, e)] = _Isometry(rot, d - _rotation(rot) @ a).inverse()
+    return out
+
+
+def _develop(s, crossings):
+    """Chart-to-plane maps phi_0..phi_n along a strip."""
+    unfold = _unfolders(s)
+    phis = [_Isometry(0.0, np.zeros(2))]
+    for slot in crossings:
+        phis.append(phis[-1].compose(unfold[slot]))
+    return phis
 
 
 def lattice_norm(p, q, a=1.0, b=1.0):
@@ -52,7 +108,7 @@ def strip_dijkstra_length(s, path, levels: int) -> float:
     """
     crossings = list(path.crossings)
     n = len(crossings)
-    phis = develop_strip(s, crossings)
+    phis = _develop(s, crossings)
     L = levels
 
     coords: list[np.ndarray] = []
@@ -79,7 +135,7 @@ def strip_dijkstra_length(s, path, levels: int) -> float:
 
     for k in range(n):
         t = crossings[k][0]
-        dev = [phis[k].apply(v) for v in s.triangles[t]]
+        dev = [phis[k].apply(v) for v in _corners(s, t)]
         e_out = crossings[k][1]
         prev_slot = s.gluings[crossings[(k - 1) % n]]
         e_in = prev_slot[1]
@@ -149,17 +205,17 @@ def brute_saddle_connections(s, max_length: float, depth: int):
     found = {}
     cone_orbits = {cp.orbit for cp in s.cone_points}
     fan_cum = _fan_cumulative(s)
+    unfold = _unfolders(s)
 
     for cp in s.cone_points:
         for (t0, i0) in s.vertex_orbits[cp.orbit]:
-            tri = s.triangles[t0]
-            shift = PlanarIsometry(0.0, -float(tri[i0][0]),
-                                   -float(tri[i0][1]))
+            tri = _corners(s, t0)
+            shift = _Isometry(0.0, -tri[i0])
             candidates = {}
             queue = deque([(t0, shift, 0)])
             while queue:
                 t, phi, d = queue.popleft()
-                dev = [phi.apply(v) for v in s.triangles[t]]
+                dev = [phi.apply(v) for v in _corners(s, t)]
                 for li in range(3):
                     w = dev[li]
                     norm = float(np.linalg.norm(w))
@@ -169,7 +225,7 @@ def brute_saddle_connections(s, max_length: float, depth: int):
                 if d < depth:
                     for e in range(3):
                         t2, _ = s.gluings[(t, e)]
-                        phi2 = phi.compose(s.isometries[(t, e)].inverse())
+                        phi2 = phi.compose(unfold[(t, e)])
                         queue.append((t2, phi2, d + 1))
             ray1 = shift.apply(tri[(i0 + 1) % 3])
             ray2 = shift.apply(tri[(i0 + 2) % 3])
@@ -179,14 +235,14 @@ def brute_saddle_connections(s, max_length: float, depth: int):
                 if (ray1[0] * w[1] - ray1[1] * w[0] < -1e-12
                         or w[0] * ray2[1] - w[1] * ray2[0] < -1e-12):
                     continue
-                arrival = _trace_from_corner(s, t0, i0, shift, w)
+                arrival = _trace_from_corner(s, unfold, t0, i0, shift, w)
                 if arrival is None:
                     continue
                 t_arr, li_arr, phi_arr = arrival
                 t_orbit = s.orbit_of[(t_arr, li_arr)]
                 if t_orbit not in cone_orbits:
                     continue
-                dev = [phi_arr.apply(v) for v in s.triangles[t_arr]]
+                dev = [phi_arr.apply(v) for v in _corners(s, t_arr)]
                 ang_a = _intrinsic(s, fan_cum, (t0, i0),
                                    shift.apply(tri[(i0 + 1) % 3]), w)
                 ang_b = _intrinsic(s, fan_cum, (t_arr, li_arr),
@@ -225,7 +281,7 @@ def _intrinsic(s, cum, corner, ray, d):
     return a
 
 
-def _trace_from_corner(s, t0, i0, phi0, w, max_steps=500):
+def _trace_from_corner(s, unfold, t0, i0, phi0, w, max_steps=500):
     """Trace the segment from the corner vertex to developed point w,
     crossing edge interiors only.  Returns the arrival (triangle, vertex,
     frame) or None when blocked or off course."""
@@ -234,7 +290,7 @@ def _trace_from_corner(s, t0, i0, phi0, w, max_steps=500):
     t, phi = t0, phi0
     s_cur = 0.0
     for _ in range(max_steps):
-        dev = [phi.apply(v) for v in s.triangles[t]]
+        dev = [phi.apply(v) for v in _corners(s, t)]
         for li in range(3):
             if np.linalg.norm(dev[li] - w) < 1e-9 * max(1.0, norm):
                 return (t, li, phi)
@@ -261,7 +317,7 @@ def _trace_from_corner(s, t0, i0, phi0, w, max_steps=500):
         if exit_u < 1e-7 or exit_u > 1 - 1e-7:
             return None  # passes through a vertex: blocked
         t2, _ = s.gluings[(t, exit_e)]
-        phi = phi.compose(s.isometries[(t, exit_e)].inverse())
+        phi = phi.compose(unfold[(t, exit_e)])
         t = t2
         s_cur = exit_s
     return None

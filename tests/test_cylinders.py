@@ -63,7 +63,8 @@ def test_random_torus_strips_yield_their_cylinders():
     for _ in range(80):
         cls = random_closed_strip(s, rng, int(rng.integers(6, 31)))
         hol = develop_strip(s, cls.crossings)[-1]
-        k = math.gcd(round(hol.tx / 1.3), round(hol.ty / 0.7))
+        k = math.gcd(round(hol.shift.real / 1.3),
+                     round(hol.shift.imag / 0.7))
         folds[k] += 1
         if k == 0:
             continue  # trivial class
@@ -94,7 +95,8 @@ def test_cores_through_flat_vertices_graft_on_their_middle_line():
     for _ in range(60):
         cls = random_closed_strip(s, rng, int(rng.integers(4, 20)))
         hol = develop_strip(s, cls.crossings)[-1]
-        if math.gcd(round(hol.tx / 1.3), round(hol.ty / 1.2)) != 1:
+        if math.gcd(round(hol.shift.real / 1.3),
+                    round(hol.shift.imag / 1.2)) != 1:
             continue
         g = tighten_geodesic(s, cls, tol=1e-12)
         primitive += 1
@@ -238,6 +240,6 @@ def test_insert_keeps_marked_puncture():
     (orbit,) = s2.marked_punctures
     assert s2.orbit_orders[orbit] == 0
     # the marked orbit is the torus vertex, not a new vertex on the cut
-    assert all(float(c) in (0.0, 1.0) for ti, i in s2.vertex_orbits[orbit]
-               for c in s2.triangles[ti][i])
+    assert all(c in (0.0, 1.0) for ti, i in s2.vertex_orbits[orbit]
+               for c in (s2.triangles[ti][i].real, s2.triangles[ti][i].imag))
     assert abs(area(s2) - 3.0) < 1e-12

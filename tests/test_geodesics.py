@@ -173,11 +173,11 @@ def test_cylinder_core_is_straight_and_off_the_skeleton(surface, cls):
     g = tighten_geodesic(s, path, tol=1e-12)
     assert g.kind == "nonsingular"
     assert all(1e-9 < u < 1.0 - 1e-9 for u in g.params)
-    dx, dy = g.holonomy.tx / g.length, g.holonomy.ty / g.length
+    d = g.holonomy.shift / g.length
     phis = develop_strip(s, g.crossings)
-    pts = [phis[k].apply(s.edge_point(slot, u))
+    pts = [phis[k](s.edge_point(slot, u))
            for k, (slot, u) in enumerate(zip(g.crossings, g.params))]
-    offsets = [dx * (p[1] - pts[0][1]) - dy * (p[0] - pts[0][0]) for p in pts]
+    offsets = [(d.conjugate() * (p - pts[0])).imag for p in pts]
     assert max(abs(o) for o in offsets) < 1e-12
 
 
@@ -207,7 +207,7 @@ def test_random_torus_classes_reach_the_holonomy_norm():
     for _ in range(40):
         cls = random_closed_strip(s, rng, int(rng.integers(6, 31)))
         hol = develop_strip(s, cls.crossings)[-1]
-        want = math.hypot(hol.tx, hol.ty)
+        want = abs(hol.shift)
         if want < 1e-9:
             with pytest.raises(TrivialClass):
                 tighten_geodesic(s, cls, tol=1e-12)

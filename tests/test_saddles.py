@@ -1,17 +1,25 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
+from cubiclab.currents import spectrum_from_flat
 from cubiclab.errors import NoConvergence
-from cubiclab.flatsurface import presets
+from cubiclab.flatsurface import (
+    PlanarIsometry,
+    TriangulatedFlatSurface,
+    presets,
+)
 from cubiclab.flatsurface.saddles import enumerate_saddle_connections
 from oracles import brute_saddle_connections
 
 
-def _keyset(scs):
+def _keyset(scs, unit=1.0):
+    """The dedup identity of each connection, lengths in units of unit."""
     return {(min(sc.start_orbit, sc.end_orbit),
              max(sc.start_orbit, sc.end_orbit),
-             round(sc.length, 9),
+             round(sc.length / unit, 9),
              tuple(sorted((round(sc.directions[0], 7),
                            round(sc.directions[1], 7)))))
             for sc in scs}
@@ -81,3 +89,39 @@ def test_budget_exhaustion_names_its_numbers():
                        match=r"budget of 10 wedge expansions with "
                              r"max_length=3; \d+ connections found so far"):
         enumerate_saddle_connections(o, 3.0, max_expansions=10)
+
+
+@pytest.mark.parametrize("f", [1e-6, 1e-3, 0.37, 1e3, 1e6])
+def test_connections_scale_with_the_surface(f):
+    # every tolerance is relative to the surface, so the connections of a
+    # scaled octagon are the scaled connections: at the parent 1e3 and
+    # 1e6 found 80 and 91 (extras through the cone point) and 1e-6 raised
+    o = presets.regular_octagon()
+    unit = enumerate_saddle_connections(o, 5.0)
+    scaled = enumerate_saddle_connections(o.scaled(f), 5.0 * f)
+    assert len(unit) == len(scaled) == 56
+    assert _keyset(scaled, unit=f) == _keyset(unit)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("per_triangle", [False, True])
+def test_rotated_octagon_has_the_same_spectrum_and_saddles(seed,
+                                                           per_triangle):
+    # turning the triangle charts, all by one seeded angle or each by its
+    # own, with the same gluings, changes neither the marking spectrum nor
+    # the saddle connections
+    o = presets.regular_octagon()
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi,
+                         size=o.num_triangles if per_triangle else 1)
+    turns = [PlanarIsometry(cmath.rect(1.0, a), 0j)
+             for a in np.resize(angles, o.num_triangles)]
+    r = TriangulatedFlatSurface(
+        [[turn(z) for z in tri] for turn, tri in zip(turns, o.triangles)],
+        o.gluings)
+    marking = presets.octagon_marking()
+    want = spectrum_from_flat(o, marking).values
+    got = spectrum_from_flat(r, marking).values
+    assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
+    assert _keyset(enumerate_saddle_connections(r, 5.0)) == \
+        _keyset(enumerate_saddle_connections(o, 5.0))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -53,8 +54,8 @@ def test_negative_order_requires_marking():
 
 def test_edge_length_mismatch():
     tris = [
-        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
-        [(0.0, 0.0), (1.0, 1.0), (0.0, 2.0)],  # left edge has length 2
+        [0, 1, 1 + 1j],
+        [0, 1 + 1j, 2j],  # left edge has length 2
     ]
     gluings = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
     with pytest.raises(EdgeLengthMismatch):
@@ -84,8 +85,8 @@ def test_bad_cone_angle():
     # orbits have angles pi, pi/2, pi/2.  An angle 2*pi*(1 + k/3) needs an
     # integer k, but the pi orbit has k = 3 * (1/2 - 1) = -1.5
     tris = [
-        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-        [(0.0, 0.0), (0.0, -1.0), (1.0, 0.0)],
+        [0, 1, 1j],
+        [0, -1j, 1],
     ]
     gluings = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
     with pytest.raises(BadConeAngle, match=r"k = -1\.5\b"):
@@ -101,10 +102,11 @@ def test_gauss_bonnet_negative_control():
 def test_build_surface_json_roundtrip_isometries():
     s = presets.regular_octagon()
     spec = {
-        "triangles": [t.tolist() for t in s.triangles],
+        "triangles": [[[z.real, z.imag] for z in t] for t in s.triangles],
         "gluings": [[list(a), list(b),
-                     {"rot": s.isometries[a].rot, "tx": s.isometries[a].tx,
-                      "ty": s.isometries[a].ty}]
+                     {"rot": s.isometries[a].angle,
+                      "tx": s.isometries[a].shift.real,
+                      "ty": s.isometries[a].shift.imag}]
                     for a, b in s.gluings.items() if a < b],
     }
     s2 = build_surface(spec)
@@ -124,11 +126,18 @@ def test_scaling():
 
 def test_isometry_composition_inverse():
     rng = np.random.default_rng(7)
+
+    def isometry():
+        angle, tx, ty = rng.uniform(-2, 2, size=3)
+        return PlanarIsometry(cmath.rect(1.0, angle), complex(tx, ty))
+
     for _ in range(25):
-        a = PlanarIsometry(*rng.uniform(-2, 2, size=3))
-        b = PlanarIsometry(*rng.uniform(-2, 2, size=3))
-        p = rng.uniform(-3, 3, size=2)
-        lhs = a.compose(b).apply(p)
-        rhs = a.apply(b.apply(p))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(a.inverse().apply(a.apply(p)), p, atol=1e-12)
+        a, b = isometry(), isometry()
+        p = complex(*rng.uniform(-3, 3, size=2))
+        assert abs(a.compose(b)(p) - a(b(p))) < 1e-12
+        assert abs(a.inverse()(a(p)) - p) < 1e-12
+        # the segment [p, q] goes to [a(p), a(q)]
+        q = complex(*rng.uniform(-3, 3, size=2))
+        m = PlanarIsometry.from_segment_match(p, q, a(p), a(q))
+        assert abs(m(p) - a(p)) < 1e-12 and abs(m(q) - a(q)) < 1e-12
+        assert m.is_close(a, 1e-12)

@@ -82,8 +82,8 @@ def test_weight_and_pairing_validation():
 def _two_by_one_torus():
     """A 2 x 1 torus of two unit squares: two flat vertex orbits, orbit 0
     at x = 0 and orbit 1 at x = 1 in the triangle charts, both marked."""
-    tris = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)],
-            [(1, 0), (2, 0), (2, 1)], [(1, 0), (2, 1), (1, 1)]]
+    tris = [[0, 1, 1 + 1j], [0, 1 + 1j, 1j],
+            [1, 2, 2 + 1j], [1, 2 + 1j, 1 + 1j]]
     gluings = [((0, 0), (1, 1)), ((0, 1), (3, 2)), ((0, 2), (1, 0)),
                ((1, 2), (2, 1)), ((2, 0), (3, 1)), ((2, 2), (3, 0))]
     return TriangulatedFlatSurface(tris, gluings, marked_punctures=(0, 1))
@@ -93,7 +93,8 @@ def test_unglued_puncture_survives():
     t = presets.square_torus(mark_vertex=True)
     b = _two_by_one_torus()
     assert b.orbit_orders == [0, 0]
-    assert all(b.triangles[ti][i][0] == 1.0 for ti, i in b.vertex_orbits[1])
+    assert all(b.triangles[ti][i].real == 1.0
+               for ti, i in b.vertex_orbits[1])
     eps = 0.2
     g = triangle_surgery_glue([(t, 0), (b, 0)], eps)
     assert g.num_triangles == 16
@@ -102,7 +103,8 @@ def test_unglued_puncture_survives():
     # orbit 1 of the 2 x 1 torus is the only marked puncture left, still flat
     (orbit,) = g.marked_punctures
     assert g.orbit_orders[orbit] == 0
-    assert all(g.triangles[ti][i][0] == 1.0 for ti, i in g.vertex_orbits[orbit])
+    assert all(g.triangles[ti][i].real == 1.0
+               for ti, i in g.vertex_orbits[orbit])
 
 
 def test_prism_core_lengths_scale_with_eps():
