@@ -45,15 +45,6 @@ class CubicDifferentialField:
     def constant(cls, grid: Grid2D, c: complex = 1.0) -> "CubicDifferentialField":
         return cls(grid, coeffs=[c])
 
-    def scaled(self, factor: complex) -> "CubicDifferentialField":
-        coeffs = None if self.coeffs is None else self.coeffs * factor
-        return CubicDifferentialField(self.grid, self.values * factor, coeffs)
-
-    def eval(self, z):
-        if self.coeffs is None:
-            raise ValueError("no polynomial form attached")
-        return np.polyval(self.coeffs[::-1], z)
-
     def zeros(self) -> np.ndarray:
         if self.coeffs is None:
             raise ValueError("no polynomial form attached")

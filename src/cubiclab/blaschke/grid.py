@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ class Grid2D:
     Dirichlet grids include their boundary nodes; doubly periodic grids
     exclude the right/top edge (which wraps to the left/bottom).  Fields are
     arrays of shape (ny, nx), row-major, x varying along the last axis.
-    An optional positive background density sigma may be attached.
     """
 
     x0: float
@@ -27,7 +26,6 @@ class Grid2D:
     nx: int
     ny: int
     bc: str = DIRICHLET
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
@@ -36,13 +34,6 @@ class Grid2D:
             raise ValueError("empty domain rectangle")
         if self.bc not in (DIRICHLET, PERIODIC):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.sigma is not None:
-            sig = np.asarray(self.sigma, dtype=float)
-            if sig.shape != (self.ny, self.nx):
-                raise ValueError("sigma shape does not match the grid")
-            if not np.all(sig > 0):
-                raise ValueError("sigma must be strictly positive")
-            object.__setattr__(self, "sigma", sig)
 
     @property
     def dx(self) -> float:

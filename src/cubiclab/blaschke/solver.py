@@ -52,13 +52,6 @@ class BlaschkeSolution:
     flags: dict = field(default_factory=dict)
 
     @property
-    def u(self) -> np.ndarray:
-        sigma = self.grid.sigma
-        if sigma is None:
-            return self.psi
-        return self.psi - np.log(sigma)
-
-    @property
     def h(self) -> np.ndarray:
         return _safe_exp(self.psi)
 

@@ -170,7 +170,7 @@ class _TriInfo:
     normal: complex | None = None
     levels: list[float] = field(default_factory=list)
     chord_ids: list[int] = field(default_factory=list)
-    pieces: list = field(default_factory=list)  # FanPiece per strip
+    pieces: list = field(default_factory=list)  # soup triangles per piece
 
 
 @dataclass
@@ -188,7 +188,7 @@ class TransportMap:
     tri_info: dict[int, _TriInfo]
     subslot_map: dict
     chord_edge: dict
-    rects: dict
+    rects: list
     subtri_pos: dict
     cut_params: dict
 
@@ -270,10 +270,10 @@ class TransportMap:
         fan = self.tri_info[t_old].pieces[piece_idx]
         if fp < fp_target:
             for i in range(fp, fp_target):
-                out.append((fan.subtris[i], 2))
+                out.append((fan[i], 2))
         else:
             for i in range(fp, fp_target, -1):
-                out.append((fan.subtris[i], 0))
+                out.append((fan[i], 0))
         return (t_old, piece_idx, fp_target)
 
 
@@ -361,38 +361,24 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
         for p in done:
             info.pieces.append(soup.add_fan(p))
 
-    rects = {k: soup.add_rectangle(widths[k], height,
-                                   [("chordrect", k, "A"), ("seamR", k),
-                                    ("chordrect", k, "B"), ("seamL", k)])
-             for k in range(n)}
-
-    def partner(tag):
-        kind = tag[0]
-        if kind == "slot":
-            return slot_partner_tag(tag, s.gluings)
-        if kind == "chord":
-            return ("chordrect", tag[1], tag[2])
-        if kind == "chordrect":
-            return ("chord", tag[1], tag[2])
-        if kind == "seamR":
-            return ("seamL", (tag[1] + 1) % n)
-        if kind == "seamL":
-            return ("seamR", (tag[1] - 1) % n)
-        return None
+    rects = soup.add_band(widths, height,
+                          [("chord", k, "A") for k in range(n)],
+                          [("chord", k, "B") for k in range(n)])
 
     punctures = []
     for orbit in s.marked_punctures:
         t, i = s.vertex_orbits[orbit][0]
-        subtris = [ti for fan in tri_info[t].pieces for ti in fan.subtris]
+        subtris = [ti for fan in tri_info[t].pieces for ti in fan]
         punctures.append(soup.vertex_at(subtris, s.triangles[t][i]))
-    new_surface = soup.assemble(partner, marked_punctures=punctures)
+    new_surface = soup.assemble(lambda tag: slot_partner_tag(tag, s.gluings),
+                                marked_punctures=punctures)
 
     subslot_map: dict = {}
     chord_edge: dict = {}
     subtri_pos: dict = {}
     for t, info in tri_info.items():
         for p_idx, fan in enumerate(info.pieces):
-            for fpos, ti in enumerate(fan.subtris):
+            for fpos, ti in enumerate(fan):
                 subtri_pos[ti] = (t, p_idx, fpos)
     for ti, tags3 in enumerate(soup.tags):
         for e, tag in enumerate(tags3):

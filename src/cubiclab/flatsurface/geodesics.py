@@ -142,6 +142,8 @@ class _Strip:
             a, b = self.s.edge_endpoints(slot)
             self.edges.append((self.phis[k](a), self.phis[k](b)))
         self.holonomy = self.phis[-1]
+        # the strip's length scale, for tolerances on developed points
+        self.scale = max(abs(z) for ab in self.edges for z in ab)
         # shares[k]: the endpoint side (0 right, 1 left) that edges k and
         # k+1 have in common, from the triangle between them
         self.shares = []
@@ -177,7 +179,7 @@ class _Strip:
         """
         n = len(self.crossings)
         pts = self.edges
-        tiny = 1e-12 * max(abs(z) for ab in pts for z in ab)
+        tiny = 1e-12 * self.scale
         H = self.holonomy
         if abs(H.rot - 1.0) <= ANGLE_TOL and self.centre_family(tiny):
             return
@@ -403,7 +405,7 @@ class _Strip:
         p1, p2 = self.point(k1), self.point(k2)
         if k2 == 0 and k1 == len(self.crossings) - 1:
             p2 = self.closing_point()
-        return abs(p1 - p2) <= 1e-9 * max(1.0, abs(p1), abs(p2))
+        return abs(p1 - p2) <= 1e-9 * self.scale
 
     def pivot_angles(self, group):
         """(strip-side angle, far-side angle, orbit) for a pinned run."""

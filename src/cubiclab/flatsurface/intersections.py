@@ -16,15 +16,16 @@ from .planar import cross, dot
 
 def _flat_segments(g: GeodesicRepresentative):
     """(triangle, entry, exit, arclength offset, length) for every segment
-    longer than 1e-12, and the total length."""
+    longer than 1e-12 of the total length, and the total length."""
+    total = sum(abs(b - a) for _t, a, b in g.segments)
     out = []
     off = 0.0
     for (t, a, b) in g.segments:
         ln = abs(b - a)
-        if ln > 1e-12:
+        if ln > 1e-12 * total:
             out.append((t, a, b, off, ln))
         off += ln
-    return out, off
+    return out, total
 
 
 def geometric_intersection_count(s, g1: GeodesicRepresentative,
@@ -32,8 +33,7 @@ def geometric_intersection_count(s, g1: GeodesicRepresentative,
     """Number of transverse crossings of two tightened geodesics."""
     flat1, L1 = _flat_segments(g1)
     flat2, L2 = _flat_segments(g2)
-    scale = max(1.0, L1, L2)
-    tol = 1e-9 * scale
+    tol = 1e-9 * max(L1, L2)
     segs2: dict[int, list] = {}
     for seg in flat2:
         segs2.setdefault(seg[0], []).append(seg)
@@ -55,7 +55,7 @@ def geometric_intersection_count(s, g1: GeodesicRepresentative,
                     crossings.append(pos % L1)
                 continue
             # parallel; collinear iff a2 sits on the line of segment 1
-            if abs(cross(d1, a2 - a1)) > 1e-9 * ln1 * max(ln2, 1):
+            if abs(cross(d1, a2 - a1)) > tol * ln1:
                 continue
             u_lo = dot(a2 - a1, d1) / (ln1 * ln1)
             u_hi = dot(b2 - a1, d1) / (ln1 * ln1)
@@ -109,8 +109,9 @@ def _merge_runs(overlaps, period, tol):
 
 def _point_at(g_segments_flat, pos, period):
     pos %= period
+    slack = 1e-12 * period
     for (t, a, b, off, ln) in g_segments_flat:
-        if off - 1e-12 <= pos <= off + ln + 1e-12:
+        if off - slack <= pos <= off + ln + slack:
             u = (pos - off) / ln
             return t, a + u * (b - a), (b - a) / ln
     raise RuntimeError("position outside the curve")

@@ -7,8 +7,9 @@ decisions live here:
 - ``triangle_piece`` turns a triangle into a piece with the cut points of
   its edges inserted, each sub-edge tagged ``("slot", key, slot, a, b)``;
 - ``slot_partner_tag`` names the same sub-edge seen from the glued slot;
-- ``Soup.add_fan`` and ``Soup.add_rectangle`` triangulate pieces and flat
-  rectangles, pairing their internal diagonals;
+- ``Soup.add_fan`` triangulates a piece, pairing its internal diagonals;
+- ``Soup.add_band`` glues a closed band of flat rectangles between two
+  sides of a cut;
 - ``Soup.vertex_at`` finds a vertex again after subdivision;
 - ``Soup.assemble`` pairs the tags and builds the validated surface.
 
@@ -18,7 +19,7 @@ Tags are matched symbolically, so no floating-point keys enter the matching.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .planar import turn
 from .surface import TriangulatedFlatSurface
@@ -72,14 +73,6 @@ def split_piece(piece: Piece, id_a, id_b, tag_ab, tag_ba) -> tuple[Piece, Piece]
     return p_ab, p_ba
 
 
-@dataclass
-class FanPiece:
-    """A fan-triangulated piece: global soup indices in path order."""
-
-    subtris: list[int] = field(default_factory=list)
-    apex: int = 0
-
-
 class Soup:
     """Accumulates tagged triangles and assembles the final surface."""
 
@@ -94,17 +87,18 @@ class Soup:
         self.tags.append(list(tags3))
         return len(self.tris) - 1
 
-    def add_fan(self, piece: Piece) -> FanPiece:
+    def add_fan(self, piece: Piece) -> list[int]:
         """Fan-triangulate a piece; internal diagonals are paired here.
 
         The fan apex is chosen so every fan triangle is counterclockwise
-        with positive area (handles one reflex vertex).
+        with positive area (handles one reflex vertex).  Returns the soup
+        triangles in path order.
         """
         m = len(piece.verts)
         if m == 3:
-            idx = self.add_triangle(piece.coords, piece.tags)
-            return FanPiece([idx])
-        scale = max(1.0, max(abs(z) for z in piece.coords)) ** 2
+            return [self.add_triangle(piece.coords, piece.tags)]
+        # turns scale as length squared: measure them against the piece
+        scale = max(abs(z - piece.coords[0]) for z in piece.coords) ** 2
         for a in range(m):
             ok = True
             for i in range(1, m - 1):
@@ -117,7 +111,7 @@ class Soup:
         else:
             raise ValueError("piece admits no valid fan apex")
 
-        fan = FanPiece([], apex=a)
+        subtris = []
         prev_diag = None
         for i in range(1, m - 1):
             j0, j1, j2 = a, (a + i) % m, (a + i + 1) % m
@@ -134,14 +128,30 @@ class Soup:
                 self.tags[idx][0] = (pid, "twin")
                 self._internal_pairs.append((pid, (pid, "twin")))
             prev_diag = idx
-            fan.subtris.append(idx)
-        return fan
+            subtris.append(idx)
+        return subtris
 
-    def add_rectangle(self, w: float, h: float, tags4) -> list[int]:
-        """A w x h rectangle as two triangles cut along the diagonal from
-        (0, 0); ``tags4`` tags the bottom, right, top and left sides."""
-        corners = [0j, complex(w, 0.0), complex(w, h), complex(0.0, h)]
-        return self.add_fan(Piece([0, 1, 2, 3], corners, list(tags4))).subtris
+    def add_band(self, widths, h: float, bottoms, tops) -> list[list[int]]:
+        """A closed band of w_k x h rectangles glued between two sides of a
+        cut; returns the soup triangles of each rectangle.
+
+        Rectangle k is cut along its diagonal from (0, 0).  Its bottom is
+        glued to the soup edge tagged ``bottoms[k]``, its top to the edge
+        tagged ``tops[k]`` and its right side to the left side of rectangle
+        k+1, cyclically.  All these pairs are internal.
+        """
+        band = ("band", next(self._fresh))
+        n = len(widths)
+        rects = []
+        for k, w in enumerate(widths):
+            bottom, top = (band, k, "bottom"), (band, k, "top")
+            seam, prev_seam = (band, k, "seam"), (band, (k - 1) % n, "seam")
+            sides = [bottom, seam, top, (prev_seam, "twin")]
+            corners = [0j, complex(w, 0.0), complex(w, h), complex(0.0, h)]
+            rects.append(self.add_fan(Piece([0, 1, 2, 3], corners, sides)))
+            self._internal_pairs += [(bottom, bottoms[k]), (top, tops[k]),
+                                     (seam, (seam, "twin"))]
+        return rects
 
     def vertex_at(self, subtris, pos) -> tuple[int, int]:
         """(soup triangle, corner) of the first corner of ``subtris``

@@ -152,7 +152,7 @@ class TriangulatedFlatSurface:
                 continue
             la = self.edge_length(slot)
             lb = self.edge_length(partner)
-            if abs(la - lb) > GEOM_TOL * max(la, lb, 1.0):
+            if abs(la - lb) > GEOM_TOL * max(la, lb):
                 raise EdgeLengthMismatch(
                     f"edges {slot} (len {la:.12g}) and {partner} "
                     f"(len {lb:.12g}) differ beyond tolerance")

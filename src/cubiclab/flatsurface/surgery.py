@@ -50,6 +50,7 @@ class _Carve:
     ray_cuts: dict = field(default_factory=dict)    # slot -> [(param, id)]
     corner_ops: dict = field(default_factory=dict)  # triangle -> op record
     base_taus: list = field(default_factory=list)   # sorted breakpoints
+    leg_a_slot: tuple | None = None  # glued slot of the first fan ray
 
 
 def _point_line_dist(p, a, b) -> float:
@@ -116,6 +117,7 @@ def _carve_with_rotation(s, orbit, eps, part, fan, angs) -> _Carve:
         carve.ray_cuts.setdefault(slot, []).append((rho / ray_len, cid))
         pslot = s.gluings[slot]
         carve.ray_cuts.setdefault(pslot, []).append((1.0 - rho / ray_len, cid))
+    carve.leg_a_slot = s.gluings[fan[0]]
     for j in affected:
         t, i = fan[j]
         final = j == m
@@ -214,27 +216,13 @@ def _apply_carve(piece: Piece, s, cv: _Carve, op) -> Piece:
     return Piece(verts, coords, tags)
 
 
-def _fix_leg_a(piece_tags_pairs, cv: _Carve, gid):
-    """Retag the partner-side stub of the first fan ray as the legA cut.
-
-    The sub-edge of the ray-0 partner slot between the p1 cut and the slot
-    end corresponds to the removed wedge side and becomes free boundary.
-    """
-    target_old = None
-    for slot, cuts in cv.ray_cuts.items():
-        for u, cid in cuts:
-            if cid == ("p1", cv.part) and u > 0.5:
-                target_old = ("slot", gid, slot, ("p1", cv.part), "hi")
-    if target_old is None:
-        raise RuntimeError("legA stub not found")
-    hits = 0
-    for piece in piece_tags_pairs:
-        for j, tag in enumerate(piece.tags):
-            if tag == target_old:
-                piece.tags[j] = ("legA", cv.part)
-                hits += 1
-    if hits != 1:
-        raise RuntimeError(f"legA stub matched {hits} edges, expected 1")
+def _cut_boundary(cv: _Carve, gid, m_base: int) -> list:
+    """The tags of a part's cut boundary in walk order: leg B, the base
+    pieces m-1..0, then leg A, which is the stub of the first fan ray's
+    glued slot past the p1 cut."""
+    return ([("legB", cv.part)]
+            + [("base", cv.part, j) for j in range(m_base - 1, -1, -1)]
+            + [("slot", gid, cv.leg_a_slot, ("p1", cv.part), "hi")])
 
 
 def triangle_surgery_glue(parts, eps: float, weights=None,
@@ -271,7 +259,7 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
         part_gid[idx] = gid
 
     soup = Soup()
-    tri_maps: dict[int, dict] = {}
+    tri_maps: dict[int, list] = {}
     for gid, (s_i, idxs) in groups.items():
         ray_cuts: dict = {}
         corner_ops: dict = {}
@@ -287,102 +275,35 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
                 corner_ops[t] = (cv, op)
         for cuts in ray_cuts.values():
             cuts.sort()
-        pieces = []
-        tri_map = {}
+        tri_maps[gid] = []
         for t in range(s_i.num_triangles):
             piece = triangle_piece(s_i, t, ray_cuts, key=gid)
             if t in corner_ops:
                 cv, op = corner_ops[t]
                 piece = _apply_carve(piece, s_i, cv, op)
-            pieces.append(piece)
-        for idx in idxs:
-            _fix_leg_a(pieces, carves[idx], gid)
-        for t, piece in enumerate(pieces):
-            tri_map[t] = soup.add_fan(piece).subtris
-        tri_maps[gid] = tri_map
+            tri_maps[gid].append(soup.add_fan(piece))
 
-    n_rects = {}
+    # a weight-0 pair glues the two cut boundaries directly, a weighted
+    # pair a band between them.  A rectangle's bottom meets its boundary
+    # edge reversed, so the band runs right to left along the walk and
+    # takes the boundaries in reverse walk order
+    pairs = {}
     for p, w in enumerate(weights):
+        m_base = pair_sizes[p]
+        first, second = (_cut_boundary(carves[idx], part_gid[idx], m_base)
+                         for idx in (2 * p, 2 * p + 1))
         if w == 0.0:
+            pairs.update(zip(first, reversed(second)))
+            pairs.update(zip(reversed(second), first))
             continue
-        m_base = pair_sizes[p]
-        pa = carves[2 * p]
-        seq = [("legB", 2 * p)]
-        seq += [("base", 2 * p, j) for j in range(m_base - 1, -1, -1)]
-        seq += [("legA", 2 * p)]
-        n_rects[p] = len(seq)
-        for r, bottom_tag in enumerate(seq):
-            if bottom_tag[0] == "base":
-                j = bottom_tag[2]
-                width = (pa.base_taus[j + 1] - pa.base_taus[j]) * eps
-            else:
-                width = eps
-            soup.add_rectangle(width, w, [
-                ("prismB", p, r), ("prismSeamR", p, r),
-                ("prismT", p, r), ("prismSeamL", p, r)])
-
-    def pair_partner(tag):
-        """Boundary pairing for a weight-zero glued pair."""
-        kind, part = tag[0], tag[1]
-        p, is_first = divmod(part, 2)
-        other = part + 1 if is_first == 0 else part - 1
-        m_base = pair_sizes[p]
-        if kind == "legA":
-            return ("legB", other)
-        if kind == "legB":
-            return ("legA", other)
-        return ("base", other, m_base - 1 - tag[2])
-
-    def prism_tag_for(tag):
-        """Rect tag glued to a part's boundary edge in a weighted pair."""
-        kind, part = tag[0], tag[1]
-        p, is_first = divmod(part, 2)
-        m_base = pair_sizes[p]
-        if is_first == 0:
-            if kind == "legB":
-                return ("prismB", p, 0)
-            if kind == "base":
-                return ("prismB", p, 1 + (m_base - 1 - tag[2]))
-            return ("prismB", p, m_base + 1)
-        if kind == "legA":
-            return ("prismT", p, 0)
-        if kind == "base":
-            return ("prismT", p, 1 + tag[2])
-        return ("prismT", p, m_base + 1)
-
-    boundary_of_rect = {}
-    for p, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        m_base = pair_sizes[p]
-        for part, kinds in ((2 * p, "first"), (2 * p + 1, "second")):
-            for kind in ("legA", "legB"):
-                tag = (kind, part)
-                boundary_of_rect[prism_tag_for(tag)] = tag
-            for j in range(m_base):
-                tag = ("base", part, j)
-                boundary_of_rect[prism_tag_for(tag)] = tag
+        taus = carves[2 * p].base_taus
+        widths = [eps * (taus[j + 1] - taus[j]) for j in range(m_base)]
+        soup.add_band([eps] + widths + [eps], w, first[::-1], second)
 
     def partner(tag):
-        kind = tag[0]
-        if kind == "slot":
-            return slot_partner_tag(tag, groups[tag[1]][0].gluings)
-        if kind in ("legA", "legB", "base"):
-            p = tag[1] // 2
-            if weights[p] > 0.0:
-                return prism_tag_for(tag)
-            return pair_partner(tag)
-        if kind in ("prismB", "prismT"):
-            return boundary_of_rect[tag]
-        if kind == "prismSeamR":
-            # bottoms attach orientation-reversed, so the band adjoins
-            # right-to-left along the boundary walk
-            _, p, r = tag
-            return ("prismSeamL", p, (r - 1) % n_rects[p])
-        if kind == "prismSeamL":
-            _, p, r = tag
-            return ("prismSeamR", p, (r + 1) % n_rects[p])
-        return None
+        if tag in pairs:
+            return pairs[tag]
+        return slot_partner_tag(tag, groups[tag[1]][0].gluings)
 
     # surviving marked punctures (those not glued here), by position
     punctures = []

@@ -211,12 +211,15 @@ def test_insert_preserves_core_and_stretches_crossers():
 
 
 def test_insert_area_additivity_re_triangulated():
-    # the rebuilt triangulation's shoelace sum is the oracle here
-    s = presets.square_torus()
-    for h in (0.5, 2.0):
-        s2 = insert_cylinder(s, presets.torus_class(1, 1), h)
-        assert abs(area(s2) - (1.0 + math.sqrt(2.0) * h)) < 1e-9
-        assert abs(gauss_bonnet_defect(s2)) < 1e-9
+    # the rebuilt triangulation's shoelace sum is the oracle here, at every
+    # scale f of the torus and the heights
+    for f in (1.0, 1e-9, 1e-6, 1e3, 1e9):
+        s = presets.square_torus().scaled(f)
+        for h in (0.5, 2.0):
+            s2 = insert_cylinder(s, presets.torus_class(1, 1), h * f)
+            expect = 1.0 + math.sqrt(2.0) * h
+            assert abs(area(s2) / f ** 2 - expect) < 1e-9, f
+            assert abs(gauss_bonnet_defect(s2)) < 1e-9, f
 
 
 def test_insert_requires_positive_height():

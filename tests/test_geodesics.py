@@ -132,6 +132,22 @@ def test_scale_equivariance():
     l1 = tighten_geodesic(o, cls, tol=1e-12).length
     l2 = tighten_geodesic(big, cls, tol=1e-12).length
     assert abs(l2 - 3.0 * l1) < 1e-9
+    # random classes tighten to the same polyline on tiny copies
+    rng = np.random.default_rng(3)
+    classes = [random_closed_strip(o, rng, int(rng.integers(6, 31)))
+               for _ in range(60)]
+    unit = [tighten_geodesic(o, c, tol=1e-12) for c in classes]
+    for f in (1e-9, 1e-12):
+        small = o.scaled(f)
+        for cls, g in zip(classes, unit):
+            h = tighten_geodesic(small, cls, tol=1e-12)
+            assert (h.crossings, h.kind) == (g.crossings, g.kind)
+            assert [v.orbit for v in h.cone_visits] == \
+                [v.orbit for v in g.cone_visits]
+            for v, w in zip(h.cone_visits, g.cone_visits):
+                assert max(abs(a - b) for a, b in
+                           zip(v.side_angles, w.side_angles)) < 1e-11
+            assert abs(h.length / f - g.length) <= 1e-12 * g.length
 
 
 def test_segments_concatenate():

@@ -10,9 +10,8 @@ TORUS_PAIRS = list(itertools.combinations(
     [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1), (2, 3)], 2))
 
 
-@pytest.fixture(scope="module")
-def torus_reps():
-    s = presets.square_torus()
+def _reps(f):
+    s = presets.square_torus().scaled(f)
     cache = {}
 
     def rep(pq):
@@ -24,11 +23,21 @@ def torus_reps():
     return s, rep
 
 
+@pytest.fixture(scope="module")
+def torus_reps():
+    return _reps(1.0)
+
+
+@pytest.fixture(scope="module")
+def tiny_torus_reps():
+    return _reps(1e-9)
+
+
 @pytest.mark.parametrize("c1,c2", TORUS_PAIRS)
-def test_torus_matches_lattice_formula(torus_reps, c1, c2):
-    s, rep = torus_reps
-    got = geometric_intersection_count(s, rep(c1), rep(c2))
-    assert got == lattice_intersection(c1, c2)
+def test_torus_matches_lattice_formula(torus_reps, tiny_torus_reps, c1, c2):
+    for s, rep in (torus_reps, tiny_torus_reps):
+        got = geometric_intersection_count(s, rep(c1), rep(c2))
+        assert got == lattice_intersection(c1, c2)
 
 
 def test_symmetry(torus_reps):

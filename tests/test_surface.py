@@ -60,6 +60,13 @@ def test_edge_length_mismatch():
     gluings = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
     with pytest.raises(EdgeLengthMismatch):
         TriangulatedFlatSurface(tris, gluings)
+    # the match is relative to the edge: a 1e-4 relative move of one
+    # corner is caught on a small surface too
+    o = presets.regular_octagon().scaled(1e-6)
+    tris = [list(t) for t in o.triangles]
+    tris[0][1] += 1e-4 * abs(tris[0][1] - tris[0][0])
+    with pytest.raises(EdgeLengthMismatch):
+        TriangulatedFlatSurface(tris, o.gluings)
 
 
 def test_non_involutive_gluing():

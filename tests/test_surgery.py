@@ -54,6 +54,19 @@ def test_glue_octagons_at_cone_points():
     assert sorted(o for o in g.orbit_orders if o != 0) == [2, 2, 14]
 
 
+def test_prism_band_between_cone_points():
+    # the band is glued to cut boundaries whose fans run round the
+    # octagon's cone point
+    o1, o2 = _marked_octagon(), _marked_octagon()
+    eps, w = 0.3, 0.4
+    g = triangle_surgery_glue([(o1, 0), (o2, 0)], eps, weights=[w])
+    assert abs(gauss_bonnet_defect(g)) < 1e-9
+    assert g.euler_characteristic == -6
+    assert sorted(o for o in g.orbit_orders if o != 0) == [1, 1, 1, 1, 7, 7]
+    expect = 2.0 * area(o1) - 2.0 * WEDGE_AREA * eps ** 2 + 3.0 * eps * w
+    assert abs(area(g) - expect) < 1e-12
+
+
 def test_eps_too_large_clearance():
     # octagon's cone point has a closed saddle connection of length 1
     o1, o2 = _marked_octagon(), _marked_octagon()
@@ -108,9 +121,12 @@ def test_unglued_puncture_survives():
 
 
 def test_prism_core_lengths_scale_with_eps():
-    t1 = presets.square_torus(mark_vertex=True)
-    t2 = presets.square_torus(mark_vertex=True)
-    for eps in (0.1, 0.25):
-        g = triangle_surgery_glue([(t1, 0), (t2, 0)], eps, weights=[0.5])
-        expect = 2.0 - 2.0 * WEDGE_AREA * eps ** 2 + 3.0 * eps * 0.5
-        assert abs(area(g) - expect) < 1e-12
+    # at every scale f of the tori, eps and the weight
+    for f in (1.0, 1e-9, 1e-6, 1e3, 1e9):
+        t1 = presets.square_torus(mark_vertex=True).scaled(f)
+        t2 = presets.square_torus(mark_vertex=True).scaled(f)
+        for eps in (0.1, 0.25):
+            g = triangle_surgery_glue([(t1, 0), (t2, 0)], eps * f,
+                                      weights=[0.5 * f])
+            expect = 2.0 - 2.0 * WEDGE_AREA * eps ** 2 + 3.0 * eps * 0.5
+            assert abs(area(g) / f ** 2 - expect) < 1e-12, f
