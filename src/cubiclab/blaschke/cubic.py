@@ -45,14 +45,6 @@ class CubicDifferentialField:
     def constant(cls, grid: Grid2D, c: complex = 1.0) -> "CubicDifferentialField":
         return cls(grid, coeffs=[c])
 
-    def zeros(self) -> np.ndarray:
-        if self.coeffs is None:
-            raise ValueError("no polynomial form attached")
-        c = np.trim_zeros(self.coeffs, "b")
-        if len(c) <= 1:
-            return np.array([], dtype=complex)
-        return np.roots(c[::-1])
-
     def flat_area(self) -> float:
         """Quadrature of |q|^(2/3) over the grid domain."""
         return self.grid.integrate(self.abs23)

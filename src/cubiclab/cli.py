@@ -24,6 +24,7 @@ from .errors import ConfigError, CubiclabError
 from .flatsurface import presets, tighten_geodesic
 from .flatsurface import io as fsio
 from .flatsurface.cylinders import insert_cylinder_detailed
+from .flatsurface.intersections import geometric_intersection_count
 from .flatsurface.surface import area, gauss_bonnet_defect
 from .flatsurface.surgery import triangle_surgery_glue
 
@@ -349,7 +350,9 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
     if mode == "cylinder-ray":
         s = presets.square_torus()
         marking = [presets.torus_class(1, 0), presets.torus_class(0, 1)]
-        table = np.array([[0, 1], [1, 0]])
+        reps = [tighten_geodesic(s, c, tol=1e-12) for c in marking]
+        table = np.array([[geometric_intersection_count(s, a, b)
+                           for b in reps] for a in reps])
         spectra = []
         rows = [["height"] + [c.label for c in marking]]
         for h in config["heights"]:

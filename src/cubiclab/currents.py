@@ -11,7 +11,7 @@ subsurface groups, and reports per-part systoles over the marking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +103,6 @@ class LimitClassification:
     null_set: tuple[str, ...]
     parts: tuple[SubsurfaceMarking, ...]
     laminar_weights: dict | None    # weights on the null set, when fittable
-    converged: bool
-    report: dict = field(default_factory=dict)
 
 
 def _component_limit(seq: list[float], tol: float):
@@ -239,13 +237,8 @@ def classify_limit(seq: list[MarkedLengthSpectrum], table: np.ndarray,
                 weights = {marking[j]: max(float(wj), 0.0)
                            for j, wj in zip(null_set, w)}
 
-    report = {
-        "modes": dict(zip(marking, modes)),
-        "tolerance": tol,
-        "sequence_length": len(seq),
-    }
     return LimitClassification(limit, tuple(modes), null_ids, tuple(parts),
-                               weights, True, report)
+                               weights)
 
 
 # -- mixed structures --------------------------------------------------------

@@ -29,7 +29,9 @@ class NoConvergence(CubiclabError):
 
 
 class NotNonsingular(CubiclabError):
-    """A cylinder operation received a geodesic through a cone point."""
+    """A geodesic passes through a cone point where a nonsingular one is
+    needed: a cylinder core, or one of the two curves of an intersection
+    count."""
 
 
 class NotCylindrical(CubiclabError):

@@ -167,8 +167,8 @@ def detect_cylinder(s: TriangulatedFlatSurface,
 
 @dataclass
 class _TriInfo:
-    normal: complex | None = None
-    levels: list[float] = field(default_factory=list)
+    # chord_ids[i] separates pieces i and i + 1: pieces are stacked in
+    # chord order, from side "A" of the lowest chord upwards
     chord_ids: list[int] = field(default_factory=list)
     pieces: list = field(default_factory=list)  # soup triangles per piece
 
@@ -208,35 +208,27 @@ class TransportMap:
             prev = (k - 1) % n
             entry_slot, entry_u = s.partner_param(rep.crossings[prev], us[prev])
             exit_slot, exit_u = rep.crossings[k], us[k]
-            info = self.tri_info[t]
+            chord_ids = self.tri_info[t].chord_ids
             pos = self._sub_position(entry_slot, entry_u)
-            if info.normal is not None and info.levels:
-                entry_pt = s.edge_point(entry_slot, entry_u)
-                exit_pt = s.edge_point(exit_slot, exit_u)
-                nu_in = dot(entry_pt, info.normal)
-                nu_out = dot(exit_pt, info.normal)
-                crossed = [(lv, cid) for lv, cid in
-                           zip(info.levels, info.chord_ids)
-                           if min(nu_in, nu_out) + 1e-12 < lv
-                           < max(nu_in, nu_out) - 1e-12]
-                crossed.sort(reverse=nu_in > nu_out)
-                for lv, cid in crossed:
-                    from_below = nu_in < lv
-                    side = "A" if from_below else "B"
-                    chord_slot = self.chord_edge[(cid, side)]
-                    pos = self._emit_fan_path(out, pos, chord_slot[0])
-                    out.append(chord_slot)
-                    bk, tk = self.rects[cid]
-                    if from_below:
-                        out.append((bk, 2))
-                        out.append((tk, 1))
-                        landing = self.chord_edge[(cid, "B")]
-                    else:
-                        out.append((tk, 0))
-                        out.append((bk, 0))
-                        landing = self.chord_edge[(cid, "A")]
-                    pos = self.subtri_pos[landing[0]]
             exit_sub = self._sub_slot(exit_slot, exit_u)
+            # from piece i to piece j the chords i..j-1 are crossed in turn
+            i, j = pos[1], self.subtri_pos[exit_sub[0]][1]
+            from_below = i < j
+            for c in (range(i, j) if from_below else range(i - 1, j - 1, -1)):
+                cid = chord_ids[c]
+                chord_slot = self.chord_edge[(cid, "A" if from_below else "B")]
+                pos = self._emit_fan_path(out, pos, chord_slot[0])
+                out.append(chord_slot)
+                bk, tk = self.rects[cid]
+                if from_below:
+                    out.append((bk, 2))
+                    out.append((tk, 1))
+                    landing = self.chord_edge[(cid, "B")]
+                else:
+                    out.append((tk, 0))
+                    out.append((bk, 0))
+                    landing = self.chord_edge[(cid, "A")]
+                pos = self.subtri_pos[landing[0]]
             pos = self._emit_fan_path(out, pos, exit_sub[0])
             out.append(exit_sub)
         return HomotopyClassPath(tuple(out), label=rep.label)
@@ -340,12 +332,10 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
             continue
         dvec = tchords[0][4] - tchords[0][3]
         normal = 1j * (dvec / abs(dvec))
-        info.normal = normal
         levels = sorted((dot(0.5 * (pi + po), normal), k, eid, xid)
                         for k, eid, xid, pi, po in tchords)
         pending = [piece]
         for lv, cid, eid, xid in levels:
-            info.levels.append(lv)
             info.chord_ids.append(cid)
             target = next(p for p in pending
                           if eid in p.verts and xid in p.verts)

@@ -1,149 +1,98 @@
 """Geometric intersection numbers of tightened geodesic polylines.
 
-Transverse crossings are counted per triangle and deduplicated by their
-arclength position along the first curve (a crossing on a shared edge is
-seen from both adjacent triangles).  Collinear shared arcs are resolved by
-the left-push convention: a maximal shared arc contributes one crossing
-exactly when the second curve leaves it on the opposite side from which it
-entered.
+At least one of the two geodesics must be nonsingular.  Such a geodesic is
+a cylinder core and meets no cone point, so the curves meet in three ways
+only: transverse crossings inside or on the boundary of a triangle, found
+per triangle; meetings at a vertex, which is flat (angle 2*pi) and where two
+geodesics cross, read from the pinned params; and collinear runs, which
+make the two one closed curve, whose count is 0.  A segment along an edge
+is listed in both triangles of that edge, so that two lines running along
+one edge from opposite sides are compared.
+
+A crossing is a pair of arclength positions, one along each curve; two
+crossings are the same only when both positions agree.  A curve that
+passes twice through one point of the other crosses it twice there, as a
+k-fold class does at each of its crossings.
 """
 
 from __future__ import annotations
 
-from .geodesics import GeodesicRepresentative
+from ..errors import NotNonsingular
+from .geodesics import PIN_TOL, GeodesicRepresentative
 from .planar import cross, dot
 
 
-def _flat_segments(g: GeodesicRepresentative):
-    """(triangle, entry, exit, arclength offset, length) for every segment
-    longer than 1e-12 of the total length, and the total length."""
-    total = sum(abs(b - a) for _t, a, b in g.segments)
-    out = []
-    off = 0.0
-    for (t, a, b) in g.segments:
+def _corner(slot, u: float):
+    """The corner of the slot's triangle at which param u pins, or None."""
+    t, e = slot
+    if u <= PIN_TOL:
+        return e
+    if u >= 1.0 - PIN_TOL:
+        return (e + 1) % 3
+    return None
+
+
+def _trace(s, g: GeodesicRepresentative):
+    """(triangle, entry, exit, arclength offset) for every segment longer
+    than 1e-12 of the length, a segment along an edge also in the glued
+    triangle's chart; and (vertex orbit, arclength offset) of every pin."""
+    segs, pins, off = [], [], 0.0
+    for k, (t, a, b) in enumerate(g.segments):
         ln = abs(b - a)
-        if ln > 1e-12 * total:
-            out.append((t, a, b, off, ln))
+        i = _corner(*s.partner_param(g.crossings[k - 1], g.params[k - 1]))
+        j = _corner(g.crossings[k], g.params[k])
+        if ln > 1e-12 * g.length:
+            segs.append((t, a, b, off))
+            if i is not None and j is not None:  # along an edge
+                e = i if j == (i + 1) % 3 else j
+                iso = s.isometries[(t, e)]
+                segs.append((s.gluings[(t, e)][0], iso(a), iso(b), off))
         off += ln
-    return out, total
+        if j is not None:
+            pins.append((s.orbit_of[(t, j)], off))
+    return segs, pins
 
 
 def geometric_intersection_count(s, g1: GeodesicRepresentative,
                                  g2: GeodesicRepresentative) -> int:
-    """Number of transverse crossings of two tightened geodesics."""
-    flat1, L1 = _flat_segments(g1)
-    flat2, L2 = _flat_segments(g2)
+    """Number of crossings of two tightened geodesics, one nonsingular."""
+    if g1.cone_visits and g2.cone_visits:
+        o1, o2 = (sorted({v.orbit for v in g.cone_visits}) for g in (g1, g2))
+        raise NotNonsingular(
+            "intersection counts need one nonsingular geodesic; both pass "
+            f"through cone points (orbits {o1} and {o2})")
+    (segs1, pins1), (segs2, pins2) = _trace(s, g1), _trace(s, g2)
+    L1, L2 = g1.length, g2.length
     tol = 1e-9 * max(L1, L2)
-    segs2: dict[int, list] = {}
-    for seg in flat2:
-        segs2.setdefault(seg[0], []).append(seg)
+    by_tri: dict[int, list] = {}
+    for seg in segs2:
+        by_tri.setdefault(seg[0], []).append(seg)
 
-    crossings: list[float] = []   # positions along g1
-    overlaps: list[tuple[float, float, int]] = []  # (lo, hi, seg2 dir sign)
-
-    for (t, a1, b1, off1, ln1) in flat1:
+    found = [(p1, p2) for o1, p1 in pins1 for o2, p2 in pins2 if o1 == o2]
+    for t, a1, b1, off1 in segs1:
         d1 = b1 - a1
-        for (_t, a2, b2, _off2, ln2) in segs2.get(t, ()):
+        ln1 = abs(d1)
+        for _t, a2, b2, off2 in by_tri.get(t, ()):
             d2 = b2 - a2
+            ln2 = abs(d2)
+            r = a2 - a1
             cr = cross(d1, d2)
             if abs(cr) > 1e-9 * ln1 * ln2:
-                r = a2 - a1
-                t1 = cross(r, d2) / cr
-                t2 = cross(r, d1) / cr
+                t1, t2 = cross(r, d2) / cr, cross(r, d1) / cr
                 if -1e-9 <= t1 <= 1 + 1e-9 and -1e-9 <= t2 <= 1 + 1e-9:
-                    pos = off1 + min(max(t1, 0.0), 1.0) * ln1
-                    crossings.append(pos % L1)
-                continue
-            # parallel; collinear iff a2 sits on the line of segment 1
-            if abs(cross(d1, a2 - a1)) > tol * ln1:
-                continue
-            u_lo = dot(a2 - a1, d1) / (ln1 * ln1)
-            u_hi = dot(b2 - a1, d1) / (ln1 * ln1)
-            sgn = 1 if u_hi >= u_lo else -1
-            lo, hi = sorted((u_lo, u_hi))
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
-            if hi - lo > 1e-9:
-                overlaps.append(((off1 + lo * ln1) % L1,
-                                 (off1 + hi * ln1) % L1, sgn))
+                    found.append((off1 + t1 * ln1, off2 + t2 * ln2))
+            elif abs(cross(d1, r)) <= tol * ln1:
+                # collinear: a shared run makes the two one closed curve
+                u, v = sorted((dot(r, d1) / ln1, dot(b2 - a1, d1) / ln1))
+                if min(v, ln1) - max(u, 0.0) > tol:
+                    return 0
 
-    count = _distinct_positions(crossings, L1, tol)
-    if not overlaps:
-        return count
+    def near(p, q, period):
+        d = (p - q) % period
+        return min(d, period - d) <= tol
 
-    total_overlap = sum((hi - lo) % L1 for lo, hi, _ in overlaps)
-    if total_overlap >= min(L1, L2) - 10 * tol:
-        # the curves coincide; no transverse crossings by the convention
-        return 0
-    runs = _merge_runs(overlaps, L1, tol)
-    count += _overlap_crossings(flat1, L1, flat2, runs, tol)
-    return count
-
-
-def _distinct_positions(positions, period, tol) -> int:
-    if not positions:
-        return 0
-    pts = sorted(p % period for p in positions)
-    clusters = 1
-    for prev, cur in zip(pts, pts[1:]):
-        if cur - prev > tol:
-            clusters += 1
-    # wrap-around cluster
-    if clusters > 1 and (pts[0] + period) - pts[-1] <= tol:
-        clusters -= 1
-    return clusters
-
-
-def _merge_runs(overlaps, period, tol):
-    ivs = sorted((lo, hi) for lo, hi, _ in overlaps)
-    merged = []
-    for lo, hi in ivs:
-        if merged and lo <= merged[-1][1] + tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    if len(merged) > 1 and merged[0][0] + period <= merged[-1][1] + tol:
-        merged[0][0] = merged[-1][0] - period
-        merged.pop()
-    return [(lo, hi) for lo, hi in merged]
-
-
-def _point_at(g_segments_flat, pos, period):
-    pos %= period
-    slack = 1e-12 * period
-    for (t, a, b, off, ln) in g_segments_flat:
-        if off - slack <= pos <= off + ln + slack:
-            u = (pos - off) / ln
-            return t, a + u * (b - a), (b - a) / ln
-    raise RuntimeError("position outside the curve")
-
-
-def _overlap_crossings(flat1, L1, flat2, runs, tol) -> int:
-    """Left-push rule: one crossing per shared arc that g2 traverses from
-    one side of g1 to the other."""
-    extra = 0
-    for lo, hi in runs:
-        t_lo, p_lo, d1_lo = _point_at(flat1, lo, L1)
-        t_hi, p_hi, d1_hi = _point_at(flat1, hi, L1)
-        side_in = _g2_side(flat2, t_lo, p_lo, d1_lo, entering=True, tol=tol)
-        side_out = _g2_side(flat2, t_hi, p_hi, d1_hi, entering=False, tol=tol)
-        if side_in is not None and side_out is not None \
-                and side_in * side_out < 0:
-            extra += 1
-    return extra
-
-
-def _g2_side(flat2, tri, point, d1, entering, tol):
-    """Side of g1 on which g2 sits just before/after a shared-arc endpoint."""
-    for (t, a, b, off, ln) in flat2:
-        if t != tri:
-            continue
-        if entering and abs(b - point) <= 10 * tol:
-            probe = a
-        elif not entering and abs(a - point) <= 10 * tol:
-            probe = b
-        else:
-            continue
-        sgn = cross(d1, probe - point)
-        if abs(sgn) > tol:
-            return 1 if sgn > 0 else -1
-    return None
+    kept: list[tuple[float, float]] = []
+    for p1, p2 in found:
+        if not any(near(p1, q1, L1) and near(p2, q2, L2) for q1, q2 in kept):
+            kept.append((p1, p2))
+    return len(kept)

@@ -154,11 +154,12 @@ class Soup:
         return rects
 
     def vertex_at(self, subtris, pos) -> tuple[int, int]:
-        """(soup triangle, corner) of the first corner of ``subtris``
-        within 1e-12 of ``pos``."""
+        """(soup triangle, corner) of the first corner of ``subtris`` at
+        ``pos``.  Pieces copy their corners bit for bit, so the match is
+        exact at every scale."""
         for ti in subtris:
             for li in range(3):
-                if abs(self.tris[ti][li] - pos) < 1e-12:
+                if self.tris[ti][li] == pos:
                     return ti, li
         raise RuntimeError(f"no corner of soup triangles {list(subtris)} "
                            f"lies at ({pos.real:.17g}, {pos.imag:.17g})")

@@ -13,6 +13,7 @@ import numpy as np
 from cubiclab import blaschke, currents, geomlimits
 from cubiclab.flatsurface import presets, tighten_geodesic
 from cubiclab.flatsurface.cylinders import insert_cylinder_detailed
+from cubiclab.flatsurface.intersections import geometric_intersection_count
 from cubiclab.flatsurface.surface import area, gauss_bonnet_defect
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -134,7 +135,10 @@ def test_criterion_6_decay_certification():
 def test_criterion_7_degeneration_classifier():
     s = presets.square_torus()
     marking = [presets.torus_class(1, 0), presets.torus_class(0, 1)]
-    table = np.array([[0, 1], [1, 0]])
+    reps = [tighten_geodesic(s, c, tol=1e-12) for c in marking]
+    table = np.array([[geometric_intersection_count(s, a, b) for b in reps]
+                      for a in reps])
+    assert table.tolist() == [[0, 1], [1, 0]]
     spectra = []
     for h in (1.0, 2.0, 4.0, 8.0, 16.0):
         res = insert_cylinder_detailed(s, presets.torus_class(1, 0), h)

@@ -179,15 +179,17 @@ def test_insert_cylinder_torus_geometry():
 
 
 def test_insert_cylinder_transported_spectrum():
-    s = presets.square_torus()
-    res = insert_cylinder_detailed(s, presets.torus_class(1, 0), 2.0)
+    # transport must not depend on the size of the surface
     expect = {(1, 0): 1.0, (0, 1): 3.0, (1, 1): math.sqrt(10.0)}
-    for (p, q), val in expect.items():
-        moved = res.transport.transport(presets.torus_class(p, q))
-        g = tighten_geodesic(res.surface, moved, tol=1e-12)
-        assert abs(g.length - val) < 1e-9
-        # oracle: lattice norm on the 1 x 3 torus
-        assert abs(val - lattice_norm(p, q, 1.0, 3.0)) < 1e-15
+    for f in (1.0, 1e-12):
+        s = presets.square_torus().scaled(f)
+        res = insert_cylinder_detailed(s, presets.torus_class(1, 0), 2.0 * f)
+        for (p, q), val in expect.items():
+            moved = res.transport.transport(presets.torus_class(p, q))
+            g = tighten_geodesic(res.surface, moved, tol=1e-12)
+            assert abs(g.length / f - val) < 1e-9
+            # oracle: lattice norm on the 1 x 3 torus
+            assert abs(val - lattice_norm(p, q, 1.0, 3.0)) < 1e-15
 
 
 def test_insert_preserves_core_and_stretches_crossers():
@@ -237,12 +239,13 @@ def test_iterated_insert():
 
 
 def test_insert_keeps_marked_puncture():
-    s = presets.square_torus(mark_vertex=True)
-    s2 = insert_cylinder(s, presets.torus_class(1, 0), 2.0)
-    assert len(s2.marked_punctures) == 1
-    (orbit,) = s2.marked_punctures
-    assert s2.orbit_orders[orbit] == 0
-    # the marked orbit is the torus vertex, not a new vertex on the cut
-    assert all(c in (0.0, 1.0) for ti, i in s2.vertex_orbits[orbit]
-               for c in (s2.triangles[ti][i].real, s2.triangles[ti][i].imag))
-    assert abs(area(s2) - 3.0) < 1e-12
+    for f in (1.0, 1e-12):
+        s = presets.square_torus(mark_vertex=True).scaled(f)
+        s2 = insert_cylinder(s, presets.torus_class(1, 0), 2.0 * f)
+        assert len(s2.marked_punctures) == 1
+        (orbit,) = s2.marked_punctures
+        assert s2.orbit_orders[orbit] == 0
+        # the marked orbit is the torus vertex, not a new vertex on the cut
+        corners = [s2.triangles[ti][i] for ti, i in s2.vertex_orbits[orbit]]
+        assert all(c in (0.0, f) for z in corners for c in (z.real, z.imag))
+        assert abs(area(s2) / f ** 2 - 3.0) < 1e-12
