@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import NegativeInput, NonpositiveRadius
 from .cubic import CubicDifferentialField
-from .grid import DIRICHLET, Grid2D
+from .grid import DIRICHLET
 from .solver import BlaschkeSolution, _safe_exp
 
 CBRT2 = 2.0 ** (1.0 / 3.0)

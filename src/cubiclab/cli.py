@@ -354,10 +354,13 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
         table = np.array([[geometric_intersection_count(s, a, b)
                            for b in reps] for a in reps])
         spectra = []
+        height_two = None
         rows = [["height"] + [c.label for c in marking]]
         for h in config["heights"]:
             res = insert_cylinder_detailed(s, presets.torus_class(1, 0),
                                            float(h))
+            if float(h) == 2.0:
+                height_two = res
             moved = [res.transport.transport(c) for c in marking]
             sp = currents.spectrum_from_flat(res.surface, moved)
             spectra.append(sp)
@@ -387,13 +390,10 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
         report.add("limit-column",
                    "limit spectrum proportional to the core's table column",
                    err < 1e-3, err, 1e-3)
-        two = [sp for h, sp in zip(config["heights"], spectra)
-               if float(h) == 2.0]
-        if two:
-            res2 = insert_cylinder_detailed(s, presets.torus_class(1, 0), 2.0)
-            moved = [res2.transport.transport(c)
+        if height_two is not None:
+            moved = [height_two.transport.transport(c)
                      for c in presets.torus_marking()]
-            sp2 = currents.spectrum_from_flat(res2.surface, moved)
+            sp2 = currents.spectrum_from_flat(height_two.surface, moved)
             expect = (1.0, 3.0, math.sqrt(10.0))
             err2 = max(abs(a - b) for a, b in zip(sp2.values, expect))
             report.add("height-two-spectrum",

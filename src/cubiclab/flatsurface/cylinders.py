@@ -16,7 +16,8 @@ the core's crossing word comes back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from ..errors import NoConvergence, NotCylindrical, NotNonsingular
 from .geodesics import (
@@ -166,31 +167,30 @@ def detect_cylinder(s: TriangulatedFlatSurface,
 # -- cylinder insertion -----------------------------------------------------
 
 @dataclass
-class _TriInfo:
-    # chord_ids[i] separates pieces i and i + 1: pieces are stacked in
-    # chord order, from side "A" of the lowest chord upwards
-    chord_ids: list[int] = field(default_factory=list)
-    pieces: list = field(default_factory=list)  # soup triangles per piece
-
-
-@dataclass
 class TransportMap:
     """Carries homotopy classes through a cylinder insertion.
 
     A class is transported by tracing a representative through the
-    subdivided triangles; each crossing of the core is replaced by a pass
-    through the inserted band, which preserves the intersection pattern
-    and hence the homotopy class on the new surface.
+    subdivided triangles.  Inside one old triangle the new triangles are
+    the fans of the pieces between its parallel chords and the two
+    triangles of each chord's band rectangle.  A fan is a path, and a
+    rectangle joins only the two pieces on either side of its chord, so
+    these triangles form a tree: a segment from one sub-edge of the old
+    triangle to another takes the one route between their triangles.  A
+    crossing of the core thus becomes a pass through the inserted band,
+    which preserves the intersection pattern and hence the homotopy class
+    on the new surface.
+
+    ``cuts[slot]`` lists the (param, cut id) of the core's points on an old
+    slot, ``where`` finds a soup tag's edge on the new surface and
+    ``region[i]`` is the old triangle that new triangle i lies in.
     """
 
     old_surface: TriangulatedFlatSurface
     new_surface: TriangulatedFlatSurface
-    tri_info: dict[int, _TriInfo]
-    subslot_map: dict
-    chord_edge: dict
-    rects: list
-    subtri_pos: dict
-    cut_params: dict
+    cuts: dict
+    where: dict
+    region: list[int]
 
     def transport(self, path: HomotopyClassPath | GeodesicRepresentative,
                   ) -> HomotopyClassPath:
@@ -198,75 +198,51 @@ class TransportMap:
             rep = path
         else:
             rep = tighten_geodesic(self.old_surface, path)
-        n = len(rep.crossings)
-        us = [self._nudged_param(rep.crossings[k], rep.params[k])
-              for k in range(n)]
+        us = [self._nudged_param(slot, u)
+              for slot, u in zip(rep.crossings, rep.params)]
         out: list[tuple[int, int]] = []
-        s = self.old_surface
-        for k in range(n):
-            t = rep.crossings[k][0]
-            prev = (k - 1) % n
-            entry_slot, entry_u = s.partner_param(rep.crossings[prev], us[prev])
-            exit_slot, exit_u = rep.crossings[k], us[k]
-            chord_ids = self.tri_info[t].chord_ids
-            pos = self._sub_position(entry_slot, entry_u)
-            exit_sub = self._sub_slot(exit_slot, exit_u)
-            # from piece i to piece j the chords i..j-1 are crossed in turn
-            i, j = pos[1], self.subtri_pos[exit_sub[0]][1]
-            from_below = i < j
-            for c in (range(i, j) if from_below else range(i - 1, j - 1, -1)):
-                cid = chord_ids[c]
-                chord_slot = self.chord_edge[(cid, "A" if from_below else "B")]
-                pos = self._emit_fan_path(out, pos, chord_slot[0])
-                out.append(chord_slot)
-                bk, tk = self.rects[cid]
-                if from_below:
-                    out.append((bk, 2))
-                    out.append((tk, 1))
-                    landing = self.chord_edge[(cid, "B")]
-                else:
-                    out.append((tk, 0))
-                    out.append((bk, 0))
-                    landing = self.chord_edge[(cid, "A")]
-                pos = self.subtri_pos[landing[0]]
-            pos = self._emit_fan_path(out, pos, exit_sub[0])
-            out.append(exit_sub)
+        for k, slot in enumerate(rep.crossings):
+            entry = self._sub_slot(*self.old_surface.partner_param(
+                rep.crossings[k - 1], us[k - 1]))
+            exit_ = self._sub_slot(slot, us[k])
+            out += self._route(entry[0], exit_[0])
+            out.append(exit_)
         return HomotopyClassPath(tuple(out), label=rep.label)
 
     # -- helpers ---------------------------------------------------------
 
     def _nudged_param(self, slot, u: float) -> float:
-        cuts = self.cut_params.get(slot, [])
+        cuts = [c for c, _cid in self.cuts.get(slot, [])]
         u = min(max(u, 1e-7), 1.0 - 1e-7)
         for c in cuts:
             if abs(u - c) < 1e-9:
                 above = [x for x in cuts if x > c + 1e-9] + [1.0]
-                u = 0.5 * (c + min(above))
-                break
+                return 0.5 * (c + min(above))
         return u
 
-    def _sub_slot(self, slot, u):
-        for u0, u1, sub in self.subslot_map[slot]:
-            if u0 - 1e-12 <= u <= u1 + 1e-12:
-                return sub
-        raise RuntimeError(f"no sub-slot of {slot} contains u={u}")
+    def _sub_slot(self, slot, u: float):
+        """The new edge of the piece of an old slot, between two cuts,
+        that holds the param u."""
+        cuts = self.cuts.get(slot, [])
+        i = bisect_left(cuts, (u,))
+        below = cuts[i - 1][1] if i else "lo"
+        above = cuts[i][1] if i < len(cuts) else "hi"
+        return self.where[("slot", None, slot, below, above)]
 
-    def _sub_position(self, slot, u):
-        return self.subtri_pos[self._sub_slot(slot, u)[0]]
-
-    def _emit_fan_path(self, out, pos, target_tri):
-        t_old, piece_idx, fp = pos
-        t_old2, piece_idx2, fp_target = self.subtri_pos[target_tri]
-        if (t_old, piece_idx) != (t_old2, piece_idx2):
-            raise RuntimeError("fan routing crossed piece boundaries")
-        fan = self.tri_info[t_old].pieces[piece_idx]
-        if fp < fp_target:
-            for i in range(fp, fp_target):
-                out.append((fan[i], 2))
-        else:
-            for i in range(fp, fp_target, -1):
-                out.append((fan[i], 0))
-        return (t_old, piece_idx, fp_target)
+    def _route(self, start: int, goal: int) -> list[tuple[int, int]]:
+        """The slots crossed on the way from new triangle start to goal,
+        both in one old triangle, along the tree of its new triangles."""
+        gluings, region = self.new_surface.gluings, self.region
+        via = {start: []}
+        todo = [start]
+        while goal not in via:
+            t = todo.pop()
+            for e in range(3):
+                nxt = gluings[(t, e)][0]
+                if nxt not in via and region[nxt] == region[start]:
+                    via[nxt] = via[t] + [(t, e)]
+                    todo.append(nxt)
+        return via[goal]
 
 
 @dataclass
@@ -296,7 +272,11 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     st = _core_strip(s, g)
     n = len(st.crossings)
 
+    # the core's crossing k is cut ("x", k) on both glued slots, and its
+    # chord k runs from cut k - 1 to cut k in the triangle it leaves by k
     cut_ids: dict = {}
+    chords: dict[int, list] = {t: [] for t in range(s.num_triangles)}
+    widths = []
     for k in range(n):
         slot, u = st.crossings[k], st.params[k]
         pslot, pu = s.partner_param(slot, u)
@@ -306,89 +286,50 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
                 "one triangle; subdivide the surface first")
         cut_ids.setdefault(slot, []).append((u, ("x", k)))
         cut_ids.setdefault(pslot, []).append((pu, ("x", k)))
+        p_in = s.edge_point(*s.partner_param(st.crossings[k - 1],
+                                             st.params[k - 1]))
+        p_out = s.edge_point(slot, u)
+        chords[slot[0]].append((k, ("x", (k - 1) % n), ("x", k), p_in, p_out))
+        widths.append(abs(p_out - p_in))
     for slot in cut_ids:
         cut_ids[slot].sort()
 
-    chords: dict[int, list] = {t: [] for t in range(s.num_triangles)}
-    widths = []
-    for k in range(n):
-        t = st.crossings[k][0]
-        prev = (k - 1) % n
-        eslot, eu = s.partner_param(st.crossings[prev], st.params[prev])
-        p_in = s.edge_point(eslot, eu)
-        p_out = s.edge_point(st.crossings[k], st.params[k])
-        chords[t].append((k, ("x", prev), ("x", k), p_in, p_out))
-        widths.append(abs(p_out - p_in))
-
     soup = Soup()
-    tri_info: dict[int, _TriInfo] = {}
+    fans: dict[int, list[int]] = {}
     for t in range(s.num_triangles):
-        info = _TriInfo()
-        tri_info[t] = info
-        piece = triangle_piece(s, t, cut_ids)
+        pending = [triangle_piece(s, t, cut_ids)]
         tchords = chords[t]
-        if not tchords:
-            info.pieces.append(soup.add_fan(piece))
-            continue
-        dvec = tchords[0][4] - tchords[0][3]
-        normal = 1j * (dvec / abs(dvec))
-        levels = sorted((dot(0.5 * (pi + po), normal), k, eid, xid)
-                        for k, eid, xid, pi, po in tchords)
-        pending = [piece]
-        for lv, cid, eid, xid in levels:
-            info.chord_ids.append(cid)
-            target = next(p for p in pending
-                          if eid in p.verts and xid in p.verts)
-            pending.remove(target)
-            p_ab, p_ba = split_piece(target, eid, xid,
-                                     ("chordtmp", cid, "ab"),
-                                     ("chordtmp", cid, "ba"))
-            for pc in (p_ab, p_ba):
-                side = "A" if dot(pc.centroid(), normal) < lv else "B"
-                pc.tags[-1] = ("chord", cid, side)
-                pending.append(pc)
-        done = sorted(pending, key=lambda p: dot(p.centroid(), normal))
-        for p in done:
-            info.pieces.append(soup.add_fan(p))
+        if tchords:
+            dvec = tchords[0][4] - tchords[0][3]
+            normal = 1j * (dvec / abs(dvec))
+            levels = sorted((dot(0.5 * (pi + po), normal), k, eid, xid)
+                            for k, eid, xid, pi, po in tchords)
+            for _lv, cid, eid, xid in levels:
+                target = next(p for p in pending
+                              if eid in p.verts and xid in p.verts)
+                pending.remove(target)
+                # a ccw piece lies left of its edges: the one that keeps
+                # the chord eid -> xid is on side "B"
+                pending += split_piece(target, eid, xid, ("chord", cid, "B"),
+                                       ("chord", cid, "A"))
+            pending.sort(key=lambda p: dot(p.centroid(), normal))
+        fans[t] = [ti for p in pending for ti in soup.add_fan(p)]
 
     rects = soup.add_band(widths, height,
                           [("chord", k, "A") for k in range(n)],
                           [("chord", k, "B") for k in range(n)])
+    # soup triangles are numbered in the order they were added
+    region = [t for t in range(s.num_triangles) for _ti in fans[t]]
+    region += [st.crossings[k][0] for k, rect in enumerate(rects)
+               for _ti in rect]
 
     punctures = []
     for orbit in s.marked_punctures:
         t, i = s.vertex_orbits[orbit][0]
-        subtris = [ti for fan in tri_info[t].pieces for ti in fan]
-        punctures.append(soup.vertex_at(subtris, s.triangles[t][i]))
+        punctures.append(soup.vertex_at(fans[t], s.triangles[t][i]))
     new_surface = soup.assemble(lambda tag: slot_partner_tag(tag, s.gluings),
                                 marked_punctures=punctures)
-
-    subslot_map: dict = {}
-    chord_edge: dict = {}
-    subtri_pos: dict = {}
-    for t, info in tri_info.items():
-        for p_idx, fan in enumerate(info.pieces):
-            for fpos, ti in enumerate(fan):
-                subtri_pos[ti] = (t, p_idx, fpos)
-    for ti, tags3 in enumerate(soup.tags):
-        for e, tag in enumerate(tags3):
-            if not isinstance(tag, tuple):
-                continue
-            if tag[0] == "slot":
-                _, _key, slot, a_id, b_id = tag
-                lookup = {cid: u for u, cid in cut_ids.get(slot, ())}
-                lookup.update({"lo": 0.0, "hi": 1.0})
-                u0, u1 = lookup[a_id], lookup[b_id]
-                subslot_map.setdefault(slot, []).append(
-                    (min(u0, u1), max(u0, u1), (ti, e)))
-            elif tag[0] == "chord":
-                chord_edge[(tag[1], tag[2])] = (ti, e)
-    for slot in subslot_map:
-        subslot_map[slot].sort()
-
-    tmap = TransportMap(
-        s, new_surface, tri_info, subslot_map, chord_edge, rects, subtri_pos,
-        {sl: sorted(u for u, _ in cut_ids[sl]) for sl in cut_ids})
+    tmap = TransportMap(s, new_surface, cut_ids, soup.where(), region)
     return InsertResult(new_surface, tmap)
 
 

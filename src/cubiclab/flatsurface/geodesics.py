@@ -353,48 +353,26 @@ class _Strip:
         return i, self.s.orbit_of[(t, i)]
 
     def pivots(self):
-        """Maximal cyclic runs of crossings pinned at one developed point."""
+        """Maximal cyclic runs of crossings pinned at one developed point,
+        from the first free crossing on.  A run starts at a pinned crossing
+        whose predecessor is free or sits at another point; with all pinned,
+        the crossings before the first start end the last run."""
         n = len(self.crossings)
         pin = [self.pinned_vertex(k) for k in range(n)]
-        if all(p is not None for p in pin):
-            groups = self._group_all_pinned(pin)
-        else:
-            start = next(k for k in range(n) if pin[k] is None)
-            groups = []
-            run = []
-            for off in range(1, n + 1):
-                k = (start + off) % n
-                if pin[k] is None:
-                    if run:
-                        groups.append(run)
-                        run = []
-                else:
-                    if run and not self._same_point(run[-1], k):
-                        groups.append(run)
-                        run = []
-                    run.append(k)
-            if run:
-                groups.append(run)
+        first = next((k for k in range(n) if pin[k] is None), 0)
+        groups, lead = [], []
+        for k in [(first + off) % n for off in range(n)]:
+            if pin[k] is None:
+                continue
+            if pin[k - 1] is None or not self._same_point((k - 1) % n, k):
+                groups.append([k])
+            else:
+                (groups[-1] if groups else lead).append(k)
+        if lead:
+            if not groups:
+                raise TrivialClass("polyline collapsed to a single vertex")
+            groups[-1] += lead
         return [(g, pin[g[0]][1]) for g in groups]
-
-    def _group_all_pinned(self, pin):
-        n = len(self.crossings)
-        breaks = [k for k in range(n)
-                  if not self._same_point((k - 1) % n, k)]
-        if not breaks:
-            raise TrivialClass("polyline collapsed to a single vertex")
-        groups = []
-        for bi, start in enumerate(breaks):
-            end = breaks[(bi + 1) % len(breaks)]
-            run = []
-            k = start
-            while True:
-                run.append(k)
-                k = (k + 1) % n
-                if k == end:
-                    break
-            groups.append(run)
-        return groups
 
     def _same_point(self, k1, k2) -> bool:
         """Whether crossings k1 and k2 sit at one developed point.

@@ -11,6 +11,7 @@ decisions live here:
 - ``Soup.add_band`` glues a closed band of flat rectangles between two
   sides of a cut;
 - ``Soup.vertex_at`` finds a vertex again after subdivision;
+- ``Soup.where`` finds the edge that carries a tag;
 - ``Soup.assemble`` pairs the tags and builds the validated surface.
 
 Tags are matched symbolically, so no floating-point keys enter the matching.
@@ -164,11 +165,9 @@ class Soup:
         raise RuntimeError(f"no corner of soup triangles {list(subtris)} "
                            f"lies at ({pos.real:.17g}, {pos.imag:.17g})")
 
-    def assemble(self, partner_fn, marked_punctures=()) -> TriangulatedFlatSurface:
-        """Pair all tagged edges and build the validated surface.
-
-        ``partner_fn(tag) -> tag`` must be an involution on non-internal tags.
-        """
+    def where(self) -> dict:
+        """The (triangle, edge) carrying each tag, in the soup and, as soup
+        triangle i is triangle i of the assembled surface, on the surface."""
         index: dict = {}
         for ti, tags3 in enumerate(self.tags):
             for e, tag in enumerate(tags3):
@@ -177,6 +176,14 @@ class Soup:
                 if tag in index:
                     raise ValueError(f"duplicate soup tag {tag!r}")
                 index[tag] = (ti, e)
+        return index
+
+    def assemble(self, partner_fn, marked_punctures=()) -> TriangulatedFlatSurface:
+        """Pair all tagged edges and build the validated surface.
+
+        ``partner_fn(tag) -> tag`` must be an involution on non-internal tags.
+        """
+        index = self.where()
         used = set()
         gluings = []
         internal = {a: b for a, b in self._internal_pairs}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cubiclab.currents import (
-    LimitClassification,
     MarkedLengthSpectrum,
     MixedStructure,
     classify_limit,

@@ -192,6 +192,26 @@ def test_insert_cylinder_transported_spectrum():
             assert abs(val - lattice_norm(p, q, 1.0, 3.0)) < 1e-15
 
 
+def test_slanted_cores_transport_to_the_grafted_lattice():
+    # a class c crosses the core v det(v, c) times, each time the band's
+    # height h along the unit normal iv/|v|, so it becomes the lattice
+    # vector c + h det(v, c) iv/|v|; the classes cross each core both ways
+    s = presets.square_torus()
+    classes = [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0), (0, -1), (2, -3),
+               (-3, -5), (5, 8)]
+    for v in [(3, 5), (2, -1), (1, 1)]:
+        vz = complex(*v)
+        for h in (0.5, 2.0):
+            res = insert_cylinder_detailed(s, presets.torus_class(*v), h)
+            for c in classes:
+                cz = complex(*c)
+                det = v[0] * c[1] - v[1] * c[0]
+                expect = abs(cz + h * det * 1j * vz / abs(vz))
+                moved = res.transport.transport(presets.torus_class(*c))
+                g = tighten_geodesic(res.surface, moved, tol=1e-12)
+                assert abs(g.length - expect) < 1e-12 * expect, (v, h, c)
+
+
 def test_insert_preserves_core_and_stretches_crossers():
     o = presets.regular_octagon()
     core = presets.octagon_class_vertical()

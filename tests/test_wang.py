@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cubiclab.blaschke import (
-    AreaBounds,
     CubicDifferentialField,
     Grid2D,
     area_and_bounds,
