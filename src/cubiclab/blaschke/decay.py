@@ -21,9 +21,8 @@ from scipy.integrate import quad
 
 from ..errors import ProbeTooCloseToZero
 from .cubic import CubicDifferentialField
-from .estimates import discrete_laplacian
 from .grid import square_window
-from .solver import solve_tzitzeica
+from .solver import discrete_laplacian, solve_tzitzeica
 
 
 @dataclass(frozen=True)

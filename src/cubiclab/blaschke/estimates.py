@@ -12,24 +12,9 @@ import numpy as np
 from ..errors import NegativeInput, NonpositiveRadius
 from .cubic import CubicDifferentialField
 from .grid import DIRICHLET
-from .solver import BlaschkeSolution, _safe_exp
+from .solver import BlaschkeSolution, _safe_exp, discrete_laplacian
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
-
-
-def discrete_laplacian(field: np.ndarray, dx: float, dy: float,
-                       periodic: bool = False) -> np.ndarray:
-    """5-point Laplacian of a field; NaN on the boundary unless periodic."""
-    f = np.asarray(field, dtype=float)
-    if periodic:
-        return ((np.roll(f, -1, 1) - 2 * f + np.roll(f, 1, 1)) / dx ** 2
-                + (np.roll(f, -1, 0) - 2 * f + np.roll(f, 1, 0)) / dy ** 2)
-    out = np.full_like(f, np.nan)
-    out[1:-1, 1:-1] = ((f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2])
-                       / dx ** 2
-                       + (f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1])
-                       / dy ** 2)
-    return out
 
 
 def log_density_curvature(log_density: np.ndarray, dx: float, dy: float,

@@ -63,15 +63,17 @@ class BlaschkeSolution:
         return 1.5 * (self.psi - flat)
 
 
-def _laplacian(grid: Grid2D, x: np.ndarray) -> np.ndarray:
-    """5-point Laplacian of a node field; zero on the rim of a Dirichlet
-    grid, wrapped around on the torus."""
-    idx2 = 1.0 / grid.dx ** 2
-    idy2 = 1.0 / grid.dy ** 2
-    if grid.bc != DIRICHLET:
+def discrete_laplacian(field: np.ndarray, dx: float, dy: float,
+                       periodic: bool = False) -> np.ndarray:
+    """5-point Laplacian of a node field; wrapped around if periodic, NaN
+    on the rim otherwise."""
+    x = np.asarray(field, dtype=float)
+    idx2 = 1.0 / dx ** 2
+    idy2 = 1.0 / dy ** 2
+    if periodic:
         return ((np.roll(x, -1, 1) - 2.0 * x + np.roll(x, 1, 1)) * idx2
                 + (np.roll(x, -1, 0) - 2.0 * x + np.roll(x, 1, 0)) * idy2)
-    out = np.zeros_like(x)
+    out = np.full_like(x, np.nan)
     c = x[1:-1, 1:-1]
     out[1:-1, 1:-1] = ((x[1:-1, 2:] - 2.0 * c + x[1:-1, :-2]) * idx2
                        + (x[2:, 1:-1] - 2.0 * c + x[:-2, 1:-1]) * idy2)
@@ -98,7 +100,8 @@ def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, r: np.ndarray,
         return full
 
     def matvec(v):
-        return fp * v - _laplacian(grid, pad(v))[free]
+        return fp * v - discrete_laplacian(pad(v), grid.dx, grid.dy,
+                                           periodic)[free]
 
     def precondition(v):
         full = pad(v)
@@ -128,11 +131,12 @@ def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
     ``fixed_mask`` (x = ``fixed_values`` on it): the solution field, its
     max-norm residual over the free nodes and the Newton step count."""
     free = ~fixed_mask
+    periodic = grid.bc != DIRICHLET
     x = np.where(fixed_mask, fixed_values, x0)
 
     def residual(v):
         fv, _ = f_and_deriv(v)
-        return (_laplacian(grid, v) - fv)[free]
+        return (discrete_laplacian(v, grid.dx, grid.dy, periodic) - fv)[free]
 
     r = residual(x)
     rn = float(np.abs(r).max())
@@ -190,8 +194,9 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
             raise ValueError("boundary psi must be finite")
         # harmonic extension: f' = 0 makes the preconditioner exact
         base = np.where(fixed, bvals, 0.0)
+        lap = discrete_laplacian(base, grid.dx, grid.dy)
         harmonic = base + _pcg(grid, ~fixed, np.zeros(int((~fixed).sum())),
-                               _laplacian(grid, base)[~fixed], tol, "wang")
+                               lap[~fixed], tol, "wang")
         x0 = np.maximum(harmonic, np.maximum(sub, bvals[fixed].min() - 50.0))
 
     def f_and_deriv(psi):

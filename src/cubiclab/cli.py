@@ -23,7 +23,7 @@ from . import blaschke, currents, geomlimits
 from .errors import ConfigError, CubiclabError
 from .flatsurface import presets, tighten_geodesic
 from .flatsurface import io as fsio
-from .flatsurface.cylinders import insert_cylinder_detailed
+from .flatsurface.cylinders import detect_cylinder, insert_cylinder_detailed
 from .flatsurface.intersections import geometric_intersection_count
 from .flatsurface.surface import area, gauss_bonnet_defect
 from .flatsurface.surgery import triangle_surgery_glue
@@ -61,12 +61,6 @@ class RunReport:
             "all_passed": self.all_passed,
             "checks": [asdict(c) for c in self.checks],
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunReport":
-        rep = RunReport(d["command"], d["config_hash"],
-                        [Check(**c) for c in d["checks"]], d["wall_time"])
-        return rep
 
 
 def config_hash(config: dict) -> str:
@@ -355,6 +349,7 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
                            for b in reps] for a in reps])
         spectra = []
         height_two = None
+        worst_cyl = 0.0
         rows = [["height"] + [c.label for c in marking]]
         for h in config["heights"]:
             res = insert_cylinder_detailed(s, presets.torus_class(1, 0),
@@ -367,7 +362,17 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
             rows.append([_fmt(h)] + [_fmt(v) for v in sp.values])
             fsio.save_surface(res.surface,
                               out / f"torus_cylinder_h{h:g}.json")
+            cyl = detect_cylinder(res.surface, tighten_geodesic(
+                res.surface, moved[0], tol=1e-12))
+            err = (max(abs(cyl.circumference - 1.0),
+                       abs(cyl.height - 1.0 - float(h)))
+                   if cyl.closed else math.inf)
+            worst_cyl = max(worst_cyl, err)
         _write_csv(out / "ray_spectra.csv", rows)
+        report.add("grafted-cylinder",
+                   "transported core sweeps a closed cylinder of "
+                   "circumference 1 and height 1 + h",
+                   worst_cyl < 1e-12, worst_cyl, 1e-12)
         cls = currents.classify_limit(spectra, table)
         (out / "classifier_report.json").write_text(json.dumps({
             "limit": dict(zip(cls.limit.marking, cls.limit.values)),

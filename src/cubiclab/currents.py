@@ -268,9 +268,6 @@ class MixedStructure:
         if any(w < 0 for w in self.multicurve.values()):
             raise ValueError("multicurve weights must be nonnegative")
 
-    def total_flat_area(self) -> float:
-        return sum(flat_area(s) for _pid, s, _r in self.flat_parts)
-
 
 def evaluate_mixed(m: MixedStructure, class_id: str, marking,
                    table: np.ndarray) -> float:
@@ -292,26 +289,3 @@ def evaluate_mixed(m: MixedStructure, class_id: str, marking,
         total += w * float(table[marking.index(curve_id), j])
     return total
 
-
-def self_intersection_mixed(m: MixedStructure, marking,
-                            table: np.ndarray) -> float:
-    """pi/2 when a flat part is present (unit total area), else zero.
-
-    The multicurve must be pairwise disjoint and disjoint from the flat
-    parts; a pure multicurve has vanishing self-intersection.
-    """
-    marking = list(marking)
-    ids = [c for c in m.multicurve if c in marking]
-    for a in ids:
-        for b in ids:
-            if a != b and table[marking.index(a), marking.index(b)] != 0:
-                raise OverlappingSupports(
-                    f"multicurve classes {a} and {b} cross")
-    if not m.flat_parts:
-        return 0.0
-    area_total = m.total_flat_area()
-    if abs(area_total - 1.0) > 1e-9:
-        raise ValueError(
-            f"flat parts must be normalized to unit total area "
-            f"(got {area_total:.12g})")
-    return SELF_INTERSECTION_FACTOR

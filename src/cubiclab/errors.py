@@ -112,10 +112,6 @@ class BadParameters(CubiclabError):
     """Model-surface parameters outside their documented ranges."""
 
 
-class SimplyConnected(CubiclabError):
-    """The operation needs a model surface with cyclic fundamental group."""
-
-
 class UnsupportedCover(CubiclabError):
     """Only power-map covers between round models are supported."""
 

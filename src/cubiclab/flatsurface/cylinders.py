@@ -17,7 +17,7 @@ the core's crossing word comes back.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import NoConvergence, NotCylindrical, NotNonsingular
 from .geodesics import (
@@ -191,6 +191,7 @@ class TransportMap:
     cuts: dict
     where: dict
     region: list[int]
+    routes: dict = field(default_factory=dict, init=False, repr=False)
 
     def transport(self, path: HomotopyClassPath | GeodesicRepresentative,
                   ) -> HomotopyClassPath:
@@ -231,7 +232,10 @@ class TransportMap:
 
     def _route(self, start: int, goal: int) -> list[tuple[int, int]]:
         """The slots crossed on the way from new triangle start to goal,
-        both in one old triangle, along the tree of its new triangles."""
+        both in one old triangle, along the tree of its new triangles;
+        each route is searched once per map."""
+        if (start, goal) in self.routes:
+            return self.routes[(start, goal)]
         gluings, region = self.new_surface.gluings, self.region
         via = {start: []}
         todo = [start]
@@ -242,6 +246,7 @@ class TransportMap:
                 if nxt not in via and region[nxt] == region[start]:
                     via[nxt] = via[t] + [(t, e)]
                     todo.append(nxt)
+        self.routes[(start, goal)] = via[goal]
         return via[goal]
 
 
@@ -332,8 +337,3 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     tmap = TransportMap(s, new_surface, cut_ids, soup.where(), region)
     return InsertResult(new_surface, tmap)
 
-
-def insert_cylinder(s: TriangulatedFlatSurface,
-                    core: HomotopyClassPath | GeodesicRepresentative,
-                    height: float) -> TriangulatedFlatSurface:
-    return insert_cylinder_detailed(s, core, height).surface

@@ -316,14 +316,8 @@ def area(s: TriangulatedFlatSurface) -> float:
     return float(sum(_signed_area(t) for t in s.triangles))
 
 
-def gauss_bonnet_defect(s: TriangulatedFlatSurface, cone_angles=None) -> float:
-    """2*pi*chi(S) minus the sum of curvature defects 2*pi - c(x).
-
-    Zero for every valid flat cone surface.  ``cone_angles`` may override the
-    orbit angles (as a mapping orbit -> angle) to probe invalid data in tests.
-    """
-    angles = dict(enumerate(s.orbit_angles))
-    if cone_angles:
-        angles.update({int(k): float(v) for k, v in cone_angles.items()})
-    defect_sum = sum(2.0 * math.pi - a for a in angles.values())
+def gauss_bonnet_defect(s: TriangulatedFlatSurface) -> float:
+    """2*pi*chi(S) minus the sum of curvature defects 2*pi - c(x); zero for
+    every valid flat cone surface."""
+    defect_sum = sum(2.0 * math.pi - a for a in s.orbit_angles)
     return 2.0 * math.pi * s.euler_characteristic - defect_sum

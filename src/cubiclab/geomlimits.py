@@ -24,7 +24,6 @@ from .errors import (
     BadR,
     IndeterminateSequence,
     OutOfDomain,
-    SimplyConnected,
     UnsupportedCover,
 )
 
@@ -33,8 +32,6 @@ DISK = "disk"
 PUNCTURED_PLANE = "punctured-plane"
 PUNCTURED_DISK = "punctured-disk"
 ANNULUS = "annulus"
-
-_CYCLIC = (PUNCTURED_PLANE, PUNCTURED_DISK, ANNULUS)
 
 
 @dataclass(frozen=True)
@@ -134,15 +131,6 @@ def _annulus_core_distance(R: float, az: float) -> float:
     logR = math.log(R)
     u = math.pi * math.log(az) / logR  # in (-pi, 0); core at -pi/2
     return abs(math.log(abs(math.tan(u / 2.0))))
-
-
-def cylinder_differential(m: ModelSurface) -> complex:
-    """Coefficient c with q = c dz^3 / z^3 the invariant cubic differential
-    in the model's standard coordinate."""
-    if m.variant not in _CYCLIC:
-        raise SimplyConnected(
-            f"{m.variant} has no invariant cubic differential")
-    return 1.0
 
 
 def pushforward_power_cover(d: int, coefficient: complex = 1.0) -> complex:

@@ -3,9 +3,9 @@
 These deliberately avoid the library's algorithms: shortest homotopic loops
 come from Dijkstra on a refined strip mesh, saddle connections from
 depth-limited unfolding with explicit segment tracing, torus intersection
-numbers from the lattice formula.  Strips are developed here with 2 x 2
-rotation matrices and (x, y) arrays, not with the library's complex
-isometries.  ``random_closed_strip`` draws the random classes that several
+numbers from the lattice formula, grid Laplacians from second differences.
+Strips are developed here with 2 x 2 rotation matrices and (x, y) arrays,
+not with the library's complex isometries.  ``random_closed_strip`` draws the random classes that several
 tests share.
 """
 
@@ -74,6 +74,20 @@ def _develop(s, crossings):
     for slot in crossings:
         phis.append(phis[-1].compose(unfold[slot]))
     return phis
+
+
+def five_point_laplacian(f, dx, dy, periodic=False):
+    """The 5-point Laplacian as second differences (``np.diff``) along each
+    axis: of the field padded by wrapping on a torus grid, otherwise on the
+    interior nodes with NaN on the rim."""
+    g = np.pad(f, 1, mode="wrap") if periodic else f
+    inner = (np.diff(g, 2, axis=1)[1:-1] / dx ** 2
+             + np.diff(g, 2, axis=0)[:, 1:-1] / dy ** 2)
+    if periodic:
+        return inner
+    out = np.full(f.shape, np.nan)
+    out[1:-1, 1:-1] = inner
+    return out
 
 
 def lattice_norm(p, q, a=1.0, b=1.0):
@@ -193,6 +207,12 @@ def strip_dijkstra_length(s, path, levels: int) -> float:
 
 # -- saddle connections by exhaustive unfolding -------------------------------
 
+def _frame_key(t, phi):
+    """Triangle t developed by phi, up to rounding."""
+    return (t, round(math.remainder(phi.rot, 2.0 * math.pi), 9),
+            round(phi.t[0], 9), round(phi.t[1], 9))
+
+
 def brute_saddle_connections(s, max_length: float, depth: int):
     """Saddle connections up to ``max_length`` by depth-limited unfolding.
 
@@ -211,25 +231,28 @@ def brute_saddle_connections(s, max_length: float, depth: int):
         for (t0, i0) in s.vertex_orbits[cp.orbit]:
             tri = _corners(s, t0)
             shift = _Isometry(0.0, -tri[i0])
-            candidates = {}
+            candidates = set()
             queue = deque([(t0, shift, 0)])
+            # BFS meets each developed frame first at its least depth, so
+            # a frame met again adds no candidate and is not expanded
+            seen = {_frame_key(t0, shift)}
             while queue:
                 t, phi, d = queue.popleft()
-                dev = [phi.apply(v) for v in _corners(s, t)]
-                for li in range(3):
-                    w = dev[li]
+                for w in (phi.apply(v) for v in _corners(s, t)):
                     norm = float(np.linalg.norm(w))
                     if 1e-12 < norm <= max_length + 1e-12:
-                        candidates[(round(w[0], 9), round(w[1], 9))] = \
-                            (t, li, phi)
+                        candidates.add((round(w[0], 9), round(w[1], 9)))
                 if d < depth:
                     for e in range(3):
                         t2, _ = s.gluings[(t, e)]
                         phi2 = phi.compose(unfold[(t, e)])
-                        queue.append((t2, phi2, d + 1))
+                        key = _frame_key(t2, phi2)
+                        if key not in seen:
+                            seen.add(key)
+                            queue.append((t2, phi2, d + 1))
             ray1 = shift.apply(tri[(i0 + 1) % 3])
             ray2 = shift.apply(tri[(i0 + 2) % 3])
-            for (wx, wy), _cand in candidates.items():
+            for wx, wy in candidates:
                 w = np.array([wx, wy])
                 # the segment must leave through this corner's wedge
                 if (ray1[0] * w[1] - ray1[1] * w[0] < -1e-12

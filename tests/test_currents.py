@@ -10,7 +10,6 @@ from cubiclab.currents import (
     evaluate_mixed,
     projectivize,
     self_intersection_flat,
-    self_intersection_mixed,
     spectrum_from_flat,
 )
 from cubiclab.errors import (
@@ -179,10 +178,6 @@ def test_evaluate_mixed_and_self_intersection():
     combined = MixedStructure(((0, s, restriction),), {"alpha": 2.0})
     assert abs(evaluate_mixed(combined, "beta", marking, table) - 6.0) < 1e-12
 
-    assert self_intersection_mixed(m_curve, marking, table) == 0.0
-    assert abs(self_intersection_mixed(m_flat, marking, table)
-               - math.pi / 2) < 1e-12
-
 
 def test_mixed_overlap_errors():
     s = presets.square_torus()
@@ -192,17 +187,8 @@ def test_mixed_overlap_errors():
     marking = ("a", "b")
     table = np.array([[0, 2], [2, 0]])
     m = MixedStructure((), {"a": 1.0, "b": 1.0})
-    with pytest.raises(OverlappingSupports):
-        self_intersection_mixed(m, marking, table)
     with pytest.raises(UnknownClass):
         evaluate_mixed(m, "zz", marking, table)
-
-
-def test_mixed_unit_area_required():
-    o = presets.regular_octagon()  # area 2(1 + sqrt 2) != 1
-    m = MixedStructure(((0, o, {}),), {})
-    with pytest.raises(ValueError):
-        self_intersection_mixed(m, ("a",), np.zeros((1, 1), dtype=int))
 
 
 def test_boundary_classes_have_zero_length():

@@ -8,7 +8,6 @@ from cubiclab.errors import NotCylindrical, NotNonsingular
 from cubiclab.flatsurface import presets, tighten_geodesic
 from cubiclab.flatsurface.cylinders import (
     detect_cylinder,
-    insert_cylinder,
     insert_cylinder_detailed,
 )
 from cubiclab.flatsurface.geodesics import develop_strip
@@ -49,7 +48,7 @@ def test_multiple_traversal_is_not_a_core(p, q, k, prim):
     with pytest.raises(NotCylindrical, match=msg):
         detect_cylinder(s, g)
     with pytest.raises(NotCylindrical, match=msg):
-        insert_cylinder(s, presets.torus_class(p, q), 1.0)
+        insert_cylinder_detailed(s, presets.torus_class(p, q), 1.0).surface
 
 
 def test_random_torus_strips_yield_their_cylinders():
@@ -73,14 +72,14 @@ def test_random_torus_strips_yield_their_cylinders():
             cyl = detect_cylinder(s, g)
             assert cyl.closed
             assert abs(cyl.circumference * cyl.height - 0.91) < 1e-12
-            grafted = area(insert_cylinder(s, cls, 0.5))
+            grafted = area(insert_cylinder_detailed(s, cls, 0.5).surface)
             assert abs(grafted - (0.91 + 0.5 * cyl.circumference)) < 1e-12
             continue
         msg = f"traverses its cylinder {k} times"
         with pytest.raises(NotCylindrical, match=msg):
             detect_cylinder(s, g)
         with pytest.raises(NotCylindrical, match=msg):
-            insert_cylinder(s, cls, 0.5)
+            insert_cylinder_detailed(s, cls, 0.5).surface
     assert folds == {0: 2, 1: 45, 2: 18, 3: 9, 4: 2, 5: 1, 6: 1, 7: 1, 9: 1}
 
 
@@ -88,8 +87,9 @@ def test_cores_through_flat_vertices_graft_on_their_middle_line():
     # a graft leaves flat vertices on the torus, and many random classes
     # tighten to lines through them; the graft then cuts along the middle
     # line of the family above.  The grafted torus is 1.3 x 1.2.
-    s = insert_cylinder(presets.rectangle_torus(1.3, 0.7),
-                        presets.torus_class(1, 0, 1.3, 0.7), 0.5)
+    s = insert_cylinder_detailed(presets.rectangle_torus(1.3, 0.7),
+                                 presets.torus_class(1, 0, 1.3, 0.7),
+                                 0.5).surface
     rng = np.random.default_rng(7)
     primitive = through_vertex = 0
     for _ in range(60):
@@ -103,7 +103,7 @@ def test_cores_through_flat_vertices_graft_on_their_middle_line():
         through_vertex += not all(0.0 < u < 1.0 for u in g.params)
         cyl = detect_cylinder(s, g)
         assert abs(cyl.circumference * cyl.height - 1.56) < 1e-12
-        grafted = area(insert_cylinder(s, g, 0.3))
+        grafted = area(insert_cylinder_detailed(s, g, 0.3).surface)
         assert abs(grafted - (1.56 + 0.3 * g.length)) < 1e-12
     assert (primitive, through_vertex) == (43, 13)
 
@@ -166,7 +166,7 @@ def test_cone_concatenation_rejected(octagon_commutator):
     with pytest.raises(NotNonsingular):
         detect_cylinder(o, g)
     with pytest.raises(NotCylindrical):
-        insert_cylinder(o, octagon_commutator, 1.0)
+        insert_cylinder_detailed(o, octagon_commutator, 1.0).surface
 
 
 def test_insert_cylinder_torus_geometry():
@@ -238,7 +238,8 @@ def test_insert_area_additivity_re_triangulated():
     for f in (1.0, 1e-9, 1e-6, 1e3, 1e9):
         s = presets.square_torus().scaled(f)
         for h in (0.5, 2.0):
-            s2 = insert_cylinder(s, presets.torus_class(1, 1), h * f)
+            s2 = insert_cylinder_detailed(s, presets.torus_class(1, 1),
+                                          h * f).surface
             expect = 1.0 + math.sqrt(2.0) * h
             assert abs(area(s2) / f ** 2 - expect) < 1e-9, f
             assert abs(gauss_bonnet_defect(s2)) < 1e-9, f
@@ -247,21 +248,22 @@ def test_insert_area_additivity_re_triangulated():
 def test_insert_requires_positive_height():
     s = presets.square_torus()
     with pytest.raises(ValueError):
-        insert_cylinder(s, presets.torus_class(1, 0), 0.0)
+        insert_cylinder_detailed(s, presets.torus_class(1, 0), 0.0).surface
 
 
 def test_iterated_insert():
     s = presets.square_torus()
     res = insert_cylinder_detailed(s, presets.torus_class(1, 0), 1.0)
     core2 = res.transport.transport(presets.torus_class(1, 0))
-    s3 = insert_cylinder(res.surface, core2, 1.0)
+    s3 = insert_cylinder_detailed(res.surface, core2, 1.0).surface
     assert abs(area(s3) - 3.0) < 1e-9
 
 
 def test_insert_keeps_marked_puncture():
     for f in (1.0, 1e-12):
         s = presets.square_torus(mark_vertex=True).scaled(f)
-        s2 = insert_cylinder(s, presets.torus_class(1, 0), 2.0 * f)
+        s2 = insert_cylinder_detailed(s, presets.torus_class(1, 0),
+                                      2.0 * f).surface
         assert len(s2.marked_punctures) == 1
         (orbit,) = s2.marked_punctures
         assert s2.orbit_orders[orbit] == 0

@@ -10,7 +10,6 @@ from cubiclab.errors import (
     BadR,
     IndeterminateSequence,
     OutOfDomain,
-    SimplyConnected,
     UnsupportedCover,
 )
 from cubiclab.geomlimits import (
@@ -24,7 +23,6 @@ from cubiclab.geomlimits import (
     classify_geometric_limit,
     core_length,
     core_length_quadrature,
-    cylinder_differential,
     density,
     far_end_mass,
     far_end_mass_quadrature,
@@ -114,14 +112,6 @@ def test_injectivity_radius():
                - core_length(a.R) / 2.0) < 1e-12
     # off-core points have larger loops
     assert injectivity_radius(a, 0.9 * 1.0) > injectivity_radius(a, core_pt)
-
-
-def test_cylinder_differential():
-    assert cylinder_differential(
-        ModelSurface(ANNULUS, kappa=-1.0, R=5.0)) == 1.0
-    assert cylinder_differential(ModelSurface(PUNCTURED_PLANE, r=1.0)) == 1.0
-    with pytest.raises(SimplyConnected):
-        cylinder_differential(ModelSurface(PLANE))
 
 
 def test_pushforward_against_symbolic_oracle():

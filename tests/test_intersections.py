@@ -5,10 +5,7 @@ import pytest
 
 from cubiclab.errors import NotNonsingular, TrivialClass
 from cubiclab.flatsurface import presets, tighten_geodesic
-from cubiclab.flatsurface.cylinders import (
-    insert_cylinder,
-    insert_cylinder_detailed,
-)
+from cubiclab.flatsurface.cylinders import insert_cylinder_detailed
 from cubiclab.flatsurface.geodesics import develop_strip
 from cubiclab.flatsurface.intersections import geometric_intersection_count
 from oracles import lattice_intersection, random_closed_strip
@@ -106,8 +103,9 @@ def test_octagon_cores_match_the_graft_bound():
 def test_grafted_torus_matches_lattice_formula():
     # the graft leaves a 1.3 x 1.2 torus with flat vertices on the cut;
     # 13 of the 30 classes pass through them, and k-fold classes occur
-    s = insert_cylinder(presets.rectangle_torus(1.3, 0.7),
-                        presets.torus_class(1, 0, 1.3, 0.7), 0.5)
+    s = insert_cylinder_detailed(presets.rectangle_torus(1.3, 0.7),
+                                 presets.torus_class(1, 0, 1.3, 0.7),
+                                 0.5).surface
     rng = np.random.default_rng(7)
     geos = []
     while len(geos) < 30:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,9 +102,13 @@ def test_bad_cone_angle():
 
 
 def test_gauss_bonnet_negative_control():
+    # the octagon's data with orbit 0 given the wrong cone angle 5 pi
     s = presets.regular_octagon()
-    defect = gauss_bonnet_defect(s, cone_angles={0: 5.0 * math.pi})
-    assert abs(defect) > 1.0  # deliberately wrong cone data shows up
+    angles = s.orbit_angles.copy()
+    angles[0] = 5.0 * math.pi
+    wrong = SimpleNamespace(euler_characteristic=s.euler_characteristic,
+                            orbit_angles=angles)
+    assert abs(gauss_bonnet_defect(wrong)) > 1.0
 
 
 def test_build_surface_json_roundtrip_isometries():

@@ -7,7 +7,6 @@ from cubiclab.blaschke import (
     CubicDifferentialField,
     Grid2D,
     decay_experiment,
-    discrete_laplacian,
     flat_metric_path_length,
     solve_tzitzeica,
     square_window,
@@ -15,6 +14,7 @@ from cubiclab.blaschke import (
 )
 from cubiclab.errors import BadParameters, NegativeBoundary, \
     ProbeTooCloseToZero
+from oracles import five_point_laplacian
 
 
 def test_torus_gap_vanishes():
@@ -64,7 +64,7 @@ def test_dirichlet_barrier_refinement():
 
 def test_disk_masked_residual_by_independent_stencil():
     # the gap solve of decay_experiment on the inscribed disk, residual
-    # recomputed with estimates.discrete_laplacian on the free nodes
+    # recomputed with the oracle's second differences on the free nodes
     probe, t = 1.0 + 0j, 8.0
     g = square_window(probe, 1.6, 65)
     disk_fixed = np.abs(g.zs - probe) >= 0.999 * 0.8
@@ -72,7 +72,7 @@ def test_disk_masked_residual_by_independent_stencil():
     F = solve_tzitzeica(g, q, boundary=1.0, tol=1e-10, fixed_mask=disk_fixed)
     assert (F[disk_fixed] == 1.0).all()
     free = ~disk_fixed & g.interior_mask()
-    lap = discrete_laplacian(F, g.dx, g.dy)
+    lap = five_point_laplacian(F, g.dx, g.dy)
     rhs = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23 * np.exp(-F / 3.0) * np.sinh(F)
     assert np.abs(lap - rhs)[free].max() <= 1e-10
 

@@ -9,7 +9,6 @@ from cubiclab.blaschke import (
     area_and_bounds,
     check_subsolution,
     curvature_field,
-    discrete_laplacian,
     gap_upper_bound,
     largest_root,
     log_density_curvature,
@@ -26,6 +25,7 @@ from cubiclab.errors import (
     NoSolution,
     SingularJacobian,
 )
+from oracles import five_point_laplacian
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -113,7 +113,7 @@ def _zcubic_problem(n):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_wang_residual_by_independent_stencil(periodic):
     # the solver's own residual cannot see a wrong stencil: recompute it
-    # with estimates.discrete_laplacian on every free node
+    # with the oracle's second differences on every free node
     if periodic:
         g = unit_torus_grid(24)
         q = CubicDifferentialField.from_polynomial(g, [0.3, 1.0])
@@ -123,7 +123,7 @@ def test_wang_residual_by_independent_stencil(periodic):
         sol = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
         assert np.array_equal(sol.psi[~g.interior_mask()],
                               bc[~g.interior_mask()])
-    lap = discrete_laplacian(sol.psi, g.dx, g.dy, periodic=periodic)
+    lap = five_point_laplacian(sol.psi, g.dx, g.dy, periodic=periodic)
     rhs = 2.0 * np.exp(sol.psi) - 4.0 * q.abs2 * np.exp(-2.0 * sol.psi)
     assert np.abs(lap - rhs)[g.interior_mask()].max() <= 1e-10
 
