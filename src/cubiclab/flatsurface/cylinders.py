@@ -315,8 +315,8 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
                 pending.remove(target)
                 # a ccw piece lies left of its edges: the one that keeps
                 # the chord eid -> xid is on side "B"
-                pending += split_piece(target, eid, xid, ("chord", cid, "B"),
-                                       ("chord", cid, "A"))
+                pending += split_piece(target, eid, xid, [("chord", cid, "B")],
+                                       [("chord", cid, "A")])
             pending.sort(key=lambda p: dot(p.centroid(), normal))
         fans[t] = [ti for p in pending for ti in soup.add_fan(p)]
 

@@ -126,6 +126,17 @@ def develop_strip(s: TriangulatedFlatSurface, crossings) -> list[PlanarIsometry]
     return phis
 
 
+def pinned_corner(slot: Slot, u: float) -> int | None:
+    """The corner of the slot's triangle at which edge param u pins, or
+    None when u is inside the edge."""
+    t, e = slot
+    if u <= PIN_TOL:
+        return e
+    if u >= 1.0 - PIN_TOL:
+        return (e + 1) % 3
+    return None
+
+
 class _Strip:
     """Mutable tightening state: a strip with developed data and params."""
 
@@ -342,15 +353,10 @@ class _Strip:
 
     def pinned_vertex(self, k):
         """(chart vertex index, orbit) of the pinned endpoint, or None."""
-        u = self.params[k]
-        t, e = self.crossings[k]
-        if u <= PIN_TOL:
-            i = e
-        elif u >= 1.0 - PIN_TOL:
-            i = (e + 1) % 3
-        else:
+        i = pinned_corner(self.crossings[k], self.params[k])
+        if i is None:
             return None
-        return i, self.s.orbit_of[(t, i)]
+        return i, self.s.orbit_of[(self.crossings[k][0], i)]
 
     def pivots(self):
         """Maximal cyclic runs of crossings pinned at one developed point,

@@ -18,18 +18,8 @@ k-fold class does at each of its crossings.
 from __future__ import annotations
 
 from ..errors import NotNonsingular
-from .geodesics import PIN_TOL, GeodesicRepresentative
+from .geodesics import GeodesicRepresentative, pinned_corner
 from .planar import cross, dot
-
-
-def _corner(slot, u: float):
-    """The corner of the slot's triangle at which param u pins, or None."""
-    t, e = slot
-    if u <= PIN_TOL:
-        return e
-    if u >= 1.0 - PIN_TOL:
-        return (e + 1) % 3
-    return None
 
 
 def _trace(s, g: GeodesicRepresentative):
@@ -39,8 +29,9 @@ def _trace(s, g: GeodesicRepresentative):
     segs, pins, off = [], [], 0.0
     for k, (t, a, b) in enumerate(g.segments):
         ln = abs(b - a)
-        i = _corner(*s.partner_param(g.crossings[k - 1], g.params[k - 1]))
-        j = _corner(g.crossings[k], g.params[k])
+        i = pinned_corner(*s.partner_param(g.crossings[k - 1],
+                                           g.params[k - 1]))
+        j = pinned_corner(g.crossings[k], g.params[k])
         if ln > 1e-12 * g.length:
             segs.append((t, a, b, off))
             if i is not None and j is not None:  # along an edge

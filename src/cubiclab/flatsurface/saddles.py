@@ -1,6 +1,6 @@
-"""Saddle connections: geodesic segments between cone points with no cone
-point in the interior, enumerated by breadth-first unfolding with visibility
-wedges.
+"""Saddle connections: geodesic segments between cone points or marked
+punctures with none of them in the interior, enumerated by breadth-first
+unfolding with visibility wedges.
 
 Segments are deduplicated as unoriented objects.  Since charts are only
 defined up to the gluing rotations, the canonical identity of a segment is
@@ -98,13 +98,14 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                                  max_expansions: int = 2_000_000
                                  ) -> list[SaddleConnection]:
     """All saddle connections of length <= max_length, deduplicated up to
-    the identification of unoriented segments.  Returns an empty list when
-    the surface has no cone points.  Tolerances scale with the surface, so
-    a rescaled surface gives the rescaled connections.
+    the identification of unoriented segments.  Their endpoints are the
+    cone points and the marked punctures; with neither, the list is empty.
+    Tolerances scale with the surface, so a rescaled surface gives the
+    rescaled connections.
     """
     if max_length <= 0:
         raise ValueError("max_length must be positive")
-    cone_orbits = {cp.orbit for cp in s.cone_points}
+    ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
     fans = _FanTable(s)
     found: dict[tuple, SaddleConnection] = {}
     budget = max_expansions
@@ -115,7 +116,7 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                target_corner, target_ray) -> None:
         """Candidate segment from the origin to developed point w."""
         t_orbit = s.orbit_of[target_corner]
-        if t_orbit not in cone_orbits:
+        if t_orbit not in ends:
             return
         norm = abs(w)
         if norm > cut or norm <= _LENGTH_TOL * unit:
@@ -129,8 +130,8 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
             found[key] = SaddleConnection(origin_orbit, t_orbit, w,
                                           (ang_start, ang_end))
 
-    for cp in s.cone_points:
-        for (t0, i0) in s.vertex_orbits[cp.orbit]:
+    for orbit in sorted(ends):
+        for (t0, i0) in s.vertex_orbits[orbit]:
             tri = s.triangles[t0]
             # the developing frame puts the start vertex at the origin
             frame = PlanarIsometry(1 + 0j, -tri[i0])
@@ -138,9 +139,9 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
             v2 = frame(tri[(i0 + 2) % 3])
             start_corner = (t0, i0)
             # the two boundary edges of the corner are themselves candidates
-            record(cp.orbit, start_corner, v1, v1,
+            record(orbit, start_corner, v1, v1,
                    (t0, (i0 + 1) % 3), v2 - v1)
-            record(cp.orbit, start_corner, v1, v2,
+            record(orbit, start_corner, v1, v2,
                    (t0, (i0 + 2) % 3), -v2)
             queue = deque()
             queue.append((t0, frame, (i0 + 1) % 3, (v1, v2)))
@@ -162,7 +163,7 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                 C = phi2(tri2[apex_idx])
                 w1, w2 = wedge
                 if _in_cone(C, w1, w2):
-                    record(cp.orbit, start_corner, v1, C,
+                    record(orbit, start_corner, v1, C,
                            (t2, apex_idx), A - C)
                 # far edges: B -> C is edge (e2+1)%3, C -> A is edge (e2+2)%3
                 for (p, q, e_next) in ((B, C, (e2 + 1) % 3),

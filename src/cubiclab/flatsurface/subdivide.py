@@ -1,11 +1,14 @@
 """Tagged triangle soup: the cut-and-glue layer shared by the surgeries.
 
-Cylinder insertion and triangle surgery both cut triangles into convex
-pieces, add flat parts between the cuts and rebuild a surface.  The shared
+Cylinder insertion and triangle surgery both cut triangles into pieces,
+add flat parts between the cuts and rebuild a surface.  The shared
 decisions live here:
 
 - ``triangle_piece`` turns a triangle into a piece with the cut points of
   its edges inserted, each sub-edge tagged ``("slot", key, slot, a, b)``;
+- ``split_piece`` cuts a piece in two along a path between two of its
+  boundary vertices: a chord for insertion, the wedge's base (and leg)
+  for surgery;
 - ``slot_partner_tag`` names the same sub-edge seen from the glued slot;
 - ``Soup.add_fan`` triangulates a piece, pairing its internal diagonals;
 - ``Soup.add_band`` glues a closed band of flat rectangles between two
@@ -31,7 +34,7 @@ from .surface import TriangulatedFlatSurface
 
 @dataclass
 class Piece:
-    """A convex polygon with symbolic vertex ids and tagged boundary edges.
+    """A polygon with symbolic vertex ids and tagged boundary edges.
 
     ``tags[j]`` tags the edge from verts[j] to verts[j+1] (cyclically).
     """
@@ -40,38 +43,31 @@ class Piece:
     coords: list  # complex points aligned with verts
     tags: list
 
-    def index_of(self, vid) -> int:
-        return self.verts.index(vid)
-
     def centroid(self) -> complex:
         return sum(self.coords) / len(self.coords)
 
 
-def split_piece(piece: Piece, id_a, id_b, tag_ab, tag_ba) -> tuple[Piece, Piece]:
-    """Split a piece along the segment joining two boundary vertices.
+def split_piece(piece: Piece, id_a, id_b, tags_ab, tags_ba, inner=(),
+                ) -> tuple[Piece, Piece]:
+    """Split a piece along a path from boundary vertex a through the
+    ``inner`` (vertex id, point) pairs to boundary vertex b.
 
-    Returns (piece keeping the a->b chord edge, piece keeping b->a).
+    ``tags_ab`` tags the path's edges walked from a to b, ``tags_ba`` from
+    b to a.  Returns (the piece keeping the path a -> b, the piece keeping
+    b -> a).
     """
     n = len(piece.verts)
-    ia, ib = piece.index_of(id_a), piece.index_of(id_b)
+    ia, ib = piece.verts.index(id_a), piece.verts.index(id_b)
 
-    def walk(start, stop):
-        verts, coords, tags = [], [], []
-        j = start
-        while True:
-            verts.append(piece.verts[j])
-            coords.append(piece.coords[j])
-            if j == stop:
-                break
-            tags.append(piece.tags[j])
-            j = (j + 1) % n
-        return verts, coords, tags
+    def side(start, stop, path, tags):
+        # the boundary from start round to stop, then the path back
+        idx = [(start + j) % n for j in range((stop - start) % n + 1)]
+        return Piece([piece.verts[j] for j in idx] + [v for v, _z in path],
+                     [piece.coords[j] for j in idx] + [z for _v, z in path],
+                     [piece.tags[j] for j in idx[:-1]] + list(tags))
 
-    v1, c1, t1 = walk(ib, ia)  # boundary from b around to a, then chord a->b
-    p_ab = Piece(v1, c1, t1 + [tag_ab])
-    v2, c2, t2 = walk(ia, ib)
-    p_ba = Piece(v2, c2, t2 + [tag_ba])
-    return p_ab, p_ba
+    inner = list(inner)
+    return side(ib, ia, inner, tags_ab), side(ia, ib, inner[::-1], tags_ba)
 
 
 class Soup:

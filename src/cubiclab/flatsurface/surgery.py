@@ -9,6 +9,7 @@ when the pair's weight w is positive.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ from ..errors import (
 )
 from .planar import cross
 from .saddles import enumerate_saddle_connections
-from .subdivide import Piece, Soup, slot_partner_tag, triangle_piece
+from .subdivide import (Piece, Soup, slot_partner_tag, split_piece,
+                        triangle_piece)
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
 WEDGE = math.pi / 3.0
@@ -40,16 +42,26 @@ def _tau(eps: float, alpha: float) -> float:
     return abs(pt - eps) / abs(eps * _LEG2 - eps)
 
 
+def _ray_id(part: int, j: int):
+    """Id of the cut on fan ray j of a part's carve; ray 0 is leg A."""
+    return ("p1", part) if j == 0 else ("q", part, j)
+
+
 @dataclass
 class _Carve:
-    """Planned wedge cut at one puncture of one part."""
+    """Planned wedge cut at one puncture of one part.
+
+    The wedge meets the fan corners ``corners``; ray j, the first edge of
+    corner j, leaves the puncture at fan angle ``cum[j]``.
+    """
 
     part: int
-    orbit: int
     eps: float
-    ray_cuts: dict = field(default_factory=dict)    # slot -> [(param, id)]
-    corner_ops: dict = field(default_factory=dict)  # triangle -> op record
-    base_taus: list = field(default_factory=list)   # sorted breakpoints
+    corners: list
+    cum: list
+    ray_cuts: dict = field(default_factory=dict)   # slot -> [(param, id)]
+    base_taus: list = field(default_factory=list)  # base partition 0 .. 1
+    ray_k: list = field(default_factory=list)      # base index of ray j
     leg_a_slot: tuple | None = None  # glued slot of the first fan ray
 
 
@@ -70,15 +82,15 @@ def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
     for sc in enumerate_saddle_connections(s, 2.0 * eps):
         if orbit in (sc.start_orbit, sc.end_orbit):
             raise EpsTooLarge(
-                f"a cone point lies at distance {sc.length:.6g} < 2*eps from "
-                f"puncture orbit {orbit}")
+                f"a cone point or marked puncture lies at distance "
+                f"{sc.length:.6g} < 2*eps from puncture orbit {orbit}")
 
     fan = s.corner_fan(*s.vertex_orbits[orbit][0])
     angles = [s.corner_angle(t, i) for (t, i) in fan]
     last_err = None
     for rot in range(len(fan)):
         try:
-            return _carve_with_rotation(s, orbit, eps, part,
+            return _carve_with_rotation(s, eps, part,
                                         fan[rot:] + fan[:rot],
                                         angles[rot:] + angles[:rot])
         except ValueError as err:
@@ -88,60 +100,47 @@ def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
         f"(triangulation too coarse near the puncture): {last_err}")
 
 
-def _carve_with_rotation(s, orbit, eps, part, fan, angs) -> _Carve:
-    cum = [0.0]
-    for a in angs:
-        cum.append(cum[-1] + a)
-    affected = [j for j in range(len(fan)) if cum[j] < WEDGE - 1e-9]
+def _carve_with_rotation(s, eps, part, fan, angs) -> _Carve:
+    cum = [0.0, *itertools.accumulate(angs)]
     if any(abs(cum[j] - WEDGE) < 1e-6 for j in range(1, len(fan))):
         raise ValueError("wedge boundary falls on a fan ray")
-    tris = [fan[j][0] for j in affected]
-    if len(set(tris)) != len(tris):
+    m = max(j for j in range(len(fan)) if cum[j] < WEDGE - 1e-9)
+    corners = fan[:m + 1]
+    if len({t for t, _i in corners}) != len(corners):
         raise ValueError("two affected corners share a triangle")
-    m = affected[-1]
-
-    carve = _Carve(part, orbit, eps)
-    for j in affected:
-        t, i = fan[j]
+    for t, i in corners:
         tri = s.triangles[t]
         if eps >= 0.95 * _point_line_dist(tri[i], tri[(i + 1) % 3],
                                           tri[(i + 2) % 3]):
             raise ValueError("eps does not fit inside an affected corner")
-    for j in range(m + 1):
-        slot = fan[j]
+
+    carve = _Carve(part, eps, corners, cum[:m + 1],
+                   leg_a_slot=s.gluings[fan[0]])
+    for j, slot in enumerate(corners):
         ray_len = s.edge_length(slot)
         rho = _rho(eps, cum[j])
         if rho >= 0.45 * ray_len:
             raise ValueError("a ray cut reaches too far along its fan edge")
-        cid = ("p1", part) if j == 0 else ("q", part, j)
+        cid = _ray_id(part, j)
         carve.ray_cuts.setdefault(slot, []).append((rho / ray_len, cid))
         pslot = s.gluings[slot]
         carve.ray_cuts.setdefault(pslot, []).append((1.0 - rho / ray_len, cid))
-    carve.leg_a_slot = s.gluings[fan[0]]
-    for j in affected:
-        t, i = fan[j]
-        final = j == m
-        op = {
-            "corner": (t, i),
-            "alpha_lo": cum[j],
-            "alpha_hi": cum[j + 1],
-            "final": final,
-            "ray_lo": ("p1", part) if j == 0 else ("q", part, j),
-            "ray_hi": None if final else ("q", part, j + 1),
-        }
-        carve.corner_ops[t] = op
-    carve.base_taus = sorted({round(_tau(eps, cum[j]), 12)
-                              for j in range(m + 1)} | {1.0})
+    carve.base_taus = [round(_tau(eps, a), 12) for a in carve.cum] + [1.0]
     return carve
 
 
 def _merge_base_taus(c1: _Carve, c2: _Carve) -> int:
-    """Refine both carves of a pair to mirror-matching base partitions."""
+    """Refine both carves of a pair to one base partition, mirrored on the
+    second, and place each carve's ray cuts on it."""
     merged = sorted(set(c1.base_taus)
                     | {round(1.0 - t, 12) for t in c2.base_taus})
+    last = len(merged) - 1
+    c1.ray_k = [merged.index(t) for t in c1.base_taus[:-1]]
+    c2.ray_k = [last - merged.index(round(1.0 - t, 12))
+                for t in c2.base_taus[:-1]]
     c1.base_taus = merged
-    c2.base_taus = sorted({round(1.0 - t, 12) for t in merged})
-    return len(merged) - 1
+    c2.base_taus = [round(1.0 - t, 12) for t in reversed(merged)]
+    return last
 
 
 def _chart_to_fan(s, t, i, alpha_lo) -> PlanarIsometry:
@@ -152,68 +151,34 @@ def _chart_to_fan(s, t, i, alpha_lo) -> PlanarIsometry:
         c, x, 0j, cmath.rect(abs(x - c), alpha_lo))
 
 
-def _apply_carve(piece: Piece, s, cv: _Carve, op) -> Piece:
-    """Splice the wedge cut into a triangle's polygon piece."""
-    t, i = op["corner"]
-    apex_id = ("corner", t, i)
-    n = len(piece.verts)
-    ia = piece.index_of(apex_id)
-    order = [(ia + k) % n for k in range(n)]
-    if piece.verts[order[1]] != op["ray_lo"]:
-        raise RuntimeError("carve splice: unexpected vertex after the apex")
-    if not op["final"] and piece.verts[order[-1]] != op["ray_hi"]:
-        raise RuntimeError("carve splice: unexpected vertex before the apex")
+def _apply_carve(piece: Piece, s, cv: _Carve, j: int) -> Piece:
+    """Fan corner j's piece with the wedge cut out.
 
-    to_chart = _chart_to_fan(s, t, i, op["alpha_lo"]).inverse()
-    eps = cv.eps
-    p1, p2 = complex(eps), eps * _LEG2
-
-    def base_chart(tau):
-        return to_chart(p1 + tau * (p2 - p1))
-
-    taus12 = [round(x, 12) for x in cv.base_taus]
-
-    def base_edge_tag(tau_low):
-        return ("base", cv.part, taus12.index(round(tau_low, 12)))
-
-    tau_lo = _tau(eps, op["alpha_lo"])
-    tau_hi = 1.0 if op["final"] else _tau(eps, op["alpha_hi"])
-    inner = [x for x in cv.base_taus
-             if tau_lo + 1e-9 < x < tau_hi - 1e-9]
-
-    verts, coords, tags = [], [], []
-
-    def emit(vid, z, tag):
-        verts.append(vid)
-        coords.append(z)
-        tags.append(tag)
-
-    if op["final"]:
-        # keep the apex; outgoing sub-edge becomes legB + base pieces
-        emit(apex_id, piece.coords[ia], ("legB", cv.part))
-        emit(("p2", cv.part), base_chart(1.0), base_edge_tag(
-            inner[-1] if inner else tau_lo))
-        walk = list(reversed(inner))
-        for idx, x in enumerate(walk):
-            nxt = walk[idx + 1] if idx + 1 < len(walk) else tau_lo
-            emit(("b", cv.part, round(x, 12)), base_chart(x),
-                 base_edge_tag(nxt))
-        # continue with the original boundary from ray_lo around to the
-        # incoming edge, which still ends at the apex
-        for k in order[1:]:
-            emit(piece.verts[k], piece.coords[k], piece.tags[k])
+    In a middle corner the cut runs from ray j+1's cut down the base to ray
+    j's cut.  In the last corner it runs from the apex along leg B to p2,
+    then down the base to ray j's cut, and the kept piece starts at the
+    apex.  A base edge ending at point k of the partition is tagged
+    ("base", part, k).
+    """
+    t, i = cv.corners[j]
+    apex, part, taus = ("corner", t, i), cv.part, cv.base_taus
+    to_chart = _chart_to_fan(s, t, i, cv.cum[j]).inverse()
+    p1, p2 = complex(cv.eps), cv.eps * _LEG2
+    if j + 1 < len(cv.corners):
+        a, top = _ray_id(part, j + 1), cv.ray_k[j + 1] - 1
+        first = ("base", part, top)
     else:
-        # drop the apex; base pieces run from ray_hi down to ray_lo
-        for k in order[1:]:
-            emit(piece.verts[k], piece.coords[k], piece.tags[k])
-        # the final emitted edge (ray_hi -> apex) is replaced by the base
-        tags[-1] = base_edge_tag(inner[-1] if inner else tau_lo)
-        walk = list(reversed(inner))
-        for idx, x in enumerate(walk):
-            nxt = walk[idx + 1] if idx + 1 < len(walk) else tau_lo
-            emit(("b", cv.part, round(x, 12)), base_chart(x),
-                 base_edge_tag(nxt))
-    return Piece(verts, coords, tags)
+        a, top, first = apex, len(taus) - 1, ("legB", part)
+    k_lo = cv.ray_k[j]
+    inner = [(("b", part, k), to_chart(p1 + taus[k] * (p2 - p1)))
+             for k in range(top, k_lo, -1)]
+    tags = [first] + [("base", part, k) for k in range(top - 1, k_lo - 1, -1)]
+    kept, _wedge = split_piece(piece, a, _ray_id(part, j), tags,
+                               [None] * len(tags), inner)
+    r = kept.verts.index(apex) if a == apex else 0
+    return Piece(kept.verts[r:] + kept.verts[:r],
+                 kept.coords[r:] + kept.coords[:r],
+                 kept.tags[r:] + kept.tags[:r])
 
 
 def _cut_boundary(cv: _Carve, gid, m_base: int) -> list:
@@ -222,7 +187,7 @@ def _cut_boundary(cv: _Carve, gid, m_base: int) -> list:
     glued slot past the p1 cut."""
     return ([("legB", cv.part)]
             + [("base", cv.part, j) for j in range(m_base - 1, -1, -1)]
-            + [("slot", gid, cv.leg_a_slot, ("p1", cv.part), "hi")])
+            + [("slot", gid, cv.leg_a_slot, _ray_id(cv.part, 0), "hi")])
 
 
 def triangle_surgery_glue(parts, eps: float, weights=None,
@@ -232,7 +197,8 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
     ``parts`` is a flat list of (surface, puncture orbit id); entries 2i and
     2i+1 are glued together with weight ``weights[i]`` (a prism band of that
     height is inserted when the weight is positive).  Raises EpsTooLarge when
-    a 2*eps ball at a puncture meets another cone point and AngleClash when
+    a 2*eps ball at a puncture meets a cone point or marked puncture (itself
+    included, along a loop) and AngleClash when
     the result would violate the cone-angle form (e.g. order-2 poles).
     """
     if len(parts) % 2 != 0 or not parts:
@@ -262,26 +228,35 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
     tri_maps: dict[int, list] = {}
     for gid, (s_i, idxs) in groups.items():
         ray_cuts: dict = {}
-        corner_ops: dict = {}
+        carved: dict = {}  # triangle -> (carve, fan corner)
         for idx in idxs:
             cv = carves[idx]
             for slot, cuts in cv.ray_cuts.items():
                 ray_cuts.setdefault(slot, []).extend(cuts)
-            for t, op in cv.corner_ops.items():
-                if t in corner_ops:
+            for j, (t, _i) in enumerate(cv.corners):
+                if t in carved:
                     raise ValueError(
                         "two carves touch one triangle; move the punctures "
                         "or refine the surface")
-                corner_ops[t] = (cv, op)
+                carved[t] = (cv, j)
         for cuts in ray_cuts.values():
             cuts.sort()
         tri_maps[gid] = []
         for t in range(s_i.num_triangles):
             piece = triangle_piece(s_i, t, ray_cuts, key=gid)
-            if t in corner_ops:
-                cv, op = corner_ops[t]
-                piece = _apply_carve(piece, s_i, cv, op)
-            tri_maps[gid].append(soup.add_fan(piece))
+            if t in carved:
+                piece = _apply_carve(piece, s_i, *carved[t])
+            try:
+                tri_maps[gid].append(soup.add_fan(piece))
+            except ValueError as err:
+                if t not in carved:
+                    raise
+                cv = carved[t][0]
+                raise ValueError(
+                    f"the wedge of part {cv.part} at puncture orbit "
+                    f"{parts[cv.part][1]} with eps={eps} leaves triangle {t} "
+                    f"a piece no fan triangulates (triangulation too coarse "
+                    f"near the puncture): {err}") from err
 
     # a weight-0 pair glues the two cut boundaries directly, a weighted
     # pair a band between them.  A rectangle's bottom meets its boundary

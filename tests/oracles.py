@@ -214,7 +214,8 @@ def _frame_key(t, phi):
 
 
 def brute_saddle_connections(s, max_length: float, depth: int):
-    """Saddle connections up to ``max_length`` by depth-limited unfolding.
+    """Saddle connections up to ``max_length`` by depth-limited unfolding,
+    between cone points or marked punctures.
 
     Candidate endpoints are all developed vertices reachable within
     ``depth`` gluing steps; each candidate segment is then traced from
@@ -223,12 +224,12 @@ def brute_saddle_connections(s, max_length: float, depth: int):
     (endpoint orbits, length, intrinsic fan angles at both ends).
     """
     found = {}
-    cone_orbits = {cp.orbit for cp in s.cone_points}
+    ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
     fan_cum = _fan_cumulative(s)
     unfold = _unfolders(s)
 
-    for cp in s.cone_points:
-        for (t0, i0) in s.vertex_orbits[cp.orbit]:
+    for orbit in sorted(ends):
+        for (t0, i0) in s.vertex_orbits[orbit]:
             tri = _corners(s, t0)
             shift = _Isometry(0.0, -tri[i0])
             candidates = set()
@@ -263,7 +264,7 @@ def brute_saddle_connections(s, max_length: float, depth: int):
                     continue
                 t_arr, li_arr, phi_arr = arrival
                 t_orbit = s.orbit_of[(t_arr, li_arr)]
-                if t_orbit not in cone_orbits:
+                if t_orbit not in ends:
                     continue
                 dev = [phi_arr.apply(v) for v in _corners(s, t_arr)]
                 ang_a = _intrinsic(s, fan_cum, (t0, i0),
@@ -271,7 +272,7 @@ def brute_saddle_connections(s, max_length: float, depth: int):
                 ang_b = _intrinsic(s, fan_cum, (t_arr, li_arr),
                                    dev[(li_arr + 1) % 3] - w, -w)
                 norm = float(np.linalg.norm(w))
-                key = (min(cp.orbit, t_orbit), max(cp.orbit, t_orbit),
+                key = (min(orbit, t_orbit), max(orbit, t_orbit),
                        round(norm, 9),
                        tuple(sorted((round(ang_a, 7), round(ang_b, 7)))))
                 found.setdefault(key, norm)

@@ -2,7 +2,7 @@
 package is reached from what the package runs.
 
 No linter ships with the project, so this walks the syntax trees of the
-package and its tests with ``ast``.
+package, its tests and the benchmark with ``ast``.
 """
 
 import ast
@@ -67,7 +67,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     files = sorted([*ROOT.glob("src/cubiclab/**/*.py"),
-                    *ROOT.glob("tests/**/*.py")])
+                    *ROOT.glob("tests/**/*.py"),
+                    *ROOT.glob("perfbench/*.py")])
     assert files
     unused = [hit for f in files for hit in _unused_imports(f)]
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -29,6 +29,18 @@ def test_torus_has_no_saddle_connections():
     assert enumerate_saddle_connections(presets.square_torus(), 10.0) == []
 
 
+def test_marked_puncture_is_an_endpoint():
+    # the marked flat vertex of the square torus ends the primitive lattice
+    # segments: (1,0), (0,1), (1,+-1) and (2,+-1), (1,+-2) up to length 2.3
+    t = presets.square_torus(mark_vertex=True)
+    scs = enumerate_saddle_connections(t, 2.3)
+    assert sorted(sc.length for sc in scs) == pytest.approx(
+        [1.0] * 2 + [math.sqrt(2.0)] * 2 + [math.sqrt(5.0)] * 4, abs=1e-12)
+    assert all(sc.start_orbit == sc.end_orbit == 0 for sc in scs)
+    _lens, keys = brute_saddle_connections(t, 2.3, depth=8)
+    assert _keyset(scs) == set(keys)
+
+
 def test_octagon_unit_sides():
     o = presets.regular_octagon()
     scs = enumerate_saddle_connections(o, 1.01)
