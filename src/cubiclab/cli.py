@@ -165,10 +165,11 @@ def cmd_spectrum(config: dict, out: Path, verbose: bool) -> RunReport:
     tol = float(config.get("tol", 1e-12))
     reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
 
-    _write_csv(out / "spectrum.csv", fsio.spectrum_csv_rows(reps))
-    for g in reps:
-        name = (g.label or "class").replace("*", "x").replace("/", "-")
-        fsio.render_geodesic_svg(s, g, out / f"geodesic_{name}.svg")
+    names = currents.class_names(marking)
+    _write_csv(out / "spectrum.csv", fsio.spectrum_csv_rows(names, reps))
+    for name, g in zip(names, reps):
+        fname = name.replace("*", "x").replace("/", "-")
+        fsio.render_geodesic_svg(s, g, out / f"geodesic_{fname}.svg")
 
     gb = abs(gauss_bonnet_defect(s))
     report.add("gauss-bonnet", "Gauss-Bonnet defect below 1e-9",

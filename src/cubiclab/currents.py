@@ -68,12 +68,17 @@ def projectivize(sp: MarkedLengthSpectrum) -> ProjectiveSpectrum:
                               tuple(v / scale for v in sp.values), scale)
 
 
+def class_names(marking) -> tuple[str, ...]:
+    """The classes' labels; the i-th unlabelled class is named class{i}."""
+    return tuple(p.label or f"class{i}" for i, p in enumerate(marking))
+
+
 def spectrum_from_flat(s: TriangulatedFlatSurface, marking,
                        tol: float = 1e-12) -> MarkedLengthSpectrum:
     """Tightened lengths of the marking classes on a flat surface."""
     reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
-    names = tuple(p.label or f"class{i}" for i, p in enumerate(marking))
-    return MarkedLengthSpectrum(names, tuple(r.length for r in reps),
+    return MarkedLengthSpectrum(class_names(marking),
+                                tuple(r.length for r in reps),
                                 source="flat")
 
 

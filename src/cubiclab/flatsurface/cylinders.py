@@ -24,6 +24,7 @@ from .geodesics import (
     GeodesicRepresentative,
     HomotopyClassPath,
     _Strip,
+    is_translation,
     tighten_geodesic,
 )
 from .planar import dot
@@ -57,7 +58,7 @@ def _family(st: _Strip):
     """The strip's portal offsets nu and the interval (lo, hi) of the
     parallel family, max nu(right ends) < nu < min nu(left ends), with the
     tolerance at which two levels match."""
-    if abs(st.holonomy.rot - 1.0) > 1e-7:
+    if not is_translation(st.holonomy):
         raise NotCylindrical("strip holonomy is not a translation")
     nus, lo, hi = st.family()
     return nus, lo, hi, _LEVEL_TOL * max(abs(v) for ab in nus for v in ab)
@@ -152,7 +153,7 @@ def detect_cylinder(s: TriangulatedFlatSurface,
     the holonomy does not permit a parallel family."""
     if g.kind != "nonsingular":
         raise NotNonsingular("geodesic passes through a cone point")
-    if abs(g.holonomy.rot - 1.0) > 1e-7:
+    if not is_translation(g.holonomy):
         return None
     st = _core_strip(s, g)
     core = HomotopyClassPath(st.crossings, label=g.label)

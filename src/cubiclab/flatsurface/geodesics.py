@@ -34,6 +34,11 @@ PIN_TOL = 1e-12
 _U_EPS = 2.0 ** -52
 
 
+def is_translation(H: PlanarIsometry) -> bool:
+    """Whether the holonomy H is a translation, to ANGLE_TOL."""
+    return abs(H.rot - 1.0) <= ANGLE_TOL
+
+
 @dataclass(frozen=True)
 class HomotopyClassPath:
     """A free homotopy class as a cyclic triangle strip.
@@ -192,7 +197,7 @@ class _Strip:
         pts = self.edges
         tiny = 1e-12 * self.scale
         H = self.holonomy
-        if abs(H.rot - 1.0) <= ANGLE_TOL and self.centre_family(tiny):
+        if is_translation(H) and self.centre_family(tiny):
             return
         A0, B0 = pts[0]
         e0 = B0 - A0
@@ -434,46 +439,30 @@ class _Strip:
         the new crossings start away from the vertex, for the caller to
         solve or set.
         """
-        s = self.s
         i, j = group[0], group[-1]
         ci, orbit = self.pinned_vertex(i)
-        cj_out = self._exit_corner(j)
-        t_i = self.crossings[i][0]
-        start = (t_i, ci)
-        e_i = self.crossings[i][1]
-        if e_i == ci:
-            # strip went clockwise; complementary fan is counterclockwise,
-            # whose crossed edges all end at the pivot vertex (param 1)
-            opposite_step = s.corner_step_ccw
-            vertex_param = 1.0
-        else:
-            opposite_step = s.corner_step_cw
-            vertex_param = 0.0
+        t_i, e_i = self.crossings[i]
+        fan = self.s.fans[orbit]
+        m = len(fan)
+        a, b = fan.index((t_i, ci)), fan.index(self._exit_corner(j))
         # the fan is empty when the path enters and leaves the vertex in
-        # one corner: the strip then wound round it the whole way
-        new_slots = []
-        corner = start
-        target = cj_out
-        for _ in range(3 * s.num_triangles + 3):
-            if corner == target:
-                break
-            crossed, corner = opposite_step(*corner)
-            new_slots.append(crossed)
+        # one corner: the strip then wound round it the whole way.  The
+        # new crossings start away from the pivot end of their edges.
+        if e_i == ci:
+            # the strip went clockwise, so the complementary fan runs
+            # counterclockwise across the edges ending at the vertex
+            corners = [fan[(a + k) % m] for k in range((b - a) % m)]
+            new_slots = [(t, (c + 2) % 3) for t, c in corners]
+            u_new = 0.25
         else:
-            raise RuntimeError("pivot slide did not close up around the vertex")
+            # clockwise, across the edges starting at the vertex
+            new_slots = [fan[(a - k) % m] for k in range((a - b) % m)]
+            u_new = 0.75
 
         # replace crossings i..j (cyclic) with the complementary fan,
         # rebuilding in cyclic order starting at crossing (j+1) % n
         n = len(self.crossings)
-        order = []
-        k = (j + 1) % n
-        while True:
-            if k == i:
-                break
-            order.append(k)
-            k = (k + 1) % n
-        # the new crossings start away from the pivot end of their edges
-        u_new = 0.25 if vertex_param == 1.0 else 0.75
+        order = [(j + 1 + k) % n for k in range((i - j - 1) % n)]
         self.crossings = [self.crossings[k] for k in order] + new_slots
         self.params = ([self.params[k] for k in order]
                        + [u_new] * len(new_slots))

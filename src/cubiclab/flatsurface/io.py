@@ -59,10 +59,11 @@ def load_classes(path) -> list[HomotopyClassPath]:
             for entry in data]
 
 
-def spectrum_csv_rows(reps: list[GeodesicRepresentative]) -> list[list]:
+def spectrum_csv_rows(names, reps: list[GeodesicRepresentative]
+                      ) -> list[list]:
     rows = [["class", "length", "kind", "cone_hits"]]
-    for g in reps:
-        rows.append([g.label or "", f"{g.length:.15g}", g.kind,
+    for name, g in zip(names, reps):
+        rows.append([name, f"{g.length:.15g}", g.kind,
                      ";".join(str(v.orbit) for v in g.cone_visits)])
     return rows
 

@@ -67,31 +67,15 @@ def _seg_min_dist(a: complex, b: complex) -> float:
     return abs(a + t * d)
 
 
-class _FanTable:
-    """Cumulative corner angles around each vertex orbit."""
+def _intrinsic(s: TriangulatedFlatSurface, corner, ray, d) -> float:
+    """Fan angle of direction d leaving the vertex at ``corner``.
 
-    def __init__(self, s: TriangulatedFlatSurface):
-        self.s = s
-        self.cum: dict[tuple[int, int], float] = {}
-        for orbit, corners in enumerate(s.vertex_orbits):
-            fan = s.corner_fan(*corners[0])
-            acc = 0.0
-            for (t, i) in fan:
-                self.cum[(t, i)] = acc
-                acc += s.corner_angle(t, i)
-
-    def intrinsic(self, corner, ray, d) -> float:
-        """Fan angle of direction d leaving the vertex at ``corner``.
-
-        ``ray`` is the developed direction of the corner's first edge and
-        ``d`` the developed outgoing direction, both in the same frame.
-        """
-        total = float(self.s.orbit_angles[self.s.orbit_of[corner]])
-        a = self.cum[corner] + ccw_angle(ray, d)
-        a = math.fmod(a, total)
-        if a > total - 1e-9:
-            a = 0.0
-        return a
+    ``ray`` is the developed direction of the corner's first edge and
+    ``d`` the developed outgoing direction, both in the same frame.
+    """
+    total = float(s.orbit_angles[s.orbit_of[corner]])
+    a = math.fmod(s.fan_angle[corner] + ccw_angle(ray, d), total)
+    return 0.0 if a > total - 1e-9 else a
 
 
 def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
@@ -106,7 +90,6 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
     if max_length <= 0:
         raise ValueError("max_length must be positive")
     ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
-    fans = _FanTable(s)
     found: dict[tuple, SaddleConnection] = {}
     budget = max_expansions
     unit = max(s.edge_length(slot) for slot in s.gluings)
@@ -121,8 +104,8 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
         norm = abs(w)
         if norm > cut or norm <= _LENGTH_TOL * unit:
             return
-        ang_start = fans.intrinsic(start_corner, start_ray, w)
-        ang_end = fans.intrinsic(target_corner, target_ray, -w)
+        ang_start = _intrinsic(s, start_corner, start_ray, w)
+        ang_end = _intrinsic(s, target_corner, target_ray, -w)
         pair = tuple(sorted((round(ang_start, 7), round(ang_end, 7))))
         key = (min(origin_orbit, t_orbit), max(origin_orbit, t_orbit),
                round(norm / unit, 9), pair)

@@ -64,7 +64,6 @@ class TriangulatedFlatSurface:
         self.gluings: dict[Slot, Slot] = {}
         self.isometries: dict[Slot, PlanarIsometry] = {}
         self._install_gluings(gluings)
-        self._check_involution()
         self._check_edges()
 
         self._build_orbits()
@@ -140,12 +139,6 @@ class TriangulatedFlatSurface:
                     f"the partner edge {partner}")
             self.isometries[slot] = derived
 
-    def _check_involution(self) -> None:
-        for slot, partner in self.gluings.items():
-            if self.gluings.get(partner) != slot:
-                raise NonInvolutiveGluing(
-                    f"pairing of {slot} and {partner} is not involutive")
-
     def _check_edges(self) -> None:
         for slot, partner in self.gluings.items():
             if slot > partner:
@@ -158,36 +151,33 @@ class TriangulatedFlatSurface:
                     f"(len {lb:.12g}) differ beyond tolerance")
 
     def _build_orbits(self) -> None:
-        corners = [(t, i) for t in range(len(self.triangles)) for i in range(3)]
-        parent = {c: c for c in corners}
+        """Walk each vertex fan once, counterclockwise from its least corner.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for (t, e), (t2, e2) in self.gluings.items():
-            # start of edge e is vertex e, identified with the end of e2
-            union((t, e), (t2, (e2 + 1) % 3))
-            union((t, (e + 1) % 3), (t2, e2))
-
-        groups: dict[Slot, list[Slot]] = {}
-        for c in corners:
-            groups.setdefault(find(c), []).append(c)
-        orbits = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-        self.vertex_orbits: list[list[Slot]] = orbits
+        ``fans[o]`` lists orbit o's corners in ccw order and
+        ``fan_angle[c]`` is the angle from the fan's first ray to corner c.
+        Orbits are numbered by their least corners.
+        """
+        self.fans: list[list[Slot]] = []
+        self.fan_angle: dict[Slot, float] = {}
         self.orbit_of: dict[Slot, int] = {}
-        for idx, orbit in enumerate(orbits):
-            for c in orbit:
-                self.orbit_of[c] = idx
+        for start in ((t, i) for t in range(len(self.triangles))
+                      for i in range(3)):
+            if start in self.orbit_of:
+                continue
+            fan, acc, corner = [], 0.0, start
+            while corner not in self.orbit_of:
+                self.orbit_of[corner] = len(self.fans)
+                self.fan_angle[corner] = acc
+                acc += self.corner_angle(*corner)
+                fan.append(corner)
+                # the edge ending at the vertex is glued to the next ray
+                t, i = corner
+                corner = self.gluings[(t, (i + 2) % 3)]
+            self.fans.append(fan)
+        self.vertex_orbits: list[list[Slot]] = [sorted(f) for f in self.fans]
         self.orbit_angles = np.array(
-            [sum(self.corner_angle(t, i) for (t, i) in orbit) for orbit in orbits])
+            [sum(self.corner_angle(t, i) for (t, i) in orbit)
+             for orbit in self.vertex_orbits])
 
     def _check_cone_angles(self) -> None:
         self.orbit_orders: list[int] = []
@@ -246,38 +236,6 @@ class TriangulatedFlatSurface:
 
     def total_cone_order(self) -> int:
         return sum(self.orbit_orders)
-
-    # -- corner walking (used by geodesics and surgeries) -------------------
-
-    def corner_step_ccw(self, t: int, i: int) -> tuple[Slot, Slot]:
-        """Rotate counterclockwise around vertex (t, i).
-
-        Returns (crossed slot, next corner).  The crossed slot is the edge of
-        triangle t ending at vertex i.
-        """
-        crossed = (t, (i + 2) % 3)
-        t2, e2 = self.gluings[crossed]
-        return crossed, (t2, e2)
-
-    def corner_step_cw(self, t: int, i: int) -> tuple[Slot, Slot]:
-        """Rotate clockwise around vertex (t, i).
-
-        The crossed slot is the edge of triangle t starting at vertex i.
-        """
-        crossed = (t, i)
-        t2, e2 = self.gluings[crossed]
-        return crossed, (t2, (e2 + 1) % 3)
-
-    def corner_fan(self, t: int, i: int) -> list[Slot]:
-        """All corners of the vertex orbit of (t, i) in ccw order around it."""
-        fan = [(t, i)]
-        while True:
-            _, nxt = self.corner_step_ccw(*fan[-1])
-            if nxt == (t, i):
-                return fan
-            fan.append(nxt)
-            if len(fan) > 3 * len(self.triangles):
-                raise RuntimeError("corner fan does not close up")
 
     def scaled(self, factor: float) -> "TriangulatedFlatSurface":
         """A copy with all lengths multiplied by factor > 0."""

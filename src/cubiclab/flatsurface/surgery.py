@@ -85,7 +85,7 @@ def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
                 f"a cone point or marked puncture lies at distance "
                 f"{sc.length:.6g} < 2*eps from puncture orbit {orbit}")
 
-    fan = s.corner_fan(*s.vertex_orbits[orbit][0])
+    fan = s.fans[orbit]
     angles = [s.corner_angle(t, i) for (t, i) in fan]
     last_err = None
     for rot in range(len(fan)):

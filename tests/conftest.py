@@ -5,7 +5,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from cubiclab.flatsurface import HomotopyClassPath, presets
+from cubiclab.flatsurface import (
+    HomotopyClassPath,
+    TriangulatedFlatSurface,
+    presets,
+)
+from cubiclab.flatsurface.surgery import triangle_surgery_glue
 
 
 @pytest.fixture
@@ -22,3 +27,19 @@ def octagon_commutator():
 
     return HomotopyClassPath(vert + horiz + inverse(vert) + inverse(horiz),
                              label="[vert,horiz]")
+
+
+@pytest.fixture
+def flat_puncture_surface():
+    """Two marked square tori glued at eps 0.2, with the flat vertex orbit
+    ``orbit`` (1 or 2) marked.  Orbits 1 and 2 lie 0.2 (2 - sqrt 3) from a
+    k = 2 cone point."""
+    def build(orbit):
+        g = triangle_surgery_glue(
+            [(presets.square_torus(mark_vertex=True), 0),
+             (presets.square_torus(mark_vertex=True), 0)], 0.2)
+        assert g.orbit_orders == [2, 0, 0, 2, 2]
+        return TriangulatedFlatSurface(g.triangles, g.gluings,
+                                       marked_punctures=(orbit,))
+
+    return build

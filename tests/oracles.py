@@ -207,10 +207,10 @@ def strip_dijkstra_length(s, path, levels: int) -> float:
 
 # -- saddle connections by exhaustive unfolding -------------------------------
 
-def _frame_key(t, phi):
-    """Triangle t developed by phi, up to rounding."""
+def _frame_key(t, phi, unit):
+    """Triangle t developed by phi, up to rounding in units of unit."""
     return (t, round(math.remainder(phi.rot, 2.0 * math.pi), 9),
-            round(phi.t[0], 9), round(phi.t[1], 9))
+            round(phi.t[0] / unit, 9), round(phi.t[1] / unit, 9))
 
 
 def brute_saddle_connections(s, max_length: float, depth: int):
@@ -227,34 +227,37 @@ def brute_saddle_connections(s, max_length: float, depth: int):
     ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
     fan_cum = _fan_cumulative(s)
     unfold = _unfolders(s)
+    unit = max(s.edge_length(slot) for slot in s.gluings)
 
     for orbit in sorted(ends):
         for (t0, i0) in s.vertex_orbits[orbit]:
             tri = _corners(s, t0)
             shift = _Isometry(0.0, -tri[i0])
-            candidates = set()
+            # developed endpoints, deduplicated in units of the longest
+            # edge; each is traced at its exact coordinates
+            candidates = {}
             queue = deque([(t0, shift, 0)])
             # BFS meets each developed frame first at its least depth, so
             # a frame met again adds no candidate and is not expanded
-            seen = {_frame_key(t0, shift)}
+            seen = {_frame_key(t0, shift, unit)}
             while queue:
                 t, phi, d = queue.popleft()
                 for w in (phi.apply(v) for v in _corners(s, t)):
                     norm = float(np.linalg.norm(w))
-                    if 1e-12 < norm <= max_length + 1e-12:
-                        candidates.add((round(w[0], 9), round(w[1], 9)))
+                    if 1e-12 * unit < norm <= max_length + 1e-12 * unit:
+                        candidates.setdefault((round(w[0] / unit, 9),
+                                               round(w[1] / unit, 9)), w)
                 if d < depth:
                     for e in range(3):
                         t2, _ = s.gluings[(t, e)]
                         phi2 = phi.compose(unfold[(t, e)])
-                        key = _frame_key(t2, phi2)
+                        key = _frame_key(t2, phi2, unit)
                         if key not in seen:
                             seen.add(key)
                             queue.append((t2, phi2, d + 1))
             ray1 = shift.apply(tri[(i0 + 1) % 3])
             ray2 = shift.apply(tri[(i0 + 2) % 3])
-            for wx, wy in candidates:
-                w = np.array([wx, wy])
+            for w in candidates.values():
                 # the segment must leave through this corner's wedge
                 if (ray1[0] * w[1] - ray1[1] * w[0] < -1e-12
                         or w[0] * ray2[1] - w[1] * ray2[0] < -1e-12):
@@ -281,8 +284,7 @@ def brute_saddle_connections(s, max_length: float, depth: int):
 
 def _fan_cumulative(s):
     cum = {}
-    for orbit, corners in enumerate(s.vertex_orbits):
-        fan = s.corner_fan(*corners[0])
+    for fan in s.fans:
         acc = 0.0
         for (t, i) in fan:
             cum[(t, i)] = acc

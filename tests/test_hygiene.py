@@ -1,11 +1,13 @@
-"""Source hygiene: every imported name is used, and every definition in the
-package is reached from what the package runs.
+"""Source hygiene: every imported name is used, every definition in the
+package is reached from what the package runs, and every call the
+benchmark traces exists.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
 """
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -151,3 +153,29 @@ def test_every_public_definition_is_reached():
                                        defs))
     assert not stale, ("ALLOWED entries that name nothing or are reached "
                        "anyway:\n" + "\n".join(stale))
+
+
+# Span targets of the benchmark that name no callable, each with a reason.
+# An entry that resolves is stale.
+UNRESOLVED_SPANS = {
+    "solver.laplacian_matrix": "the solver assembles no Laplacian matrix; "
+                               "the span waits for a benchmark change",
+}
+
+
+def _resolves(target: str) -> bool:
+    module, _, qualname = target.partition(":")
+    owner = importlib.import_module(module)
+    for part in qualname.split("."):
+        owner = getattr(owner, part, None)
+    return callable(owner)
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = sorted(name for name, target, _attrs in spans.TARGETS
+                     if not _resolves(target))
+    assert missing == sorted(UNRESOLVED_SPANS), (
+        "benchmark span targets that resolve to nothing (or stale "
+        f"UNRESOLVED_SPANS entries): {missing}")

@@ -61,6 +61,26 @@ def test_cli_spectrum_preset(tmp_path):
     assert "(1,1)" in csv_text
 
 
+def test_cli_spectrum_names_unnamed_classes(tmp_path):
+    # the i-th unnamed class is class{i} in the CSV and the SVG file name,
+    # as in spectrum_from_flat; a shared name overwrote one SVG
+    marking = tmp_path / "marking.json"
+    marking.write_text(json.dumps(
+        [{"strip": [list(c) for c in cls.crossings]}
+         for cls in presets.torus_marking()]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "spectrum",
+                               "surface": "square-torus",
+                               "marking": str(marking)}))
+    out = tmp_path / "run"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    names = ["class0", "class1", "class2"]
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == names
+    assert sorted(p.name for p in out.glob("*.svg")) == \
+        [f"geodesic_{n}.svg" for n in names]
+
+
 def test_cli_reproducibility(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

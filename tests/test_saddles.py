@@ -41,6 +41,21 @@ def test_marked_puncture_is_an_endpoint():
     assert _keyset(scs) == set(keys)
 
 
+@pytest.mark.parametrize("orbit", [1, 2])
+@pytest.mark.parametrize("bound", [0.12, 0.3, 0.6])
+def test_short_connections_match_brute_oracle(orbit, bound,
+                                              flat_puncture_surface):
+    # the 0.0536 connection from the marked flat orbit to a k = 2 cone
+    # point is far below the unit edge; an oracle rounding its candidate
+    # endpoints to absolute digits listed it twice, at fan angles 0 and
+    # 10*pi/3, when orbit 1 was marked
+    g = flat_puncture_surface(orbit)
+    lib = _keyset(enumerate_saddle_connections(g, bound))
+    assert min(k[2] for k in lib) == pytest.approx(0.2 * (2 - math.sqrt(3)))
+    _lens, keys = brute_saddle_connections(g, bound, depth=5)
+    assert lib == set(keys)
+
+
 def test_octagon_unit_sides():
     o = presets.regular_octagon()
     scs = enumerate_saddle_connections(o, 1.01)
@@ -62,6 +77,17 @@ def test_octagon_matches_brute_oracle():
         lib = _keyset(enumerate_saddle_connections(o, bound))
         _lens, keys = brute_saddle_connections(o, bound, depth=depth)
         assert lib == set(keys)
+
+
+@pytest.mark.parametrize("f", [1e3, 1e6])
+def test_scaled_octagon_matches_brute_oracle(f):
+    # the oracle's length floor and frame keys are in units of the longest
+    # edge: with absolute ones it listed zero-length connections here
+    o = presets.regular_octagon().scaled(f)
+    lib = _keyset(enumerate_saddle_connections(o, 1.01 * f))
+    _lens, keys = brute_saddle_connections(o, 1.01 * f, depth=7)
+    assert len(lib) == 4
+    assert lib == set(keys)
 
 
 def test_octagon_short_diagonals_appear():

@@ -12,6 +12,7 @@ from cubiclab.errors import (
     NonInvolutiveGluing,
 )
 from cubiclab.flatsurface import area, build_surface, gauss_bonnet_defect, presets
+from cubiclab.flatsurface.cylinders import insert_cylinder_detailed
 from cubiclab.flatsurface.surface import PlanarIsometry, TriangulatedFlatSurface
 
 
@@ -99,6 +100,33 @@ def test_bad_cone_angle():
     gluings = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
     with pytest.raises(BadConeAngle, match=r"k = -1\.5\b"):
         TriangulatedFlatSurface(tris, gluings)
+
+
+@pytest.mark.parametrize("name", ["square torus", "marked torus", "octagon",
+                                  "doubled triangle", "G", "grafted torus"])
+def test_stored_fans_walk_each_vertex(name, flat_puncture_surface):
+    s = {
+        "square torus": presets.square_torus,
+        "marked torus": lambda: presets.square_torus(mark_vertex=True),
+        "octagon": presets.regular_octagon,
+        "doubled triangle": presets.doubled_triangle,
+        "G": lambda: flat_puncture_surface(1),
+        "grafted torus": lambda: insert_cylinder_detailed(
+            presets.rectangle_torus(1.3, 0.7), presets.torus_class(1, 2),
+            0.5).surface,
+    }[name]()
+    assert len(s.fans) == len(s.vertex_orbits)
+    for o, fan in enumerate(s.fans):
+        assert sorted(fan) == s.vertex_orbits[o]
+        assert all(s.orbit_of[c] == o for c in fan)
+        # the ccw step round the vertex leads to the next corner and closes
+        for (t, i), nxt in zip(fan, fan[1:] + fan[:1]):
+            assert s.gluings[(t, (i + 2) % 3)] == nxt
+        assert s.fan_angle[fan[0]] == 0.0
+        for c, nxt in zip(fan, fan[1:]):
+            assert s.fan_angle[nxt] == s.fan_angle[c] + s.corner_angle(*c)
+        total = s.fan_angle[fan[-1]] + s.corner_angle(*fan[-1])
+        assert abs(total - s.orbit_angles[o]) <= 1e-12 * s.orbit_angles[o]
 
 
 def test_gauss_bonnet_negative_control():

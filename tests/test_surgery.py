@@ -132,37 +132,26 @@ def test_prism_core_lengths_scale_with_eps():
             assert abs(area(g) / f ** 2 - expect) < 1e-12, f
 
 
-def _flat_puncture_surface(orbit):
-    """Two marked square tori glued at eps 0.2, with the flat vertex orbit
-    ``orbit`` (1 or 2) marked.  Orbits 1 and 2 lie 0.2 (2 - sqrt 3) from a
-    k = 2 cone point."""
-    g = triangle_surgery_glue([(presets.square_torus(mark_vertex=True), 0),
-                               (presets.square_torus(mark_vertex=True), 0)],
-                              0.2)
-    assert g.orbit_orders == [2, 0, 0, 2, 2]
-    return TriangulatedFlatSurface(g.triangles, g.gluings,
-                                   marked_punctures=(orbit,))
-
-
 @pytest.mark.parametrize("orbit", [1, 2])
 @pytest.mark.parametrize("eps", [0.05, 0.08, 0.12])
-def test_clearance_sees_cone_points_near_a_flat_puncture(orbit, eps):
+def test_clearance_sees_cone_points_near_a_flat_puncture(
+        orbit, eps, flat_puncture_surface):
     assert f"{0.2 * (2.0 - math.sqrt(3.0)):.6g}" == "0.0535898"
     with pytest.raises(EpsTooLarge, match=r"distance 0\.0535898 < 2\*eps"):
         triangle_surgery_glue(
-            [(_flat_puncture_surface(orbit), orbit),
+            [(flat_puncture_surface(orbit), orbit),
              (presets.square_torus(mark_vertex=True), 0)], eps)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.02, 0.025])
-def test_unfannable_carve_names_its_numbers(eps):
+def test_unfannable_carve_names_its_numbers(eps, flat_puncture_surface):
     # orbit 1 glues; at orbit 2 the carved piece has a reflex p2 that no
     # fan apex sees past
     t = presets.square_torus(mark_vertex=True)
-    g = triangle_surgery_glue([(_flat_puncture_surface(1), 1), (t, 0)], eps)
+    g = triangle_surgery_glue([(flat_puncture_surface(1), 1), (t, 0)], eps)
     assert abs(gauss_bonnet_defect(g)) < 1e-9
     with pytest.raises(ValueError, match=(
             rf"part 0 at puncture orbit 2 with eps={eps} leaves triangle 1 "
             r".*triangulation too coarse near the puncture")) as info:
-        triangle_surgery_glue([(_flat_puncture_surface(2), 2), (t, 0)], eps)
+        triangle_surgery_glue([(flat_puncture_surface(2), 2), (t, 0)], eps)
     assert type(info.value) is ValueError
