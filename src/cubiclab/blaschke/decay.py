@@ -52,19 +52,17 @@ def flat_metric_path_length(q_coeffs, z_from: complex, z_to: complex,
     return float(val * abs(z_to - z_from))
 
 
-def _min_abs_q_on_disk(coeffs, center: complex, radius: float,
-                       n_r: int = 48, n_th: int = 96) -> float:
+def _min_abs_q_on_disk(coeffs, center: complex, radius: float) -> float:
     cs = np.asarray(coeffs, dtype=complex)
-    rr = np.linspace(0.0, radius, n_r)
-    th = np.linspace(0.0, 2.0 * math.pi, n_th, endpoint=False)
+    rr = np.linspace(0.0, radius, 48)
+    th = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
     zz = center + rr[:, None] * np.exp(1j * th)[None, :]
     return float(np.abs(np.polyval(cs[::-1], zz)).min())
 
 
 def decay_experiment(q_coeffs, t_list, probe: complex, *,
                      window_side: float = 4.0, n: int = 129,
-                     bound: float = 1.0, tol: float = 1e-10,
-                     disc_tol: float = 1e-6) -> list[DecayCertificate]:
+                     bound: float = 1.0) -> list[DecayCertificate]:
     """Certify the gap decay for the ray t * q at a probe point.
 
     The window is a Dirichlet square centered at the probe with boundary
@@ -94,7 +92,7 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     out = []
     for t in ts:
         q = CubicDifferentialField.from_polynomial(grid, coeffs * t)
-        F = solve_tzitzeica(grid, q, boundary=bound, tol=tol,
+        F = solve_tzitzeica(grid, q, boundary=bound, tol=1e-10,
                             fixed_mask=disk_fixed)
         iy, ix = grid.nearest_node(probe)
         measured = float(F[iy, ix])
@@ -111,7 +109,7 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
                          for z0 in zero_pts)
         else:
             d_flat = math.inf
-        passed = measured <= barrier + disc_tol * max(1.0, bound)
+        passed = measured <= barrier + 1e-6 * max(1.0, bound)
         out.append(DecayCertificate(t, bound, d_flat, coord_radius,
                                     barrier, measured, residual, passed))
     return out

@@ -1,6 +1,6 @@
 """Comparison quantities attached to a Wang-equation solution: curvature,
-subsolution margin, area bounds, the density-comparison root, the gap upper
-bound, and the induced minimal-surface metric."""
+area bounds, the density-comparison root, the gap upper bound, and the
+induced minimal-surface metric."""
 
 from __future__ import annotations
 
@@ -10,11 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NegativeInput, NonpositiveRadius
-from .cubic import CubicDifferentialField
 from .grid import DIRICHLET
-from .solver import BlaschkeSolution, _safe_exp, discrete_laplacian
-
-CBRT2 = 2.0 ** (1.0 / 3.0)
+from .solver import CBRT2, BlaschkeSolution, _safe_exp, discrete_laplacian
 
 
 def log_density_curvature(log_density: np.ndarray, dx: float, dy: float,
@@ -29,13 +26,6 @@ def curvature_field(sol: BlaschkeSolution) -> np.ndarray:
     for Dirichlet grids)."""
     return log_density_curvature(sol.psi, sol.grid.dx, sol.grid.dy,
                                  periodic=sol.grid.bc != DIRICHLET)
-
-
-def check_subsolution(sol: BlaschkeSolution,
-                      q: CubicDifferentialField) -> np.ndarray:
-    """Margin e^psi - 2^(1/3)|q|^(2/3); nonnegative for valid solutions,
-    identically zero exactly in the flat torus case."""
-    return sol.h - CBRT2 * q.abs23
 
 
 def largest_root(a: float) -> float:
@@ -82,18 +72,18 @@ class AreaBounds:
     literal: bool  # bounds literal only on closed surfaces (periodic torus)
 
 
-def area_and_bounds(sol: BlaschkeSolution, q: CubicDifferentialField,
-                    region: str = "torus") -> AreaBounds:
+def area_and_bounds(sol: BlaschkeSolution) -> AreaBounds:
     """Quadrature of the metric area against 2^(1/3)||q||.
 
     On the periodic torus (chi = 0) the two-sided bound collapses to an
-    equality for constant q; on a subregion the caveat flag is cleared and
-    the numbers are reported without the closed-surface interpretation.
+    equality for constant q; on a Dirichlet window the caveat flag is
+    cleared and the numbers are reported without the closed-surface
+    interpretation.
     """
     area_h = sol.grid.integrate(sol.h)
-    flat = q.flat_area()
+    flat = sol.q.flat_area()
     lower = CBRT2 * flat
-    if region == "torus":
+    if sol.grid.bc != DIRICHLET:
         upper = lower  # chi = 0 closes the two-sided bound
         literal = True
     else:

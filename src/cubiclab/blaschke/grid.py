@@ -86,11 +86,10 @@ class Grid2D:
             * self.cell_area()
 
 
-def square_window(center: complex, side: float, n: int,
-                  bc: str = DIRICHLET) -> Grid2D:
+def square_window(center: complex, side: float, n: int) -> Grid2D:
     h = side / 2.0
     return Grid2D(center.real - h, center.real + h,
-                  center.imag - h, center.imag + h, n, n, bc=bc)
+                  center.imag - h, center.imag + h, n, n)
 
 
 def unit_torus_grid(n: int) -> Grid2D:

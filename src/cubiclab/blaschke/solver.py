@@ -34,6 +34,7 @@ from .grid import DIRICHLET, Grid2D
 
 _EXP_CAP = 300.0
 _CG_MAXITER = 500
+CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
 def _safe_exp(x):
@@ -61,6 +62,12 @@ class BlaschkeSolution:
         with np.errstate(divide="ignore"):
             flat = np.log(2.0 * self.q.abs2) / 3.0
         return 1.5 * (self.psi - flat)
+
+
+def check_subsolution(sol: BlaschkeSolution) -> np.ndarray:
+    """Margin e^psi - 2^(1/3)|q|^(2/3); nonnegative for valid solutions,
+    identically zero exactly in the flat torus case."""
+    return sol.h - CBRT2 * sol.q.abs23
 
 
 def discrete_laplacian(field: np.ndarray, dx: float, dy: float,
@@ -207,7 +214,7 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
     psi, rn, its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
                                      tol, max_iter, "wang")
     sol = BlaschkeSolution(grid, q, psi, rn, its)
-    margin = sol.h - 2.0 ** (1.0 / 3.0) * q.abs23
+    margin = check_subsolution(sol)
     sol.flags["subsolution_ok"] = bool(margin.min() >= -1e-8 * max(
         1.0, float(sol.h.max())))
     sol.flags["gap_nonnegative"] = bool((sol.gap[abs2 > 0] >= -1e-7).all())
@@ -216,7 +223,7 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
 
 def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
                     boundary=None, tol: float = 1e-10,
-                    max_iter: int = 60, fixed_mask=None) -> np.ndarray:
+                    fixed_mask=None) -> np.ndarray:
     """Solve the gap equation Lap F = 3*2^(4/3)|q|^(2/3) e^(-F/3) sinh F.
 
     Dirichlet boundary values must be nonnegative; the discrete solution
@@ -258,5 +265,5 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
                 c * e3 * (np.cosh(Fc) - np.sinh(Fc) / 3.0))
 
     F, _rn, _its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
-                                     tol, max_iter, "tzitzeica")
+                                     tol, 60, "tzitzeica")
     return F

@@ -115,21 +115,31 @@ PRESETS = {
 }
 
 
-def _load_config(args) -> dict:
+class _Config(dict):
+    """A config whose missing keys raise ConfigError naming the key."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"config has no {key!r}")
+
+
+def _load_config(args) -> _Config:
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; "
                 f"available: {', '.join(sorted(PRESETS))}")
-        return dict(PRESETS[args.preset])
+        return _Config(PRESETS[args.preset])
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            return json.loads(path.read_text())
+            config = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"malformed config {path}: {err}")
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        return _Config(config)
     raise ConfigError("either --preset or --config is required")
 
 
@@ -157,9 +167,7 @@ def _marking_from_config(spec: str):
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_spectrum(config: dict, out: Path, verbose: bool) -> RunReport:
-    report = RunReport("spectrum", config_hash(config))
-    t0 = time.perf_counter()
+def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
     s = _surface_from_config(config["surface"])
     marking = _marking_from_config(config["marking"])
     tol = float(config.get("tol", 1e-12))
@@ -169,7 +177,7 @@ def cmd_spectrum(config: dict, out: Path, verbose: bool) -> RunReport:
     _write_csv(out / "spectrum.csv", fsio.spectrum_csv_rows(names, reps))
     for name, g in zip(names, reps):
         fname = name.replace("*", "x").replace("/", "-")
-        fsio.render_geodesic_svg(s, g, out / f"geodesic_{fname}.svg")
+        fsio.render_geodesic_svg(g, out / f"geodesic_{fname}.svg")
 
     gb = abs(gauss_bonnet_defect(s))
     report.add("gauss-bonnet", "Gauss-Bonnet defect below 1e-9",
@@ -191,13 +199,9 @@ def cmd_spectrum(config: dict, out: Path, verbose: bool) -> RunReport:
         report.add("torus-lattice-lengths",
                    "square-torus marked spectrum equals lattice norms",
                    err < 1e-9, err, 1e-9)
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
-def cmd_ray(config: dict, out: Path, verbose: bool) -> RunReport:
-    report = RunReport("ray", config_hash(config))
-    t0 = time.perf_counter()
+def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
     t_list = [float(t) for t in config["t_list"]]
     if not t_list:
         raise ConfigError("t_list must be nonempty")
@@ -252,8 +256,6 @@ def cmd_ray(config: dict, out: Path, verbose: bool) -> RunReport:
         report.add("ray-torus-identity",
                    "scaled torus lengths match the flat spectrum exactly",
                    worst < 1e-10, worst, 1e-10)
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def _limit_sweep(name: str):
@@ -288,9 +290,7 @@ def _limit_sweep(name: str):
     raise ConfigError(f"unknown sweep preset {name!r}")
 
 
-def cmd_limits(config: dict, out: Path, verbose: bool) -> RunReport:
-    report = RunReport("limits", config_hash(config))
-    t0 = time.perf_counter()
+def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
     rows = [["sweep", "n_terms", "classified", "expected", "parameter"]]
     ok_all = True
     for name in config["sweeps"]:
@@ -334,19 +334,15 @@ def cmd_limits(config: dict, out: Path, verbose: bool) -> RunReport:
                 abs(geomlimits.pushforward_power_cover(3, 9.0) - 1.0))
     report.add("pushforward-scale", "power-cover push-forward scale d^-2",
                err_p == 0.0, err_p, 0.0)
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
-def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
-    report = RunReport("surgery", config_hash(config))
-    t0 = time.perf_counter()
+def cmd_surgery(config: dict, out: Path, report: RunReport) -> None:
     mode = config.get("mode", "cylinder-ray")
     if mode == "cylinder-ray":
         s = presets.square_torus()
         marking = [presets.torus_class(1, 0), presets.torus_class(0, 1)]
         reps = [tighten_geodesic(s, c, tol=1e-12) for c in marking]
-        table = np.array([[geometric_intersection_count(s, a, b)
+        table = np.array([[geometric_intersection_count(a, b)
                            for b in reps] for a in reps])
         spectra = []
         height_two = None
@@ -363,8 +359,8 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
             rows.append([_fmt(h)] + [_fmt(v) for v in sp.values])
             fsio.save_surface(res.surface,
                               out / f"torus_cylinder_h{h:g}.json")
-            cyl = detect_cylinder(res.surface, tighten_geodesic(
-                res.surface, moved[0], tol=1e-12))
+            cyl = detect_cylinder(tighten_geodesic(res.surface, moved[0],
+                                                   tol=1e-12))
             err = (max(abs(cyl.circumference - 1.0),
                        abs(cyl.height - 1.0 - float(h)))
                    if cyl.closed else math.inf)
@@ -425,8 +421,6 @@ def cmd_surgery(config: dict, out: Path, verbose: bool) -> RunReport:
                    ksum == 0, ksum, 0)
     else:
         raise ConfigError(f"unknown surgery mode {mode!r}")
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 COMMANDS = {
@@ -446,7 +440,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--preset", help="named built-in config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     try:
@@ -459,11 +452,14 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    report = RunReport(args.command, config_hash(config))
+    t0 = time.perf_counter()
     try:
-        report = COMMANDS[args.command](config, out, args.verbose)
+        COMMANDS[args.command](config, out, report)
     except CubiclabError as err:
         print(f"error: {type(err).__name__}: {err}")
         return 2
+    report.wall_time = time.perf_counter() - t0
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"

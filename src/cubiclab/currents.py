@@ -26,15 +26,15 @@ from .flatsurface import TriangulatedFlatSurface, tighten_geodesic
 from .flatsurface.surface import area as flat_area
 
 SELF_INTERSECTION_FACTOR = math.pi / 2.0
+ZERO_TOL = 1e-9  # a projectivized limit at or below it vanishes
 
 
 @dataclass(frozen=True)
 class MarkedLengthSpectrum:
-    """Lengths of the marking classes, with a provenance tag."""
+    """Lengths of the marking classes."""
 
     marking: tuple[str, ...]
     values: tuple[float, ...]
-    source: str = "synthetic"  # flat | blaschke | mixed | synthetic
 
     def __post_init__(self):
         if len(set(self.marking)) != len(self.marking):
@@ -73,13 +73,12 @@ def class_names(marking) -> tuple[str, ...]:
     return tuple(p.label or f"class{i}" for i, p in enumerate(marking))
 
 
-def spectrum_from_flat(s: TriangulatedFlatSurface, marking,
-                       tol: float = 1e-12) -> MarkedLengthSpectrum:
+def spectrum_from_flat(s: TriangulatedFlatSurface,
+                       marking) -> MarkedLengthSpectrum:
     """Tightened lengths of the marking classes on a flat surface."""
-    reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
+    reps = [tighten_geodesic(s, path, tol=1e-12) for path in marking]
     return MarkedLengthSpectrum(class_names(marking),
-                                tuple(r.length for r in reps),
-                                source="flat")
+                                tuple(r.length for r in reps))
 
 
 def self_intersection_flat(s: TriangulatedFlatSurface) -> float:
@@ -94,7 +93,6 @@ def self_intersection_flat(s: TriangulatedFlatSurface) -> float:
 class SubsurfaceMarking:
     """Marking classes grouped into one complementary subsurface."""
 
-    part_id: int
     classes: tuple[str, ...]
     peripheral: tuple[str, ...]
     systole_over_marking: float
@@ -138,13 +136,12 @@ def _component_limit(seq: list[float], tol: float):
         f"extrapolates geometrically")
 
 
-def classify_limit(seq: list[MarkedLengthSpectrum], table: np.ndarray,
-                   tol: float = 1e-6, zero_tol: float = 1e-9,
-                   ) -> LimitClassification:
+def classify_limit(seq: list[MarkedLengthSpectrum],
+                   table: np.ndarray) -> LimitClassification:
     """Classify the limit of a sequence of spectra over a fixed marking.
 
     The sequence is projectivized (max-norm) and each component's limit is
-    declared by direct convergence (successive differences below tol) or by
+    declared by direct convergence (successive differences below 1e-6) or by
     clamped geometric extrapolation.  The null set collects classes with
     zero limit all of whose crossing classes have positive limit; classes
     disjoint from the null set are grouped by the intersection graph into
@@ -170,7 +167,7 @@ def classify_limit(seq: list[MarkedLengthSpectrum], table: np.ndarray,
     limits = []
     modes = []
     for j in range(n):
-        lim, mode = _component_limit(list(comps[:, j]), tol)
+        lim, mode = _component_limit(list(comps[:, j]), 1e-6)
         limits.append(lim)
         modes.append(mode)
     top = max(limits)
@@ -181,10 +178,10 @@ def classify_limit(seq: list[MarkedLengthSpectrum], table: np.ndarray,
 
     null_set = []
     for j in range(n):
-        if limits[j] > zero_tol:
+        if limits[j] > ZERO_TOL:
             continue
         crossing = [k for k in range(n) if table[j, k] > 0]
-        if all(limits[k] > zero_tol for k in crossing):
+        if all(limits[k] > ZERO_TOL for k in crossing):
             null_set.append(j)
     null_ids = tuple(marking[j] for j in null_set)
 
@@ -217,16 +214,14 @@ def classify_limit(seq: list[MarkedLengthSpectrum], table: np.ndarray,
             set(null_set) | {c for c in crossing_cls
                              if any(table[c, k] > 0 for k in comp)}))
         systole = min(limits[k] for k in sorted(comp))
-        label = "flat-candidate" if systole > zero_tol else "laminar-candidate"
-        parts.append(SubsurfaceMarking(len(parts), members, periph,
-                                       systole, label))
+        label = "flat-candidate" if systole > ZERO_TOL else "laminar-candidate"
+        parts.append(SubsurfaceMarking(members, periph, systole, label))
     # classes crossing the null set cannot be certified inside any part;
     # when the null set is nonempty the laminar candidate supported on it
     # is reported as its own entry with systole zero
     if null_ids:
         parts.append(SubsurfaceMarking(
-            len(parts), null_ids,
-            tuple(marking[c] for c in crossing_cls), 0.0,
+            null_ids, tuple(marking[c] for c in crossing_cls), 0.0,
             "laminar-candidate"))
 
     weights = None

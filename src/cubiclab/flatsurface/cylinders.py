@@ -147,15 +147,14 @@ def _sweep(core: _Strip, side: int):
                         f"and no closure")
 
 
-def detect_cylinder(s: TriangulatedFlatSurface,
-                    g: GeodesicRepresentative) -> FlatCylinder | None:
+def detect_cylinder(g: GeodesicRepresentative) -> FlatCylinder | None:
     """The maximal cylinder swept by the parallel family of g, or None if
     the holonomy does not permit a parallel family."""
     if g.kind != "nonsingular":
         raise NotNonsingular("geodesic passes through a cone point")
     if not is_translation(g.holonomy):
         return None
-    st = _core_strip(s, g)
+    st = _core_strip(g.surface, g)
     core = HomotopyClassPath(st.crossings, label=g.label)
     up, closed, orbits_up = _sweep(st, +1)
     if closed:

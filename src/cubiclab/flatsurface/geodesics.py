@@ -77,7 +77,6 @@ class ConeVisit:
     """A cone point visited by a geodesic, with the two side angles."""
 
     orbit: int
-    cone_angle: float
     side_angles: tuple[float, float]  # (strip side, far side)
 
 
@@ -603,8 +602,7 @@ def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
     for group, orbit in strip.pivots():
         a1, a2, orbit = strip.pivot_angles(group)
         if s.orbit_orders[orbit] != 0:
-            visits.append(ConeVisit(orbit, float(s.orbit_angles[orbit]),
-                                    (a1, a2)))
+            visits.append(ConeVisit(orbit, (a1, a2)))
     kind = "cone-concatenation" if visits else "nonsingular"
     return GeodesicRepresentative(
         surface=s,

@@ -22,10 +22,11 @@ from .geodesics import GeodesicRepresentative, pinned_corner
 from .planar import cross, dot
 
 
-def _trace(s, g: GeodesicRepresentative):
+def _trace(g: GeodesicRepresentative):
     """(triangle, entry, exit, arclength offset) for every segment longer
     than 1e-12 of the length, a segment along an edge also in the glued
     triangle's chart; and (vertex orbit, arclength offset) of every pin."""
+    s = g.surface
     segs, pins, off = [], [], 0.0
     for k, (t, a, b) in enumerate(g.segments):
         ln = abs(b - a)
@@ -44,15 +45,20 @@ def _trace(s, g: GeodesicRepresentative):
     return segs, pins
 
 
-def geometric_intersection_count(s, g1: GeodesicRepresentative,
+def geometric_intersection_count(g1: GeodesicRepresentative,
                                  g2: GeodesicRepresentative) -> int:
-    """Number of crossings of two tightened geodesics, one nonsingular."""
+    """Number of crossings of two tightened geodesics on one surface, one
+    of them nonsingular."""
+    if g1.surface is not g2.surface:
+        raise ValueError("the geodesics lie on different surfaces, of "
+                         f"{g1.surface.num_triangles} and "
+                         f"{g2.surface.num_triangles} triangles")
     if g1.cone_visits and g2.cone_visits:
         o1, o2 = (sorted({v.orbit for v in g.cone_visits}) for g in (g1, g2))
         raise NotNonsingular(
             "intersection counts need one nonsingular geodesic; both pass "
             f"through cone points (orbits {o1} and {o2})")
-    (segs1, pins1), (segs2, pins2) = _trace(s, g1), _trace(s, g2)
+    (segs1, pins1), (segs2, pins2) = _trace(g1), _trace(g2)
     L1, L2 = g1.length, g2.length
     tol = 1e-9 * max(L1, L2)
     by_tri: dict[int, list] = {}

@@ -68,9 +68,9 @@ def spectrum_csv_rows(names, reps: list[GeodesicRepresentative]
     return rows
 
 
-def render_geodesic_svg(s: TriangulatedFlatSurface,
-                        g: GeodesicRepresentative, path) -> None:
+def render_geodesic_svg(g: GeodesicRepresentative, path) -> None:
     """Draw the developed strip of a geodesic with its polyline."""
+    s = g.surface
     phis = develop_strip(s, g.crossings)
     polys = [[phis[k](v) for v in s.triangles[slot[0]]]
              for k, slot in enumerate(g.crossings)]

@@ -77,9 +77,8 @@ def torus_class(p: int, q: int, a: float = 1.0, b: float = 1.0,
     return HomotopyClassPath(tuple(crossings), label=label)
 
 
-def torus_marking(classes=((1, 0), (0, 1), (1, 1)), a: float = 1.0,
-                  b: float = 1.0) -> list[HomotopyClassPath]:
-    return [torus_class(p, q, a, b) for p, q in classes]
+def torus_marking() -> list[HomotopyClassPath]:
+    return [torus_class(p, q) for p, q in ((1, 0), (0, 1), (1, 1))]
 
 
 def regular_octagon() -> TriangulatedFlatSurface:
@@ -131,21 +130,20 @@ def octagon_marking() -> list[HomotopyClassPath]:
             octagon_class_product()]
 
 
-def doubled_triangle(side: float = 1.0) -> TriangulatedFlatSurface:
-    """The double of an equilateral triangle: a flat sphere with three
+def doubled_triangle() -> TriangulatedFlatSurface:
+    """The double of an equilateral unit triangle: a flat sphere with three
     cone points of angle 2*pi/3 (k = -2 each), all marked as punctures.
 
     This is the standard model of a surface carrying order-2 pole behaviour
     at its punctures.
     """
-    h = side * math.sqrt(3.0) / 2.0
-    front = [0j, complex(side, 0.0), complex(side / 2.0, h)]
-    back = [complex(side, 0.0), 0j, complex(side / 2.0, -h)]
+    h = math.sqrt(3.0) / 2.0
+    front = [0j, complex(1.0, 0.0), complex(0.5, h)]
+    back = [complex(1.0, 0.0), 0j, complex(0.5, -h)]
     gluings = [
         ((0, 0), (1, 0)),
         ((0, 1), (1, 2)),
         ((0, 2), (1, 1)),
     ]
-    s = TriangulatedFlatSurface([front, back], gluings,
-                                marked_punctures=(0, 1, 2))
-    return s
+    return TriangulatedFlatSurface([front, back], gluings,
+                                   marked_punctures=(0, 1, 2))

@@ -155,8 +155,7 @@ def far_end_mass(kappa: float, R: float, C: float) -> float:
             * (1.0 - math.cos(math.pi * math.log(C) / logR)))
 
 
-def far_end_mass_quadrature(kappa: float, R: float, C: float,
-                            rel_tol: float = 1e-8) -> float:
+def far_end_mass_quadrature(kappa: float, R: float, C: float) -> float:
     """2-d adaptive quadrature of the same mass integral, as a cross-check."""
     from scipy.integrate import dblquad
 
@@ -172,19 +171,18 @@ def far_end_mass_quadrature(kappa: float, R: float, C: float,
 
     val, _err = dblquad(integrand, 0.0, 2.0 * math.pi,
                         lambda _t: 1.0 / R, lambda _t: C / R,
-                        epsabs=0.0, epsrel=rel_tol)
+                        epsabs=0.0, epsrel=1e-8)
     return float(val)
 
 
-def core_length_quadrature(R: float, kappa: float = -1.0,
-                           n: int = 20000) -> float:
+def core_length_quadrature(R: float, kappa: float = -1.0) -> float:
     """Line integral of lambda |dz| along the core circle |z| = 1/sqrt(R):
-    the sum of sqrt(density) r dtheta over n equally spaced points."""
+    the sum of sqrt(density) r dtheta over 20000 equally spaced points."""
     m = ModelSurface(ANNULUS, kappa=kappa, R=R)
     rad = 1.0 / math.sqrt(R)
-    dtheta = 2.0 * math.pi / n
+    dtheta = 2.0 * math.pi / 20000
     return math.fsum(math.sqrt(density(m, rad * cmath.exp(1j * j * dtheta)))
-                     * rad * dtheta for j in range(n))
+                     * rad * dtheta for j in range(20000))
 
 
 # -- geometric limits of parameter sequences ---------------------------------
@@ -192,10 +190,9 @@ def core_length_quadrature(R: float, kappa: float = -1.0,
 
 @dataclass(frozen=True)
 class FramedBasepoint:
-    """A basepoint with unit frame; the injectivity radius must be >= 1."""
+    """A basepoint; the injectivity radius must be >= 1."""
 
     z: complex
-    direction: complex = 1.0 + 0.0j
 
     def validated_on(self, m: ModelSurface) -> "FramedBasepoint":
         rad = injectivity_radius(m, self.z)
@@ -206,21 +203,21 @@ class FramedBasepoint:
         return self
 
 
-def _converges(xs, rtol=1e-3, atol=1e-12):
+def _converges(xs):
     if len(xs) < 2:
         return True, xs[-1]
     tail = xs[-min(4, len(xs)):]
     ref = abs(tail[-1])
-    ok = all(abs(b - a) <= max(atol, rtol * max(ref, 1e-30))
+    ok = all(abs(b - a) <= max(1e-12, 1e-3 * max(ref, 1e-30))
              for a, b in zip(tail, tail[1:]))
     return ok, xs[-1]
 
 
-def _diverges(xs, factor=20.0):
+def _diverges(xs):
     if len(xs) < 2:
         return xs[-1] > 1e6
     increasing = all(b >= a for a, b in zip(xs[-3:], xs[-2:]))
-    return increasing and xs[-1] >= factor * max(abs(xs[0]), 1.0)
+    return increasing and xs[-1] >= 20.0 * max(abs(xs[0]), 1.0)
 
 
 def classify_geometric_limit(seq) -> ModelSurface:

@@ -136,7 +136,7 @@ def test_criterion_7_degeneration_classifier():
     s = presets.square_torus()
     marking = [presets.torus_class(1, 0), presets.torus_class(0, 1)]
     reps = [tighten_geodesic(s, c, tol=1e-12) for c in marking]
-    table = np.array([[geometric_intersection_count(s, a, b) for b in reps]
+    table = np.array([[geometric_intersection_count(a, b) for b in reps]
                       for a in reps])
     assert table.tolist() == [[0, 1], [1, 0]]
     spectra = []

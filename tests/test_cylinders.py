@@ -18,7 +18,7 @@ from oracles import lattice_norm, random_closed_strip
 def test_torus_whole_surface_cylinder():
     s = presets.square_torus()
     g = tighten_geodesic(s, presets.torus_class(1, 0), tol=1e-12)
-    cyl = detect_cylinder(s, g)
+    cyl = detect_cylinder(g)
     assert cyl.closed
     assert abs(cyl.circumference - 1.0) < 1e-9
     assert abs(cyl.height - 1.0) < 1e-9
@@ -29,7 +29,7 @@ def test_torus_cylinder_heights(p, q):
     # the (p, q) cylinder fills the torus: height = area / circumference
     s = presets.square_torus()
     g = tighten_geodesic(s, presets.torus_class(p, q), tol=1e-12)
-    cyl = detect_cylinder(s, g)
+    cyl = detect_cylinder(g)
     assert cyl.closed
     expected = 1.0 / lattice_norm(p, q)
     assert abs(cyl.height - expected) < 1e-12
@@ -46,7 +46,7 @@ def test_multiple_traversal_is_not_a_core(p, q, k, prim):
     msg = f"traverses its cylinder {k} times: its {k * prim} crossings " \
           f"repeat a primitive word of {prim} crossings"
     with pytest.raises(NotCylindrical, match=msg):
-        detect_cylinder(s, g)
+        detect_cylinder(g)
     with pytest.raises(NotCylindrical, match=msg):
         insert_cylinder_detailed(s, presets.torus_class(p, q), 1.0).surface
 
@@ -69,7 +69,7 @@ def test_random_torus_strips_yield_their_cylinders():
             continue  # trivial class
         g = tighten_geodesic(s, cls, tol=1e-12, max_iterations=500)
         if k == 1:
-            cyl = detect_cylinder(s, g)
+            cyl = detect_cylinder(g)
             assert cyl.closed
             assert abs(cyl.circumference * cyl.height - 0.91) < 1e-12
             grafted = area(insert_cylinder_detailed(s, cls, 0.5).surface)
@@ -77,7 +77,7 @@ def test_random_torus_strips_yield_their_cylinders():
             continue
         msg = f"traverses its cylinder {k} times"
         with pytest.raises(NotCylindrical, match=msg):
-            detect_cylinder(s, g)
+            detect_cylinder(g)
         with pytest.raises(NotCylindrical, match=msg):
             insert_cylinder_detailed(s, cls, 0.5).surface
     assert folds == {0: 2, 1: 45, 2: 18, 3: 9, 4: 2, 5: 1, 6: 1, 7: 1, 9: 1}
@@ -101,7 +101,7 @@ def test_cores_through_flat_vertices_graft_on_their_middle_line():
         g = tighten_geodesic(s, cls, tol=1e-12)
         primitive += 1
         through_vertex += not all(0.0 < u < 1.0 for u in g.params)
-        cyl = detect_cylinder(s, g)
+        cyl = detect_cylinder(g)
         assert abs(cyl.circumference * cyl.height - 1.56) < 1e-12
         grafted = area(insert_cylinder_detailed(s, g, 0.3).surface)
         assert abs(grafted - (1.56 + 0.3 * g.length)) < 1e-12
@@ -109,7 +109,7 @@ def test_cores_through_flat_vertices_graft_on_their_middle_line():
 
 
 def _measure(s, cls):
-    return detect_cylinder(s, tighten_geodesic(s, cls, tol=1e-12))
+    return detect_cylinder(tighten_geodesic(s, cls, tol=1e-12))
 
 
 def test_grafted_cylinders_are_measured():
@@ -150,7 +150,7 @@ def test_grafted_cylinders_are_measured():
 def test_octagon_vertical_cylinder():
     o = presets.regular_octagon()
     g = tighten_geodesic(o, presets.octagon_class_vertical(), tol=1e-12)
-    cyl = detect_cylinder(o, g)
+    cyl = detect_cylinder(g)
     assert not cyl.closed
     assert abs(cyl.circumference - (1.0 + math.sqrt(2.0))) < 1e-9
     # direct octagon dissection: the middle column sweeps width 1
@@ -164,7 +164,7 @@ def test_cone_concatenation_rejected(octagon_commutator):
     o = presets.regular_octagon()
     g = tighten_geodesic(o, octagon_commutator, tol=1e-12)
     with pytest.raises(NotNonsingular):
-        detect_cylinder(o, g)
+        detect_cylinder(g)
     with pytest.raises(NotCylindrical):
         insert_cylinder_detailed(o, octagon_commutator, 1.0).surface
 

@@ -47,7 +47,7 @@ def test_octagon_product_class_certified():
     assert g.kind == "nonsingular"
     assert not g.cone_visits
     assert abs(g.length - (2.0 + math.sqrt(2.0))) < 1e-12
-    cyl = detect_cylinder(o, g)
+    cyl = detect_cylinder(g)
     assert not cyl.closed
     assert abs(cyl.circumference - (2.0 + math.sqrt(2.0))) < 1e-12
     assert abs(cyl.height - math.sqrt(2.0) / 2.0) < 1e-12

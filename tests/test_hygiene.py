@@ -25,8 +25,6 @@ ALLOWED = {
                               "12 h < g <= 24 h",
     "largest_root": "estimate suite, criterion 9: the comparison root of "
                     "2 t^3 - 2 t^2 - 4 a",
-    "check_subsolution": "estimate suite: the margin e^psi - "
-                         "2^(1/3) |q|^(2/3) is nonnegative",
     "area_and_bounds": "estimate suite: the metric area against "
                        "2^(1/3) ||q||",
     "gap_upper_bound": "estimate suite: the gap bound on a zero-free flat "
@@ -179,3 +177,146 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     assert missing == sorted(UNRESOLVED_SPANS), (
         "benchmark span targets that resolve to nothing (or stale "
         f"UNRESOLVED_SPANS entries): {missing}")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _signatures():
+    """(file:line, callee name, [parameter names callers may pass
+    positionally, in order], {names with a default}, whether they are
+    dataclass fields) for each function and method of the package and for
+    each dataclass's generated ``__init__``.  A method's ``self``/``cls`` is
+    dropped, a class's ``__init__`` is called by the class's name, and a
+    dataclass field defaulted by ``field(...)`` is state filled after
+    construction, so it has no entry in the set."""
+    sigs = []
+    for path in sorted(ROOT.glob("src/cubiclab/**/*.py")):
+        rel = path.relative_to(ROOT)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            owner |= {id(m): cls.name for m in cls.body}
+            if _is_dataclass(cls):
+                fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+                          and isinstance(s.target, ast.Name)]
+                sigs.append((f"{rel}:{cls.lineno}", cls.name,
+                             [f.target.id for f in fields],
+                             {f.target.id for f in fields
+                              if f.value is not None
+                              and not (isinstance(f.value, ast.Call)
+                                       and isinstance(f.value.func, ast.Name)
+                                       and f.value.func.id == "field")},
+                             True))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            if id(fn) in owner and not static:
+                positional = positional[1:]
+            defaulted = {p.arg for p in (*a.posonlyargs, *a.args)[
+                len(a.posonlyargs) + len(a.args) - len(a.defaults):]}
+            defaulted |= {p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None}
+            name = owner[id(fn)] if fn.name == "__init__" else fn.name
+            sigs.append((f"{rel}:{fn.lineno}", name, positional, defaulted,
+                         False))
+    return sigs
+
+
+def _passed(sigs):
+    """Callee name -> the parameter names some call in the package, the
+    tests or the benchmark passes, by keyword, by position or through
+    ``*``/``**`` (which pass them all); and the attribute names those
+    files assign."""
+    positional = defaultdict(list)
+    for _where, name, params, _defaulted, _fields in sigs:
+        positional[name].append(params)
+    passed, assigned = defaultdict(set), set()
+    files = [*ROOT.glob("src/cubiclab/**/*.py"), *ROOT.glob("tests/**/*.py"),
+             *ROOT.glob("perfbench/*.py")]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                assigned |= {t.attr for t in targets
+                             if isinstance(t, ast.Attribute)}
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name not in positional:
+                continue
+            every = {p for ps in positional[name] for p in ps}
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed[name] |= every
+                continue
+            passed[name] |= {k.arg for k in node.keywords}
+            for params in positional[name]:
+                passed[name] |= set(params[:len(node.args)])
+    return passed, assigned
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that no call overrides is a constant in disguise; tests
+    # count as callers, so an error path's budget stays a parameter, and a
+    # dataclass field that code assigns (RunReport.wall_time) is set too
+    sigs = _signatures()
+    passed, assigned = _passed(sigs)
+    unpassed = sorted(
+        f"{where}:{name}({p})"
+        for where, name, _params, defaulted, fields in sigs
+        for p in defaulted
+        if p not in passed[name] and not (fields and p in assigned))
+    assert not unpassed, (
+        "defaults that no call in the package, tests or benchmark "
+        "overrides (make them constants):\n" + "\n".join(unpassed))
+
+
+# Parameters that no body reads, each kept for a reason.  An entry whose
+# parameter is read, or gone, is stale.
+UNREAD_PARAMETERS = {
+    "tighten_geodesic.initial_params": "perfbench/flat.py passes it; the "
+                                       "benchmark change of Direction A "
+                                       "deletes it",
+}
+
+
+def _unread_parameters() -> set[str]:
+    """function.parameter for each parameter of a package function that its
+    body never loads as a ``Name``; ``self``, ``cls`` and names with a
+    leading underscore (a signature a callback imposes) are skipped."""
+    unread = set()
+    for path in sorted(ROOT.glob("src/cubiclab/**/*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      *filter(None, (a.vararg, a.kwarg)))]
+            loaded = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{fn.name}.{p}" for p in params
+                       if p not in ("self", "cls") and not p.startswith("_")
+                       and p not in loaded}
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    extra = sorted(unread - UNREAD_PARAMETERS.keys())
+    assert not extra, ("parameters that no body reads (delete them, or "
+                       "list them in UNREAD_PARAMETERS with a reason):\n"
+                       + "\n".join(extra))
+    stale = sorted(UNREAD_PARAMETERS.keys() - unread)
+    assert not stale, ("UNREAD_PARAMETERS entries whose parameter is read "
+                       "or gone:\n" + "\n".join(stale))

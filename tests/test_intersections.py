@@ -27,7 +27,7 @@ def _reps(f):
                                          tol=1e-12)
         return cache[pq]
 
-    return s, rep
+    return rep
 
 
 @pytest.fixture(scope="module")
@@ -42,28 +42,28 @@ def tiny_torus_reps():
 
 @pytest.mark.parametrize("c1,c2", TORUS_PAIRS)
 def test_torus_matches_lattice_formula(torus_reps, tiny_torus_reps, c1, c2):
-    for s, rep in (torus_reps, tiny_torus_reps):
-        got = geometric_intersection_count(s, rep(c1), rep(c2))
+    for rep in (torus_reps, tiny_torus_reps):
+        got = geometric_intersection_count(rep(c1), rep(c2))
         assert got == lattice_intersection(c1, c2)
 
 
 def test_symmetry(torus_reps):
-    s, rep = torus_reps
+    rep = torus_reps
     for c1, c2 in [((1, 0), (1, 2)), ((2, 1), (1, -1))]:
-        assert geometric_intersection_count(s, rep(c1), rep(c2)) == \
-            geometric_intersection_count(s, rep(c2), rep(c1))
+        assert geometric_intersection_count(rep(c1), rep(c2)) == \
+            geometric_intersection_count(rep(c2), rep(c1))
 
 
 def test_same_class_zero(torus_reps):
-    s, rep = torus_reps
+    rep = torus_reps
     for pq in [(1, 0), (1, 1), (2, 3)]:
-        assert geometric_intersection_count(s, rep(pq), rep(pq)) == 0
+        assert geometric_intersection_count(rep(pq), rep(pq)) == 0
 
 
 def test_identical_representatives_full_overlap(torus_reps):
-    s, rep = torus_reps
+    rep = torus_reps
     g = rep((1, 0))
-    assert geometric_intersection_count(s, g, g) == 0
+    assert geometric_intersection_count(g, g) == 0
 
 
 def test_octagon_counts():
@@ -71,10 +71,10 @@ def test_octagon_counts():
     gv = tighten_geodesic(o, presets.octagon_class_vertical(), tol=1e-12)
     gh = tighten_geodesic(o, presets.octagon_class_horizontal(), tol=1e-12)
     gp = tighten_geodesic(o, presets.octagon_class_product(), tol=1e-12)
-    assert geometric_intersection_count(o, gv, gh) == 1
-    assert geometric_intersection_count(o, gv, gv) == 0
-    assert geometric_intersection_count(o, gv, gp) == 1
-    assert geometric_intersection_count(o, gh, gp) == 1
+    assert geometric_intersection_count(gv, gh) == 1
+    assert geometric_intersection_count(gv, gv) == 0
+    assert geometric_intersection_count(gv, gp) == 1
+    assert geometric_intersection_count(gh, gp) == 1
 
 
 def test_octagon_cores_match_the_graft_bound():
@@ -96,8 +96,8 @@ def test_octagon_cores_match_the_graft_bound():
             k = round(stretched / h)
             slack = 1e-9 * stretched / h
             assert -slack <= stretched / h - k <= g.length / h + slack
-            assert geometric_intersection_count(o, c, g) == k
-            assert geometric_intersection_count(o, g, c) == k
+            assert geometric_intersection_count(c, g) == k
+            assert geometric_intersection_count(g, c) == k
 
 
 def test_grafted_torus_matches_lattice_formula():
@@ -119,7 +119,7 @@ def test_grafted_torus_matches_lattice_formula():
     assert sum(not all(0.0 < u < 1.0 for u in g.params)
                for _ij, g in geos) == 13
     for (ij1, g1), (ij2, g2) in itertools.combinations(geos, 2):
-        assert geometric_intersection_count(s, g1, g2) == \
+        assert geometric_intersection_count(g1, g2) == \
             lattice_intersection(ij1, ij2)
 
 
@@ -128,4 +128,16 @@ def test_two_cone_concatenations_raise(octagon_commutator):
     g = tighten_geodesic(o, octagon_commutator, tol=1e-12)
     assert g.kind == "cone-concatenation"
     with pytest.raises(NotNonsingular, match=r"orbits \[0\] and \[0\]"):
-        geometric_intersection_count(o, g, g)
+        geometric_intersection_count(g, g)
+
+
+def test_geodesics_on_different_surfaces_raise():
+    # an equal copy of the surface is a different surface: the count reads
+    # one surface's charts and gluings for both curves
+    s, t = presets.square_torus(), presets.square_torus()
+    g1 = tighten_geodesic(s, presets.torus_class(1, 0), tol=1e-12)
+    g2 = tighten_geodesic(t, presets.torus_class(0, 1), tol=1e-12)
+    with pytest.raises(ValueError, match="different surfaces, of 2 and 2 triangles"):
+        geometric_intersection_count(g1, g2)
+    assert geometric_intersection_count(
+        g1, tighten_geodesic(s, presets.torus_class(0, 1), tol=1e-12)) == 1

@@ -31,7 +31,7 @@ def test_geodesic_svg(tmp_path):
     s = presets.square_torus()
     g = tighten_geodesic(s, presets.torus_class(1, 2), tol=1e-12)
     out = tmp_path / "geo.svg"
-    fsio.render_geodesic_svg(s, g, out)
+    fsio.render_geodesic_svg(g, out)
     text = out.read_text()
     assert text.startswith("<svg") and "polyline" in text
 
@@ -113,6 +113,26 @@ def test_cli_missing_config_file(tmp_path, capsys):
               "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert "nope.json" in err
+
+
+def test_cli_config_not_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"command": "spectrum"}]))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "cfg.json is not a JSON object" in capsys.readouterr().err
+
+
+def test_cli_config_missing_key(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "spectrum",
+                                "marking": "torus-basic"}))
+    rc = main(["spectrum", "--config", str(path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: ConfigError: config has no 'surface'" in \
+        capsys.readouterr().out
 
 
 def test_cli_missing_surface_file(tmp_path, capsys):
