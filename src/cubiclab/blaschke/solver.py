@@ -132,6 +132,23 @@ def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, r: np.ndarray,
     return pad(d)
 
 
+def _dirichlet_values(grid: Grid2D, fixed: np.ndarray, values,
+                      label: str) -> np.ndarray:
+    """Dirichlet data as a node field, checked: given, of the grid's shape,
+    and finite on the pinned nodes ``fixed``."""
+    if values is None:
+        raise ValueError(f"{label}: Dirichlet solves need boundary values")
+    bvals = np.asarray(values, dtype=float)
+    if bvals.shape != (grid.ny, grid.nx):
+        raise ValueError(f"{label}: boundary field of shape {bvals.shape} "
+                         f"on a grid of shape {(grid.ny, grid.nx)}")
+    bad = bvals[fixed][~np.isfinite(bvals[fixed])]
+    if bad.size:
+        raise ValueError(f"{label}: {bad.size} pinned boundary values are "
+                         f"not finite, e.g. {bad[0]}")
+    return bvals
+
+
 def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
                       x0, tol, max_iter, label):
     """Damped Newton for Lap x = f(x), f' > 0, on the nodes outside
@@ -191,14 +208,9 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
         bvals = 0.0
         x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
     else:
-        if boundary_psi is None:
-            raise ValueError("Dirichlet solves need boundary psi values")
-        bvals = np.asarray(boundary_psi(grid.zs) if callable(boundary_psi)
-                           else boundary_psi, dtype=float)
-        if bvals.shape != (grid.ny, grid.nx):
-            raise ValueError("boundary field shape mismatch")
-        if not np.all(np.isfinite(bvals[fixed])):
-            raise ValueError("boundary psi must be finite")
+        bvals = _dirichlet_values(
+            grid, fixed, boundary_psi(grid.zs) if callable(boundary_psi)
+            else boundary_psi, "wang")
         # harmonic extension: f' = 0 makes the preconditioner exact
         base = np.where(fixed, bvals, 0.0)
         lap = discrete_laplacian(base, grid.dx, grid.dy)
@@ -223,11 +235,12 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
 
 def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
                     boundary=None, tol: float = 1e-10,
-                    fixed_mask=None) -> np.ndarray:
+                    fixed_mask=None) -> tuple[np.ndarray, float]:
     """Solve the gap equation Lap F = 3*2^(4/3)|q|^(2/3) e^(-F/3) sinh F.
 
-    Dirichlet boundary values must be nonnegative; the discrete solution
-    then satisfies F >= 0 everywhere (comparison with the zero solution).
+    Returns F and its max-norm residual over the free nodes.  Dirichlet
+    boundary values must be nonnegative; the discrete solution then
+    satisfies F >= 0 everywhere (comparison with the zero solution).
     ``fixed_mask`` may pin additional nodes of a Dirichlet grid to the
     boundary value, e.g. to solve on an inscribed disk.  A torus grid takes
     neither ``boundary`` nor ``fixed_mask``: it raises ``BadParameters``.
@@ -246,13 +259,9 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
     else:
         if fixed_mask is not None:
             fixed = fixed | np.asarray(fixed_mask, dtype=bool)
-        if boundary is None:
-            raise ValueError("Dirichlet solves need boundary values")
-        bvals = np.asarray(boundary, dtype=float)
-        if bvals.ndim == 0:
-            bvals = np.full((grid.ny, grid.nx), float(bvals))
-        if bvals.shape != (grid.ny, grid.nx):
-            raise ValueError("boundary field shape mismatch")
+        if boundary is not None and np.ndim(boundary) == 0:
+            boundary = np.full((grid.ny, grid.nx), float(boundary))
+        bvals = _dirichlet_values(grid, fixed, boundary, "tzitzeica")
         if bvals[fixed].min() < 0:
             raise NegativeBoundary(
                 f"boundary gap value {bvals[fixed].min():.6g} < 0")
@@ -264,6 +273,6 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
         return (c * e3 * np.sinh(Fc),
                 c * e3 * (np.cosh(Fc) - np.sinh(Fc) / 3.0))
 
-    F, _rn, _its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
-                                     tol, 60, "tzitzeica")
-    return F
+    F, rn, _its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
+                                    tol, 60, "tzitzeica")
+    return F, rn

@@ -121,6 +121,27 @@ class _Config(dict):
     def __missing__(self, key):
         raise ConfigError(f"config has no {key!r}")
 
+    def read(self, key, convert, *default):
+        """convert(config[key]), or convert(default) for a missing key when
+        a default is given; a value convert rejects raises ConfigError
+        naming the key and the value."""
+        value = self.get(key, *default) if default else self[key]
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"config {key!r} has the value {value!r} of "
+                              f"the wrong type or shape: {err}") from None
+
+
+def _point(pair) -> complex:
+    """A config point [x, y]."""
+    x, y = pair
+    return complex(float(x), float(y))
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
 
 def _load_config(args) -> _Config:
     if args.preset:
@@ -168,9 +189,9 @@ def _marking_from_config(spec: str):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
-    s = _surface_from_config(config["surface"])
-    marking = _marking_from_config(config["marking"])
-    tol = float(config.get("tol", 1e-12))
+    s = _surface_from_config(config.read("surface", str))
+    marking = _marking_from_config(config.read("marking", str))
+    tol = config.read("tol", float, 1e-12)
     reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
 
     names = currents.class_names(marking)
@@ -202,17 +223,16 @@ def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
 
 
 def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
-    t_list = [float(t) for t in config["t_list"]]
+    t_list = config.read("t_list", _floats)
     if not t_list:
         raise ConfigError("t_list must be nonempty")
-    coeffs = [complex(c[0], c[1]) for c in config["q"]]
-    probe = complex(config["probe"][0], config["probe"][1])
+    coeffs = config.read("q", lambda q: [_point(c) for c in q])
+    probe = config.read("probe", _point)
 
     certs = blaschke.decay_experiment(
         coeffs, t_list, probe,
-        window_side=float(config.get("window_side", 4.0)),
-        n=int(config.get("n", 97)),
-        bound=float(config.get("bound", 1.0)))
+        window_side=config.read("window_side", float, 4.0),
+        n=config.read("n", int, 97), bound=config.read("bound", float, 1.0))
 
     rows = [["t", "residual", "gap_at_probe", "barrier", "pass"]]
     for c in certs:
@@ -293,7 +313,7 @@ def _limit_sweep(name: str):
 def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
     rows = [["sweep", "n_terms", "classified", "expected", "parameter"]]
     ok_all = True
-    for name in config["sweeps"]:
+    for name in config.read("sweeps", list):
         seq, expected = _limit_sweep(name)
         try:
             lim = geomlimits.classify_geometric_limit(seq)
@@ -319,7 +339,7 @@ def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
     report.add("core-quadrature", "core length vs line integral",
                err_q < 1e-8, err_q, 1e-8)
     worst = 0.0
-    rng = np.random.default_rng(int(config.get("seed", 0)))
+    rng = np.random.default_rng(config.read("seed", int, 0))
     for _ in range(10):
         kap = -float(rng.uniform(0.05, 1.0))
         R = float(np.exp(rng.uniform(2.0, 12.0)))
@@ -348,10 +368,9 @@ def cmd_surgery(config: dict, out: Path, report: RunReport) -> None:
         height_two = None
         worst_cyl = 0.0
         rows = [["height"] + [c.label for c in marking]]
-        for h in config["heights"]:
-            res = insert_cylinder_detailed(s, presets.torus_class(1, 0),
-                                           float(h))
-            if float(h) == 2.0:
+        for h in config.read("heights", _floats):
+            res = insert_cylinder_detailed(s, presets.torus_class(1, 0), h)
+            if h == 2.0:
                 height_two = res
             moved = [res.transport.transport(c) for c in marking]
             sp = currents.spectrum_from_flat(res.surface, moved)
@@ -362,7 +381,7 @@ def cmd_surgery(config: dict, out: Path, report: RunReport) -> None:
             cyl = detect_cylinder(tighten_geodesic(res.surface, moved[0],
                                                    tol=1e-12))
             err = (max(abs(cyl.circumference - 1.0),
-                       abs(cyl.height - 1.0 - float(h)))
+                       abs(cyl.height - 1.0 - h))
                    if cyl.closed else math.inf)
             worst_cyl = max(worst_cyl, err)
         _write_csv(out / "ray_spectra.csv", rows)
@@ -402,8 +421,8 @@ def cmd_surgery(config: dict, out: Path, report: RunReport) -> None:
                        "spectrum after height-2 cylinder is (1, 3, sqrt 10)",
                        err2 < 1e-9, err2, 1e-9)
     elif mode == "glue":
-        eps = float(config["eps"])
-        w = float(config.get("weight", 0.0))
+        eps = config.read("eps", float)
+        w = config.read("weight", float, 0.0)
         t1 = presets.square_torus(mark_vertex=True)
         t2 = presets.square_torus(mark_vertex=True)
         glued = triangle_surgery_glue([(t1, 0), (t2, 0)], eps, weights=[w])

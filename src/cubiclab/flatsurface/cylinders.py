@@ -84,8 +84,8 @@ def _rise(st: _Strip, side: int):
         st.params = [float(end) if k in at_level
                      else min(1.0, max(0.0, (level - a) / (b - a)))
                      for k, (a, b) in enumerate(nus)]
-        st.slide(next(g for g, _orbit in st.pivots()
-                      if st.params[g[0]] == end))
+        st.slide(next(run for run, *_angles in st.pivots()
+                      if st.params[run[0]] == end))
     return hi - lo, cones
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import NoConvergence, TrivialClass
-from .planar import PlanarIsometry, angle_between, cross, dot, turn
+from .planar import PlanarIsometry, cross, dot, turn
 from .surface import Slot, TriangulatedFlatSurface
 
 ANGLE_TOL = 1e-9
@@ -130,15 +130,21 @@ def develop_strip(s: TriangulatedFlatSurface, crossings) -> list[PlanarIsometry]
     return phis
 
 
+def pin_side(u: float) -> int | None:
+    """The end of an edge at which its param u pins: 0 at its start (the
+    strip's right), 1 at its end (the strip's left), None inside."""
+    if u <= PIN_TOL:
+        return 0
+    if u >= 1.0 - PIN_TOL:
+        return 1
+    return None
+
+
 def pinned_corner(slot: Slot, u: float) -> int | None:
     """The corner of the slot's triangle at which edge param u pins, or
     None when u is inside the edge."""
-    t, e = slot
-    if u <= PIN_TOL:
-        return e
-    if u >= 1.0 - PIN_TOL:
-        return (e + 1) % 3
-    return None
+    side = pin_side(u)
+    return None if side is None else (slot[1] + side) % 3
 
 
 class _Strip:
@@ -172,15 +178,20 @@ class _Strip:
         A, B = self.edges[k]
         return A + self.params[k] * (B - A)
 
-    def closing_point(self):
-        return self.holonomy(self.s.edge_point(self.crossings[0],
-                                               self.params[0]))
+    def _developed(self, m, end=None):
+        """Point m of the polyline, or end ``end`` of edge m, for m in
+        [-n, 2n): past the seam, that of crossing m mod n moved by the
+        holonomy."""
+        n = len(self.crossings)
+        z = self.point(m % n) if end is None else self.edges[m % n][end]
+        if m < 0:
+            return self.holonomy.inverse()(z)
+        return self.holonomy(z) if m >= n else z
 
     def length(self) -> float:
-        pts = [self.point(k) for k in range(len(self.crossings))]
-        pts.append(self.closing_point())
-        return sum(abs(pts[k + 1] - pts[k])
-                   for k in range(len(self.crossings)))
+        n = len(self.crossings)
+        pts = [self._developed(m) for m in range(n + 1)]
+        return sum(abs(pts[k + 1] - pts[k]) for k in range(n))
 
     def solve(self, tol: float) -> None:
         """Put the params on the shortest polyline of the current strip.
@@ -356,79 +367,46 @@ class _Strip:
     # -- pivots and slides --------------------------------------------------
 
     def pinned_vertex(self, k):
-        """(chart vertex index, orbit) of the pinned endpoint, or None."""
+        """(chart vertex index, orbit) of pinned crossing k's endpoint."""
         i = pinned_corner(self.crossings[k], self.params[k])
-        if i is None:
-            return None
         return i, self.s.orbit_of[(self.crossings[k][0], i)]
 
     def pivots(self):
-        """Maximal cyclic runs of crossings pinned at one developed point,
-        from the first free crossing on.  A run starts at a pinned crossing
-        whose predecessor is free or sits at another point; with all pinned,
-        the crossings before the first start end the last run."""
+        """(run, strip-side angle, far-side angle, orbit) for each maximal
+        cyclic run of crossings pinned at one vertex, from the first free
+        crossing on.  Crossing k joins the run of crossing k-1 exactly when
+        both pin on one side and their edges share that endpoint (shares[k-1]);
+        other pins are distinct corners of a triangle.  With all pinned, the
+        crossings before the first start end the last run.  The strip-side
+        angle is swept from the incoming point across the far ends of the
+        run's edges to the outgoing point, a step per triangle corner."""
         n = len(self.crossings)
-        pin = [self.pinned_vertex(k) for k in range(n)]
+        pin = [pin_side(u) for u in self.params]
         first = next((k for k in range(n) if pin[k] is None), 0)
-        groups, lead = [], []
+        runs, lead = [], []
         for k in [(first + off) % n for off in range(n)]:
             if pin[k] is None:
                 continue
-            if pin[k - 1] is None or not self._same_point((k - 1) % n, k):
-                groups.append([k])
+            if pin[k - 1] == pin[k] == self.shares[k - 1]:
+                (runs[-1] if runs else lead).append(k)
             else:
-                (groups[-1] if groups else lead).append(k)
+                runs.append([k])
         if lead:
-            if not groups:
+            if not runs:
                 raise TrivialClass("polyline collapsed to a single vertex")
-            groups[-1] += lead
-        return [(g, pin[g[0]][1]) for g in groups]
-
-    def _same_point(self, k1, k2) -> bool:
-        """Whether crossings k1 and k2 sit at one developed point.
-
-        Callers pass (previous, current) in cyclic order, so the only wrap
-        case is (n-1, 0), where crossing 0 is seen through the holonomy.
-        """
-        p1, p2 = self.point(k1), self.point(k2)
-        if k2 == 0 and k1 == len(self.crossings) - 1:
-            p2 = self.closing_point()
-        return abs(p1 - p2) <= 1e-9 * self.scale
-
-    def pivot_angles(self, group):
-        """(strip-side angle, far-side angle, orbit) for a pinned run."""
-        s = self.s
-        n = len(self.crossings)
-        i, j = group[0], group[-1]
-        V = self.point(i)
-        # incoming point (previous crossing, honoring the cyclic closing)
-        if i == 0:
-            p_in = self.holonomy.inverse()(self.point(n - 1))
-        else:
-            p_in = self.point((i - 1) % n)
-        if j == n - 1:
-            p_out = self.closing_point()
-        else:
-            p_out = self.point((j + 1) % n)
-
-        def ray(k):
-            """Developed direction of crossing k's edge away from the pivot."""
-            A, B = self.edges[k]
-            far = B if self.params[k] <= 0.5 else A
-            return far - self.point(k)
-
-        ang = angle_between(p_in - V, ray(i))
-        for idx in range(1, len(group)):
-            k = group[idx]
-            t, e = self.crossings[k]
-            c = e if self.params[k] <= 0.5 else (e + 1) % 3
-            ang += s.corner_angle(t, c)
-        # outgoing wedge lives in the triangle after crossing j
-        Vj = self.point(j)
-        ang += angle_between(ray(j), p_out - Vj)
-        orbit = self.pinned_vertex(group[0])[1]
-        total = float(s.orbit_angles[orbit])
-        return ang, total - ang, orbit
+            runs[-1] += lead
+        out = []
+        for run in runs:
+            i, side = run[0], pin[run[0]]
+            j = i + len(run)  # the outgoing point, past the seam if wrapped
+            pts = ([self._developed(i - 1)]
+                   + [self._developed(k, 1 - side) for k in range(i, j)]
+                   + [self._developed(j)])
+            ang = _swept(self.point(i), pts, 2 * side - 1)
+            orbit = self.pinned_vertex(i)[1]
+            out.append((run, ang, float(self.s.orbit_angles[orbit]) - ang,
+                        orbit))
+        return out
 
     def slide(self, group) -> None:
         """Push the polyline across the pivot vertex to the far side.
@@ -584,10 +562,10 @@ def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
     while True:
         strip.solve(tol)
         solves += 1
-        group = next((g for g, _orbit in strip.pivots()
-                      if min(strip.pivot_angles(g)[:2])
-                      < math.pi - 10 * ANGLE_TOL), None)
-        if group is None:
+        pivots = strip.pivots()
+        run = next((run for run, a1, a2, _orbit in pivots
+                    if min(a1, a2) < math.pi - 10 * ANGLE_TOL), None)
+        if run is None:
             break
         if solves + slides >= max_iterations:
             raise NoConvergence(
@@ -595,14 +573,11 @@ def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
                 f"plus slides ({solves} solves, {slides} slides) with a "
                 f"pivot left to slide; strip of {len(strip.crossings)} "
                 f"crossings, last length {strip.length():.12g}")
-        strip.slide(group)
+        strip.slide(run)
         slides += 1
 
-    visits = []
-    for group, orbit in strip.pivots():
-        a1, a2, orbit = strip.pivot_angles(group)
-        if s.orbit_orders[orbit] != 0:
-            visits.append(ConeVisit(orbit, (a1, a2)))
+    visits = [ConeVisit(orbit, (a1, a2)) for _run, a1, a2, orbit in pivots
+              if s.orbit_orders[orbit] != 0]
     kind = "cone-concatenation" if visits else "nonsingular"
     return GeodesicRepresentative(
         surface=s,

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from cubiclab.flatsurface.geodesics import HomotopyClassPath
+from cubiclab.flatsurface.geodesics import PIN_TOL, HomotopyClassPath
+from cubiclab.flatsurface.planar import angle_between
 
 
 # -- developing strips with rotation matrices ---------------------------------
@@ -74,6 +75,77 @@ def _develop(s, crossings):
     for slot in crossings:
         phis.append(phis[-1].compose(unfold[slot]))
     return phis
+
+
+def pivot_side_angles(g):
+    """(orbit, strip-side angle, far-side angle) of each cone point that
+    the tightened geodesic g visits, in the order of ``g.cone_visits``.
+
+    The strip is developed with rotation matrices.  Crossings pinned at one
+    developed point (to 1e-9 of the strip's size) form a run, read from the
+    first free crossing on; the strip-side angle of a run is the corner sum:
+    the unsigned angle from the incoming segment to the first pinned edge,
+    the corner angles at the vertex between consecutive pinned edges and
+    the unsigned angle from the last pinned edge to the outgoing segment.
+    """
+    s, n = g.surface, len(g.crossings)
+    phis = _develop(s, g.crossings)
+    pin = [0 if u <= PIN_TOL else 1 if u >= 1.0 - PIN_TOL else None
+           for u in g.params]
+
+    def edge(m):
+        """Developed ends of edge m, m in [-n, 2n), through the holonomy
+        past the seam."""
+        t, e = g.crossings[m % n]
+        ends = [phis[m % n].apply(_corners(s, t)[c])
+                for c in (e, (e + 1) % 3)]
+        if m >= n:
+            ends = [phis[n].apply(p) for p in ends]
+        elif m < 0:
+            ends = [phis[n].inverse().apply(p) for p in ends]
+        return ends
+
+    def point(m):
+        a, b = edge(m)
+        return a + g.params[m % n] * (b - a)
+
+    def angle(u, v):
+        return angle_between(complex(*u), complex(*v))
+
+    scale = max(np.linalg.norm(p) for m in range(n) for p in edge(m))
+
+    def same(m):
+        return np.linalg.norm(point(m) - point(m - 1)) <= 1e-9 * scale
+
+    # a run starts at a pinned crossing whose predecessor is free or sits
+    # at another point
+    start = next((k for k in range(n) if pin[k] is None),
+                 next((k for k in range(n) if not same(k)), None))
+    if start is None:
+        return []
+    runs = []
+    for m in range(start, start + n):
+        if pin[m % n] is None:
+            continue
+        if pin[(m - 1) % n] is not None and same(m):
+            runs[-1].append(m)
+        else:
+            runs.append([m])
+    out = []
+    for run in runs:
+        i, j = run[0], run[-1]
+        side = pin[i % n]
+        far = [edge(m)[1 - side] - point(m) for m in (i, j)]
+        ang = angle(point(i - 1) - point(i), far[0])
+        for m in run[1:]:
+            t, e = g.crossings[m % n]
+            ang += s.corner_angle(t, (e + side) % 3)
+        ang += angle(far[1], point(j + 1) - point(j))
+        t, e = g.crossings[i % n]
+        orbit = s.orbit_of[(t, (e + side) % 3)]
+        if s.orbit_orders[orbit] != 0:
+            out.append((orbit, ang, float(s.orbit_angles[orbit]) - ang))
+    return out
 
 
 def five_point_laplacian(f, dx, dy, periodic=False):

@@ -7,7 +7,8 @@ from cubiclab.errors import NoConvergence, TrivialClass
 from cubiclab.flatsurface import HomotopyClassPath, presets, tighten_geodesic
 from cubiclab.flatsurface.cylinders import detect_cylinder
 from cubiclab.flatsurface.geodesics import develop_strip
-from oracles import lattice_norm, random_closed_strip, strip_dijkstra_length
+from oracles import (lattice_norm, pivot_side_angles, random_closed_strip,
+                     strip_dijkstra_length)
 
 TORUS_CLASSES = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (-1, 2), (3, -2)]
 
@@ -246,3 +247,28 @@ def test_line_through_flat_vertex_is_accepted():
     assert g.kind == "nonsingular"
     assert abs(g.length - 3.0 * math.sqrt(2.0)) < 1e-12
     assert all(u in (0.0, 1.0) for u in g.params)
+
+
+@pytest.mark.parametrize("name", ["octagon", "octagon x 1e6", "G"])
+def test_cone_visit_angles_match_the_corner_sums(name, flat_puncture_surface):
+    # the side angles of every cone visit against the oracle's corner sums,
+    # at cone points of angle 6 pi (octagon) and 10 pi / 3 (G: two marked
+    # tori glued, flat orbit 1 marked)
+    s = {"octagon": presets.regular_octagon,
+         "octagon x 1e6": lambda: presets.regular_octagon().scaled(1e6),
+         "G": lambda: flat_puncture_surface(1)}[name]()
+    rng = np.random.default_rng(3)
+    visits = 0
+    for _ in range(60):
+        cls = random_closed_strip(s, rng, 6)
+        try:
+            g = tighten_geodesic(s, cls, tol=1e-12)
+        except TrivialClass:
+            continue
+        want = pivot_side_angles(g)
+        assert [v.orbit for v in g.cone_visits] == [o for o, *_a in want]
+        for v, (_orbit, *sides) in zip(g.cone_visits, want):
+            assert max(abs(a - b) for a, b in zip(v.side_angles, sides)) \
+                <= 1e-11
+        visits += len(want)
+    assert visits >= 150

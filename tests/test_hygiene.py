@@ -1,6 +1,6 @@
 """Source hygiene: every imported name is used, every definition in the
-package is reached from what the package runs, and every call the
-benchmark traces exists.
+package is reached from what the package runs, every stored field is read,
+and every call the benchmark traces exists.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -320,3 +320,55 @@ def test_every_parameter_is_read():
     stale = sorted(UNREAD_PARAMETERS.keys() - unread)
     assert not stale, ("UNREAD_PARAMETERS entries whose parameter is read "
                        "or gone:\n" + "\n".join(stale))
+
+
+# Stored fields that nothing reads, each kept for a reason.  An entry that
+# is read, or gone, is stale.
+UNREAD_FIELDS = {
+    "DecayCertificate.coord_radius": "the disk the barrier is stated on",
+}
+
+
+def _stored_fields() -> dict[str, str]:
+    """Class.field -> file:line for every dataclass field and every
+    attribute a method assigns on ``self`` in the package."""
+    stored = {}
+    for path in sorted(ROOT.glob("src/cubiclab/**/*.py")):
+        rel = path.relative_to(ROOT)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            if _is_dataclass(cls):
+                stored |= {f"{cls.name}.{s.target.id}": f"{rel}:{s.lineno}"
+                           for s in cls.body if isinstance(s, ast.AnnAssign)
+                           and isinstance(s.target, ast.Name)}
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    stored |= {
+                        f"{cls.name}.{n.attr}": f"{rel}:{n.lineno}"
+                        for n in ast.walk(fn)
+                        if isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self"}
+    return stored
+
+
+def test_every_stored_field_is_read():
+    # a field is read when some file of the package, the tests or the
+    # benchmark loads an attribute of its name (on any object)
+    files = [*ROOT.glob("src/cubiclab/**/*.py"), *ROOT.glob("tests/**/*.py"),
+             *ROOT.glob("perfbench/*.py")]
+    loaded = {n.attr for path in files
+              for n in ast.walk(ast.parse(path.read_text(),
+                                          filename=str(path)))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    stored = _stored_fields()
+    unread = {name for name in stored if name.split(".")[1] not in loaded}
+    extra = sorted(f"{stored[name]}:{name}"
+                   for name in unread - UNREAD_FIELDS.keys())
+    assert not extra, ("stored fields that nothing reads (delete them, or "
+                       "list them in UNREAD_FIELDS with a reason):\n"
+                       + "\n".join(extra))
+    stale = sorted(UNREAD_FIELDS.keys() - unread)
+    assert not stale, ("UNREAD_FIELDS entries that are read or gone:\n"
+                       + "\n".join(stale))

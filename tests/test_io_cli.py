@@ -135,6 +135,25 @@ def test_cli_config_missing_key(tmp_path, capsys):
         capsys.readouterr().out
 
 
+@pytest.mark.parametrize("preset,key,value,reason", [
+    ("spectrum-square-torus", "tol", "abc", "could not convert string"),
+    ("ray-z-window", "n", "big", "invalid literal for int()"),
+    ("ray-z-window", "probe", [0.0], "not enough values to unpack"),
+], ids=["tol", "n", "probe"])
+def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
+                                        value, reason):
+    cfg = dict(PRESETS[preset], **{key: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([cfg["command"], "--config", str(path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert (f"error: ConfigError: config {key!r} has the value {value!r} "
+            "of the wrong type or shape: ") in out
+    assert reason in out
+
+
 def test_cli_missing_surface_file(tmp_path, capsys):
     cfg = {"command": "spectrum", "surface": str(tmp_path / "missing.json"),
            "marking": "torus-basic", "seed": 0}

@@ -9,6 +9,7 @@ from cubiclab.blaschke import (
     decay_experiment,
     flat_metric_path_length,
     solve_tzitzeica,
+    solve_wang,
     square_window,
     unit_torus_grid,
 )
@@ -20,7 +21,7 @@ from oracles import five_point_laplacian
 def test_torus_gap_vanishes():
     g = unit_torus_grid(24)
     q = CubicDifferentialField.constant(g, 1.0)
-    F = solve_tzitzeica(g, q, tol=1e-12)
+    F, _residual = solve_tzitzeica(g, q, tol=1e-12)
     assert np.abs(F).max() < 1e-10
 
 
@@ -42,7 +43,7 @@ def test_dirichlet_barrier_bound():
     d = 2.0
     g = Grid2D(-d, d, -d, d, 65, 65)
     q = CubicDifferentialField.constant(g, 1.0)
-    F = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
+    F, _residual = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
     C = 0.5 * 3.0 * 2.0 ** (4.0 / 3.0) * math.exp(-1.0 / 3.0)
     barrier = 1.0 / math.cosh(math.sqrt(C) * d)
     center = float(F[g.ny // 2, g.nx // 2])
@@ -57,7 +58,7 @@ def test_dirichlet_barrier_refinement():
     for n in (33, 65, 129):
         g = Grid2D(-d, d, -d, d, n, n)
         q = CubicDifferentialField.constant(g, 1.0)
-        F = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
+        F, _residual = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
         vals.append(float(F[n // 2, n // 2]))
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
 
@@ -69,12 +70,37 @@ def test_disk_masked_residual_by_independent_stencil():
     g = square_window(probe, 1.6, 65)
     disk_fixed = np.abs(g.zs - probe) >= 0.999 * 0.8
     q = CubicDifferentialField.from_polynomial(g, [0.0, t])
-    F = solve_tzitzeica(g, q, boundary=1.0, tol=1e-10, fixed_mask=disk_fixed)
+    F, residual = solve_tzitzeica(g, q, boundary=1.0, tol=1e-10,
+                                  fixed_mask=disk_fixed)
     assert (F[disk_fixed] == 1.0).all()
     free = ~disk_fixed & g.interior_mask()
     lap = five_point_laplacian(F, g.dx, g.dy)
     rhs = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23 * np.exp(-F / 3.0) * np.sinh(F)
-    assert np.abs(lap - rhs)[free].max() <= 1e-10
+    oracle = np.abs(lap - rhs)[free].max()
+    assert oracle <= 1e-10
+    # the residual the solver returns is the one over the free nodes
+    assert residual == pytest.approx(oracle, rel=1e-3)
+
+
+@pytest.mark.parametrize("where", ["scalar", "rim", "pinned"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_dirichlet_data_rejected(where, bad):
+    # NaN or inf on a pinned node is rejected before any solve, not left
+    # to run CG to its iteration cap and raise SingularJacobian
+    g = Grid2D(-1, 1, -1, 1, 16, 16)
+    q = CubicDifferentialField.constant(g, 1.0)
+    mask = np.zeros((g.ny, g.nx), dtype=bool)
+    mask[7, 7] = True
+    data = np.ones((g.ny, g.nx))
+    data[{"rim": (0, 5), "pinned": (7, 7)}.get(where, (3, 3))] = bad
+    boundary = bad if where == "scalar" else data
+    with pytest.raises(ValueError, match="pinned boundary values are not "
+                                         "finite"):
+        solve_tzitzeica(g, q, boundary=boundary, fixed_mask=mask)
+    if where == "rim":  # the Wang solve pins the rim only
+        with pytest.raises(ValueError, match="pinned boundary values are "
+                                             "not finite"):
+            solve_wang(g, q, boundary_psi=data)
 
 
 def test_negative_boundary_rejected():
