@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import BadParameters
 from .grid import Grid2D
 
 
@@ -14,9 +15,11 @@ class CubicDifferentialField:
         self.grid = grid
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (grid.ny, grid.nx):
-            raise ValueError("sample shape does not match the grid")
+            raise BadParameters(f"samples of shape {vals.shape} on a grid of "
+                                f"shape {(grid.ny, grid.nx)}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("cubic differential samples must be finite")
+            raise BadParameters(f"cubic differential samples must be finite, "
+                                f"got {vals[~np.isfinite(vals)][0]}")
         self.values = vals
         self.abs2 = np.abs(vals) ** 2
         self.abs23 = self.abs2 ** (1.0 / 3.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ..errors import ProbeTooCloseToZero
+from ..errors import BadParameters
 from .cubic import CubicDifferentialField
 from .grid import square_window
 from .solver import solve_tzitzeica
@@ -70,7 +70,8 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     """
     ts = [float(t) for t in t_list]
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_list must be strictly increasing and nonempty")
+        raise BadParameters(f"t_list must be strictly increasing and "
+                            f"nonempty, got {ts}")
     coeffs = np.asarray(q_coeffs, dtype=complex)
 
     zero_pts = np.roots(np.trim_zeros(coeffs, "b")[::-1]) \
@@ -81,9 +82,9 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     coord_radius = 0.999 * min(d_boundary, d_zero)
     grid = square_window(probe, window_side, n)
     if coord_radius <= 3.0 * grid.dx:
-        raise ProbeTooCloseToZero(
+        raise BadParameters(
             f"zero-free coordinate radius {coord_radius:.3g} around the "
-            f"probe is below the grid resolution")
+            f"probe {probe} is below 3 grid steps of {grid.dx:.3g}")
 
     # solve on the inscribed coordinate disk: all nodes outside it carry
     # the boundary bound, matching the comparison region of the barrier

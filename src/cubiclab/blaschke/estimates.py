@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NegativeInput, NonpositiveRadius
+from ..errors import BadParameters
 from .grid import DIRICHLET
 from .solver import CBRT2, BlaschkeSolution, _safe_exp, discrete_laplacian
 
@@ -34,8 +34,8 @@ def largest_root(a: float) -> float:
     The root is >= 1 with p > 0 beyond it; the residual is polished below
     1e-12 by Newton steps.
     """
-    if a < 0:
-        raise NegativeInput("the comparison root needs a >= 0")
+    if not a >= 0:
+        raise BadParameters(f"the comparison root needs a >= 0, got {a}")
     if a == 0:
         return 1.0
 
@@ -104,6 +104,6 @@ def minimal_surface_metric(sol: BlaschkeSolution) -> np.ndarray:
 def gap_upper_bound(area_h: float, r: float) -> float:
     """(3/2) log(area / (2^(1/3) pi r^2)) for a zero-free flat ball of
     radius r."""
-    if r <= 0:
-        raise NonpositiveRadius("ball radius must be positive")
+    if not r > 0:
+        raise BadParameters(f"ball radius must be positive, got {r}")
     return 1.5 * math.log(area_h / (CBRT2 * math.pi * r * r))

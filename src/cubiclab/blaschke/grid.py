@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import BadParameters
+
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
@@ -29,11 +31,13 @@ class Grid2D:
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
-            raise ValueError("grids need at least 8 nodes per axis")
+            raise BadParameters(f"grids need at least 8 nodes per axis, got "
+                                f"nx={self.nx}, ny={self.ny}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
-            raise ValueError("empty domain rectangle")
+            raise BadParameters(f"empty domain rectangle [{self.x0}, "
+                                f"{self.x1}] x [{self.y0}, {self.y1}]")
         if self.bc not in (DIRICHLET, PERIODIC):
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
+            raise BadParameters(f"unknown boundary condition {self.bc!r}")
 
     @property
     def dx(self) -> float:
@@ -68,7 +72,7 @@ class Grid2D:
         ix = int(round((z.real - self.x0) / self.dx))
         iy = int(round((z.imag - self.y0) / self.dy))
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise ValueError(f"point {z} outside the grid")
+            raise BadParameters(f"point {z} outside the grid")
         return iy, ix
 
     def cell_area(self) -> float:

@@ -27,8 +27,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, fft2, idstn, ifft2
 
-from ..errors import BadParameters, NegativeBoundary, NoConvergence, \
-    NoSolution, SingularJacobian
+from ..errors import BadParameters, NoConvergence, SingularJacobian
 from .cubic import CubicDifferentialField
 from .grid import DIRICHLET, Grid2D
 
@@ -137,15 +136,16 @@ def _dirichlet_values(grid: Grid2D, fixed: np.ndarray, values,
     """Dirichlet data as a node field, checked: given, of the grid's shape,
     and finite on the pinned nodes ``fixed``."""
     if values is None:
-        raise ValueError(f"{label}: Dirichlet solves need boundary values")
+        raise BadParameters(f"{label}: Dirichlet solves need boundary values, "
+                            "got None")
     bvals = np.asarray(values, dtype=float)
     if bvals.shape != (grid.ny, grid.nx):
-        raise ValueError(f"{label}: boundary field of shape {bvals.shape} "
-                         f"on a grid of shape {(grid.ny, grid.nx)}")
+        raise BadParameters(f"{label}: boundary field of shape {bvals.shape} "
+                            f"on a grid of shape {(grid.ny, grid.nx)}")
     bad = bvals[fixed][~np.isfinite(bvals[fixed])]
     if bad.size:
-        raise ValueError(f"{label}: {bad.size} pinned boundary values are "
-                         f"not finite, e.g. {bad[0]}")
+        raise BadParameters(f"{label}: {bad.size} pinned boundary values are "
+                            f"not finite, e.g. {bad[0]}")
     return bvals
 
 
@@ -196,9 +196,10 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
     abs2 = q.abs2
     periodic = grid.bc != DIRICHLET
     if periodic and float(abs2.max()) == 0.0:
-        raise NoSolution(
-            "q = 0 on a periodic grid: the integral of Lap psi vanishes "
-            "but the right side 2 e^psi is strictly positive")
+        raise BadParameters(
+            f"q = 0 on the {grid.nx} x {grid.ny} periodic grid: the "
+            "integral of Lap psi vanishes but the right side 2 e^psi is "
+            "strictly positive")
 
     fixed = ~grid.interior_mask()
     # initial guess: capped subsolution, blended with boundary data
@@ -263,7 +264,7 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
             boundary = np.full((grid.ny, grid.nx), float(boundary))
         bvals = _dirichlet_values(grid, fixed, boundary, "tzitzeica")
         if bvals[fixed].min() < 0:
-            raise NegativeBoundary(
+            raise BadParameters(
                 f"boundary gap value {bvals[fixed].min():.6g} < 0")
         x0 = np.full((grid.ny, grid.nx), float(bvals[fixed].mean()))
 

@@ -143,6 +143,13 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _whole(value) -> int:
+    """An int, or a float with a whole value, as an int."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def _load_config(args) -> _Config:
     if args.preset:
         if args.preset not in PRESETS:
@@ -164,33 +171,24 @@ def _load_config(args) -> _Config:
     raise ConfigError("either --preset or --config is required")
 
 
-def _surface_from_config(spec: str):
-    if spec == "square-torus":
-        return presets.square_torus()
-    if spec == "regular-octagon":
-        return presets.regular_octagon()
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"surface file not found: {path}")
-    return fsio.load_surface(path)
+SURFACES = {"square-torus": presets.square_torus,
+            "regular-octagon": presets.regular_octagon}
+MARKINGS = {"torus-basic": presets.torus_marking,
+            "octagon-basic": presets.octagon_marking}
 
 
-def _marking_from_config(spec: str):
-    if spec == "torus-basic":
-        return presets.torus_marking()
-    if spec == "octagon-basic":
-        return presets.octagon_marking()
-    path = Path(spec)
-    if not path.exists():
-        raise ConfigError(f"marking file not found: {path}")
-    return fsio.load_classes(path)
+def _named_or_file(spec: str, named: dict, load):
+    """The built-in object named spec, else load(spec) from the file."""
+    return named[spec]() if spec in named else load(spec)
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
-    s = _surface_from_config(config.read("surface", str))
-    marking = _marking_from_config(config.read("marking", str))
+    s = _named_or_file(config.read("surface", str), SURFACES,
+                       fsio.load_surface)
+    marking = _named_or_file(config.read("marking", str), MARKINGS,
+                             fsio.load_classes)
     tol = config.read("tol", float, 1e-12)
     reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
 
@@ -224,15 +222,13 @@ def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
 
 def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
     t_list = config.read("t_list", _floats)
-    if not t_list:
-        raise ConfigError("t_list must be nonempty")
     coeffs = config.read("q", lambda q: [_point(c) for c in q])
     probe = config.read("probe", _point)
 
     certs = blaschke.decay_experiment(
         coeffs, t_list, probe,
         window_side=config.read("window_side", float, 4.0),
-        n=config.read("n", int, 97), bound=config.read("bound", float, 1.0))
+        n=config.read("n", _whole, 97), bound=config.read("bound", float, 1.0))
 
     rows = [["t", "residual", "gap_at_probe", "barrier", "pass"]]
     for c in certs:
@@ -339,7 +335,7 @@ def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
     report.add("core-quadrature", "core length vs line integral",
                err_q < 1e-8, err_q, 1e-8)
     worst = 0.0
-    rng = np.random.default_rng(config.read("seed", int, 0))
+    rng = config.read("seed", lambda s: np.random.default_rng(_whole(s)), 0)
     for _ in range(10):
         kap = -float(rng.uniform(0.05, 1.0))
         R = float(np.exp(rng.uniform(2.0, 12.0)))

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MarkingMismatch,
-    NotConverged,
-    OverlappingSupports,
-    UnknownClass,
-    ZeroSpectrum,
-)
+from .errors import BadParameters, NotConverged
 from .flatsurface import TriangulatedFlatSurface, tighten_geodesic
 from .flatsurface.surface import area as flat_area
 
@@ -38,17 +32,11 @@ class MarkedLengthSpectrum:
 
     def __post_init__(self):
         if len(set(self.marking)) != len(self.marking):
-            raise ValueError("marking ids must be unique")
+            raise BadParameters(f"marking ids repeat: {self.marking}")
         if len(self.values) != len(self.marking):
-            raise ValueError("one value per marking class required")
-        if any(v < 0 for v in self.values):
-            raise ValueError("lengths must be nonnegative")
-
-    def value(self, class_id: str) -> float:
-        try:
-            return self.values[self.marking.index(class_id)]
-        except ValueError:
-            raise UnknownClass(class_id)
+            raise BadParameters(f"values {self.values} for {self.marking}")
+        if not all(v >= 0 for v in self.values):
+            raise BadParameters(f"negative length in {self.values}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,7 @@ class ProjectiveSpectrum:
 def projectivize(sp: MarkedLengthSpectrum) -> ProjectiveSpectrum:
     scale = max(sp.values)
     if scale <= 0:
-        raise ZeroSpectrum("cannot projectivize the zero spectrum")
+        raise BadParameters(f"cannot projectivize zero spectrum {sp.values}")
     return ProjectiveSpectrum(sp.marking,
                               tuple(v / scale for v in sp.values), scale)
 
@@ -149,18 +137,22 @@ def classify_limit(seq: list[MarkedLengthSpectrum],
     marking) or laminar-candidate.
     """
     if not seq:
-        raise ValueError("empty spectrum sequence")
+        raise BadParameters(f"empty spectrum sequence {seq!r}")
     marking = seq[0].marking
     if any(sp.marking != marking for sp in seq):
-        raise MarkingMismatch("spectra do not share one marking")
+        raise BadParameters(f"spectra do not share one marking: "
+                            f"{sorted({sp.marking for sp in seq})}")
     n = len(marking)
     table = np.asarray(table)
     if table.shape != (n, n):
-        raise MarkingMismatch("intersection table shape mismatch")
+        raise BadParameters(f"intersection table of shape {table.shape} for "
+                            f"{n} marking classes")
     if not np.array_equal(table, table.T):
-        raise ValueError("intersection table must be symmetric")
+        raise BadParameters(f"intersection table must be symmetric, got "
+                            f"{table.tolist()}")
     if np.any(table < 0) or not np.array_equal(table, np.round(table)):
-        raise ValueError("intersection table entries are nonnegative ints")
+        raise BadParameters(f"intersection table entries are nonnegative "
+                            f"ints, got {table.tolist()}")
 
     proj = [projectivize(sp) for sp in seq]
     comps = np.array([p.values for p in proj])
@@ -262,11 +254,12 @@ class MixedStructure:
         for _pid, _s, restriction in self.flat_parts:
             overlap = set(restriction) & set(self.multicurve)
             if overlap:
-                raise OverlappingSupports(
+                raise BadParameters(
                     f"classes {sorted(overlap)} lie in a flat part and in "
                     f"the multicurve")
-        if any(w < 0 for w in self.multicurve.values()):
-            raise ValueError("multicurve weights must be nonnegative")
+        if not all(w >= 0 for w in self.multicurve.values()):
+            raise BadParameters(f"multicurve weights must be nonnegative, got "
+                                f"{self.multicurve}")
 
 
 def evaluate_mixed(m: MixedStructure, class_id: str, marking,
@@ -274,7 +267,8 @@ def evaluate_mixed(m: MixedStructure, class_id: str, marking,
     """i(mixed structure, class): flat lengths plus weighted crossings."""
     marking = list(marking)
     if class_id not in marking:
-        raise UnknownClass(class_id)
+        raise BadParameters(f"class {class_id!r} is not in the marking "
+                            f"{tuple(marking)}")
     if class_id in m.boundary:
         return 0.0
     total = 0.0

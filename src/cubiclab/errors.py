@@ -1,11 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Which failure gets which class: a wrong argument of a caller (out of range,
+of the wrong shape, naming what is not there, or a file that cannot be read,
+parsed or built) raises ``BadParameters`` naming the argument and its value;
+a malformed command-line config raises ``ConfigError``; a surface that fails
+validation raises one of the four classes the triangle surgery tells apart;
+a computation that fails on valid arguments raises the class naming that
+failure.  Internal invariants that no argument can break stay builtin.
+"""
 
 
 class CubiclabError(Exception):
     """Base class for all package-specific errors."""
 
 
-# --- flat surfaces -------------------------------------------------------
+class BadParameters(CubiclabError, ValueError):
+    """A caller's argument is wrong; the message names it and its value."""
+
+
+class ConfigError(CubiclabError):
+    """A config is not a JSON object, lacks a key or has a wrong value."""
+
 
 class EdgeLengthMismatch(CubiclabError):
     """Paired edge slots have different Euclidean lengths."""
@@ -28,99 +43,30 @@ class NoConvergence(CubiclabError):
     """An iteration budget was exhausted before the requested tolerance."""
 
 
-class NotNonsingular(CubiclabError):
-    """A geodesic passes through a cone point where a nonsingular one is
-    needed: a cylinder core, or one of the two curves of an intersection
-    count."""
-
-
-class NotCylindrical(CubiclabError):
-    """The given curve class does not foliate a flat cylinder."""
-
-
-class EpsTooLarge(CubiclabError):
-    """The requested cut size does not fit in the clearance around a puncture."""
-
-
-class AngleClash(CubiclabError):
-    """A surgery produced a vertex orbit violating the cone-angle form."""
-
-
-class TrivialClass(CubiclabError):
-    """A combinatorial curve class simplified to the trivial loop."""
-
-
-# --- PDE solver ----------------------------------------------------------
-
-class NoSolution(CubiclabError):
-    """The nonlinear solve cannot converge (e.g. incompatible data)."""
-
-
 class SingularJacobian(CubiclabError):
     """The Newton linearization could not be solved."""
-
-
-class NegativeBoundary(CubiclabError):
-    """Boundary data for the gap equation must be nonnegative."""
-
-
-class ProbeTooCloseToZero(CubiclabError):
-    """A decay probe point sits too close to a zero of the differential."""
-
-
-class NonpositiveRadius(CubiclabError):
-    """A ball radius must be positive."""
-
-
-class NegativeInput(CubiclabError):
-    """A parameter restricted to nonnegative values was negative."""
-
-
-# --- currents ------------------------------------------------------------
-
-class ZeroSpectrum(CubiclabError):
-    """A length spectrum with all entries zero cannot be projectivized."""
 
 
 class NotConverged(CubiclabError):
     """A spectrum sequence did not settle within the declared thresholds."""
 
 
-class MarkingMismatch(CubiclabError):
-    """Spectra in a sequence do not share the same marking."""
+class NotNonsingular(CubiclabError):
+    """A geodesic passes through a cone point where a nonsingular one is
+    needed: a cylinder core, or one curve of an intersection count."""
 
 
-class UnknownClass(CubiclabError):
-    """A curve class id is not present in the marking."""
+class NotCylindrical(CubiclabError):
+    """The given curve class does not foliate a flat cylinder."""
 
 
-class OverlappingSupports(CubiclabError):
-    """Flat-part and multicurve supports of a mixed structure overlap."""
+class TrivialClass(CubiclabError):
+    """A combinatorial curve class simplified to the trivial loop."""
 
 
-# --- model surfaces ------------------------------------------------------
-
-class OutOfDomain(CubiclabError):
-    """A point lies outside a model surface's domain."""
-
-
-class BadR(CubiclabError):
-    """An annulus modulus parameter must satisfy R > 1."""
-
-
-class BadParameters(CubiclabError):
-    """Model-surface parameters outside their documented ranges."""
-
-
-class UnsupportedCover(CubiclabError):
-    """Only power-map covers between round models are supported."""
+class AngleClash(CubiclabError):
+    """A surgery produced a vertex orbit violating the cone-angle form."""
 
 
 class IndeterminateSequence(CubiclabError):
     """A parameter sequence fits none of the supported limit cases."""
-
-
-# --- cli -----------------------------------------------------------------
-
-class ConfigError(CubiclabError):
-    """An experiment configuration is malformed or references missing files."""

@@ -19,7 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from ..errors import NoConvergence, NotCylindrical, NotNonsingular
+from ..errors import BadParameters, NoConvergence, NotCylindrical, \
+    NotNonsingular
 from .geodesics import (
     GeodesicRepresentative,
     HomotopyClassPath,
@@ -265,8 +266,8 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     grows by circumference * height, cone data is unchanged, and the core
     length is preserved.
     """
-    if height <= 0:
-        raise ValueError("cylinder height must be positive")
+    if not height > 0:
+        raise BadParameters(f"cylinder height must be positive, got {height}")
     if isinstance(core, GeodesicRepresentative):
         g = core
     else:

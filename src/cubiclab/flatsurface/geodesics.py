@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import NoConvergence, TrivialClass
+from ..errors import BadParameters, NoConvergence, TrivialClass
 from .planar import PlanarIsometry, cross, dot, turn
 from .surface import Slot, TriangulatedFlatSurface
 
@@ -54,17 +54,19 @@ class HomotopyClassPath:
         object.__setattr__(self, "crossings",
                            tuple((int(t), int(e)) for t, e in self.crossings))
         if not self.crossings:
-            raise ValueError("a homotopy class needs at least one crossing")
+            raise BadParameters(f"a homotopy class needs at least one "
+                                f"crossing, got {self.crossings}")
 
     def validate_on(self, s: TriangulatedFlatSurface) -> None:
         n = len(self.crossings)
         for k, (t, e) in enumerate(self.crossings):
             if not (0 <= t < s.num_triangles and 0 <= e < 3):
-                raise ValueError(f"crossing {k} references invalid slot {(t, e)}")
+                raise BadParameters(f"crossing {k} references invalid slot "
+                                    f"{(t, e)}")
             nxt_tri = s.gluings[(t, e)][0]
             t_next = self.crossings[(k + 1) % n][0]
             if t_next != nxt_tri:
-                raise ValueError(
+                raise BadParameters(
                     f"crossings {k} -> {(k + 1) % n} do not share a triangle: "
                     f"edge {(t, e)} leads into {nxt_tri}, not {t_next}")
 

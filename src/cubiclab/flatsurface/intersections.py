@@ -17,7 +17,7 @@ k-fold class does at each of its crossings.
 
 from __future__ import annotations
 
-from ..errors import NotNonsingular
+from ..errors import BadParameters, NotNonsingular
 from .geodesics import GeodesicRepresentative, pinned_corner
 from .planar import cross, dot
 
@@ -50,9 +50,9 @@ def geometric_intersection_count(g1: GeodesicRepresentative,
     """Number of crossings of two tightened geodesics on one surface, one
     of them nonsingular."""
     if g1.surface is not g2.surface:
-        raise ValueError("the geodesics lie on different surfaces, of "
-                         f"{g1.surface.num_triangles} and "
-                         f"{g2.surface.num_triangles} triangles")
+        raise BadParameters("the geodesics lie on different surfaces, of "
+                            f"{g1.surface.num_triangles} and "
+                            f"{g2.surface.num_triangles} triangles")
     if g1.cone_visits and g2.cone_visits:
         o1, o2 = (sorted({v.orbit for v in g.cone_visits}) for g in (g1, g2))
         raise NotNonsingular(

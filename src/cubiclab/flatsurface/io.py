@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..errors import BadParameters, CubiclabError
 from .geodesics import GeodesicRepresentative, HomotopyClassPath, develop_strip
 from .surface import TriangulatedFlatSurface, build_surface
 
@@ -36,8 +37,18 @@ def save_surface(s: TriangulatedFlatSurface, path) -> None:
     Path(path).write_text(json.dumps(surface_to_dict(s), indent=1))
 
 
+def _load(path, build):
+    """build(the JSON data in the file at path); a file that cannot be
+    read, parsed or built raises BadParameters naming it."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, LookupError, TypeError, CubiclabError) as err:
+        raise BadParameters(f"cannot load {path}: {type(err).__name__}: "
+                            f"{err}") from err
+
+
 def load_surface(path) -> TriangulatedFlatSurface:
-    return build_surface(json.loads(Path(path).read_text()))
+    return _load(path, build_surface)
 
 
 def class_to_dict(path: HomotopyClassPath) -> dict:
@@ -50,13 +61,16 @@ def save_classes(classes, path) -> None:
                                      indent=1))
 
 
-def load_classes(path) -> list[HomotopyClassPath]:
-    data = json.loads(Path(path).read_text())
+def _classes(data) -> list[HomotopyClassPath]:
     if isinstance(data, dict):
         data = [data]
     return [HomotopyClassPath(tuple(tuple(c) for c in entry["strip"]),
                               label=entry.get("name") or None)
             for entry in data]
+
+
+def load_classes(path) -> list[HomotopyClassPath]:
+    return _load(path, _classes)
 
 
 def spectrum_csv_rows(names, reps: list[GeodesicRepresentative]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from ..errors import BadParameters
 from .geodesics import HomotopyClassPath
 from .surface import TriangulatedFlatSurface
 
@@ -41,7 +42,7 @@ def torus_class(p: int, q: int, a: float = 1.0, b: float = 1.0,
     (p*a, q*b) translate and records the lattice/diagonal crossings in order.
     """
     if p == 0 and q == 0:
-        raise ValueError("(0, 0) is the trivial class")
+        raise BadParameters(f"({p}, {q}) is the trivial class")
     # generic start point to avoid corners and crossing ties
     x0, y0 = 0.4321987 * a, 0.2718133 * b
     dx, dy = p * a, q * b

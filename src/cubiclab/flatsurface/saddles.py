@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from ..errors import NoConvergence
+from ..errors import BadParameters, NoConvergence
 from .planar import PlanarIsometry, ccw_angle, cross, dot
 from .surface import TriangulatedFlatSurface
 
@@ -87,8 +87,8 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
     Tolerances scale with the surface, so a rescaled surface gives the
     rescaled connections.
     """
-    if max_length <= 0:
-        raise ValueError("max_length must be positive")
+    if not max_length > 0:
+        raise BadParameters(f"max_length must be positive, got {max_length}")
     ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
     found: dict[tuple, SaddleConnection] = {}
     budget = max_expansions

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import (
     BadConeAngle,
+    BadParameters,
     EdgeLengthMismatch,
     NegativeOrderAtInterior,
     NonInvolutiveGluing,
@@ -53,12 +54,13 @@ class TriangulatedFlatSurface:
         tris = [tuple(map(complex, t)) for t in triangles]
         for idx, t in enumerate(tris):
             if len(t) != 3:
-                raise ValueError(f"triangle {idx} has {len(t)} corners")
+                raise BadParameters(f"triangle {idx} has {len(t)} corners")
             longest = max(abs(t[1] - t[0]), abs(t[2] - t[1]),
                           abs(t[0] - t[2]))
             if _signed_area(t) <= GEOM_TOL * longest ** 2:
-                raise ValueError(
-                    f"triangle {idx} is degenerate or not counterclockwise")
+                raise BadParameters(
+                    f"triangle {idx} is degenerate or not counterclockwise: "
+                    f"{t}")
         self.triangles: list[tuple[complex, complex, complex]] = tris
 
         self.gluings: dict[Slot, Slot] = {}
@@ -75,7 +77,7 @@ class TriangulatedFlatSurface:
             else:
                 p = int(p)
                 if not 0 <= p < len(self.vertex_orbits):
-                    raise ValueError(
+                    raise BadParameters(
                         f"marked puncture {p} is not a vertex orbit id")
                 resolved.add(p)
         self.marked_punctures = frozenset(resolved)
@@ -102,7 +104,7 @@ class TriangulatedFlatSurface:
             b = (int(b[0]), int(b[1]))
             for s in (a, b):
                 if not (0 <= s[0] < len(self.triangles) and 0 <= s[1] < 3):
-                    raise ValueError(f"gluing references invalid slot {s}")
+                    raise BadParameters(f"gluing references invalid slot {s}")
             if a == b:
                 raise NonInvolutiveGluing(f"slot {a} glued to itself")
             if a in pairs and pairs[a] != b:
@@ -239,8 +241,8 @@ class TriangulatedFlatSurface:
 
     def scaled(self, factor: float) -> "TriangulatedFlatSurface":
         """A copy with all lengths multiplied by factor > 0."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not factor > 0:
+            raise BadParameters(f"scale factor must be positive, got {factor}")
         tris = [[factor * z for z in t] for t in self.triangles]
         return TriangulatedFlatSurface(tris, self.gluings,
                                        marked_punctures=self.marked_punctures)

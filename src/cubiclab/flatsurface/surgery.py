@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ..errors import (
     AngleClash,
     BadConeAngle,
-    EpsTooLarge,
+    BadParameters,
     NegativeOrderAtInterior,
     NonInvolutiveGluing,
 )
@@ -73,17 +73,18 @@ def _point_line_dist(p, a, b) -> float:
 def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
                part: int) -> _Carve:
     """Choose a wedge placement at the puncture and record all cuts."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise BadParameters(f"eps must be positive, got {eps}")
     if s.orbit_orders[orbit] <= -2:
         raise AngleClash(
             "puncture carries order-2 pole behaviour (k = -2); the surgery "
             "rejects such inputs instead of splitting the double pole")
     for sc in enumerate_saddle_connections(s, 2.0 * eps):
         if orbit in (sc.start_orbit, sc.end_orbit):
-            raise EpsTooLarge(
+            raise BadParameters(
                 f"a cone point or marked puncture lies at distance "
-                f"{sc.length:.6g} < 2*eps from puncture orbit {orbit}")
+                f"{sc.length:.6g} < 2*eps from puncture orbit {orbit}, "
+                f"eps={eps}")
 
     fan = s.fans[orbit]
     angles = [s.corner_angle(t, i) for (t, i) in fan]
@@ -93,9 +94,9 @@ def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
             return _carve_with_rotation(s, eps, part,
                                         fan[rot:] + fan[:rot],
                                         angles[rot:] + angles[:rot])
-        except ValueError as err:
+        except BadParameters as err:
             last_err = err
-    raise ValueError(
+    raise BadParameters(
         f"no wedge placement fits at orbit {orbit} with eps={eps} "
         f"(triangulation too coarse near the puncture): {last_err}")
 
@@ -103,16 +104,17 @@ def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
 def _carve_with_rotation(s, eps, part, fan, angs) -> _Carve:
     cum = [0.0, *itertools.accumulate(angs)]
     if any(abs(cum[j] - WEDGE) < 1e-6 for j in range(1, len(fan))):
-        raise ValueError("wedge boundary falls on a fan ray")
-    m = max(j for j in range(len(fan)) if cum[j] < WEDGE - 1e-9)
+        raise BadParameters(f"the wedge boundary pi/3 falls on a fan ray, "
+                            f"at angles {cum[1:len(fan)]}")
+    m = max(j for j in range(len(fan)) if cum[j] < WEDGE)
     corners = fan[:m + 1]
     if len({t for t, _i in corners}) != len(corners):
-        raise ValueError("two affected corners share a triangle")
+        raise BadParameters(f"affected corners share a triangle: {corners}")
     for t, i in corners:
         tri = s.triangles[t]
         if eps >= 0.95 * _point_line_dist(tri[i], tri[(i + 1) % 3],
                                           tri[(i + 2) % 3]):
-            raise ValueError("eps does not fit inside an affected corner")
+            raise BadParameters(f"eps={eps} does not fit inside corner {t, i}")
 
     carve = _Carve(part, eps, corners, cum[:m + 1],
                    leg_a_slot=s.gluings[fan[0]])
@@ -120,7 +122,8 @@ def _carve_with_rotation(s, eps, part, fan, angs) -> _Carve:
         ray_len = s.edge_length(slot)
         rho = _rho(eps, cum[j])
         if rho >= 0.45 * ray_len:
-            raise ValueError("a ray cut reaches too far along its fan edge")
+            raise BadParameters(f"the ray cut at {rho:.6g} reaches too far "
+                                f"along fan edge {slot}")
         cid = _ray_id(part, j)
         carve.ray_cuts.setdefault(slot, []).append((rho / ray_len, cid))
         pslot = s.gluings[slot]
@@ -196,20 +199,20 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
 
     ``parts`` is a flat list of (surface, puncture orbit id); entries 2i and
     2i+1 are glued together with weight ``weights[i]`` (a prism band of that
-    height is inserted when the weight is positive).  Raises EpsTooLarge when
-    a 2*eps ball at a puncture meets a cone point or marked puncture (itself
-    included, along a loop) and AngleClash when
-    the result would violate the cone-angle form (e.g. order-2 poles).
+    height is inserted when the weight is positive).  Raises BadParameters
+    when a 2*eps ball at a puncture meets a cone point or marked puncture
+    (itself included, along a loop) and AngleClash when the result would
+    violate the cone-angle form (e.g. order-2 poles).
     """
     if len(parts) % 2 != 0 or not parts:
-        raise ValueError("parts must come in glued pairs")
+        raise BadParameters(f"parts come in glued pairs, got {len(parts)}")
     n_pairs = len(parts) // 2
     if weights is None:
         weights = [0.0] * n_pairs
     if len(weights) != n_pairs:
-        raise ValueError("one weight per glued pair required")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
+        raise BadParameters(f"{len(weights)} weights for {n_pairs} pairs")
+    if not all(w >= 0 for w in weights):
+        raise BadParameters(f"weights must be nonnegative, got {weights}")
 
     carves = [plan_carve(s_i, orb, eps, part=idx)
               for idx, (s_i, orb) in enumerate(parts)]
@@ -235,9 +238,10 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
                 ray_cuts.setdefault(slot, []).extend(cuts)
             for j, (t, _i) in enumerate(cv.corners):
                 if t in carved:
-                    raise ValueError(
-                        "two carves touch one triangle; move the punctures "
-                        "or refine the surface")
+                    raise BadParameters(
+                        f"the carves of parts {carved[t][0].part} and "
+                        f"{cv.part} both touch triangle {t}; move the "
+                        "punctures or refine the surface")
                 carved[t] = (cv, j)
         for cuts in ray_cuts.values():
             cuts.sort()
@@ -252,7 +256,7 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
                 if t not in carved:
                     raise
                 cv = carved[t][0]
-                raise ValueError(
+                raise BadParameters(
                     f"the wedge of part {cv.part} at puncture orbit "
                     f"{parts[cv.part][1]} with eps={eps} leaves triangle {t} "
                     f"a piece no fan triangulates (triangulation too coarse "

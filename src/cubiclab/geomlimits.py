@@ -19,13 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BadParameters,
-    BadR,
-    IndeterminateSequence,
-    OutOfDomain,
-    UnsupportedCover,
-)
+from .errors import BadParameters, IndeterminateSequence
 
 PLANE = "plane"
 DISK = "disk"
@@ -48,11 +42,11 @@ class ModelSurface:
         if v not in (PLANE, DISK, PUNCTURED_PLANE, PUNCTURED_DISK, ANNULUS):
             raise BadParameters(f"unknown model variant {v!r}")
         if v in (DISK, PUNCTURED_DISK, ANNULUS) and not self.kappa < 0:
-            raise BadParameters(f"{v} needs curvature kappa < 0")
+            raise BadParameters(f"{v} needs kappa < 0, got {self.kappa}")
         if v == ANNULUS and not self.R > 1:
-            raise BadR("annulus parameter must satisfy R > 1")
+            raise BadParameters(f"annulus needs R > 1, got {self.R}")
         if v == PUNCTURED_PLANE and not self.r >= 1:
-            raise BadParameters("punctured-plane radius must be >= 1")
+            raise BadParameters(f"punctured-plane needs r >= 1, got {self.r}")
 
     def contains(self, z: complex) -> bool:
         az = abs(z)
@@ -70,7 +64,7 @@ class ModelSurface:
 def density(m: ModelSurface, z: complex) -> float:
     """The squared conformal density lambda(z)^2 of the model metric."""
     if not m.contains(z):
-        raise OutOfDomain(f"{z} outside the domain of {m.variant}")
+        raise BadParameters(f"{z} outside the domain of {m.variant}")
     az = abs(z)
     if m.variant == PLANE:
         return 1.0
@@ -88,17 +82,14 @@ def density(m: ModelSurface, z: complex) -> float:
 def modulus(R: float) -> float:
     """Conformal modulus log(R) / (2 pi) of the annulus 1/R < |z| < 1."""
     if not R > 1:
-        raise BadR("modulus needs R > 1")
+        raise BadParameters(f"modulus needs R > 1, got {R}")
     return math.log(R) / (2.0 * math.pi)
 
 
 def core_length(R: float, kappa: float = -1.0) -> float:
     """Length of the core geodesic |z| = 1/sqrt(R): 2 pi^2 / log R at
     curvature -1, scaled by 1/sqrt(-kappa) in general."""
-    if not R > 1:
-        raise BadR("core length needs R > 1")
-    if not kappa < 0:
-        raise BadParameters("core length needs kappa < 0")
+    ModelSurface(ANNULUS, kappa=kappa, R=R)  # checks R > 1 and kappa < 0
     return 2.0 * math.pi ** 2 / math.log(R) / math.sqrt(-kappa)
 
 
@@ -111,7 +102,7 @@ def injectivity_radius(m: ModelSurface, z: complex) -> float:
     cusp) has sinh(L/2) = cosh(d) sinh(l0 / 2) in curvature -1 units.
     """
     if not m.contains(z):
-        raise OutOfDomain(f"{z} outside the domain of {m.variant}")
+        raise BadParameters(f"{z} outside the domain of {m.variant}")
     if m.variant in (PLANE, DISK):
         return math.inf
     if m.variant == PUNCTURED_PLANE:
@@ -138,7 +129,7 @@ def pushforward_power_cover(d: int, coefficient: complex = 1.0) -> complex:
     w -> w^(1/d) pulls the differential back to (1/d^3) dw^3/w^3, so the
     branch sum carries coefficient c / d^2."""
     if not isinstance(d, int) or d < 1:
-        raise UnsupportedCover("cover degree must be a positive integer")
+        raise BadParameters(f"cover degree {d!r} is not a positive integer")
     return coefficient / float(d * d)
 
 
@@ -149,7 +140,8 @@ def far_end_mass(kappa: float, R: float, C: float) -> float:
         2 sqrt(-kappa) (log^2 R / pi) (1 - cos(pi log C / log R)).
     """
     if not (kappa < 0 and R > 1 and 1 < C <= R):
-        raise BadParameters("need kappa < 0, R > 1, 1 < C <= R")
+        raise BadParameters(f"need kappa < 0, R > 1, 1 < C <= R, got "
+                            f"kappa={kappa}, R={R}, C={C}")
     logR = math.log(R)
     return (2.0 * math.sqrt(-kappa) * logR ** 2 / math.pi
             * (1.0 - math.cos(math.pi * math.log(C) / logR)))
@@ -160,7 +152,8 @@ def far_end_mass_quadrature(kappa: float, R: float, C: float) -> float:
     from scipy.integrate import dblquad
 
     if not (kappa < 0 and R > 1 and 1 < C <= R):
-        raise BadParameters("need kappa < 0, R > 1, 1 < C <= R")
+        raise BadParameters(f"need kappa < 0, R > 1, 1 < C <= R, got "
+                            f"kappa={kappa}, R={R}, C={C}")
     logR = math.log(R)
     pref = math.sqrt(-kappa) * logR / math.pi
 

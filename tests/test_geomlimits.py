@@ -5,13 +5,7 @@ import pytest
 import sympy
 
 from cubiclab.blaschke import log_density_curvature
-from cubiclab.errors import (
-    BadParameters,
-    BadR,
-    IndeterminateSequence,
-    OutOfDomain,
-    UnsupportedCover,
-)
+from cubiclab.errors import BadParameters, IndeterminateSequence
 from cubiclab.geomlimits import (
     ANNULUS,
     DISK,
@@ -37,9 +31,11 @@ def test_density_values():
     assert density(ModelSurface(DISK, kappa=-1.0), 0j) == 1.0
     m = ModelSurface(PUNCTURED_PLANE, r=2.0)
     assert abs(density(m, 2j) - (2.0 / math.pi) ** 2 / 4.0) < 1e-15
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(BadParameters,
+                       match=r"\(3\+0j\) outside the domain of disk"):
         density(ModelSurface(DISK, kappa=-1.0), 3.0 + 0j)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(BadParameters,
+                       match=r"0j outside the domain of punctured-disk"):
         density(ModelSurface(PUNCTURED_DISK, kappa=-1.0), 0j)
 
 
@@ -84,7 +80,7 @@ def test_modulus_identities():
     # the degree-2 power cover halves the modulus
     R = 37.5
     assert abs(modulus(math.sqrt(R)) - modulus(R) / 2.0) < 1e-12
-    with pytest.raises(BadR):
+    with pytest.raises(BadParameters, match=r"modulus needs R > 1, got 0\.5"):
         modulus(0.5)
 
 
@@ -132,7 +128,8 @@ def test_pushforward_against_symbolic_oracle():
     # composition: d1 then d2 scales by (d1 d2)^-2
     assert pushforward_power_cover(
         3, pushforward_power_cover(2, 1.0)) == pushforward_power_cover(6, 1.0)
-    with pytest.raises(UnsupportedCover):
+    with pytest.raises(BadParameters,
+                       match=r"cover degree 0 is not a positive integer"):
         pushforward_power_cover(0)
 
 

@@ -372,3 +372,90 @@ def test_every_stored_field_is_read():
     stale = sorted(UNREAD_FIELDS.keys() - unread)
     assert not stale, ("UNREAD_FIELDS entries that are read or gone:\n"
                        + "\n".join(stale))
+
+
+# Raises of builtin errors in the package, by file and enclosing function,
+# each an internal invariant that no argument can break or an error that its
+# caller turns into a typed one.  An entry with no such raise is stale.
+BUILTIN_RAISES = {
+    "cli.py:_whole":
+        "a config converter, like int and float: _Config.read turns its "
+        "ValueError into ConfigError naming the key and the value",
+    "flatsurface/subdivide.py:Soup.add_fan":
+        "a piece no fan triangulates; the one caller whose pieces depend "
+        "on its arguments, triangle_surgery_glue, re-raises it as "
+        "BadParameters naming eps and the triangle",
+    "flatsurface/subdivide.py:Soup.vertex_at":
+        "pieces copy their corners bit for bit, so a corner of the old "
+        "surface is always found",
+    "flatsurface/subdivide.py:Soup.where":
+        "the piece builders give every soup edge exactly one tag",
+    "flatsurface/subdivide.py:Soup.assemble":
+        "the cut-and-glue construction gives every tag a partner",
+    "flatsurface/subdivide.py:triangle_piece":
+        "the carves and chords name each cut once",
+}
+
+
+def _raises():
+    """(file:function, line, raised name, the raise) for every ``raise``
+    of a name or a call of a name in the package; the function is the
+    qualified name of the enclosing definition, or the module."""
+    found = []
+
+    def visit(node, rel, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, rel, where + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                f = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(f, ast.Name):
+                    found.append((f"{rel}:{'.'.join(where) or '<module>'}",
+                                  child.lineno, f.id, exc))
+            visit(child, rel, where)
+
+    pkg = ROOT / "src/cubiclab"
+    for path in sorted(pkg.glob("**/*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)),
+              path.relative_to(pkg).as_posix(), [])
+    return found
+
+
+def test_errors_are_typed():
+    # every error class of the package is raised somewhere, and an argument
+    # check raises BadParameters with the value in its message
+    errors = [n for n in ast.parse(
+        (ROOT / "src/cubiclab/errors.py").read_text()).body
+        if isinstance(n, ast.ClassDef)]
+    bases = {b.id for c in errors for b in c.bases if isinstance(b, ast.Name)}
+    raises = _raises()
+    raised = {name for _where, _line, name, _exc in raises}
+    unraised = sorted(c.name for c in errors
+                      if c.name not in bases and c.name not in raised)
+    assert not unraised, ("error classes the package never raises (delete "
+                          f"them): {unraised}")
+
+    builtin = defaultdict(list)
+    for where, line, name, _exc in raises:
+        if name in ("ValueError", "TypeError", "RuntimeError"):
+            builtin[where].append(f"{where}:{line}:{name}")
+    extra = sorted(site for where, sites in builtin.items()
+                   if where not in BUILTIN_RAISES for site in sites)
+    assert not extra, ("builtin errors raised outside BUILTIN_RAISES (raise "
+                       "BadParameters for a wrong argument, or list an "
+                       "internal invariant with a reason):\n"
+                       + "\n".join(extra))
+    stale = sorted(BUILTIN_RAISES.keys() - builtin.keys())
+    assert not stale, f"BUILTIN_RAISES entries with no such raise: {stale}"
+
+    unnamed = sorted(
+        f"{where}:{line}" for where, line, name, exc in raises
+        if name == "BadParameters" and not (
+            isinstance(exc, ast.Call) and exc.args and any(
+                isinstance(n, ast.FormattedValue)
+                for n in ast.walk(exc.args[0]))))
+    assert not unnamed, ("BadParameters raised with a message that "
+                         "formats no value:\n" + "\n".join(unnamed))

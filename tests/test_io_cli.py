@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from cubiclab.cli import PRESETS, RunReport, main
 from cubiclab.flatsurface import presets, tighten_geodesic
 from cubiclab.flatsurface import io as fsio
 from cubiclab.flatsurface.surface import area
+from reference import compare_with_reference
 
 
 def test_surface_json_roundtrip(tmp_path):
@@ -139,7 +141,9 @@ def test_cli_config_missing_key(tmp_path, capsys):
     ("spectrum-square-torus", "tol", "abc", "could not convert string"),
     ("ray-z-window", "n", "big", "invalid literal for int()"),
     ("ray-z-window", "probe", [0.0], "not enough values to unpack"),
-], ids=["tol", "n", "probe"])
+    ("ray-z-window", "n", 33.9, "not a whole number"),
+    ("limits-appendix", "seed", -1, "expected non-negative integer"),
+], ids=["tol", "n", "probe", "n-fraction", "seed"])
 def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
                                         value, reason):
     cfg = dict(PRESETS[preset], **{key: value})
@@ -152,6 +156,37 @@ def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
     assert (f"error: ConfigError: config {key!r} has the value {value!r} "
             "of the wrong type or shape: ") in out
     assert reason in out
+
+
+@pytest.mark.parametrize("config,files,value", [
+    ({"command": "surgery", "mode": "glue", "eps": 0.2, "weight": -1}, {},
+     "weights must be nonnegative, got [-1.0]"),
+    ({"command": "surgery", "mode": "glue", "eps": -0.1}, {},
+     "eps must be positive, got -0.1"),
+    ({"command": "surgery", "mode": "glue", "eps": "nan"}, {},
+     "eps must be positive, got nan"),
+    (dict(PRESETS["ray-z-window"], t_list=[2.0, 1.0]), {},
+     "t_list must be strictly increasing and nonempty, got [2.0, 1.0]"),
+    ({"command": "spectrum", "surface": "s.json", "marking": "torus-basic"},
+     {"s.json": json.dumps({"triangles": [[[0, 0], [1, 0]]]})},
+     "cannot load s.json: BadParameters: triangle 0 has 2 corners"),
+    ({"command": "spectrum", "surface": "s.json", "marking": "torus-basic"},
+     {"s.json": "not json"}, "cannot load s.json: JSONDecodeError: "),
+    ({"command": "spectrum", "surface": "square-torus", "marking": "m.json"},
+     {"m.json": json.dumps([{"strip": [[9, 0], [1, 0]]}])},
+     "crossing 0 references invalid slot (9, 0)"),
+], ids=["weight", "eps", "eps-nan", "t_list", "two-corners", "not-json",
+        "slot"])
+def test_cli_bad_argument_exits_2(tmp_path, monkeypatch, capsys, config,
+                                  files, value):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    Path("cfg.json").write_text(json.dumps(config))
+    assert main([config["command"], "--config", "cfg.json", "--out", "o"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: BadParameters: ") and out.count("\n") == 1
+    assert value in out
 
 
 def test_cli_missing_surface_file(tmp_path, capsys):
@@ -184,3 +219,6 @@ def test_cli_preset_passes(tmp_path, name):
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]
     assert all(c["passed"] for c in report["checks"])
+    # the output directory matches its frozen reference (tests/reference.py)
+    diffs = compare_with_reference(name, out)
+    assert not diffs, "\n".join(diffs)

@@ -119,6 +119,10 @@ def test_doubled_triangle_edges():
 def test_bad_bound():
     with pytest.raises(ValueError):
         enumerate_saddle_connections(presets.regular_octagon(), 0.0)
+    # a NaN bound fails no comparison, so it must fail the positivity test
+    with pytest.raises(ValueError, match="max_length must be positive, "
+                                         "got nan"):
+        enumerate_saddle_connections(presets.regular_octagon(), math.nan)
 
 
 def test_budget_exhaustion_names_its_numbers():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cubiclab.errors import AngleClash, EpsTooLarge
+from cubiclab.errors import AngleClash, BadParameters
 from cubiclab.flatsurface import presets
 from cubiclab.flatsurface.surface import (
     TriangulatedFlatSurface,
@@ -70,7 +70,8 @@ def test_prism_band_between_cone_points():
 def test_eps_too_large_clearance():
     # octagon's cone point has a closed saddle connection of length 1
     o1, o2 = _marked_octagon(), _marked_octagon()
-    with pytest.raises(EpsTooLarge):
+    with pytest.raises(BadParameters, match=r"distance 1 < 2\*eps from "
+                                            r"puncture orbit 0, eps=0\.6$"):
         triangle_surgery_glue([(o1, 0), (o2, 0)], 0.6)
 
 
@@ -137,7 +138,9 @@ def test_prism_core_lengths_scale_with_eps():
 def test_clearance_sees_cone_points_near_a_flat_puncture(
         orbit, eps, flat_puncture_surface):
     assert f"{0.2 * (2.0 - math.sqrt(3.0)):.6g}" == "0.0535898"
-    with pytest.raises(EpsTooLarge, match=r"distance 0\.0535898 < 2\*eps"):
+    with pytest.raises(BadParameters, match=(
+            rf"distance 0\.0535898 < 2\*eps from puncture orbit {orbit}, "
+            rf"eps={eps}$")):
         triangle_surgery_glue(
             [(flat_puncture_surface(orbit), orbit),
              (presets.square_torus(mark_vertex=True), 0)], eps)
@@ -154,4 +157,4 @@ def test_unfannable_carve_names_its_numbers(eps, flat_puncture_surface):
             rf"part 0 at puncture orbit 2 with eps={eps} leaves triangle 1 "
             r".*triangulation too coarse near the puncture")) as info:
         triangle_surgery_glue([(flat_puncture_surface(2), 2), (t, 0)], eps)
-    assert type(info.value) is ValueError
+    assert type(info.value) is BadParameters

@@ -18,13 +18,7 @@ from cubiclab.blaschke import (
     unit_torus_grid,
 )
 from cubiclab.blaschke import solver
-from cubiclab.errors import (
-    NegativeInput,
-    NoConvergence,
-    NonpositiveRadius,
-    NoSolution,
-    SingularJacobian,
-)
+from cubiclab.errors import BadParameters, NoConvergence, SingularJacobian
 from oracles import five_point_laplacian
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -163,7 +157,8 @@ def test_polynomial_field_evaluated_once(monkeypatch):
 def test_q_zero_periodic_has_no_solution():
     g = unit_torus_grid(16)
     q = CubicDifferentialField.constant(g, 0.0)
-    with pytest.raises(NoSolution):
+    with pytest.raises(BadParameters,
+                       match=r"q = 0 on the 16 x 16 periodic grid"):
         solve_wang(g, q, tol=1e-10)
 
 
@@ -253,7 +248,8 @@ def test_gap_upper_bound_values():
     up1 = gap_upper_bound(2.0, 1.0)
     up2 = gap_upper_bound(4.0, 1.0)
     assert abs((up2 - up1) - 1.5 * math.log(2.0)) < 1e-14
-    with pytest.raises(NonpositiveRadius):
+    with pytest.raises(BadParameters,
+                       match=r"ball radius must be positive, got 0\.0"):
         gap_upper_bound(1.0, 0.0)
 
 
@@ -268,7 +264,7 @@ def test_largest_root():
         real = roots[np.abs(roots.imag) < 1e-9].real
         assert abs(r - real.max()) < 1e-9
     assert largest_root(4.0) > largest_root(1.0)
-    with pytest.raises(NegativeInput):
+    with pytest.raises(BadParameters, match=r"needs a >= 0, got -1\.0"):
         largest_root(-1.0)
 
 
