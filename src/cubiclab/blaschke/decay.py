@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..errors import BadParameters
 from .cubic import CubicDifferentialField
@@ -41,6 +40,8 @@ class DecayCertificate:
 def flat_metric_path_length(q_coeffs, z_from: complex, z_to: complex,
                             scale: float = 1.0) -> float:
     """Length of the straight segment in the |scale * q|^(2/3) metric."""
+    from scipy.integrate import quad
+
     coeffs = np.asarray(q_coeffs, dtype=complex)
 
     def density(s):
@@ -65,13 +66,18 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     """Certify the gap decay for the ray t * q at a probe point.
 
     The window is a Dirichlet square centered at the probe with boundary
-    gap value ``bound``; t_list must be increasing and the probe must keep
-    a positive coordinate distance from the zeros of q.
+    gap value ``bound``; t_list must be positive and increasing (the
+    equation sees only |t q|) and the probe must keep a positive coordinate
+    distance from the zeros of q.
     """
     ts = [float(t) for t in t_list]
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
         raise BadParameters(f"t_list must be strictly increasing and "
                             f"nonempty, got {ts}")
+    nonpositive = [t for t in ts if not t > 0]
+    if nonpositive:
+        raise BadParameters(f"t_list must be positive on the ray t * q, got "
+                            f"{nonpositive}")
     coeffs = np.asarray(q_coeffs, dtype=complex)
 
     zero_pts = np.roots(np.trim_zeros(coeffs, "b")[::-1]) \

@@ -13,10 +13,12 @@ Both read Lap x = f(x) with f' > 0, so the Newton systems are uniformly
 invertible (also on the torus) and the discrete solutions obey the maximum
 principle.  One matrix-free damped Newton kernel solves both on the free
 nodes (those not pinned to boundary values), applying the 5-point stencil by
-array slicing.  Each step solves (-Lap + diag f') d = r by conjugate
-gradients, preconditioned by (-Lap + c I)^-1 on the whole rectangle, c the
-mean of f' over the free nodes: a type-1 sine transform on Dirichlet grids,
-an FFT on the torus, with free-node vectors zero-padded to the rectangle.
+array slicing.  Each step solves (-Lap + diag f') d = r by the kernel's own
+conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for step, on
+buffers allocated once per solve), preconditioned by (-Lap + c I)^-1 on the
+whole rectangle, c the mean of f' over the free nodes: a type-1 sine
+transform on Dirichlet grids, an FFT on the torus, with free-node vectors
+zero-padded to the rectangle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.fft import dstn, fft2, idstn, ifft2
 
 from ..errors import BadParameters, NoConvergence, SingularJacobian
@@ -80,10 +81,15 @@ def discrete_laplacian(field: np.ndarray, dx: float, dy: float,
         return ((np.roll(x, -1, 1) - 2.0 * x + np.roll(x, 1, 1)) * idx2
                 + (np.roll(x, -1, 0) - 2.0 * x + np.roll(x, 1, 0)) * idy2)
     out = np.full_like(x, np.nan)
-    c = x[1:-1, 1:-1]
-    out[1:-1, 1:-1] = ((x[1:-1, 2:] - 2.0 * c + x[1:-1, :-2]) * idx2
-                       + (x[2:, 1:-1] - 2.0 * c + x[:-2, 1:-1]) * idy2)
+    out[1:-1, 1:-1] = _interior_laplacian(x, idx2, idy2)
     return out
+
+
+def _interior_laplacian(x: np.ndarray, idx2: float, idy2: float):
+    """5-point Laplacian of a node field at its inner nodes."""
+    c2 = 2.0 * x[1:-1, 1:-1]
+    return ((x[1:-1, 2:] - c2 + x[1:-1, :-2]) * idx2
+            + (x[2:, 1:-1] - c2 + x[:-2, 1:-1]) * idy2)
 
 
 def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
@@ -93,42 +99,66 @@ def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
     return (2.0 / h * np.sin(np.pi * j / m)) ** 2
 
 
-def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, r: np.ndarray,
+def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, b: np.ndarray,
          tol: float, label: str) -> np.ndarray:
-    """Solve (-Lap + diag fp) d = r on the free nodes; d = 0 elsewhere."""
+    """Solve (-Lap + diag fp) d = b on the free nodes; d = 0 elsewhere.
+
+    The loop is SciPy's ``sparse.linalg.cg`` from x = 0, step for step, with
+    atol = 0.01 tol and rtol = 1e-3 min(1, max|b|)."""
     periodic = grid.bc != DIRICHLET
     eig = (_symbol(grid.ny, grid.dy, periodic)[:, None]
            + _symbol(grid.nx, grid.dx, periodic)[None, :] + float(fp.mean()))
-
-    def pad(v):
-        full = np.zeros((grid.ny, grid.nx))
-        full[free] = v
-        return full
+    idx2, idy2 = 1.0 / grid.dx ** 2, 1.0 / grid.dy ** 2
+    full = np.zeros((grid.ny, grid.nx))  # a free-node vector, zero-padded
+    inner = free[1:-1, 1:-1]  # on Dirichlet grids every free node is inner
+    work = np.zeros(inner.shape)
 
     def matvec(v):
-        return fp * v - discrete_laplacian(pad(v), grid.dx, grid.dy,
-                                           periodic)[free]
+        full[free] = v
+        if periodic:
+            return fp * v - discrete_laplacian(full, grid.dx, grid.dy,
+                                               True)[free]
+        return fp * v - _interior_laplacian(full, idx2, idy2)[inner]
 
     def precondition(v):
-        full = pad(v)
         if periodic:
-            full = ifft2(fft2(full) / eig).real
-        else:
-            full[1:-1, 1:-1] = idstn(dstn(full[1:-1, 1:-1], type=1) / eig,
-                                     type=1)
-        return full[free]
+            full[free] = v
+            return ifft2(fft2(full) / eig).real[free]
+        work[inner] = v
+        spec = dstn(work, type=1)
+        spec /= eig
+        return idstn(spec, type=1, overwrite_x=True)[inner]
 
-    op = (r.size, r.size)
-    d, info = spla.cg(spla.LinearOperator(op, matvec, dtype=float), r,
-                      rtol=1e-3 * min(1.0, float(np.abs(r).max())),
-                      atol=0.01 * tol, maxiter=_CG_MAXITER,
-                      M=spla.LinearOperator(op, precondition, dtype=float))
-    if info != 0 or not np.all(np.isfinite(d)):
-        rel = np.linalg.norm(r - matvec(d)) / np.linalg.norm(r)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return full
+    atol = max(0.01 * tol,
+               1e-3 * min(1.0, float(np.abs(b).max())) * float(b_norm))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = rho_prev = None
+    for _ in range(_CG_MAXITER):
+        if np.linalg.norm(r) < atol:
+            break
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    else:
+        rel = np.linalg.norm(b - matvec(x)) / b_norm
         raise SingularJacobian(
-            f"{label}: CG stopped after {info} iterations at relative "
-            f"residual {rel:.3e}")
-    return pad(d)
+            f"{label}: CG stopped after {_CG_MAXITER} iterations at "
+            f"relative residual {rel:.3e}")
+    full[free] = x
+    return full
 
 
 def _dirichlet_values(grid: Grid2D, fixed: np.ndarray, values,

@@ -143,6 +143,13 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _names(values) -> list[str]:
+    """A config list of names; a bare string is not read as its letters."""
+    if isinstance(values, str):
+        raise TypeError("expected a list of names, got a string")
+    return [str(v) for v in values]
+
+
 def _whole(value) -> int:
     """An int, or a float with a whole value, as an int."""
     if isinstance(value, float) and not value.is_integer():
@@ -309,7 +316,7 @@ def _limit_sweep(name: str):
 def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
     rows = [["sweep", "n_terms", "classified", "expected", "parameter"]]
     ok_all = True
-    for name in config.read("sweeps", list):
+    for name in config.read("sweeps", _names):
         seq, expected = _limit_sweep(name)
         try:
             lim = geomlimits.classify_geometric_limit(seq)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: shortest homotopic loops
 come from Dijkstra on a refined strip mesh, saddle connections from
 depth-limited unfolding with explicit segment tracing, torus intersection
-numbers from the lattice formula, grid Laplacians from second differences.
+numbers from the lattice formula, grid Laplacians from second differences,
+Newton-step solves from SciPy's conjugate gradients.
 Strips are developed here with 2 x 2 rotation matrices and (x, y) arrays,
 not with the library's complex isometries.  ``random_closed_strip`` draws the random classes that several
 tests share.
@@ -17,8 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.fft import dstn, fft2, idstn, ifft2
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
+from cubiclab.blaschke.grid import DIRICHLET
+from cubiclab.blaschke.solver import discrete_laplacian
 from cubiclab.flatsurface.geodesics import PIN_TOL, HomotopyClassPath
 from cubiclab.flatsurface.planar import angle_between
 
@@ -160,6 +165,48 @@ def five_point_laplacian(f, dx, dy, periodic=False):
     out = np.full(f.shape, np.nan)
     out[1:-1, 1:-1] = inner
     return out
+
+
+def scipy_pcg(grid, free, fp, b, tol):
+    """(-Lap + diag fp) d = b on the free nodes by ``scipy.sparse.linalg.cg``
+    with linear operators: the 5-point matvec, and as preconditioner
+    (-Lap + mean(fp))^-1 on the whole rectangle by sine transforms, or by
+    FFT on a torus.  Tolerances atol = 0.01 tol, rtol = 1e-3 min(1, max|b|);
+    d as a node field, zero off the free nodes."""
+    periodic = grid.bc != DIRICHLET
+
+    def symbol(n, h):
+        j, m = (np.arange(n), n) if periodic else (np.arange(1, n - 1),
+                                                    2 * n - 2)
+        return (2.0 / h * np.sin(np.pi * j / m)) ** 2
+
+    eig = (symbol(grid.ny, grid.dy)[:, None] + symbol(grid.nx, grid.dx)[None]
+           + float(fp.mean()))
+
+    def pad(v):
+        out = np.zeros((grid.ny, grid.nx))
+        out[free] = v
+        return out
+
+    def matvec(v):
+        return fp * v - discrete_laplacian(pad(v), grid.dx, grid.dy,
+                                           periodic)[free]
+
+    def precondition(v):
+        w = pad(v)
+        if periodic:
+            w = ifft2(fft2(w) / eig).real
+        else:
+            w[1:-1, 1:-1] = idstn(dstn(w[1:-1, 1:-1], type=1) / eig, type=1)
+        return w[free]
+
+    shape = (b.size, b.size)
+    d, info = spla.cg(spla.LinearOperator(shape, matvec, dtype=float), b,
+                      rtol=1e-3 * min(1.0, float(np.abs(b).max())),
+                      atol=0.01 * tol, maxiter=500,
+                      M=spla.LinearOperator(shape, precondition, dtype=float))
+    assert info == 0, f"SciPy's cg stopped after {info} iterations"
+    return pad(d)
 
 
 def lattice_norm(p, q, a=1.0, b=1.0):

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, every definition in the
 package is reached from what the package runs, every stored field is read,
-and every call the benchmark traces exists.
+every call the benchmark traces exists, and importing the package loads
+only the SciPy it runs.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -8,6 +9,9 @@ package, its tests and the benchmark with ``ast``.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -381,6 +385,9 @@ BUILTIN_RAISES = {
     "cli.py:_whole":
         "a config converter, like int and float: _Config.read turns its "
         "ValueError into ConfigError naming the key and the value",
+    "cli.py:_names":
+        "a config converter, like list: _Config.read turns its TypeError "
+        "into ConfigError naming the key and the value",
     "flatsurface/subdivide.py:Soup.add_fan":
         "a piece no fan triangulates; the one caller whose pieces depend "
         "on its arguments, triangle_surgery_glue, re-raises it as "
@@ -459,3 +466,31 @@ def test_errors_are_typed():
                 for n in ast.walk(exc.args[0]))))
     assert not unnamed, ("BadParameters raised with a message that "
                          "formats no value:\n" + "\n".join(unnamed))
+
+
+def _scipy_loaded_by(modules: str) -> list[str]:
+    """The SciPy modules a fresh interpreter holds after importing
+    ``modules`` (a comma-separated list), by package: ``scipy.sparse`` for
+    ``scipy.sparse.linalg._isolve`` too."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (f"import sys, {modules}\n"
+            "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_pde_layer_loads_no_sparse_algebra_or_quadrature():
+    # the Newton kernel runs its own CG loop and quad is imported where it
+    # is called; scipy.fft is all a PDE run needs at import
+    loaded = _scipy_loaded_by("cubiclab.blaschke, cubiclab.cli")
+    banned = {"scipy.sparse", "scipy.linalg", "scipy.optimize",
+              "scipy.integrate"}
+    assert "scipy.fft" in loaded
+    assert not banned & set(loaded), sorted(banned & set(loaded))
+
+
+def test_flat_layer_loads_no_scipy():
+    assert _scipy_loaded_by("cubiclab.flatsurface, cubiclab.currents") == []

@@ -143,7 +143,9 @@ def test_cli_config_missing_key(tmp_path, capsys):
     ("ray-z-window", "probe", [0.0], "not enough values to unpack"),
     ("ray-z-window", "n", 33.9, "not a whole number"),
     ("limits-appendix", "seed", -1, "expected non-negative integer"),
-], ids=["tol", "n", "probe", "n-fraction", "seed"])
+    ("limits-appendix", "sweeps", "pinching-annuli",
+     "expected a list of names, got a string"),
+], ids=["tol", "n", "probe", "n-fraction", "seed", "sweeps"])
 def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
                                         value, reason):
     cfg = dict(PRESETS[preset], **{key: value})
@@ -167,6 +169,10 @@ def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
      "eps must be positive, got nan"),
     (dict(PRESETS["ray-z-window"], t_list=[2.0, 1.0]), {},
      "t_list must be strictly increasing and nonempty, got [2.0, 1.0]"),
+    (dict(PRESETS["ray-z-window"], t_list=[-1.0, 1.0]), {},
+     "t_list must be positive on the ray t * q, got [-1.0]"),
+    (dict(PRESETS["ray-z-window"], t_list=[0.0, 1.0]), {},
+     "t_list must be positive on the ray t * q, got [0.0]"),
     ({"command": "spectrum", "surface": "s.json", "marking": "torus-basic"},
      {"s.json": json.dumps({"triangles": [[[0, 0], [1, 0]]]})},
      "cannot load s.json: BadParameters: triangle 0 has 2 corners"),
@@ -175,8 +181,8 @@ def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
     ({"command": "spectrum", "surface": "square-torus", "marking": "m.json"},
      {"m.json": json.dumps([{"strip": [[9, 0], [1, 0]]}])},
      "crossing 0 references invalid slot (9, 0)"),
-], ids=["weight", "eps", "eps-nan", "t_list", "two-corners", "not-json",
-        "slot"])
+], ids=["weight", "eps", "eps-nan", "t_list", "t_list-negative",
+        "t_list-zero", "two-corners", "not-json", "slot"])
 def test_cli_bad_argument_exits_2(tmp_path, monkeypatch, capsys, config,
                                   files, value):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ def test_probe_at_zero_rejected():
     with pytest.raises(BadParameters, match=r"coordinate radius 0 around "
                                             r"the probe 0j is below"):
         decay_experiment([0.0, 1.0], [1.0], 0j, window_side=2.0, n=65)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0])
+def test_nonpositive_t_rejected(t):
+    # t = -1 would repeat the t = 1 solve (only |t q| enters), t = 0 would
+    # solve on q = 0: neither is a point of the ray
+    with pytest.raises(BadParameters, match=re.escape(
+            f"t_list must be positive on the ray t * q, got [{t}]")):
+        decay_experiment([0.0, 1.0], [t, 1.0], 1.0 + 0j, window_side=1.6,
+                         n=33)
 
 
 def test_t_list_must_increase():

@@ -19,7 +19,7 @@ from cubiclab.blaschke import (
 )
 from cubiclab.blaschke import solver
 from cubiclab.errors import BadParameters, NoConvergence, SingularJacobian
-from oracles import five_point_laplacian
+from oracles import five_point_laplacian, scipy_pcg
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -137,6 +137,37 @@ def test_wang_cg_failure_reports_iterations(monkeypatch):
     with pytest.raises(SingularJacobian, match=r"wang: CG stopped after 2 "
                        r"iterations at relative residual \d\.\d{3}e[+-]\d+"):
         solve_wang(g, q, tol=1e-10, boundary_psi=bc)
+
+
+@pytest.mark.parametrize("domain,rhs", [
+    (domain, rhs) for domain in ("square", "disk", "torus")
+    for rhs in ("order-0.1", "order-1e-7", "harmonic")
+    if (domain, rhs) != ("torus", "harmonic")])  # -Lap is singular there
+def test_pcg_matches_scipy_cg(domain, rhs):
+    # the kernel's conjugate-gradient loop against SciPy's cg driving the
+    # same operators: equal to the last bit, on the Dirichlet square, the
+    # disk mask of decay_experiment and the torus; f' spread over five
+    # decades (10-36 iterations) and b of order 0.1 (rtol = 1e-3 max|b|
+    # sets the stopping test) or 1e-7 (atol does), or f' = 0 and b of
+    # order 1 (rtol = 1e-3), as in the harmonic start of solve_wang
+    if domain == "torus":
+        g = unit_torus_grid(24)
+        free = g.interior_mask()
+    elif domain == "disk":
+        g = square_window(1.0, 1.6, 65)
+        free = g.interior_mask() & (np.abs(g.zs - 1.0) < 0.999 * 0.8)
+    else:
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 33, 33)
+        free = g.interior_mask()
+    rng = np.random.default_rng(7)
+    size = int(free.sum())
+    fp = np.zeros(size) if rhs == "harmonic" else 10.0 ** rng.uniform(
+        -1.0, 4.0, size)
+    scale, tol = {"order-0.1": (0.1, 1e-10), "order-1e-7": (1e-7, 1e-8),
+                  "harmonic": (1.0, 1e-10)}[rhs]
+    b = scale * rng.standard_normal(size)
+    got = solver._pcg(g, free, fp, b, tol, "test")
+    assert np.array_equal(got, scipy_pcg(g, free, fp, b, tol))
 
 
 def test_polynomial_field_evaluated_once(monkeypatch):
