@@ -1,32 +1,52 @@
-"""Frozen output directories of the CLI presets, and the comparison that
-tier-1 makes against them.
+"""Frozen outputs, and the comparisons that tier-1 makes against them.
 
-After a change that moves outputs on purpose, regenerate them with
+Two kinds are frozen.  The output directories of the CLI presets live in
+``tests/data/presets/<preset>/``, with ``wall_time`` dropped from each
+report.json.  The flat-layer corpus lives in ``tests/data/reference.json``:
+saddle-connection key sets, tightened random classes, their intersection
+tables, cylinders and transported words, built from fixed seeds by
+``build_corpus``.  After a change that moves outputs on purpose, regenerate
+both with
 
     PYTHONPATH=src python tests/reference.py
 
-which reruns every preset of ``cubiclab.cli.PRESETS`` into
-``tests/data/presets/<preset>/`` and drops ``wall_time`` from each
-report.json.
-
-What must match: file names, text, check ids and pass flags, exactly;
-numbers to 1e-12 relative.  Roundoff-level values need only stay within
-their tolerance: a check's ``measured`` value below 1e-9 within the check's
+What must match: file names, text, check ids, pass flags, saddle keys,
+crossing words and every other combinatorial value, exactly; numbers to
+1e-12 relative.  Roundoff-level values need only stay within their
+tolerance: a check's ``measured`` value below 1e-9 within the check's
 tolerance, a ``residual`` column within the 1e-10 that ``decay_experiment``
 solves to, and a reference number below 1e-15 in magnitude (a rounded zero,
 such as an isometry shift of -5.6e-17) below 1e-15.
 """
 
 import csv
+import functools
 import json
 import math
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 from cubiclab.cli import PRESETS, main
+from cubiclab.errors import CubiclabError
+from cubiclab.flatsurface import (
+    TriangulatedFlatSurface,
+    presets,
+    tighten_geodesic,
+)
+from cubiclab.flatsurface.cylinders import (
+    detect_cylinder,
+    insert_cylinder_detailed,
+)
+from cubiclab.flatsurface.intersections import geometric_intersection_count
+from cubiclab.flatsurface.saddles import enumerate_saddle_connections
+from cubiclab.flatsurface.surgery import triangle_surgery_glue
+from oracles import random_closed_strip
 
 DATA = Path(__file__).resolve().parent / "data" / "presets"
+CORPUS = Path(__file__).resolve().parent / "data" / "reference.json"
 REL = 1e-12
 MEASURED_ROUNDOFF = 1e-9
 RESIDUAL_TOL = 1e-10
@@ -139,6 +159,205 @@ def compare_with_reference(name: str, out_dir: Path) -> list[str]:
     return diffs
 
 
+# -- the flat-layer corpus ----------------------------------------------------
+
+def keyset(scs, unit=1.0):
+    """The dedup identity of each saddle connection: its end orbits, its
+    length in units of unit and its two intrinsic angles, rounded."""
+    return {(min(sc.start_orbit, sc.end_orbit),
+             max(sc.start_orbit, sc.end_orbit),
+             round(sc.length / unit, 9),
+             tuple(sorted((round(sc.directions[0], 7),
+                           round(sc.directions[1], 7)))))
+            for sc in scs}
+
+
+def glued_tori(eps, weight=0.0, marked=None) -> TriangulatedFlatSurface:
+    """Two marked square tori glued at eps with a band of the weight; with
+    ``marked``, the same triangles with only that vertex orbit marked."""
+    g = triangle_surgery_glue([(presets.square_torus(mark_vertex=True), 0),
+                               (presets.square_torus(mark_vertex=True), 0)],
+                              eps, weights=[weight])
+    if marked is None:
+        return g
+    return TriangulatedFlatSurface(g.triangles, g.gluings,
+                                   marked_punctures=(marked,))
+
+
+def _saddles() -> dict:
+    o = presets.regular_octagon()
+    cases = {f"octagon L={L:g}": (o, L, 1.0) for L in (5.0, 20.0)}
+    cases |= {f"octagon x{f:g} L={10 * f:g}": (o.scaled(f), 10.0 * f, f)
+              for f in (1e-6, 1e6)}
+    cases |= {f"glued eps={eps:g} w={w:g} L=2": (glued_tori(eps, w), 2.0, 1.0)
+              for eps in (0.1, 0.15, 0.2, 0.25) for w in (0.0, 0.3)}
+    cases |= {f"glued eps=0.2 orbit {k} marked L=1":
+              (glued_tori(0.2, marked=k), 1.0, 1.0) for k in (1, 2)}
+    cases["doubled triangle L=3"] = (presets.doubled_triangle(), 3.0, 1.0)
+    return {name: sorted(keyset(enumerate_saddle_connections(s, L), unit))
+            for name, (s, L, unit) in cases.items()}
+
+
+def _surfaces() -> dict:
+    return {"square torus": presets.square_torus(),
+            "1.3 x 0.7 torus": presets.rectangle_torus(1.3, 0.7),
+            "octagon": presets.regular_octagon(),
+            "glued tori": glued_tori(0.2)}
+
+
+def _named_classes(name) -> list:
+    if name == "square torus":
+        return presets.torus_marking() + [presets.torus_class(5, 8),
+                                          presets.torus_class(13, 21)]
+    if name == "1.3 x 0.7 torus":
+        return [presets.torus_class(p, q, 1.3, 0.7)
+                for p, q in ((1, 0), (0, 1), (1, 1), (2, 3))]
+    if name == "octagon":
+        return presets.octagon_marking()
+    return []
+
+
+def _word(crossings) -> list:
+    """A crossing word up to cyclic rotation: its least rotation."""
+    w = [list(c) for c in crossings]
+    return min(w[r:] + w[:r] for r in range(len(w)))
+
+
+def _tighten(s, cls):
+    """(representative or None, record) of one class: its word, length,
+    kind and cone visits, or the error tightening raised."""
+    try:
+        g = tighten_geodesic(s, cls, tol=1e-12)
+    except CubiclabError as err:
+        return None, {"error": type(err).__name__}
+    visits = sorted([v.orbit, *v.side_angles] for v in g.cone_visits)
+    return g, {"word": _word(g.crossings), "length": g.length,
+               "kind": g.kind, "cone_visits": visits}
+
+
+@functools.cache
+def _representatives(name) -> list:
+    """(representative or None, record) of the named classes of a surface
+    and of 40 seed-3 random closed strips of 6 to 30 crossings on it."""
+    s = _surfaces()[name]
+    rng = np.random.default_rng(3)
+    classes = _named_classes(name) + [
+        random_closed_strip(s, rng, int(rng.integers(6, 31)))
+        for _ in range(40)]
+    return [_tighten(s, cls) for cls in classes]
+
+
+def _tightening() -> dict:
+    return {name: [rec for _g, rec in _representatives(name)]
+            for name in _surfaces()}
+
+
+def _intersections() -> dict:
+    """i(g_a, g_b) for a < b among the first 12 representatives of each
+    surface, or the error the count raised."""
+    records = {}
+    for name in _surfaces():
+        reps = [g for g, _rec in _representatives(name) if g is not None]
+        table = []
+        for a, ga in enumerate(reps[:12]):
+            for gb in reps[a + 1:12]:
+                try:
+                    table.append(geometric_intersection_count(ga, gb))
+                except CubiclabError as err:
+                    table.append(type(err).__name__)
+        records[name] = table
+    return records
+
+
+def _cylinders() -> dict:
+    surfaces = _surfaces()
+    cases = {
+        "square torus (1,0)": ("square torus", presets.torus_class(1, 0)),
+        "square torus (2,3)": ("square torus", presets.torus_class(2, 3)),
+        "1.3 x 0.7 torus (1,2)": ("1.3 x 0.7 torus",
+                                  presets.torus_class(1, 2, 1.3, 0.7)),
+        "octagon vertical": ("octagon", presets.octagon_class_vertical()),
+        "octagon horizontal": ("octagon",
+                               presets.octagon_class_horizontal()),
+    }
+    found = {label: detect_cylinder(tighten_geodesic(surfaces[name], cls,
+                                                     tol=1e-12))
+             for label, (name, cls) in cases.items()}
+    # the first class on the glued tori that sweeps a cylinder once
+    for g, _rec in _representatives("glued tori"):
+        try:
+            found["glued tori, first class"] = detect_cylinder(g)
+            break
+        except (AttributeError, CubiclabError):
+            continue
+    return {label: [c.circumference, c.height, c.closed,
+                    [list(o) for o in c.boundary_orbits]]
+            for label, c in found.items()}
+
+
+def _transport() -> dict:
+    """Words and lengths of marking classes carried through 4 cylinder
+    insertions and tightened on the new surface."""
+    sq, rect = presets.square_torus(), presets.rectangle_torus(1.3, 0.7)
+    rect_marking = _named_classes("1.3 x 0.7 torus")
+    cases = {
+        "square torus (1,0) h=2": (sq, presets.torus_class(1, 0), 2.0,
+                                   presets.torus_marking()),
+        "square torus (3,5) h=0.5": (sq, presets.torus_class(3, 5), 0.5,
+                                     presets.torus_marking()
+                                     + [presets.torus_class(2, -3)]),
+        "1.3 x 0.7 torus (1,2) h=0.5": (rect, rect_marking[3], 0.5,
+                                        rect_marking),
+        "octagon vertical h=1": (presets.regular_octagon(),
+                                 presets.octagon_class_vertical(), 1.0,
+                                 presets.octagon_marking()),
+    }
+    records = {}
+    for label, (s, core, h, marking) in cases.items():
+        res = insert_cylinder_detailed(s, core, h)
+        moved = [res.transport.transport(cls) for cls in marking]
+        records[label] = [
+            [_word(m.crossings),
+             tighten_geodesic(res.surface, m, tol=1e-12).length]
+            for m in moved]
+    return records
+
+
+SECTIONS = {"saddles": _saddles, "tightening": _tightening,
+            "intersections": _intersections, "cylinders": _cylinders,
+            "transport": _transport}
+
+
+def compare_corpus(section: str, new) -> list[str]:
+    """The differences of a rebuilt corpus section from the frozen one, one
+    line each; saddle key sets name each key lost or new."""
+    ref = json.loads(CORPUS.read_text())[section]
+    new = json.loads(json.dumps(new))
+    diffs = []
+    if section != "saddles":
+        _diff_json(ref, new, section, diffs)
+        return diffs
+    if ref.keys() != new.keys():
+        return [f"saddles: cases {sorted(new)}, reference {sorted(ref)}"]
+    for name in ref:
+        old_keys = {json.dumps(k) for k in ref[name]}
+        new_keys = {json.dumps(k) for k in new[name]}
+        diffs += [f"saddles/{name}: lost {k}" for k in sorted(old_keys - new_keys)]
+        diffs += [f"saddles/{name}: new {k}" for k in sorted(new_keys - old_keys)]
+    return diffs
+
+
+def _dump_corpus() -> str:
+    """The corpus as JSON with one record a line."""
+    sections = []
+    for section, build in SECTIONS.items():
+        lines = [f"  {json.dumps(name)}: {json.dumps(rec)}"
+                 for name, rec in build().items()]
+        sections.append(f" {json.dumps(section)}: {{\n"
+                        + ",\n".join(lines) + "\n }")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
 def regenerate() -> None:
     shutil.rmtree(DATA, ignore_errors=True)
     for name in sorted(PRESETS):
@@ -150,6 +369,7 @@ def regenerate() -> None:
         data = json.loads(report.read_text())
         del data["wall_time"]
         report.write_text(json.dumps(data, indent=1))
+    CORPUS.write_text(_dump_corpus())
 
 
 if __name__ == "__main__":

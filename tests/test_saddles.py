@@ -13,16 +13,7 @@ from cubiclab.flatsurface import (
 )
 from cubiclab.flatsurface.saddles import enumerate_saddle_connections
 from oracles import brute_saddle_connections
-
-
-def _keyset(scs, unit=1.0):
-    """The dedup identity of each connection, lengths in units of unit."""
-    return {(min(sc.start_orbit, sc.end_orbit),
-             max(sc.start_orbit, sc.end_orbit),
-             round(sc.length / unit, 9),
-             tuple(sorted((round(sc.directions[0], 7),
-                           round(sc.directions[1], 7)))))
-            for sc in scs}
+from reference import keyset
 
 
 def test_torus_has_no_saddle_connections():
@@ -38,7 +29,7 @@ def test_marked_puncture_is_an_endpoint():
         [1.0] * 2 + [math.sqrt(2.0)] * 2 + [math.sqrt(5.0)] * 4, abs=1e-12)
     assert all(sc.start_orbit == sc.end_orbit == 0 for sc in scs)
     _lens, keys = brute_saddle_connections(t, 2.3, depth=8)
-    assert _keyset(scs) == set(keys)
+    assert keyset(scs) == set(keys)
 
 
 @pytest.mark.parametrize("orbit", [1, 2])
@@ -50,7 +41,7 @@ def test_short_connections_match_brute_oracle(orbit, bound,
     # endpoints to absolute digits listed it twice, at fan angles 0 and
     # 10*pi/3, when orbit 1 was marked
     g = flat_puncture_surface(orbit)
-    lib = _keyset(enumerate_saddle_connections(g, bound))
+    lib = keyset(enumerate_saddle_connections(g, bound))
     assert min(k[2] for k in lib) == pytest.approx(0.2 * (2 - math.sqrt(3)))
     _lens, keys = brute_saddle_connections(g, bound, depth=5)
     assert lib == set(keys)
@@ -74,7 +65,7 @@ def test_octagon_below_shortest_is_empty():
 def test_octagon_matches_brute_oracle():
     o = presets.regular_octagon()
     for bound, depth in ((1.01, 7), (1.9, 8)):
-        lib = _keyset(enumerate_saddle_connections(o, bound))
+        lib = keyset(enumerate_saddle_connections(o, bound))
         _lens, keys = brute_saddle_connections(o, bound, depth=depth)
         assert lib == set(keys)
 
@@ -84,7 +75,7 @@ def test_scaled_octagon_matches_brute_oracle(f):
     # the oracle's length floor and frame keys are in units of the longest
     # edge: with absolute ones it listed zero-length connections here
     o = presets.regular_octagon().scaled(f)
-    lib = _keyset(enumerate_saddle_connections(o, 1.01 * f))
+    lib = keyset(enumerate_saddle_connections(o, 1.01 * f))
     _lens, keys = brute_saddle_connections(o, 1.01 * f, depth=7)
     assert len(lib) == 4
     assert lib == set(keys)
@@ -100,8 +91,8 @@ def test_octagon_short_diagonals_appear():
 
 def test_monotone_inclusion():
     o = presets.regular_octagon()
-    small = _keyset(enumerate_saddle_connections(o, 1.2))
-    large = _keyset(enumerate_saddle_connections(o, 2.2))
+    small = keyset(enumerate_saddle_connections(o, 1.2))
+    large = keyset(enumerate_saddle_connections(o, 2.2))
     assert small <= large
 
 
@@ -111,7 +102,7 @@ def test_doubled_triangle_edges():
     assert len(scs) == 3
     pairs = sorted((sc.start_orbit, sc.end_orbit) for sc in scs)
     assert pairs == [(0, 1), (0, 2), (1, 2)]
-    lib = _keyset(scs)
+    lib = keyset(scs)
     _lens, keys = brute_saddle_connections(d, 1.01, depth=5)
     assert lib == set(keys)
 
@@ -142,7 +133,7 @@ def test_connections_scale_with_the_surface(f):
     unit = enumerate_saddle_connections(o, 5.0)
     scaled = enumerate_saddle_connections(o.scaled(f), 5.0 * f)
     assert len(unit) == len(scaled) == 56
-    assert _keyset(scaled, unit=f) == _keyset(unit)
+    assert keyset(scaled, unit=f) == keyset(unit)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -165,5 +156,5 @@ def test_rotated_octagon_has_the_same_spectrum_and_saddles(seed,
     want = spectrum_from_flat(o, marking).values
     got = spectrum_from_flat(r, marking).values
     assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
-    assert _keyset(enumerate_saddle_connections(r, 5.0)) == \
-        _keyset(enumerate_saddle_connections(o, 5.0))
+    assert keyset(enumerate_saddle_connections(r, 5.0)) == \
+        keyset(enumerate_saddle_connections(o, 5.0))
