@@ -342,8 +342,10 @@ def compare_corpus(section: str, new) -> list[str]:
     for name in ref:
         old_keys = {json.dumps(k) for k in ref[name]}
         new_keys = {json.dumps(k) for k in new[name]}
-        diffs += [f"saddles/{name}: lost {k}" for k in sorted(old_keys - new_keys)]
-        diffs += [f"saddles/{name}: new {k}" for k in sorted(new_keys - old_keys)]
+        diffs += [f"saddles/{name}: lost {k}"
+                  for k in sorted(old_keys - new_keys)]
+        diffs += [f"saddles/{name}: new {k}"
+                  for k in sorted(new_keys - old_keys)]
     return diffs
 
 
