@@ -24,6 +24,7 @@ from .errors import ConfigError, CubiclabError
 from .flatsurface import presets, tighten_geodesic
 from .flatsurface import io as fsio
 from .flatsurface.cylinders import detect_cylinder, insert_cylinder_detailed
+from .flatsurface.geodesics import ANGLE_SLACK
 from .flatsurface.intersections import geometric_intersection_count
 from .flatsurface.surface import area, gauss_bonnet_defect
 from .flatsurface.surgery import triangle_surgery_glue
@@ -80,38 +81,26 @@ def _fmt(x: float) -> str:
 # -- presets ------------------------------------------------------------------
 
 PRESETS = {
-    "spectrum-square-torus": {
-        "command": "spectrum", "surface": "square-torus",
-        "marking": "torus-basic", "tol": 1e-12, "seed": 0,
-    },
-    "spectrum-octagon": {
-        "command": "spectrum", "surface": "regular-octagon",
-        "marking": "octagon-basic", "tol": 1e-12, "seed": 0,
-    },
+    "spectrum-square-torus": {"command": "spectrum", "surface": "square-torus",
+                              "marking": "torus-basic"},
+    "spectrum-octagon": {"command": "spectrum", "surface": "regular-octagon",
+                         "marking": "octagon-basic"},
     "ray-torus-constant": {
         "command": "ray", "q": [[1.0, 0.0]], "t_list": [1.0, 8.0, 64.0],
         "probe": [0.0, 0.0], "window_side": 4.0, "n": 97, "bound": 1.0,
-        "torus_check": True, "seed": 0,
-    },
+        "torus_check": True},
     "ray-z-window": {
         "command": "ray", "q": [[0.0, 0.0], [1.0, 0.0]],
         "t_list": [1.0, 8.0, 64.0], "probe": [1.0, 0.0],
-        "window_side": 1.6, "n": 97, "bound": 1.0, "torus_check": False,
-        "seed": 0,
-    },
+        "window_side": 1.6, "n": 97, "bound": 1.0, "torus_check": False},
     "limits-appendix": {
         "command": "limits", "sweeps": ["pinching-annuli", "core-tracking",
                                         "plane-limit", "oscillating"],
-        "seed": 0,
-    },
-    "surgery-cylinder-ray": {
-        "command": "surgery", "mode": "cylinder-ray",
-        "heights": [1.0, 2.0, 4.0, 8.0, 16.0], "seed": 0,
-    },
-    "surgery-glue-tori": {
-        "command": "surgery", "mode": "glue", "eps": 0.2, "weight": 0.0,
-        "seed": 0,
-    },
+        "seed": 0},
+    "surgery-cylinder-ray": {"command": "surgery", "mode": "cylinder-ray",
+                             "heights": [1.0, 2.0, 4.0, 8.0, 16.0]},
+    "surgery-glue-tori": {"command": "surgery", "mode": "glue", "eps": 0.2,
+                          "weight": 0.0},
 }
 
 
@@ -148,6 +137,13 @@ def _names(values) -> list[str]:
     if isinstance(values, str):
         raise TypeError("expected a list of names, got a string")
     return [str(v) for v in values]
+
+
+def _flag(value) -> bool:
+    """A config true or false; a string or a number is not read as one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
 
 
 def _whole(value) -> int:
@@ -192,12 +188,11 @@ def _named_or_file(spec: str, named: dict, load):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
-    s = _named_or_file(config.read("surface", str), SURFACES,
-                       fsio.load_surface)
-    marking = _named_or_file(config.read("marking", str), MARKINGS,
-                             fsio.load_classes)
-    tol = config.read("tol", float, 1e-12)
-    reps = [tighten_geodesic(s, path, tol=tol) for path in marking]
+    surface = config.read("surface", str)
+    marking_name = config.read("marking", str)
+    s = _named_or_file(surface, SURFACES, fsio.load_surface)
+    marking = _named_or_file(marking_name, MARKINGS, fsio.load_classes)
+    reps = [tighten_geodesic(s, path) for path in marking]
 
     names = currents.class_names(marking)
     _write_csv(out / "spectrum.csv", fsio.spectrum_csv_rows(names, reps))
@@ -217,9 +212,8 @@ def cmd_spectrum(config: dict, out: Path, report: RunReport) -> None:
             worst = max(worst, math.pi - min(v.side_angles))
     report.add("angle-condition",
                "geodesic side angles at cone points at least pi",
-               worst <= 1e-7, worst, 1e-7)
-    if config["surface"] == "square-torus" \
-            and config["marking"] == "torus-basic":
+               worst <= ANGLE_SLACK, worst, ANGLE_SLACK)
+    if (surface, marking_name) == ("square-torus", "torus-basic"):
         expect = (1.0, 1.0, math.sqrt(2.0))
         err = max(abs(g.length - e) for g, e in zip(reps, expect))
         report.add("torus-lattice-lengths",
@@ -231,6 +225,7 @@ def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
     t_list = config.read("t_list", _floats)
     coeffs = config.read("q", lambda q: [_point(c) for c in q])
     probe = config.read("probe", _point)
+    torus_check = config.read("torus_check", _flag, False)
 
     certs = blaschke.decay_experiment(
         coeffs, t_list, probe,
@@ -260,7 +255,7 @@ def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
         report.add("superlinear-decay",
                    "log gap decreases superlinearly in t^(1/3)",
                    super_lin, slopes[-1] - slopes[0], 0.0)
-    if config.get("torus_check"):
+    if torus_check:
         s = presets.square_torus()
         flat = currents.spectrum_from_flat(s, presets.torus_marking())
         rows = [["t", "class", "scaled_blaschke_length", "flat_length"]]
@@ -360,11 +355,11 @@ def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
 
 
 def cmd_surgery(config: dict, out: Path, report: RunReport) -> None:
-    mode = config.get("mode", "cylinder-ray")
+    mode = config.read("mode", str, "cylinder-ray")
     if mode == "cylinder-ray":
         s = presets.square_torus()
         marking = [presets.torus_class(1, 0), presets.torus_class(0, 1)]
-        reps = [tighten_geodesic(s, c, tol=1e-12) for c in marking]
+        reps = [tighten_geodesic(s, c) for c in marking]
         table = np.array([[geometric_intersection_count(a, b)
                            for b in reps] for a in reps])
         spectra = []
@@ -381,8 +376,7 @@ def cmd_surgery(config: dict, out: Path, report: RunReport) -> None:
             rows.append([_fmt(h)] + [_fmt(v) for v in sp.values])
             fsio.save_surface(res.surface,
                               out / f"torus_cylinder_h{h:g}.json")
-            cyl = detect_cylinder(tighten_geodesic(res.surface, moved[0],
-                                                   tol=1e-12))
+            cyl = detect_cylinder(tighten_geodesic(res.surface, moved[0]))
             err = (max(abs(cyl.circumference - 1.0),
                        abs(cyl.height - 1.0 - h))
                    if cyl.closed else math.inf)
@@ -466,10 +460,11 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args)
+        command = config.read("command", str, args.command)
     except ConfigError as err:
         parser.error(str(err))
-    if config.get("command", args.command) != args.command:
-        parser.error(f"config is for command {config.get('command')!r}, "
+    if command != args.command:
+        parser.error(f"config is for command {command!r}, "
                      f"not {args.command!r}")
 
     out = Path(args.out)

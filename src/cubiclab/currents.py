@@ -64,7 +64,7 @@ def class_names(marking) -> tuple[str, ...]:
 def spectrum_from_flat(s: TriangulatedFlatSurface,
                        marking) -> MarkedLengthSpectrum:
     """Tightened lengths of the marking classes on a flat surface."""
-    reps = [tighten_geodesic(s, path, tol=1e-12) for path in marking]
+    reps = [tighten_geodesic(s, path) for path in marking]
     return MarkedLengthSpectrum(class_names(marking),
                                 tuple(r.length for r in reps))
 
@@ -275,7 +275,7 @@ def evaluate_mixed(m: MixedStructure, class_id: str, marking,
     for _pid, s, restriction in m.flat_parts:
         path = restriction.get(class_id)
         if path is not None:
-            total += tighten_geodesic(s, path, tol=1e-12).length
+            total += tighten_geodesic(s, path).length
     j = marking.index(class_id)
     for curve_id, w in m.multicurve.items():
         if w == 0.0 or curve_id not in marking:

@@ -28,12 +28,10 @@ from .geodesics import (
     is_translation,
     tighten_geodesic,
 )
-from .planar import dot
+from .planar import EPS, dot
 from .subdivide import Soup, slot_partner_tag, split_piece, triangle_piece
 from .surface import TriangulatedFlatSurface
 
-# levels match to this fraction of the strip's largest offset
-_LEVEL_TOL = 1e-9
 # rises one sweep may take before it gives up
 _MAX_RISES = 10_000
 
@@ -58,11 +56,11 @@ class FlatCylinder:
 def _family(st: _Strip):
     """The strip's portal offsets nu and the interval (lo, hi) of the
     parallel family, max nu(right ends) < nu < min nu(left ends), with the
-    tolerance at which two levels match."""
+    tolerance at which two levels match: EPS of the largest offset."""
     if not is_translation(st.holonomy):
         raise NotCylindrical("strip holonomy is not a translation")
     nus, lo, hi = st.family()
-    return nus, lo, hi, _LEVEL_TOL * max(abs(v) for ab in nus for v in ab)
+    return nus, lo, hi, EPS * max(abs(v) for ab in nus for v in ab)
 
 
 def _rise(st: _Strip, side: int):
@@ -215,10 +213,10 @@ class TransportMap:
 
     def _nudged_param(self, slot, u: float) -> float:
         cuts = [c for c, _cid in self.cuts.get(slot, [])]
-        u = min(max(u, 1e-7), 1.0 - 1e-7)
+        u = min(max(u, EPS), 1.0 - EPS)
         for c in cuts:
-            if abs(u - c) < 1e-9:
-                above = [x for x in cuts if x > c + 1e-9] + [1.0]
+            if abs(u - c) < EPS:
+                above = [x for x in cuts if x > c + EPS] + [1.0]
                 return 0.5 * (c + min(above))
         return u
 
@@ -271,7 +269,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     if isinstance(core, GeodesicRepresentative):
         g = core
     else:
-        g = tighten_geodesic(s, core, tol=1e-12)
+        g = tighten_geodesic(s, core)
     if g.kind != "nonsingular":
         raise NotCylindrical("core class is not cylindrical "
                              "(geodesic passes through a cone point)")

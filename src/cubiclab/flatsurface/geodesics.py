@@ -25,18 +25,19 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import BadParameters, NoConvergence, TrivialClass
-from .planar import PlanarIsometry, cross, dot, turn
+from .planar import EPS, PlanarIsometry, cross, dot, turn
 from .surface import Slot, TriangulatedFlatSurface
 
-ANGLE_TOL = 1e-9
-PIN_TOL = 1e-12
+# how far below pi a side angle at a cone point may read and still certify a
+# geodesic: the slack of the check, not a rounding decision of the solve
+ANGLE_SLACK = 1e-7
 # bracket width on the edge-0 parameter at which a strip solve stops
 _U_EPS = 2.0 ** -52
 
 
 def is_translation(H: PlanarIsometry) -> bool:
-    """Whether the holonomy H is a translation, to ANGLE_TOL."""
-    return abs(H.rot - 1.0) <= ANGLE_TOL
+    """Whether the holonomy H is a translation, beyond rounding."""
+    return abs(H.rot - 1.0) <= EPS
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class GeodesicRepresentative:
             out.append((self.crossings[k][0], entry, exit_))
         return out
 
-    def angle_condition_ok(self, tol: float = 1e-7) -> bool:
+    def angle_condition_ok(self, tol: float = ANGLE_SLACK) -> bool:
         return all(min(v.side_angles) >= math.pi - tol for v in self.cone_visits)
 
 
@@ -135,9 +136,9 @@ def develop_strip(s: TriangulatedFlatSurface, crossings) -> list[PlanarIsometry]
 def pin_side(u: float) -> int | None:
     """The end of an edge at which its param u pins: 0 at its start (the
     strip's right), 1 at its end (the strip's left), None inside."""
-    if u <= PIN_TOL:
+    if u <= EPS:
         return 0
-    if u >= 1.0 - PIN_TOL:
+    if u >= 1.0 - EPS:
         return 1
     return None
 
@@ -207,7 +208,7 @@ class _Strip:
         """
         n = len(self.crossings)
         pts = self.edges
-        tiny = 1e-12 * self.scale
+        tiny = EPS * self.scale
         H = self.holonomy
         if is_translation(H) and self.centre_family(tiny):
             return
@@ -544,7 +545,7 @@ def _funnel(P, Q, rights, lefts, tiny):
 
 
 def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
-                     tol: float = 1e-7, max_iterations: int = 100_000,
+                     tol: float = EPS, max_iterations: int = 100_000,
                      initial_params=None) -> GeodesicRepresentative:
     """Shorten a combinatorial loop to a geodesic representative.
 
@@ -566,7 +567,7 @@ def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
         solves += 1
         pivots = strip.pivots()
         run = next((run for run, a1, a2, _orbit in pivots
-                    if min(a1, a2) < math.pi - 10 * ANGLE_TOL), None)
+                    if min(a1, a2) < (1.0 - EPS) * math.pi), None)
         if run is None:
             break
         if solves + slides >= max_iterations:

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from ..errors import BadParameters, NotNonsingular
 from .geodesics import GeodesicRepresentative, pinned_corner
-from .planar import cross, dot
+from .planar import EPS, cross, dot
 
 
 def _trace(g: GeodesicRepresentative):
     """(triangle, entry, exit, arclength offset) for every segment longer
-    than 1e-12 of the length, a segment along an edge also in the glued
+    than EPS of the length, a segment along an edge also in the glued
     triangle's chart; and (vertex orbit, arclength offset) of every pin."""
     s = g.surface
     segs, pins, off = [], [], 0.0
@@ -33,7 +33,7 @@ def _trace(g: GeodesicRepresentative):
         i = pinned_corner(*s.partner_param(g.crossings[k - 1],
                                            g.params[k - 1]))
         j = pinned_corner(g.crossings[k], g.params[k])
-        if ln > 1e-12 * g.length:
+        if ln > EPS * g.length:
             segs.append((t, a, b, off))
             if i is not None and j is not None:  # along an edge
                 e = i if j == (i + 1) % 3 else j
@@ -60,7 +60,7 @@ def geometric_intersection_count(g1: GeodesicRepresentative,
             f"through cone points (orbits {o1} and {o2})")
     (segs1, pins1), (segs2, pins2) = _trace(g1), _trace(g2)
     L1, L2 = g1.length, g2.length
-    tol = 1e-9 * max(L1, L2)
+    tol = EPS * max(L1, L2)
     by_tri: dict[int, list] = {}
     for seg in segs2:
         by_tri.setdefault(seg[0], []).append(seg)
@@ -74,9 +74,9 @@ def geometric_intersection_count(g1: GeodesicRepresentative,
             ln2 = abs(d2)
             r = a2 - a1
             cr = cross(d1, d2)
-            if abs(cr) > 1e-9 * ln1 * ln2:
+            if abs(cr) > EPS * ln1 * ln2:
                 t1, t2 = cross(r, d2) / cr, cross(r, d1) / cr
-                if -1e-9 <= t1 <= 1 + 1e-9 and -1e-9 <= t2 <= 1 + 1e-9:
+                if -EPS <= t1 <= 1 + EPS and -EPS <= t2 <= 1 + EPS:
                     found.append((off1 + t1 * ln1, off2 + t2 * ln2))
             elif abs(cross(d1, r)) <= tol * ln1:
                 # collinear: a shared run makes the two one closed curve

@@ -4,6 +4,14 @@ A point or vector of a chart is a Python ``complex``.  The flat metric
 |q|^(2/3) comes from natural coordinates w with dw^3 = q, and every chart
 change w -> zeta w + c is one ``PlanarIsometry``: it is the only thing
 that rotates a point.
+
+``EPS`` is the flat layer's one rounding tolerance, relative to the scale
+of what a decision compares: directions are parallel within EPS |u| |v|
+(``left_of`` is the strict test), lengths and levels are zero within EPS
+of their surface, strip or geodesic, an edge param pins within EPS of an
+end, a holonomy is a translation within EPS of rotation 1, and an angle
+reaches pi, or its whole fan, within EPS of it.  So results do not change
+when a surface is rescaled.
 """
 
 from __future__ import annotations
@@ -12,10 +20,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
+EPS = 1e-12
+
 
 def cross(u: complex, v: complex) -> float:
     """Im(conj(u) v) = u.x v.y - u.y v.x: positive when v points left of u."""
     return (u.conjugate() * v).imag
+
+
+def left_of(u: complex, v: complex) -> bool:
+    """Whether v points strictly left of u, beyond rounding."""
+    return cross(u, v) > EPS * abs(u) * abs(v)
 
 
 def dot(u: complex, v: complex) -> float:
@@ -37,12 +52,12 @@ def angle_between(u: complex, v: complex) -> float:
 def ccw_angle(r: complex, d: complex) -> float:
     """Counterclockwise angle from ray r to direction d, in [0, 2*pi).
 
-    A cross product below 1e-9 of |r| |d| is snapped to zero so directions
+    A cross product below EPS |r| |d| is snapped to zero so directions
     exactly along the ray never wrap to 2*pi through rounding noise.
     """
     w = r.conjugate() * d
     cr = w.imag
-    if abs(cr) < 1e-9 * abs(w):
+    if abs(cr) < EPS * abs(w):
         cr = 0.0
     a = math.atan2(cr, w.real)
     return a + 2.0 * math.pi if a < 0 else a

@@ -9,6 +9,9 @@ from ..errors import BadParameters
 from .geodesics import HomotopyClassPath
 from .surface import TriangulatedFlatSurface
 
+# a lattice line this close below a class's segment's end is not crossed
+_END_MARGIN = 1e-15
+
 
 def rectangle_torus(a: float = 1.0, b: float = 1.0,
                     mark_vertex: bool = False) -> TriangulatedFlatSurface:
@@ -56,7 +59,7 @@ def torus_class(p: int, q: int, a: float = 1.0, b: float = 1.0,
             return out
         lo, hi = sorted((w0, w0 + dw))
         m = math.floor(lo / period) + 1
-        while m * period < hi - 1e-15:
+        while m * period < hi - _END_MARGIN:
             out.append(((m * period) - w0) / dw)
             m += 1
         return out

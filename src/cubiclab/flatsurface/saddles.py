@@ -17,13 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import BadParameters, NoConvergence
-from .planar import PlanarIsometry, ccw_angle, cross, dot
+from .planar import EPS, PlanarIsometry, ccw_angle, cross, dot, left_of
 from .surface import TriangulatedFlatSurface
-
-# a cross product of u and v below this fraction of |u| |v| is zero
-_PARALLEL_TOL = 1e-12
-# lengths are cut and deduplicated at this fraction of the longest edge
-_LENGTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,21 +33,11 @@ class SaddleConnection:
         return abs(self.holonomy)
 
 
-def _left_of(u: complex, v: complex) -> bool:
-    """Whether v points strictly left of u, beyond rounding."""
-    return cross(u, v) > _PARALLEL_TOL * abs(u) * abs(v)
-
-
-def _in_cone(d, w1, w2) -> bool:
-    """Whether direction d lies strictly inside the ccw cone (w1, w2)."""
-    return _left_of(w1, d) and _left_of(d, w2)
-
-
 def _cone_intersect(a1, a2, b1, b2):
     """Intersection of two ccw cones of angular span < pi, or None."""
     s = b1 if cross(a1, b1) > 0 else a1
     e = b2 if cross(b2, a2) > 0 else a2
-    if not _left_of(s, e):
+    if not left_of(s, e):
         return None
     return s, e
 
@@ -75,7 +60,7 @@ def _intrinsic(s: TriangulatedFlatSurface, corner, ray, d) -> float:
     """
     total = float(s.orbit_angles[s.orbit_of[corner]])
     a = math.fmod(s.fan_angle[corner] + ccw_angle(ray, d), total)
-    return 0.0 if a > total - 1e-9 else a
+    return 0.0 if a > (1.0 - EPS) * total else a
 
 
 def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
@@ -92,8 +77,9 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
     ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
     found: dict[tuple, SaddleConnection] = {}
     budget = max_expansions
+    # lengths are cut and deduplicated at EPS of the longest edge
     unit = max(s.edge_length(slot) for slot in s.gluings)
-    cut = max_length + _LENGTH_TOL * unit
+    cut = max_length + EPS * unit
 
     def record(origin_orbit, start_corner, start_ray, w,
                target_corner, target_ray) -> None:
@@ -102,7 +88,7 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
         if t_orbit not in ends:
             return
         norm = abs(w)
-        if norm > cut or norm <= _LENGTH_TOL * unit:
+        if norm > cut or norm <= EPS * unit:
             return
         ang_start = _intrinsic(s, start_corner, start_ray, w)
         ang_end = _intrinsic(s, target_corner, target_ray, -w)
@@ -145,7 +131,7 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                 B = phi2(tri2[(e2 + 1) % 3])
                 C = phi2(tri2[apex_idx])
                 w1, w2 = wedge
-                if _in_cone(C, w1, w2):
+                if left_of(w1, C) and left_of(C, w2):  # inside the wedge
                     record(orbit, start_corner, v1, C,
                            (t2, apex_idx), A - C)
                 # far edges: B -> C is edge (e2+1)%3, C -> A is edge (e2+2)%3

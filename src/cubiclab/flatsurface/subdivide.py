@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .planar import turn
+from .planar import left_of
 from .surface import TriangulatedFlatSurface
 
 # A tag is any hashable value; each tag appears on exactly one soup edge and
@@ -94,16 +94,10 @@ class Soup:
         m = len(piece.verts)
         if m == 3:
             return [self.add_triangle(piece.coords, piece.tags)]
-        # turns scale as length squared: measure them against the piece
-        scale = max(abs(z - piece.coords[0]) for z in piece.coords) ** 2
+        z = piece.coords
         for a in range(m):
-            ok = True
-            for i in range(1, m - 1):
-                if turn(piece.coords[a], piece.coords[(a + i) % m],
-                        piece.coords[(a + i + 1) % m]) <= 1e-12 * scale:
-                    ok = False
-                    break
-            if ok:
+            if all(left_of(z[(a + i) % m] - z[a], z[(a + i + 1) % m] - z[a])
+                   for i in range(1, m - 1)):
                 break
         else:
             raise ValueError("piece admits no valid fan apex")

@@ -25,8 +25,12 @@ from ..errors import (
 )
 from .planar import PlanarIsometry, angle_between, turn
 
-# Geometric equality tolerance used throughout the triangle complex code.
+# Checks on a surface handed in, not rounding decisions: edge lengths and
+# triangle areas relative to its size, a stored gluing isometry against the
+# one its edges give, and how near each cone order k must be to a whole number
 GEOM_TOL = 1e-9
+_ISO_TOL = 1e-7
+_ORDER_TOL = 1e-8
 
 Slot = tuple[int, int]  # (triangle index, edge index); edge e runs v[e] -> v[e+1]
 
@@ -135,7 +139,7 @@ class TriangulatedFlatSurface:
             c, d = self.edge_endpoints(partner)
             derived = PlanarIsometry.from_segment_match(a, b, d, c)
             given = isos.get(slot)
-            if given is not None and not given.is_close(derived, tol=1e-7):
+            if given is not None and not given.is_close(derived, _ISO_TOL):
                 raise NonInvolutiveGluing(
                     f"stored isometry for {slot} does not map its edge onto "
                     f"the partner edge {partner}")
@@ -187,7 +191,7 @@ class TriangulatedFlatSurface:
         for idx, angle in enumerate(self.orbit_angles):
             k_real = 3.0 * (angle / (2.0 * math.pi) - 1.0)
             k = round(k_real)
-            if abs(k_real - k) > 1e-8 or k < -2:
+            if abs(k_real - k) > _ORDER_TOL or k < -2:
                 raise BadConeAngle(
                     f"vertex orbit {idx} has angle {angle:.12g} "
                     f"(k = {k_real:.6g}), not of the form 2*pi*(1 + k/3)")

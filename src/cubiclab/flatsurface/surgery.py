@@ -27,6 +27,8 @@ from .subdivide import (Piece, Soup, slot_partner_tag, split_piece,
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
 WEDGE = math.pi / 3.0
+# a margin, not a rounding: the wedge's boundary clears every fan ray by it
+_RAY_MARGIN = 1e-6
 # the wedge's legs run from the apex along 1 and along _LEG2
 _LEG2 = cmath.rect(1.0, WEDGE)
 
@@ -103,7 +105,7 @@ def plan_carve(s: TriangulatedFlatSurface, orbit: int, eps: float,
 
 def _carve_with_rotation(s, eps, part, fan, angs) -> _Carve:
     cum = [0.0, *itertools.accumulate(angs)]
-    if any(abs(cum[j] - WEDGE) < 1e-6 for j in range(1, len(fan))):
+    if any(abs(cum[j] - WEDGE) < _RAY_MARGIN for j in range(1, len(fan))):
         raise BadParameters(f"the wedge boundary pi/3 falls on a fan ray, "
                             f"at angles {cum[1:len(fan)]}")
     m = max(j for j in range(len(fan)) if cum[j] < WEDGE)

@@ -5,12 +5,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from cubiclab.flatsurface import (
-    HomotopyClassPath,
-    TriangulatedFlatSurface,
-    presets,
-)
-from cubiclab.flatsurface.surgery import triangle_surgery_glue
+from cubiclab.flatsurface import HomotopyClassPath, presets
+from reference import glued_tori
 
 
 @pytest.fixture
@@ -35,11 +31,8 @@ def flat_puncture_surface():
     ``orbit`` (1 or 2) marked.  Orbits 1 and 2 lie 0.2 (2 - sqrt 3) from a
     k = 2 cone point."""
     def build(orbit):
-        g = triangle_surgery_glue(
-            [(presets.square_torus(mark_vertex=True), 0),
-             (presets.square_torus(mark_vertex=True), 0)], 0.2)
+        g = glued_tori(0.2, marked=orbit)
         assert g.orbit_orders == [2, 0, 0, 2, 2]
-        return TriangulatedFlatSurface(g.triangles, g.gluings,
-                                       marked_punctures=(orbit,))
+        return g
 
     return build

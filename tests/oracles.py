@@ -24,8 +24,8 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from cubiclab.blaschke.grid import DIRICHLET
 from cubiclab.blaschke.solver import discrete_laplacian
-from cubiclab.flatsurface.geodesics import PIN_TOL, HomotopyClassPath
-from cubiclab.flatsurface.planar import angle_between
+from cubiclab.flatsurface.geodesics import HomotopyClassPath
+from cubiclab.flatsurface.planar import EPS, angle_between
 
 
 # -- developing strips with rotation matrices ---------------------------------
@@ -95,7 +95,7 @@ def pivot_side_angles(g):
     """
     s, n = g.surface, len(g.crossings)
     phis = _develop(s, g.crossings)
-    pin = [0 if u <= PIN_TOL else 1 if u >= 1.0 - PIN_TOL else None
+    pin = [0 if u <= EPS else 1 if u >= 1.0 - EPS else None
            for u in g.params]
 
     def edge(m):

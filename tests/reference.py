@@ -285,10 +285,12 @@ def _cylinders() -> dict:
              for label, (name, cls) in cases.items()}
     # the first class on the glued tori that sweeps a cylinder once
     for g, _rec in _representatives("glued tori"):
+        if g is None:
+            continue
         try:
             found["glued tori, first class"] = detect_cylinder(g)
             break
-        except (AttributeError, CubiclabError):
+        except CubiclabError:
             continue
     return {label: [c.circumference, c.height, c.closed,
                     [list(o) for o in c.boundary_orbits]]

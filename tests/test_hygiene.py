@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used, every definition in the
 package is reached from what the package runs, every stored field is read,
-every call the benchmark traces exists, and importing the package loads
-only the SciPy it runs.
+every call the benchmark traces exists, the flat layer rounds with one
+epsilon, and importing the package loads only the SciPy it runs.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -382,6 +382,10 @@ def test_every_stored_field_is_read():
 # each an internal invariant that no argument can break or an error that its
 # caller turns into a typed one.  An entry with no such raise is stale.
 BUILTIN_RAISES = {
+    "cli.py:_flag":
+        "a config converter, like bool but for true and false only: "
+        "_Config.read turns its TypeError into ConfigError naming the key "
+        "and the value",
     "cli.py:_whole":
         "a config converter, like int and float: _Config.read turns its "
         "ValueError into ConfigError naming the key and the value",
@@ -466,6 +470,59 @@ def test_errors_are_typed():
                 for n in ast.walk(exc.args[0]))))
     assert not unnamed, ("BadParameters raised with a message that "
                          "formats no value:\n" + "\n".join(unnamed))
+
+
+# Tolerances of the flat layer that are not rounding decisions, each the
+# whole value of a module-level constant, by file and name, with a reason.
+# Rounding decisions read the one EPS of planar.py.  An entry that names no
+# such constant is stale.
+NAMED_TOLERANCES = {
+    "surface.py:GEOM_TOL": "checks a surface handed in: edge lengths match "
+                           "and triangles have area, relative to its size",
+    "surface.py:_ISO_TOL": "checks a surface handed in: a stored gluing "
+                           "isometry matches the one its edges give",
+    "surface.py:_ORDER_TOL": "checks a surface handed in: each cone angle "
+                             "is 2 pi (1 + k/3) for a whole k",
+    "surgery.py:_RAY_MARGIN": "keeps the wedge boundary clear of every fan "
+                              "ray, so no carve runs along an edge",
+    "presets.py:_END_MARGIN": "a torus class's segment does not cross the "
+                              "lattice line at its own end",
+    "geodesics.py:ANGLE_SLACK": "the slack of the angle-condition check that "
+                                "certifies a returned geodesic",
+}
+
+
+def _small_float_literals():
+    """(file:name of the module-level constant it is the whole value of,
+    or file:line: value) for each float literal x with 0 < |x| < 1e-5 in
+    ``flatsurface/`` outside ``planar.py``."""
+    found = []
+    for path in sorted((ROOT / "src/cubiclab/flatsurface").glob("*.py")):
+        if path.name == "planar.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {id(node.value): node.targets[0].id for node in tree.body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and isinstance(node.targets[0], ast.Name)}
+        found += [f"{path.name}:{named[id(n)]}" if id(n) in named
+                  else f"{path.name}:{n.lineno}: {n.value!r}"
+                  for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and type(n.value) is float
+                  and 0 < abs(n.value) < 1e-5]
+    return found
+
+
+def test_flat_layer_rounds_with_one_epsilon():
+    # a new tolerance either reads planar.EPS or is a named constant with a
+    # reason here
+    found = _small_float_literals()
+    inline = sorted(set(found) - NAMED_TOLERANCES.keys())
+    assert not inline, ("tolerances in flatsurface/ that are neither "
+                        "planar.EPS nor a listed module constant:\n"
+                        + "\n".join(inline))
+    stale = sorted(NAMED_TOLERANCES.keys() - set(found))
+    assert not stale, ("NAMED_TOLERANCES entries with no such constant: "
+                       f"{stale}")
 
 
 def _scipy_loaded_by(modules: str) -> list[str]:

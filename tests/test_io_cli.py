@@ -138,14 +138,15 @@ def test_cli_config_missing_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset,key,value,reason", [
-    ("spectrum-square-torus", "tol", "abc", "could not convert string"),
+    ("surgery-glue-tori", "eps", "abc", "could not convert string"),
     ("ray-z-window", "n", "big", "invalid literal for int()"),
     ("ray-z-window", "probe", [0.0], "not enough values to unpack"),
     ("ray-z-window", "n", 33.9, "not a whole number"),
+    ("ray-z-window", "torus_check", "false", "expected true or false"),
     ("limits-appendix", "seed", -1, "expected non-negative integer"),
     ("limits-appendix", "sweeps", "pinching-annuli",
      "expected a list of names, got a string"),
-], ids=["tol", "n", "probe", "n-fraction", "seed", "sweeps"])
+], ids=["eps", "n", "probe", "n-fraction", "torus_check", "seed", "sweeps"])
 def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
                                         value, reason):
     cfg = dict(PRESETS[preset], **{key: value})
