@@ -4,7 +4,8 @@ Two kinds are frozen.  The output directories of the CLI presets live in
 ``tests/data/presets/<preset>/``, with ``wall_time`` dropped from each
 report.json.  The flat-layer corpus lives in ``tests/data/reference.json``:
 saddle-connection key sets, tightened random classes, their intersection
-tables, cylinders and transported words, built from fixed seeds by
+tables, cylinders, transported words and the surface files of gluings and
+grafts, built from fixed seeds by
 ``build_corpus``.  After a change that moves outputs on purpose, regenerate
 both with
 
@@ -41,6 +42,7 @@ from cubiclab.flatsurface.cylinders import (
     insert_cylinder_detailed,
 )
 from cubiclab.flatsurface.intersections import geometric_intersection_count
+from cubiclab.flatsurface.io import surface_to_dict
 from cubiclab.flatsurface.saddles import enumerate_saddle_connections
 from cubiclab.flatsurface.surgery import triangle_surgery_glue
 from oracles import random_closed_strip
@@ -180,8 +182,33 @@ def glued_tori(eps, weight=0.0, marked=None) -> TriangulatedFlatSurface:
                               eps, weights=[weight])
     if marked is None:
         return g
-    return TriangulatedFlatSurface(g.triangles, g.gluings,
+    return TriangulatedFlatSurface(g.triangles, g.gluings.items(),
                                    marked_punctures=(marked,))
+
+
+def marked_octagon() -> TriangulatedFlatSurface:
+    """The regular octagon with its cone point marked."""
+    o = presets.regular_octagon()
+    return TriangulatedFlatSurface(o.triangles, o.gluings.items(),
+                                   marked_punctures=(0,))
+
+
+def two_by_one_torus() -> TriangulatedFlatSurface:
+    """A 2 x 1 torus of two unit squares: two flat vertex orbits, orbit 0
+    at x = 0 and orbit 1 at x = 1 in the triangle charts, both marked."""
+    tris = [[0, 1, 1 + 1j], [0, 1 + 1j, 1j],
+            [1, 2, 2 + 1j], [1, 2 + 1j, 1 + 1j]]
+    gluings = [((0, 0), (1, 1)), ((0, 1), (3, 2)), ((0, 2), (1, 0)),
+               ((1, 2), (2, 1)), ((2, 0), (3, 1)), ((2, 2), (3, 0))]
+    return TriangulatedFlatSurface(tris, gluings, marked_punctures=(0, 1))
+
+
+def parallelogram_torus() -> TriangulatedFlatSurface:
+    """The torus spanned by 1 and 0.5 + 0.5i, its one vertex marked.  Its
+    fan starts at a corner whose wedge at eps 0.1 meets triangle 0 twice."""
+    tris = [[0, 1, 1.5 + 0.5j], [0, 1.5 + 0.5j, 0.5 + 0.5j]]
+    gluings = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
+    return TriangulatedFlatSurface(tris, gluings, marked_punctures=(0,))
 
 
 def _saddles() -> dict:
@@ -325,9 +352,34 @@ def _transport() -> dict:
     return records
 
 
+def _surface_files() -> dict:
+    """surface_to_dict of 20 surfaces that surgery and grafting build."""
+    marked = functools.partial(presets.square_torus, mark_vertex=True)
+    sq = presets.square_torus()
+    cases = {f"glued eps={eps:g} w={w:g}": glued_tori(eps, w)
+             for eps in (0.1, 0.15, 0.2, 0.25) for w in (0.0, 0.3)}
+    cases |= {f"glued eps=0.2 orbit {k} marked": glued_tori(0.2, marked=k)
+              for k in (1, 2)}
+    cases["octagons eps=0.3 w=0.2"] = triangle_surgery_glue(
+        [(marked_octagon(), 0), (marked_octagon(), 0)], 0.3, weights=[0.2])
+    cases["torus and 2 x 1 torus eps=0.2"] = triangle_surgery_glue(
+        [(marked(), 0), (two_by_one_torus(), 0)], 0.2)
+    cases["parallelogram and torus eps=0.1 w=0.3"] = triangle_surgery_glue(
+        [(parallelogram_torus(), 0), (marked(), 0)], 0.1, weights=[0.3])
+    cases |= {f"square torus (1,0) h={h:g}": insert_cylinder_detailed(
+        sq, presets.torus_class(1, 0), h).surface
+        for h in (1.0, 2.0, 4.0, 8.0, 16.0)}
+    cases["octagon vertical h=1"] = insert_cylinder_detailed(
+        presets.regular_octagon(), presets.octagon_class_vertical(),
+        1.0).surface
+    cases["square torus (3,5) h=2"] = insert_cylinder_detailed(
+        sq, presets.torus_class(3, 5), 2.0).surface
+    return {name: surface_to_dict(s) for name, s in cases.items()}
+
+
 SECTIONS = {"saddles": _saddles, "tightening": _tightening,
             "intersections": _intersections, "cylinders": _cylinders,
-            "transport": _transport}
+            "transport": _transport, "surfaces": _surface_files}
 
 
 def compare_corpus(section: str, new) -> list[str]:

@@ -4,20 +4,15 @@ import pytest
 
 from cubiclab.errors import AngleClash, BadParameters
 from cubiclab.flatsurface import presets
-from cubiclab.flatsurface.surface import (
-    TriangulatedFlatSurface,
-    area,
-    gauss_bonnet_defect,
+from cubiclab.flatsurface.surface import area, gauss_bonnet_defect
+from cubiclab.flatsurface.surgery import (
+    _carve_with_rotation,
+    plan_carve,
+    triangle_surgery_glue,
 )
-from cubiclab.flatsurface.surgery import triangle_surgery_glue
+from reference import marked_octagon, parallelogram_torus, two_by_one_torus
 
 WEDGE_AREA = math.sqrt(3.0) / 4.0  # equilateral triangle of unit side
-
-
-def _marked_octagon():
-    o = presets.regular_octagon()
-    return TriangulatedFlatSurface([t for t in o.triangles], o.gluings,
-                                   marked_punctures=(0,))
 
 
 def test_glue_two_tori_weightless():
@@ -47,7 +42,7 @@ def test_glue_with_prism_band():
 
 
 def test_glue_octagons_at_cone_points():
-    o1, o2 = _marked_octagon(), _marked_octagon()
+    o1, o2 = marked_octagon(), marked_octagon()
     g = triangle_surgery_glue([(o1, 0), (o2, 0)], 0.3)
     assert abs(gauss_bonnet_defect(g)) < 1e-9
     assert g.euler_characteristic == -6
@@ -57,7 +52,7 @@ def test_glue_octagons_at_cone_points():
 def test_prism_band_between_cone_points():
     # the band is glued to cut boundaries whose fans run round the
     # octagon's cone point
-    o1, o2 = _marked_octagon(), _marked_octagon()
+    o1, o2 = marked_octagon(), marked_octagon()
     eps, w = 0.3, 0.4
     g = triangle_surgery_glue([(o1, 0), (o2, 0)], eps, weights=[w])
     assert abs(gauss_bonnet_defect(g)) < 1e-9
@@ -69,7 +64,7 @@ def test_prism_band_between_cone_points():
 
 def test_eps_too_large_clearance():
     # octagon's cone point has a closed saddle connection of length 1
-    o1, o2 = _marked_octagon(), _marked_octagon()
+    o1, o2 = marked_octagon(), marked_octagon()
     with pytest.raises(BadParameters, match=r"distance 1 < 2\*eps from "
                                             r"puncture orbit 0, eps=0\.6$"):
         triangle_surgery_glue([(o1, 0), (o2, 0)], 0.6)
@@ -93,19 +88,9 @@ def test_weight_and_pairing_validation():
         triangle_surgery_glue([(t1, 0), (t2, 0)], 0.1, weights=[0.0, 0.0])
 
 
-def _two_by_one_torus():
-    """A 2 x 1 torus of two unit squares: two flat vertex orbits, orbit 0
-    at x = 0 and orbit 1 at x = 1 in the triangle charts, both marked."""
-    tris = [[0, 1, 1 + 1j], [0, 1 + 1j, 1j],
-            [1, 2, 2 + 1j], [1, 2 + 1j, 1 + 1j]]
-    gluings = [((0, 0), (1, 1)), ((0, 1), (3, 2)), ((0, 2), (1, 0)),
-               ((1, 2), (2, 1)), ((2, 0), (3, 1)), ((2, 2), (3, 0))]
-    return TriangulatedFlatSurface(tris, gluings, marked_punctures=(0, 1))
-
-
 def test_unglued_puncture_survives():
     t = presets.square_torus(mark_vertex=True)
-    b = _two_by_one_torus()
+    b = two_by_one_torus()
     assert b.orbit_orders == [0, 0]
     assert all(b.triangles[ti][i].real == 1.0
                for ti, i in b.vertex_orbits[1])
@@ -158,3 +143,25 @@ def test_unfannable_carve_names_its_numbers(eps, flat_puncture_surface):
             r".*triangulation too coarse near the puncture")) as info:
         triangle_surgery_glue([(flat_puncture_surface(2), 2), (t, 0)], eps)
     assert type(info.value) is BadParameters
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3])
+def test_carve_rotates_its_fan_until_the_wedge_fits(w):
+    # the wedge from the fan's first corner meets triangle 0 twice; the
+    # carve starts the fan one corner later, where it meets each once
+    p = parallelogram_torus()
+    fan = p.fans[0]
+    angles = [p.corner_angle(*c) for c in fan]
+    eps = 0.1
+    with pytest.raises(BadParameters, match=(
+            r"affected corners share a triangle: \[\(0, 0\), \(1, 0\), "
+            r"\(0, 1\)\]$")):
+        _carve_with_rotation(p, eps, 0, fan, angles)
+    assert plan_carve(p, 0, eps, 0).corners == fan[1:3]
+    g = triangle_surgery_glue(
+        [(p, 0), (presets.square_torus(mark_vertex=True), 0)], eps,
+        weights=[w])
+    assert g.euler_characteristic == -2
+    assert abs(gauss_bonnet_defect(g)) < 1e-9
+    expect = 1.5 - 2.0 * WEDGE_AREA * eps ** 2 + 3.0 * eps * w
+    assert abs(area(g) - expect) < 1e-12
