@@ -5,7 +5,6 @@ from .surface import (
     PlanarIsometry,
     TriangulatedFlatSurface,
     area,
-    build_surface,
     gauss_bonnet_defect,
 )
 from .geodesics import (
@@ -20,7 +19,6 @@ __all__ = [
     "PlanarIsometry",
     "TriangulatedFlatSurface",
     "area",
-    "build_surface",
     "gauss_bonnet_defect",
     "ConeVisit",
     "GeodesicRepresentative",

@@ -192,12 +192,8 @@ class TransportMap:
     region: list[int]
     routes: dict = field(default_factory=dict, init=False, repr=False)
 
-    def transport(self, path: HomotopyClassPath | GeodesicRepresentative,
-                  ) -> HomotopyClassPath:
-        if isinstance(path, GeodesicRepresentative):
-            rep = path
-        else:
-            rep = tighten_geodesic(self.old_surface, path)
+    def transport(self, path: HomotopyClassPath) -> HomotopyClassPath:
+        rep = tighten_geodesic(self.old_surface, path)
         us = [self._nudged_param(slot, u)
               for slot, u in zip(rep.crossings, rep.params)]
         out: list[tuple[int, int]] = []
@@ -256,7 +252,7 @@ class InsertResult:
 
 
 def insert_cylinder_detailed(s: TriangulatedFlatSurface,
-                             core: HomotopyClassPath | GeodesicRepresentative,
+                             core: HomotopyClassPath,
                              height: float) -> InsertResult:
     """Cut along the core geodesic and glue in a flat cylinder.
 
@@ -266,10 +262,7 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     """
     if not height > 0:
         raise BadParameters(f"cylinder height must be positive, got {height}")
-    if isinstance(core, GeodesicRepresentative):
-        g = core
-    else:
-        g = tighten_geodesic(s, core)
+    g = tighten_geodesic(s, core)
     if g.kind != "nonsingular":
         raise NotCylindrical("core class is not cylindrical "
                              "(geodesic passes through a cone point)")

@@ -4,17 +4,22 @@ Surface JSON:
     {"triangles": [[[x, y], [x, y], [x, y]], ...],
      "gluings": [[[t, e], [t2, e2], {"rot": r, "tx": a, "ty": b}], ...],
      "punctures": [orbit ids]}
-Curve class JSON: {"name": ..., "strip": [[t, e], ...]}.
+Curve class JSON: [{"name": ..., "strip": [[t, e], ...]}, ...].
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
-from ..errors import BadParameters, CubiclabError
+from ..errors import BadParameters, CubiclabError, NonInvolutiveGluing
 from .geodesics import GeodesicRepresentative, HomotopyClassPath, develop_strip
-from .surface import TriangulatedFlatSurface, build_surface
+from .surface import TriangulatedFlatSurface
+
+# a check of a file read in, not a rounding decision: how far a stored
+# gluing isometry may lie from the one its edges give
+_ISO_TOL = 1e-7
 
 
 def surface_to_dict(s: TriangulatedFlatSurface) -> dict:
@@ -22,15 +27,36 @@ def surface_to_dict(s: TriangulatedFlatSurface) -> dict:
     for slot, partner in sorted(s.gluings.items()):
         if slot > partner:
             continue
-        iso = s.isometries[slot]
+        rot, shift = s.isometries[slot].rot, s.isometries[slot].shift
+        # adding 0.0 drops a negative zero, which would read -pi or -0.0
+        angle = cmath.phase(complex(rot.real, rot.imag + 0.0))
         gluings.append([list(slot), list(partner),
-                        {"rot": iso.angle, "tx": iso.shift.real,
-                         "ty": iso.shift.imag}])
+                        {"rot": angle, "tx": shift.real, "ty": shift.imag}])
     return {
         "triangles": [[[z.real, z.imag] for z in t] for t in s.triangles],
         "gluings": gluings,
         "punctures": sorted(s.marked_punctures),
     }
+
+
+def build_surface(spec: dict) -> TriangulatedFlatSurface:
+    """The surface of a ``surface_to_dict`` description, with each stored
+    isometry checked against the one its edges give."""
+    gluings = spec.get("gluings", [])
+    s = TriangulatedFlatSurface(
+        [[complex(x, y) for x, y in t] for t in spec["triangles"]],
+        [(a, b) for a, b, _iso in gluings],
+        marked_punctures=spec.get("punctures", ()))
+    for a, b, iso in gluings:
+        derived = s.isometries[tuple(a)]
+        rot = cmath.rect(1.0, float(iso["rot"]))
+        shift = complex(float(iso["tx"]), float(iso["ty"]))
+        if (abs(rot - derived.rot) > _ISO_TOL
+                or abs(shift - derived.shift) > _ISO_TOL):
+            raise NonInvolutiveGluing(
+                f"stored isometry for {tuple(a)} does not map its edge onto "
+                f"the partner edge {tuple(b)}")
+    return s
 
 
 def save_surface(s: TriangulatedFlatSurface, path) -> None:
@@ -62,8 +88,6 @@ def save_classes(classes, path) -> None:
 
 
 def _classes(data) -> list[HomotopyClassPath]:
-    if isinstance(data, dict):
-        data = [data]
     return [HomotopyClassPath(tuple(tuple(c) for c in entry["strip"]),
                               label=entry.get("name") or None)
             for entry in data]

@@ -16,7 +16,6 @@ when a surface is rescaled.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,12 +80,6 @@ class PlanarIsometry:
         r = self.rot.conjugate()
         return PlanarIsometry(r, -(r * self.shift))
 
-    @property
-    def angle(self) -> float:
-        """The rotation angle in (-pi, pi], for the surface JSON."""
-        # adding 0.0 drops a negative zero, which would read -pi or -0.0
-        return cmath.phase(complex(self.rot.real, self.rot.imag + 0.0))
-
     @staticmethod
     def from_segment_match(a: complex, b: complex,
                            c: complex, d: complex) -> "PlanarIsometry":
@@ -95,7 +88,3 @@ class PlanarIsometry:
         rot = (d - c) / (b - a)
         rot /= abs(rot)
         return PlanarIsometry(rot, c - rot * a)
-
-    def is_close(self, other: "PlanarIsometry", tol: float) -> bool:
-        return (abs(self.rot - other.rot) <= tol
-                and abs(self.shift - other.shift) <= tol)

@@ -10,7 +10,6 @@ with k < 0 allowed only at marked punctures.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,10 +25,9 @@ from ..errors import (
 from .planar import PlanarIsometry, angle_between, turn
 
 # Checks on a surface handed in, not rounding decisions: edge lengths and
-# triangle areas relative to its size, a stored gluing isometry against the
-# one its edges give, and how near each cone order k must be to a whole number
+# triangle areas relative to its size, and how near each cone order k must
+# be to a whole number
 GEOM_TOL = 1e-9
-_ISO_TOL = 1e-7
 _ORDER_TOL = 1e-8
 
 Slot = tuple[int, int]  # (triangle index, edge index); edge e runs v[e] -> v[e+1]
@@ -48,7 +46,8 @@ class TriangulatedFlatSurface:
     """A closed flat cone surface encoded as glued Euclidean triangles.
 
     ``triangles[t]`` holds the three corners of triangle t, counterclockwise,
-    as complex numbers in its own chart.  Instances are immutable; all
+    as complex numbers in its own chart, and ``gluings`` lists (slot, slot)
+    pairs, each edge slot once.  Instances are immutable; all
     derived combinatorics (vertex orbits, cone points, Euler characteristic)
     are computed at construction time and the constructor raises if any
     invariant fails.
@@ -91,19 +90,7 @@ class TriangulatedFlatSurface:
 
     def _install_gluings(self, gluings) -> None:
         pairs: dict[Slot, Slot] = {}
-        isos: dict[Slot, PlanarIsometry] = {}
-        if isinstance(gluings, dict):
-            items = [(a, b, None) for a, b in gluings.items()]
-        else:
-            items = []
-            for entry in gluings:
-                if len(entry) == 2:
-                    a, b = entry
-                    iso = None
-                else:
-                    a, b, iso = entry
-                items.append((a, b, iso))
-        for a, b, iso in items:
+        for a, b in gluings:
             a = (int(a[0]), int(a[1]))
             b = (int(b[0]), int(b[1]))
             for s in (a, b):
@@ -117,13 +104,6 @@ class TriangulatedFlatSurface:
                 raise NonInvolutiveGluing(f"slot {b} glued twice")
             pairs[a] = b
             pairs[b] = a
-            if iso is not None:
-                if isinstance(iso, dict):
-                    iso = PlanarIsometry(
-                        cmath.rect(1.0, float(iso.get("rot", 0.0))),
-                        complex(float(iso.get("tx", 0.0)),
-                                float(iso.get("ty", 0.0))))
-                isos[a] = iso
 
         all_slots = {(t, e) for t in range(len(self.triangles)) for e in range(3)}
         missing = all_slots - set(pairs)
@@ -132,18 +112,11 @@ class TriangulatedFlatSurface:
                 f"{len(missing)} edge slots unglued, e.g. {sorted(missing)[0]}")
 
         self.gluings = pairs
-        # Derive the canonical isometry for each direction and check any
-        # user-provided ones against it.
         for slot, partner in pairs.items():
             a, b = self.edge_endpoints(slot)
             c, d = self.edge_endpoints(partner)
-            derived = PlanarIsometry.from_segment_match(a, b, d, c)
-            given = isos.get(slot)
-            if given is not None and not given.is_close(derived, _ISO_TOL):
-                raise NonInvolutiveGluing(
-                    f"stored isometry for {slot} does not map its edge onto "
-                    f"the partner edge {partner}")
-            self.isometries[slot] = derived
+            self.isometries[slot] = PlanarIsometry.from_segment_match(
+                a, b, d, c)
 
     def _check_edges(self) -> None:
         for slot, partner in self.gluings.items():
@@ -248,7 +221,7 @@ class TriangulatedFlatSurface:
         if not factor > 0:
             raise BadParameters(f"scale factor must be positive, got {factor}")
         tris = [[factor * z for z in t] for t in self.triangles]
-        return TriangulatedFlatSurface(tris, self.gluings,
+        return TriangulatedFlatSurface(tris, self.gluings.items(),
                                        marked_punctures=self.marked_punctures)
 
     def __repr__(self) -> str:
@@ -259,20 +232,6 @@ class TriangulatedFlatSurface:
 
 def _signed_area(tri) -> float:
     return 0.5 * turn(*tri)
-
-
-def build_surface(spec: dict) -> TriangulatedFlatSurface:
-    """Build and validate a surface from the external JSON-style description.
-
-    Expected keys: "triangles" (list of 3 [x, y] pairs each), "gluings"
-    (list of [[t, e], [t2, e2]] or [[t, e], [t2, e2], {"rot":, "tx":, "ty":}]),
-    optional "punctures" (list of vertex-orbit ids).
-    """
-    return TriangulatedFlatSurface(
-        [[complex(x, y) for x, y in t] for t in spec["triangles"]],
-        spec.get("gluings", []),
-        marked_punctures=spec.get("punctures", ()),
-    )
 
 
 def area(s: TriangulatedFlatSurface) -> float:

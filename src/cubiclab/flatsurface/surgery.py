@@ -1,9 +1,9 @@
 """Gluing flat parts along punctures by the triangle-cut construction.
 
 At each puncture an equilateral geodesic triangle of side eps with a vertex
-at the puncture is cut out; the triangle boundaries of paired punctures are
-glued, with the lateral band of a triangular prism of height w in between
-when the pair's weight w is positive.
+at the puncture is cut out; the triangle boundaries of the two punctures
+are glued, with the lateral band of a triangular prism of height w in
+between when the weight w is positive.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ def _carve_with_rotation(s, eps, part, fan, angs) -> _Carve:
         carve.ray_cuts.setdefault(slot, []).append((rho / ray_len, cid))
         pslot = s.gluings[slot]
         carve.ray_cuts.setdefault(pslot, []).append((1.0 - rho / ray_len, cid))
+    for cuts in carve.ray_cuts.values():
+        cuts.sort()
     carve.base_taus = [round(_tau(eps, a), 12) for a in carve.cum] + [1.0]
     return carve
 
@@ -186,116 +188,88 @@ def _apply_carve(piece: Piece, s, cv: _Carve, j: int) -> Piece:
                  kept.tags[r:] + kept.tags[:r])
 
 
-def _cut_boundary(cv: _Carve, gid, m_base: int) -> list:
+def _cut_boundary(cv: _Carve, m_base: int) -> list:
     """The tags of a part's cut boundary in walk order: leg B, the base
     pieces m-1..0, then leg A, which is the stub of the first fan ray's
     glued slot past the p1 cut."""
     return ([("legB", cv.part)]
             + [("base", cv.part, j) for j in range(m_base - 1, -1, -1)]
-            + [("slot", gid, cv.leg_a_slot, _ray_id(cv.part, 0), "hi")])
+            + [("slot", cv.part, cv.leg_a_slot, _ray_id(cv.part, 0), "hi")])
 
 
 def triangle_surgery_glue(parts, eps: float, weights=None,
                           ) -> TriangulatedFlatSurface:
-    """Cut an equilateral triangle at each listed puncture and glue in pairs.
+    """Cut an equilateral triangle at a puncture of each of two surfaces
+    and glue the cut boundaries.
 
-    ``parts`` is a flat list of (surface, puncture orbit id); entries 2i and
-    2i+1 are glued together with weight ``weights[i]`` (a prism band of that
-    height is inserted when the weight is positive).  Raises BadParameters
-    when a 2*eps ball at a puncture meets a cone point or marked puncture
-    (itself included, along a loop) and AngleClash when the result would
-    violate the cone-angle form (e.g. order-2 poles).
+    ``parts`` is [(surface, puncture orbit id), (surface, orbit id)] with
+    two distinct surface objects, and ``weights`` is None or [w]: a prism
+    band of height w is inserted when w is positive.  The other marked
+    punctures survive, so gluings chain.  Raises BadParameters when a
+    2*eps ball at a puncture meets a cone point or marked puncture (itself
+    included, along a loop) and AngleClash when the result would violate
+    the cone-angle form (e.g. order-2 poles).
     """
-    if len(parts) % 2 != 0 or not parts:
-        raise BadParameters(f"parts come in glued pairs, got {len(parts)}")
-    n_pairs = len(parts) // 2
-    if weights is None:
-        weights = [0.0] * n_pairs
-    if len(weights) != n_pairs:
-        raise BadParameters(f"{len(weights)} weights for {n_pairs} pairs")
-    if not all(w >= 0 for w in weights):
+    if len(parts) != 2:
+        raise BadParameters(f"triangle surgery glues one pair of parts, "
+                            f"got {len(parts)} parts")
+    if parts[0][0] is parts[1][0]:
+        raise BadParameters(f"triangle surgery glues two distinct surfaces, "
+                            f"got 1 surface object for {len(parts)} parts")
+    weights = [0.0] if weights is None else weights
+    if len(weights) != 1:
+        raise BadParameters(f"one pair of parts takes one weight, got "
+                            f"{len(weights)}: {weights}")
+    if not weights[0] >= 0:
         raise BadParameters(f"weights must be nonnegative, got {weights}")
 
-    carves = [plan_carve(s_i, orb, eps, part=idx)
-              for idx, (s_i, orb) in enumerate(parts)]
-    pair_sizes = [_merge_base_taus(carves[2 * p], carves[2 * p + 1])
-                  for p in range(n_pairs)]
-
-    # group parts sharing one surface object so its triangles enter once
-    groups: dict[int, tuple] = {}
-    part_gid = {}
-    for idx, (s_i, _orb) in enumerate(parts):
-        gid = id(s_i)
-        groups.setdefault(gid, (s_i, []))[1].append(idx)
-        part_gid[idx] = gid
+    carves = [plan_carve(s, orbit, eps, part=idx)
+              for idx, (s, orbit) in enumerate(parts)]
+    m_base = _merge_base_taus(*carves)
 
     soup = Soup()
-    tri_maps: dict[int, list] = {}
-    for gid, (s_i, idxs) in groups.items():
-        ray_cuts: dict = {}
-        carved: dict = {}  # triangle -> (carve, fan corner)
-        for idx in idxs:
-            cv = carves[idx]
-            for slot, cuts in cv.ray_cuts.items():
-                ray_cuts.setdefault(slot, []).extend(cuts)
-            for j, (t, _i) in enumerate(cv.corners):
-                if t in carved:
-                    raise BadParameters(
-                        f"the carves of parts {carved[t][0].part} and "
-                        f"{cv.part} both touch triangle {t}; move the "
-                        "punctures or refine the surface")
-                carved[t] = (cv, j)
-        for cuts in ray_cuts.values():
-            cuts.sort()
-        tri_maps[gid] = []
-        for t in range(s_i.num_triangles):
-            piece = triangle_piece(s_i, t, ray_cuts, key=gid)
+    punctures = []
+    for cv, (s, orbit) in zip(carves, parts):
+        carved = {t: j for j, (t, _i) in enumerate(cv.corners)}
+        fans = []
+        for t in range(s.num_triangles):
+            piece = triangle_piece(s, t, cv.ray_cuts, key=cv.part)
             if t in carved:
-                piece = _apply_carve(piece, s_i, *carved[t])
+                piece = _apply_carve(piece, s, cv, carved[t])
             try:
-                tri_maps[gid].append(soup.add_fan(piece))
+                fans.append(soup.add_fan(piece))
             except ValueError as err:
                 if t not in carved:
                     raise
-                cv = carved[t][0]
                 raise BadParameters(
-                    f"the wedge of part {cv.part} at puncture orbit "
-                    f"{parts[cv.part][1]} with eps={eps} leaves triangle {t} "
-                    f"a piece no fan triangulates (triangulation too coarse "
-                    f"near the puncture): {err}") from err
+                    f"the wedge of part {cv.part} at puncture orbit {orbit} "
+                    f"with eps={eps} leaves triangle {t} a piece no fan "
+                    f"triangulates (triangulation too coarse near the "
+                    f"puncture): {err}") from err
+        # the marked punctures not glued here survive, found by position
+        for other in s.marked_punctures - {orbit}:
+            t, i = s.vertex_orbits[other][0]
+            punctures.append(soup.vertex_at(fans[t], s.triangles[t][i]))
 
-    # a weight-0 pair glues the two cut boundaries directly, a weighted
-    # pair a band between them.  A rectangle's bottom meets its boundary
-    # edge reversed, so the band runs right to left along the walk and
-    # takes the boundaries in reverse walk order
+    # with weight 0 the two cut boundaries glue directly, else a band
+    # between them.  A rectangle's bottom meets its boundary edge
+    # reversed, so the band runs right to left along the walk and takes
+    # the boundaries in reverse walk order
+    first, second = (_cut_boundary(cv, m_base) for cv in carves)
     pairs = {}
-    for p, w in enumerate(weights):
-        m_base = pair_sizes[p]
-        first, second = (_cut_boundary(carves[idx], part_gid[idx], m_base)
-                         for idx in (2 * p, 2 * p + 1))
-        if w == 0.0:
-            pairs.update(zip(first, reversed(second)))
-            pairs.update(zip(reversed(second), first))
-            continue
-        taus = carves[2 * p].base_taus
+    if weights[0] == 0.0:
+        pairs.update(zip(first, reversed(second)))
+        pairs.update(zip(reversed(second), first))
+    else:
+        taus = carves[0].base_taus
         widths = [eps * (taus[j + 1] - taus[j]) for j in range(m_base)]
-        soup.add_band([eps] + widths + [eps], w, first[::-1], second)
+        soup.add_band([eps] + widths + [eps], weights[0], first[::-1],
+                      second)
 
     def partner(tag):
         if tag in pairs:
             return pairs[tag]
-        return slot_partner_tag(tag, groups[tag[1]][0].gluings)
-
-    # surviving marked punctures (those not glued here), by position
-    punctures = []
-    glued = {(part_gid[idx], parts[idx][1]) for idx in range(len(parts))}
-    for gid, (s_i, _idxs) in groups.items():
-        for orbit in s_i.marked_punctures:
-            if (gid, orbit) in glued:
-                continue
-            t, i = s_i.vertex_orbits[orbit][0]
-            punctures.append(soup.vertex_at(tri_maps[gid][t],
-                                            s_i.triangles[t][i]))
+        return slot_partner_tag(tag, parts[tag[1]][0].gluings)
 
     try:
         return soup.assemble(partner, marked_punctures=punctures)

@@ -196,14 +196,29 @@ class FramedBasepoint:
         return self
 
 
+def _tail(xs):
+    """The last (up to) 4 values, their largest step, and the step a
+    settled tail stays within: 1e-3 of the last value, at least 1e-12."""
+    tail = xs[-4:]
+    step = max((abs(b - a) for a, b in zip(tail, tail[1:])), default=0.0)
+    return tail, step, max(1e-12, 1e-3 * abs(xs[-1]))
+
+
 def _converges(xs):
-    if len(xs) < 2:
-        return True, xs[-1]
-    tail = xs[-min(4, len(xs)):]
-    ref = abs(tail[-1])
-    ok = all(abs(b - a) <= max(1e-12, 1e-3 * max(ref, 1e-30))
-             for a, b in zip(tail, tail[1:]))
-    return ok, xs[-1]
+    _last, step, bound = _tail(xs)
+    return step <= bound, xs[-1]
+
+
+def _no_case(variant, rule, **params) -> IndeterminateSequence:
+    """The error for a sequence that fits no case: the rule it breaks, and
+    the tail of each parameter with its largest step against the bound."""
+    tails = []
+    for name, xs in params.items():
+        tail, step, bound = _tail(xs)
+        tails.append(f"{name} ends [{', '.join(f'{x:.6g}' for x in tail)}], "
+                     f"steps up to {step:.3g} against {bound:.3g}")
+    return IndeterminateSequence(f"{variant} sequence fits no supported case "
+                                 f"({rule}): {'; '.join(tails)}")
 
 
 def _diverges(xs):
@@ -218,17 +233,19 @@ def classify_geometric_limit(seq) -> ModelSurface:
 
     The decision rules are closed-form predicates on the parameter laws;
     the sequence itself must satisfy a single case's hypotheses, otherwise
-    IndeterminateSequence is raised.
+    IndeterminateSequence is raised, naming the rules and the last values
+    (inj is the injectivity radius at the basepoint and z its modulus).
     """
     if not seq:
-        raise IndeterminateSequence("empty sequence")
+        raise IndeterminateSequence("empty sequence: 0 terms to classify")
     models = [m for m, _v in seq]
     points = [v for _m, v in seq]
     for m, v in zip(models, points):
         v.validated_on(m)
     variants = {m.variant for m in models}
     if len(variants) != 1:
-        raise IndeterminateSequence("mixed model variants in one sequence")
+        raise IndeterminateSequence(f"mixed model variants in one "
+                                    f"sequence: {sorted(variants)}")
     variant = variants.pop()
     inj = [injectivity_radius(m, v.z) for m, v in zip(models, points)]
 
@@ -237,15 +254,13 @@ def classify_geometric_limit(seq) -> ModelSurface:
         ok_k, k_lim = _converges(kap)
         rr = [m.r for m in models]
         ok_r, r_lim = _converges(rr)
-        if ok_k and ok_r:
-            if variant == PUNCTURED_PLANE:
-                return ModelSurface(PUNCTURED_PLANE, r=r_lim)
-            if variant == PLANE:
-                return ModelSurface(PLANE)
-            if k_lim < 0:
-                return ModelSurface(DISK, kappa=k_lim)
-            return ModelSurface(PLANE)
-        raise IndeterminateSequence("constant-variant parameters oscillate")
+        if not (ok_k and ok_r):
+            raise _no_case(variant, "kappa and r settle", kappa=kap, r=rr)
+        if variant == PUNCTURED_PLANE:
+            return ModelSurface(PUNCTURED_PLANE, r=r_lim)
+        if variant == DISK:
+            return ModelSurface(DISK, kappa=k_lim)
+        return ModelSurface(PLANE)
 
     if variant == PUNCTURED_DISK:
         if _diverges(inj):
@@ -262,8 +277,9 @@ def classify_geometric_limit(seq) -> ModelSurface:
         if ok_p and p_lim > 1e-12 and zs[-1] < zs[0]:
             return ModelSurface(PUNCTURED_PLANE,
                                 r=max(1.0, math.pi / math.sqrt(p_lim)))
-        raise IndeterminateSequence(
-            "punctured-disk sequence fits no supported case")
+        raise _no_case(variant, "inj diverges, or kappa < 0 and 0 < z < 1 "
+                       "settle, or p = -kappa log^2 z > 0 settles as z "
+                       "falls", inj=inj, kappa=kap, z=zs, p=p)
 
     # annuli
     kap = [m.kappa for m in models]
@@ -283,4 +299,7 @@ def classify_geometric_limit(seq) -> ModelSurface:
     if ok_q and q_lim > 1e-12 and ok_t and _diverges(Rs):
         return ModelSurface(PUNCTURED_PLANE,
                             r=max(1.0, math.pi ** 2 / math.sqrt(q_lim)))
-    raise IndeterminateSequence("annulus sequence fits no supported case")
+    raise _no_case(variant, "kappa < 0 settles as R settles or diverges, "
+                   "or inj diverges, or q = -kappa log^2 R > 0 and "
+                   "t = z sqrt(R) settle as R diverges",
+                   kappa=kap, R=Rs, inj=inj, q=q, t=t)

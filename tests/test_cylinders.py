@@ -103,7 +103,7 @@ def test_cores_through_flat_vertices_graft_on_their_middle_line():
         through_vertex += not all(0.0 < u < 1.0 for u in g.params)
         cyl = detect_cylinder(g)
         assert abs(cyl.circumference * cyl.height - 1.56) < 1e-12
-        grafted = area(insert_cylinder_detailed(s, g, 0.3).surface)
+        grafted = area(insert_cylinder_detailed(s, cls, 0.3).surface)
         assert abs(grafted - (1.56 + 0.3 * g.length)) < 1e-12
     assert (primitive, through_vertex) == (43, 13)
 

@@ -225,3 +225,66 @@ def test_framed_basepoint_injectivity_validation():
     thin = ModelSurface(ANNULUS, kappa=-1.0, R=math.exp(30.0))  # 0.329
     with pytest.raises(BadParameters, match=r"injectivity radius 0\.328987 "):
         FramedBasepoint(1.0 / math.sqrt(thin.R)).validated_on(thin)
+
+
+@pytest.mark.parametrize("variant,kappa,r", [
+    (PLANE, 0.0, 1.0), (PUNCTURED_PLANE, 0.0, 2.0), (DISK, -1.0, 1.0)])
+def test_classify_constant_variant(variant, kappa, r):
+    # a model that keeps its variant while kappa and r settle is its own
+    # limit, at the last parameters
+    seq = [(ModelSurface(variant, kappa=kappa * (1.0 + 1.0 / n ** 3),
+                         r=r * (1.0 + 1.0 / n ** 3)),
+            FramedBasepoint(0.5)) for n in range(20, 30)]
+    lim = classify_geometric_limit(seq)
+    assert lim.variant == variant
+    last = seq[-1][0]
+    if variant == DISK:
+        assert lim.kappa == last.kappa
+    if variant == PUNCTURED_PLANE:
+        assert lim.r == last.r
+
+
+def test_classify_punctured_disk_that_stays():
+    # kappa and the basepoint settle inside the disk: no rescaling limit
+    seq = [(ModelSurface(PUNCTURED_DISK, kappa=-1.0 - 1.0 / n ** 4),
+            FramedBasepoint(0.5 + 1.0 / n ** 4)) for n in range(20, 30)]
+    lim = classify_geometric_limit(seq)
+    assert lim.variant == PUNCTURED_DISK
+    assert lim.kappa == -1.0 - 1.0 / 29 ** 4
+
+
+def test_classify_empty_sequence():
+    with pytest.raises(IndeterminateSequence, match=r"^empty sequence: 0 "):
+        classify_geometric_limit([])
+
+
+def test_classify_mixed_variants():
+    seq = [(ModelSurface(PLANE), FramedBasepoint(0.0)),
+           (ModelSurface(DISK, kappa=-1.0), FramedBasepoint(0.0))]
+    with pytest.raises(IndeterminateSequence,
+                       match=r"mixed model variants .*\['disk', 'plane'\]$"):
+        classify_geometric_limit(seq)
+
+
+def test_classify_unsettled_names_its_rule_and_values():
+    # kappa_n = -1 - 1/n^3 is monotone and converges, but its last four
+    # terms (n = 5..8) still step by 0.00337 > 1e-3 |kappa_8|
+    seq = [(ModelSurface(DISK, kappa=-1.0 - 1.0 / n ** 3),
+            FramedBasepoint(0.0)) for n in range(1, 9)]
+    with pytest.raises(IndeterminateSequence, match=(
+            r"^disk sequence fits no supported case \(kappa and r settle\): "
+            r"kappa ends \[-1\.008, -1\.00463, -1\.00292, -1\.00195\], "
+            r"steps up to 0\.00337 against 0\.001; r ends \[1, 1, 1, 1\], "
+            r"steps up to 0 against 0\.001$")):
+        classify_geometric_limit(seq)
+
+
+def test_classify_punctured_disk_that_fits_no_case():
+    seq = [(ModelSurface(PUNCTURED_DISK, kappa=(-1.0 if n % 2 else -2.0)),
+            FramedBasepoint(0.5)) for n in range(8)]
+    with pytest.raises(IndeterminateSequence, match=(
+            r"^punctured-disk sequence fits no supported case \(inj "
+            r"diverges, or .*\): inj ends .*; kappa ends \[-2, -1, -2, -1\], "
+            r"steps up to 1 against 0\.001; z ends \[0\.5, 0\.5, 0\.5, "
+            r"0\.5\], .*; p ends ")):
+        classify_geometric_limit(seq)

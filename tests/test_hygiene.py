@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used, every definition in the
 package is reached from what the package runs, every stored field is read,
 every call the benchmark traces exists, the flat layer rounds with one
-epsilon, and importing the package loads only the SciPy it runs.
+epsilon, only flatsurface/io.py knows the surface file's keys, and
+importing the package loads only the SciPy it runs.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -479,8 +480,6 @@ def test_errors_are_typed():
 NAMED_TOLERANCES = {
     "surface.py:GEOM_TOL": "checks a surface handed in: edge lengths match "
                            "and triangles have area, relative to its size",
-    "surface.py:_ISO_TOL": "checks a surface handed in: a stored gluing "
-                           "isometry matches the one its edges give",
     "surface.py:_ORDER_TOL": "checks a surface handed in: each cone angle "
                              "is 2 pi (1 + k/3) for a whole k",
     "surgery.py:_RAY_MARGIN": "keeps the wedge boundary clear of every fan "
@@ -489,6 +488,8 @@ NAMED_TOLERANCES = {
                               "lattice line at its own end",
     "geodesics.py:ANGLE_SLACK": "the slack of the angle-condition check that "
                                 "certifies a returned geodesic",
+    "io.py:_ISO_TOL": "checks a surface file read in: a stored gluing "
+                      "isometry matches the one its edges give",
 }
 
 
@@ -523,6 +524,31 @@ def test_flat_layer_rounds_with_one_epsilon():
     stale = sorted(NAMED_TOLERANCES.keys() - set(found))
     assert not stale, ("NAMED_TOLERANCES entries with no such constant: "
                        f"{stale}")
+
+
+# The keys of the surface file, which flatsurface/io.py alone writes and reads
+SURFACE_FILE_KEYS = {"rot", "tx", "ty", "punctures"}
+
+
+def _surface_file_keys(path: Path) -> list[tuple[int, str]]:
+    """(line, key) of each string literal in the module that is a key of
+    the surface file."""
+    return [(n.lineno, n.value)
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value in SURFACE_FILE_KEYS]
+
+
+def test_surface_file_format_lives_in_io():
+    io_py = ROOT / "src/cubiclab/flatsurface/io.py"
+    assert {key for _line, key in _surface_file_keys(io_py)} \
+        == SURFACE_FILE_KEYS
+    outside = [f"{path.relative_to(ROOT)}:{line}: {key!r}"
+               for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
+               if path != io_py
+               for line, key in _surface_file_keys(path)]
+    assert not outside, ("surface file keys outside flatsurface/io.py:\n"
+                         + "\n".join(outside))
 
 
 def _scipy_loaded_by(modules: str) -> list[str]:

@@ -182,8 +182,11 @@ def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
     ({"command": "spectrum", "surface": "square-torus", "marking": "m.json"},
      {"m.json": json.dumps([{"strip": [[9, 0], [1, 0]]}])},
      "crossing 0 references invalid slot (9, 0)"),
+    ({"command": "spectrum", "surface": "square-torus", "marking": "m.json"},
+     {"m.json": json.dumps({"name": "a", "strip": [[0, 0], [1, 1]]})},
+     "cannot load m.json: TypeError: "),
 ], ids=["weight", "eps", "eps-nan", "t_list", "t_list-negative",
-        "t_list-zero", "two-corners", "not-json", "slot"])
+        "t_list-zero", "two-corners", "not-json", "slot", "bare-class"])
 def test_cli_bad_argument_exits_2(tmp_path, monkeypatch, capsys, config,
                                   files, value):
     monkeypatch.chdir(tmp_path)

@@ -151,7 +151,7 @@ def test_rotated_octagon_has_the_same_spectrum_and_saddles(seed,
              for a in np.resize(angles, o.num_triangles)]
     r = TriangulatedFlatSurface(
         [[turn(z) for z in tri] for turn, tri in zip(turns, o.triangles)],
-        o.gluings)
+        o.gluings.items())
     marking = presets.octagon_marking()
     want = spectrum_from_flat(o, marking).values
     got = spectrum_from_flat(r, marking).values

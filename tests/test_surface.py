@@ -11,8 +11,9 @@ from cubiclab.errors import (
     NegativeOrderAtInterior,
     NonInvolutiveGluing,
 )
-from cubiclab.flatsurface import area, build_surface, gauss_bonnet_defect, presets
+from cubiclab.flatsurface import area, gauss_bonnet_defect, presets
 from cubiclab.flatsurface.cylinders import insert_cylinder_detailed
+from cubiclab.flatsurface.io import build_surface, surface_to_dict
 from cubiclab.flatsurface.surface import PlanarIsometry, TriangulatedFlatSurface
 
 
@@ -50,8 +51,8 @@ def test_doubled_triangle_marked_poles():
 def test_negative_order_requires_marking():
     trial = presets.doubled_triangle()
     with pytest.raises(NegativeOrderAtInterior):
-        TriangulatedFlatSurface([t for t in trial.triangles], trial.gluings,
-                                marked_punctures=())
+        TriangulatedFlatSurface([t for t in trial.triangles],
+                                trial.gluings.items(), marked_punctures=())
 
 
 def test_edge_length_mismatch():
@@ -68,7 +69,7 @@ def test_edge_length_mismatch():
     tris = [list(t) for t in o.triangles]
     tris[0][1] += 1e-4 * abs(tris[0][1] - tris[0][0])
     with pytest.raises(EdgeLengthMismatch):
-        TriangulatedFlatSurface(tris, o.gluings)
+        TriangulatedFlatSurface(tris, o.gluings.items())
 
 
 def test_non_involutive_gluing():
@@ -141,14 +142,7 @@ def test_gauss_bonnet_negative_control():
 
 def test_build_surface_json_roundtrip_isometries():
     s = presets.regular_octagon()
-    spec = {
-        "triangles": [[[z.real, z.imag] for z in t] for t in s.triangles],
-        "gluings": [[list(a), list(b),
-                     {"rot": s.isometries[a].angle,
-                      "tx": s.isometries[a].shift.real,
-                      "ty": s.isometries[a].shift.imag}]
-                    for a, b in s.gluings.items() if a < b],
-    }
+    spec = surface_to_dict(s)
     s2 = build_surface(spec)
     assert abs(area(s2) - area(s)) < 1e-12
     assert s2.orbit_orders == s.orbit_orders
@@ -180,4 +174,5 @@ def test_isometry_composition_inverse():
         q = complex(*rng.uniform(-3, 3, size=2))
         m = PlanarIsometry.from_segment_match(p, q, a(p), a(q))
         assert abs(m(p) - a(p)) < 1e-12 and abs(m(q) - a(q)) < 1e-12
-        assert m.is_close(a, 1e-12)
+        assert abs(m.rot - a.rot) <= 1e-12
+        assert abs(m.shift - a.shift) <= 1e-12

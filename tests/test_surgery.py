@@ -165,3 +165,35 @@ def test_carve_rotates_its_fan_until_the_wedge_fits(w):
     assert abs(gauss_bonnet_defect(g)) < 1e-9
     expect = 1.5 - 2.0 * WEDGE_AREA * eps ** 2 + 3.0 * eps * w
     assert abs(area(g) - expect) < 1e-12
+
+
+def test_glue_takes_one_pair_of_distinct_surfaces():
+    t1 = presets.square_torus(mark_vertex=True)
+    t2 = presets.square_torus(mark_vertex=True)
+    t3 = presets.square_torus(mark_vertex=True)
+    with pytest.raises(BadParameters,
+                       match=r"glues one pair of parts, got 3 parts$"):
+        triangle_surgery_glue([(t1, 0), (t2, 0), (t3, 0)], 0.1)
+    with pytest.raises(BadParameters, match=(
+            r"glues two distinct surfaces, got 1 surface object for 2 "
+            r"parts$")):
+        triangle_surgery_glue([(t1, 0), (t1, 0)], 0.1)
+    with pytest.raises(BadParameters, match=(
+            r"one pair of parts takes one weight, got 2: \[0\.0, 0\.3\]$")):
+        triangle_surgery_glue([(t1, 0), (t2, 0)], 0.1, weights=[0.0, 0.3])
+
+
+def test_gluings_chain_at_surviving_punctures():
+    # the 2 x 1 torus glued at orbit 0 keeps orbit 1 marked, and a third
+    # torus glues there: genus three, the three tori less two wedges each
+    eps = 0.2
+    g = triangle_surgery_glue(
+        [(presets.square_torus(mark_vertex=True), 0), (two_by_one_torus(), 0)],
+        eps)
+    (orbit,) = g.marked_punctures
+    h = triangle_surgery_glue(
+        [(g, orbit), (presets.square_torus(mark_vertex=True), 0)], eps)
+    assert h.euler_characteristic == -4
+    assert not h.marked_punctures
+    assert abs(gauss_bonnet_defect(h)) < 1e-9
+    assert abs(area(h) - (4.0 - 4.0 * WEDGE_AREA * eps ** 2)) < 1e-12
