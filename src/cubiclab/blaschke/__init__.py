@@ -2,12 +2,11 @@
 
 from .grid import Grid2D, square_window, unit_torus_grid
 from .cubic import CubicDifferentialField
-from .solver import (BlaschkeSolution, check_subsolution, discrete_laplacian,
-                     solve_tzitzeica, solve_wang)
+from .solver import (BlaschkeSolution, check_subsolution, solve_tzitzeica,
+                     solve_wang)
 from .estimates import (
     AreaBounds,
     area_and_bounds,
-    curvature_field,
     gap_upper_bound,
     largest_root,
     log_density_curvature,
@@ -18,9 +17,8 @@ from .decay import DecayCertificate, decay_experiment, flat_metric_path_length
 __all__ = [
     "Grid2D", "square_window", "unit_torus_grid",
     "CubicDifferentialField",
-    "BlaschkeSolution", "check_subsolution", "discrete_laplacian",
-    "solve_tzitzeica", "solve_wang",
-    "AreaBounds", "area_and_bounds", "curvature_field",
+    "BlaschkeSolution", "check_subsolution", "solve_tzitzeica", "solve_wang",
+    "AreaBounds", "area_and_bounds",
     "gap_upper_bound", "largest_root",
     "log_density_curvature", "minimal_surface_metric",
     "DecayCertificate", "decay_experiment", "flat_metric_path_length",

@@ -10,57 +10,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BadParameters
-from .grid import DIRICHLET
-from .solver import CBRT2, BlaschkeSolution, _safe_exp, discrete_laplacian
+from .grid import Grid2D
+from .solver import CBRT2, BlaschkeSolution, _safe_exp
 
 
-def log_density_curvature(log_density: np.ndarray, dx: float, dy: float,
-                          periodic: bool = False) -> np.ndarray:
-    """Curvature -(1/2) e^(-w) Lap w of the metric e^w |dz|^2."""
-    lap = discrete_laplacian(log_density, dx, dy, periodic)
-    return -0.5 * _safe_exp(-np.asarray(log_density, dtype=float)) * lap
-
-
-def curvature_field(sol: BlaschkeSolution) -> np.ndarray:
-    """Curvature of the solved metric at interior nodes (NaN on boundary
-    for Dirichlet grids)."""
-    return log_density_curvature(sol.psi, sol.grid.dx, sol.grid.dy,
-                                 periodic=sol.grid.bc != DIRICHLET)
+def log_density_curvature(grid: Grid2D, log_density) -> np.ndarray:
+    """Curvature -(1/2) e^(-w) Lap w of the metric e^w |dz|^2 at the grid's
+    nodes (NaN on the rim of a Dirichlet grid)."""
+    w = np.asarray(log_density, dtype=float)
+    lap = np.full_like(w, np.nan)
+    lap[grid.inner] = grid.laplacian(w)
+    return -0.5 * _safe_exp(-w) * lap
 
 
 def largest_root(a: float) -> float:
     """Largest positive root of p(t) = 2 t^3 - 2 t^2 - 4 a, for a >= 0.
 
-    The root is >= 1 with p > 0 beyond it; the residual is polished below
-    1e-12 by Newton steps.
+    The root is >= 1, and p is increasing and convex on [1, inf).  So
+    Newton's method from t = max(2, (2a)^(1/3) + 1.5), where p > 0 because
+    2 t^2 (t - 1) > 4a, falls monotonically onto it; it stops when a step
+    no longer moves down.
     """
     if not a >= 0:
         raise BadParameters(f"the comparison root needs a >= 0, got {a}")
     if a == 0:
         return 1.0
-
-    def p(t):
-        return 2.0 * t ** 3 - 2.0 * t ** 2 - 4.0 * a
-
-    def dp(t):
-        return 6.0 * t ** 2 - 4.0 * t
-
-    hi = max(2.0, (2.0 * a) ** (1.0 / 3.0) + 1.5)
-    while p(hi) <= 0:
-        hi *= 2.0
-    lo = 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if p(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14 * hi:
-            break
-    r = 0.5 * (lo + hi)
-    for _ in range(4):
-        r -= p(r) / dp(r)
-    return float(r)
+    r = max(2.0, (2.0 * a) ** (1.0 / 3.0) + 1.5)
+    while True:
+        nxt = r - (2.0 * r ** 3 - 2.0 * r ** 2 - 4.0 * a) \
+            / (6.0 * r ** 2 - 4.0 * r)
+        if not nxt < r:
+            return float(r)
+        r = nxt
 
 
 @dataclass(frozen=True)
@@ -83,8 +64,9 @@ def area_and_bounds(sol: BlaschkeSolution) -> AreaBounds:
     area_h = sol.grid.integrate(sol.h)
     flat = sol.q.flat_area()
     lower = CBRT2 * flat
-    if sol.grid.bc != DIRICHLET:
-        upper = lower  # chi = 0 closes the two-sided bound
+    if sol.grid.interior_mask().all():
+        # a grid without rim is the torus: chi = 0 closes the two-sided bound
+        upper = lower
         literal = True
     else:
         upper = math.inf

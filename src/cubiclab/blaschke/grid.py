@@ -1,10 +1,16 @@
-"""Uniform finite-difference grids on axis-aligned rectangles."""
+"""Uniform finite-difference grids on axis-aligned rectangles.
+
+The grid is the one place that knows its boundary condition: which nodes
+the 5-point stencil acts on, the stencil itself, and the spectral inverse
+of -Lap + c on those nodes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dstn, fft2, idstn, ifft2
 
 from ..errors import BadParameters
 
@@ -50,23 +56,54 @@ class Grid2D:
         return (self.y1 - self.y0) / n
 
     @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.nx)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.y0 + self.dy * np.arange(self.ny)
-
-    @property
     def zs(self) -> np.ndarray:
-        X, Y = np.meshgrid(self.xs, self.ys)
+        X, Y = np.meshgrid(self.x0 + self.dx * np.arange(self.nx),
+                           self.y0 + self.dy * np.arange(self.ny))
         return X + 1j * Y
 
+    @property
+    def inner(self) -> tuple[slice, slice]:
+        """The block of nodes the stencil acts on: all but the rim of a
+        Dirichlet grid, every node of a torus."""
+        return np.s_[1:-1, 1:-1] if self.bc == DIRICHLET else np.s_[:, :]
+
     def interior_mask(self) -> np.ndarray:
-        m = np.ones((self.ny, self.nx), dtype=bool)
-        if self.bc == DIRICHLET:
-            m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = False
+        m = np.zeros((self.ny, self.nx), dtype=bool)
+        m[self.inner] = True
         return m
+
+    def laplacian(self, field) -> np.ndarray:
+        """5-point Laplacian of a node field on the inner block; a torus
+        field is padded by wrapping around."""
+        x = np.asarray(field, dtype=float)
+        if self.bc == PERIODIC:
+            x = np.pad(x, 1, mode="wrap")
+        c2 = 2.0 * x[1:-1, 1:-1]
+        return ((x[1:-1, 2:] - c2 + x[1:-1, :-2]) * (1.0 / self.dx ** 2)
+                + (x[2:, 1:-1] - c2 + x[:-2, 1:-1]) * (1.0 / self.dy ** 2))
+
+    def shifted_inverse(self, c: float):
+        """The map b -> (-Lap + c)^-1 b on inner-block arrays: a type-1 sine
+        transform on Dirichlet grids, an FFT on the torus."""
+        periodic = self.bc == PERIODIC
+
+        def symbol(n, h):
+            # eigenvalues of the 1-D negative second difference, in FFT
+            # order on n periodic nodes, in DST-I order on n - 2 inner nodes
+            j, m = (np.arange(n), n) if periodic else (np.arange(1, n - 1),
+                                                        2 * n - 2)
+            return (2.0 / h * np.sin(np.pi * j / m)) ** 2
+
+        eig = symbol(self.ny, self.dy)[:, None] \
+            + symbol(self.nx, self.dx)[None, :] + c
+        if periodic:
+            return lambda b: ifft2(fft2(b) / eig).real
+
+        def solve(b):
+            spec = dstn(b, type=1)
+            spec /= eig
+            return idstn(spec, type=1, overwrite_x=True)
+        return solve
 
     def nearest_node(self, z: complex) -> tuple[int, int]:
         ix = int(round((z.real - self.x0) / self.dx))
@@ -74,9 +111,6 @@ class Grid2D:
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
             raise BadParameters(f"point {z} outside the grid")
         return iy, ix
-
-    def cell_area(self) -> float:
-        return self.dx * self.dy
 
     def integrate(self, field) -> float:
         """Quadrature of a node field over the domain: the trapezoid rule on
@@ -87,7 +121,7 @@ class Grid2D:
         if self.bc == DIRICHLET:
             wx[[0, -1]] = wy[[0, -1]] = 0.5
         return float(wy @ np.asarray(field, dtype=float) @ wx) \
-            * self.cell_area()
+            * (self.dx * self.dy)
 
 
 def square_window(center: complex, side: float, n: int) -> Grid2D:

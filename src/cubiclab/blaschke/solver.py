@@ -12,13 +12,13 @@ the flat comparison metric 2^(1/3)|q|^(2/3) satisfies
 Both read Lap x = f(x) with f' > 0, so the Newton systems are uniformly
 invertible (also on the torus) and the discrete solutions obey the maximum
 principle.  One matrix-free damped Newton kernel solves both on the free
-nodes (those not pinned to boundary values), applying the 5-point stencil by
-array slicing.  Each step solves (-Lap + diag f') d = r by the kernel's own
+nodes (those not pinned to boundary values), applying the grid's 5-point
+stencil.  Each step solves (-Lap + diag f') d = r by the kernel's own
 conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for step, on
-buffers allocated once per solve), preconditioned by (-Lap + c I)^-1 on the
-whole rectangle, c the mean of f' over the free nodes: a type-1 sine
-transform on Dirichlet grids, an FFT on the torus, with free-node vectors
-zero-padded to the rectangle.
+buffers allocated once per solve), preconditioned by the grid's spectral
+inverse of -Lap + c on the whole stencil block, c the mean of f' over the
+free nodes, with free-node vectors zero-padded to the block.  The kernel
+never asks which boundary condition the grid has.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dstn, fft2, idstn, ifft2
 
 from ..errors import BadParameters, NoConvergence, SingularJacobian
 from .cubic import CubicDifferentialField
-from .grid import DIRICHLET, Grid2D
+from .grid import Grid2D
 
 _EXP_CAP = 300.0
 _CG_MAXITER = 500
@@ -70,64 +69,24 @@ def check_subsolution(sol: BlaschkeSolution) -> np.ndarray:
     return sol.h - CBRT2 * sol.q.abs23
 
 
-def discrete_laplacian(field: np.ndarray, dx: float, dy: float,
-                       periodic: bool = False) -> np.ndarray:
-    """5-point Laplacian of a node field; wrapped around if periodic, NaN
-    on the rim otherwise."""
-    x = np.asarray(field, dtype=float)
-    idx2 = 1.0 / dx ** 2
-    idy2 = 1.0 / dy ** 2
-    if periodic:
-        return ((np.roll(x, -1, 1) - 2.0 * x + np.roll(x, 1, 1)) * idx2
-                + (np.roll(x, -1, 0) - 2.0 * x + np.roll(x, 1, 0)) * idy2)
-    out = np.full_like(x, np.nan)
-    out[1:-1, 1:-1] = _interior_laplacian(x, idx2, idy2)
-    return out
-
-
-def _interior_laplacian(x: np.ndarray, idx2: float, idy2: float):
-    """5-point Laplacian of a node field at its inner nodes."""
-    c2 = 2.0 * x[1:-1, 1:-1]
-    return ((x[1:-1, 2:] - c2 + x[1:-1, :-2]) * idx2
-            + (x[2:, 1:-1] - c2 + x[:-2, 1:-1]) * idy2)
-
-
-def _symbol(n: int, h: float, periodic: bool) -> np.ndarray:
-    """Eigenvalues of the 1-D negative second difference, in FFT order on n
-    periodic nodes, in type-1 sine transform order on n - 2 inner nodes."""
-    j, m = (np.arange(n), n) if periodic else (np.arange(1, n - 1), 2 * n - 2)
-    return (2.0 / h * np.sin(np.pi * j / m)) ** 2
-
-
 def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, b: np.ndarray,
          tol: float, label: str) -> np.ndarray:
     """Solve (-Lap + diag fp) d = b on the free nodes; d = 0 elsewhere.
 
     The loop is SciPy's ``sparse.linalg.cg`` from x = 0, step for step, with
     atol = 0.01 tol and rtol = 1e-3 min(1, max|b|)."""
-    periodic = grid.bc != DIRICHLET
-    eig = (_symbol(grid.ny, grid.dy, periodic)[:, None]
-           + _symbol(grid.nx, grid.dx, periodic)[None, :] + float(fp.mean()))
-    idx2, idy2 = 1.0 / grid.dx ** 2, 1.0 / grid.dy ** 2
+    shifted = grid.shifted_inverse(float(fp.mean()))
     full = np.zeros((grid.ny, grid.nx))  # a free-node vector, zero-padded
-    inner = free[1:-1, 1:-1]  # on Dirichlet grids every free node is inner
+    inner = free[grid.inner]  # every free node is in the stencil's block
     work = np.zeros(inner.shape)
 
     def matvec(v):
         full[free] = v
-        if periodic:
-            return fp * v - discrete_laplacian(full, grid.dx, grid.dy,
-                                               True)[free]
-        return fp * v - _interior_laplacian(full, idx2, idy2)[inner]
+        return fp * v - grid.laplacian(full)[inner]
 
     def precondition(v):
-        if periodic:
-            full[free] = v
-            return ifft2(fft2(full) / eig).real[free]
         work[inner] = v
-        spec = dstn(work, type=1)
-        spec /= eig
-        return idstn(spec, type=1, overwrite_x=True)[inner]
+        return shifted(work)[inner]
 
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
@@ -161,13 +120,26 @@ def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, b: np.ndarray,
     return full
 
 
-def _dirichlet_values(grid: Grid2D, fixed: np.ndarray, values,
-                      label: str) -> np.ndarray:
-    """Dirichlet data as a node field, checked: given, of the grid's shape,
-    and finite on the pinned nodes ``fixed``."""
+def _pinned(grid: Grid2D, values, mask, label: str):
+    """The pinned nodes and their values, checked.  A torus pins no node
+    and takes neither values nor a mask; a Dirichlet grid pins its rim and
+    ``mask``, to ``values`` (a number or a node field), finite there."""
+    fixed = ~grid.interior_mask()
+    if not fixed.any():
+        if values is not None or mask is not None:
+            masked = 0 if mask is None else int(np.count_nonzero(mask))
+            given = "given" if values is not None else "none"
+            raise BadParameters(
+                f"{label}: a torus grid has no boundary: got {masked} masked "
+                f"nodes and boundary values {given}")
+        return fixed, 0.0
+    if mask is not None:
+        fixed |= np.asarray(mask, dtype=bool)
     if values is None:
         raise BadParameters(f"{label}: Dirichlet solves need boundary values, "
                             "got None")
+    if np.ndim(values) == 0:
+        values = np.full((grid.ny, grid.nx), float(values))
     bvals = np.asarray(values, dtype=float)
     if bvals.shape != (grid.ny, grid.nx):
         raise BadParameters(f"{label}: boundary field of shape {bvals.shape} "
@@ -176,7 +148,7 @@ def _dirichlet_values(grid: Grid2D, fixed: np.ndarray, values,
     if bad.size:
         raise BadParameters(f"{label}: {bad.size} pinned boundary values are "
                             f"not finite, e.g. {bad[0]}")
-    return bvals
+    return fixed, bvals
 
 
 def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
@@ -185,12 +157,12 @@ def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
     ``fixed_mask`` (x = ``fixed_values`` on it): the solution field, its
     max-norm residual over the free nodes and the Newton step count."""
     free = ~fixed_mask
-    periodic = grid.bc != DIRICHLET
+    inner = free[grid.inner]
     x = np.where(fixed_mask, fixed_values, x0)
 
     def residual(v):
         fv, _ = f_and_deriv(v)
-        return (discrete_laplacian(v, grid.dx, grid.dy, periodic) - fv)[free]
+        return grid.laplacian(v)[inner] - fv[free]
 
     r = residual(x)
     rn = float(np.abs(r).max())
@@ -220,34 +192,29 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
                boundary_psi=None, max_iter: int = 60) -> BlaschkeSolution:
     """Solve Lap psi = 2 e^psi - 4 |q|^2 e^(-2 psi) on the grid.
 
-    Dirichlet solves take boundary psi values (array or callable of z);
-    doubly periodic solves need q not identically zero.
+    Dirichlet solves take boundary psi values (a number or a node field);
+    doubly periodic solves take none and need q not identically zero.
     """
     abs2 = q.abs2
-    periodic = grid.bc != DIRICHLET
-    if periodic and float(abs2.max()) == 0.0:
+    fixed, bvals = _pinned(grid, boundary_psi, None, "wang")
+    # initial guess: capped subsolution, blended with boundary data
+    with np.errstate(divide="ignore"):
+        sub = np.log(2.0 * abs2) / 3.0
+    if fixed.any():
+        # harmonic extension: f' = 0 makes the preconditioner exact
+        free = ~fixed
+        base = np.where(fixed, bvals, 0.0)
+        harmonic = base + _pcg(grid, free, np.zeros(int(free.sum())),
+                               grid.laplacian(base)[free[grid.inner]], tol,
+                               "wang")
+        x0 = np.maximum(harmonic, np.maximum(sub, bvals[fixed].min() - 50.0))
+    elif float(abs2.max()) == 0.0:
         raise BadParameters(
             f"q = 0 on the {grid.nx} x {grid.ny} periodic grid: the "
             "integral of Lap psi vanishes but the right side 2 e^psi is "
             "strictly positive")
-
-    fixed = ~grid.interior_mask()
-    # initial guess: capped subsolution, blended with boundary data
-    with np.errstate(divide="ignore"):
-        sub = np.log(2.0 * abs2) / 3.0
-    if periodic:
-        bvals = 0.0
-        x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
     else:
-        bvals = _dirichlet_values(
-            grid, fixed, boundary_psi(grid.zs) if callable(boundary_psi)
-            else boundary_psi, "wang")
-        # harmonic extension: f' = 0 makes the preconditioner exact
-        base = np.where(fixed, bvals, 0.0)
-        lap = discrete_laplacian(base, grid.dx, grid.dy)
-        harmonic = base + _pcg(grid, ~fixed, np.zeros(int((~fixed).sum())),
-                               lap[~fixed], tol, "wang")
-        x0 = np.maximum(harmonic, np.maximum(sub, bvals[fixed].min() - 50.0))
+        x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
 
     def f_and_deriv(psi):
         e1 = _safe_exp(psi)
@@ -277,26 +244,13 @@ def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
     neither ``boundary`` nor ``fixed_mask``: it raises ``BadParameters``.
     """
     c = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23
-    fixed = ~grid.interior_mask()
-    if grid.bc != DIRICHLET:
-        if fixed_mask is not None or boundary is not None:
-            masked = 0 if fixed_mask is None else \
-                int(np.count_nonzero(fixed_mask))
-            given = "given" if boundary is not None else "none"
-            raise BadParameters(
-                f"a torus grid has no boundary: got {masked} masked nodes "
-                f"and boundary values {given}")
-        bvals = x0 = 0.0
-    else:
-        if fixed_mask is not None:
-            fixed = fixed | np.asarray(fixed_mask, dtype=bool)
-        if boundary is not None and np.ndim(boundary) == 0:
-            boundary = np.full((grid.ny, grid.nx), float(boundary))
-        bvals = _dirichlet_values(grid, fixed, boundary, "tzitzeica")
-        if bvals[fixed].min() < 0:
-            raise BadParameters(
-                f"boundary gap value {bvals[fixed].min():.6g} < 0")
-        x0 = np.full((grid.ny, grid.nx), float(bvals[fixed].mean()))
+    fixed, bvals = _pinned(grid, boundary, fixed_mask, "tzitzeica")
+    x0 = 0.0
+    if fixed.any():
+        low = float(bvals[fixed].min())
+        if low < 0:
+            raise BadParameters(f"boundary gap value {low:.6g} < 0")
+        x0 = float(bvals[fixed].mean())
 
     def f_and_deriv(F):
         Fc = np.clip(F, -_EXP_CAP, _EXP_CAP)

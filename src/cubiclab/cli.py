@@ -279,8 +279,7 @@ def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
 def _limit_sweep(name: str):
     if name == "pinching-annuli":
         seq = [(geomlimits.ModelSurface(geomlimits.ANNULUS, kappa=-0.5,
-                                        R=math.exp(n)),
-                geomlimits.FramedBasepoint(0.5))
+                                        R=math.exp(n)), 0.5)
                for n in range(4, 14)]
         return seq, "punctured-disk"
     if name == "core-tracking":
@@ -290,19 +289,17 @@ def _limit_sweep(name: str):
             kap = -math.pi ** 4 / (4.0 * math.log(R) ** 2)
             seq.append((geomlimits.ModelSurface(geomlimits.ANNULUS,
                                                 kappa=kap, R=R),
-                        geomlimits.FramedBasepoint(1.0 / math.sqrt(R))))
+                        1.0 / math.sqrt(R)))
         return seq, "punctured-plane"
     if name == "plane-limit":
         seq = [(geomlimits.ModelSurface(geomlimits.PUNCTURED_DISK,
-                                        kappa=-1.0 / n ** 2),
-                geomlimits.FramedBasepoint(0.3))
+                                        kappa=-1.0 / n ** 2), 0.3)
                for n in range(2, 60, 4)]
         return seq, "plane"
     if name == "oscillating":
         seq = [(geomlimits.ModelSurface(geomlimits.ANNULUS,
                                         kappa=(-0.3 if n % 2 else -0.6),
-                                        R=20.0),
-                geomlimits.FramedBasepoint(0.5))
+                                        R=20.0), 0.5)
                for n in range(8)]
         return seq, "indeterminate"
     raise ConfigError(f"unknown sweep preset {name!r}")

@@ -15,7 +15,6 @@ Supported models (kappa < 0 throughout where it appears):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -148,8 +147,12 @@ def far_end_mass(kappa: float, R: float, C: float) -> float:
 
 
 def far_end_mass_quadrature(kappa: float, R: float, C: float) -> float:
-    """2-d adaptive quadrature of the same mass integral, as a cross-check."""
-    from scipy.integrate import dblquad
+    """Adaptive quadrature of the same mass integral, as a cross-check.
+
+    The integrand |q| lambda^(-1) r depends on the radius alone, so the
+    angular integral is the factor 2 pi and a 1-d ``quad`` in r remains.
+    """
+    from scipy.integrate import quad
 
     if not (kappa < 0 and R > 1 and 1 < C <= R):
         raise BadParameters(f"need kappa < 0, R > 1, 1 < C <= R, got "
@@ -157,43 +160,28 @@ def far_end_mass_quadrature(kappa: float, R: float, C: float) -> float:
     logR = math.log(R)
     pref = math.sqrt(-kappa) * logR / math.pi
 
-    def integrand(rad, _theta):
+    def integrand(rad):
         s = abs(math.sin(math.pi * math.log(rad) / logR))
-        # |q| lambda^{-1} r dr dtheta with |q| = 1/r^3
+        # |q| lambda^{-1} r dr with |q| = 1/r^3
         return pref * s / rad ** 2 * rad
 
-    val, _err = dblquad(integrand, 0.0, 2.0 * math.pi,
-                        lambda _t: 1.0 / R, lambda _t: C / R,
-                        epsabs=0.0, epsrel=1e-8)
-    return float(val)
+    val, _err = quad(integrand, 1.0 / R, C / R, epsabs=0.0, epsrel=1e-8)
+    return float(2.0 * math.pi * val)
 
 
 def core_length_quadrature(R: float, kappa: float = -1.0) -> float:
-    """Line integral of lambda |dz| along the core circle |z| = 1/sqrt(R):
-    the sum of sqrt(density) r dtheta over 20000 equally spaced points."""
+    """Line integral of lambda |dz| along the core circle |z| = 1/sqrt(R).
+
+    The annulus density is radial, so lambda is constant on the circle and
+    the integral is its circumference 2 pi r times sqrt(density) at one
+    point of it: a check of ``density`` against ``core_length``.
+    """
     m = ModelSurface(ANNULUS, kappa=kappa, R=R)
     rad = 1.0 / math.sqrt(R)
-    dtheta = 2.0 * math.pi / 20000
-    return math.fsum(math.sqrt(density(m, rad * cmath.exp(1j * j * dtheta)))
-                     * rad * dtheta for j in range(20000))
+    return 2.0 * math.pi * rad * math.sqrt(density(m, complex(rad)))
 
 
 # -- geometric limits of parameter sequences ---------------------------------
-
-
-@dataclass(frozen=True)
-class FramedBasepoint:
-    """A basepoint; the injectivity radius must be >= 1."""
-
-    z: complex
-
-    def validated_on(self, m: ModelSurface) -> "FramedBasepoint":
-        rad = injectivity_radius(m, self.z)
-        if rad < 1.0 - 1e-12:
-            raise BadParameters(
-                f"injectivity radius {rad:.6g} at {self.z} below one on "
-                f"{m.variant}")
-        return self
 
 
 def _tail(xs):
@@ -229,7 +217,8 @@ def _diverges(xs):
 
 
 def classify_geometric_limit(seq) -> ModelSurface:
-    """Limit model of a sequence of (ModelSurface, FramedBasepoint).
+    """Limit model of a sequence of (ModelSurface, z) pairs, z a basepoint
+    where the injectivity radius is at least one.
 
     The decision rules are closed-form predicates on the parameter laws;
     the sequence itself must satisfy a single case's hypotheses, otherwise
@@ -238,16 +227,19 @@ def classify_geometric_limit(seq) -> ModelSurface:
     """
     if not seq:
         raise IndeterminateSequence("empty sequence: 0 terms to classify")
-    models = [m for m, _v in seq]
-    points = [v for _m, v in seq]
-    for m, v in zip(models, points):
-        v.validated_on(m)
+    models = [m for m, _z in seq]
+    points = [z for _m, z in seq]
+    inj = [injectivity_radius(m, z) for m, z in seq]
+    for m, z, rad in zip(models, points, inj):
+        if rad < 1.0 - 1e-12:
+            raise BadParameters(
+                f"injectivity radius {rad:.6g} at {z} below one on "
+                f"{m.variant}")
     variants = {m.variant for m in models}
     if len(variants) != 1:
         raise IndeterminateSequence(f"mixed model variants in one "
                                     f"sequence: {sorted(variants)}")
     variant = variants.pop()
-    inj = [injectivity_radius(m, v.z) for m, v in zip(models, points)]
 
     if variant in (PLANE, PUNCTURED_PLANE, DISK):
         kap = [m.kappa for m in models]
@@ -265,10 +257,9 @@ def classify_geometric_limit(seq) -> ModelSurface:
     if variant == PUNCTURED_DISK:
         if _diverges(inj):
             return ModelSurface(PLANE)
-        p = [-m.kappa * math.log(abs(v.z)) ** 2
-             for m, v in zip(models, points)]
+        p = [-m.kappa * math.log(abs(z)) ** 2 for m, z in seq]
         kap = [m.kappa for m in models]
-        zs = [abs(v.z) for v in points]
+        zs = [abs(z) for z in points]
         ok_k, k_lim = _converges(kap)
         ok_z, z_lim = _converges(zs)
         if ok_k and k_lim < -1e-12 and ok_z and 0 < z_lim < 1:
@@ -293,7 +284,7 @@ def classify_geometric_limit(seq) -> ModelSurface:
     if _diverges(inj):
         return ModelSurface(PLANE)
     q = [-m.kappa * math.log(m.R) ** 2 for m in models]
-    t = [abs(v.z) * math.sqrt(m.R) for m, v in zip(models, points)]
+    t = [abs(z) * math.sqrt(m.R) for m, z in seq]
     ok_q, q_lim = _converges(q)
     ok_t, _t_lim = _converges(t)
     if ok_q and q_lim > 1e-12 and ok_t and _diverges(Rs):

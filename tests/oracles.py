@@ -23,7 +23,6 @@ from scipy.fft import dstn, fft2, idstn, ifft2
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from cubiclab.blaschke.grid import DIRICHLET
-from cubiclab.blaschke.solver import discrete_laplacian
 from cubiclab.flatsurface.geodesics import HomotopyClassPath
 from cubiclab.flatsurface.planar import EPS, angle_between
 
@@ -189,8 +188,7 @@ def scipy_pcg(grid, free, fp, b, tol):
         return out
 
     def matvec(v):
-        return fp * v - discrete_laplacian(pad(v), grid.dx, grid.dy,
-                                           periodic)[free]
+        return fp * v - grid.laplacian(pad(v))[free[grid.inner]]
 
     def precondition(v):
         w = pad(v)

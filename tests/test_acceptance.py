@@ -80,7 +80,8 @@ def test_criterion_4_wang_solver_correctness():
         gd = blaschke.Grid2D(-1.3, 1.3, -1.3, 1.3, n, n)
         qd = blaschke.CubicDifferentialField.constant(gd, 0.0)
         t1 = time.perf_counter()
-        sd = blaschke.solve_wang(gd, qd, tol=1e-10, boundary_psi=exact)
+        sd = blaschke.solve_wang(gd, qd, tol=1e-10,
+                                 boundary_psi=exact(gd.zs))
         times.append(time.perf_counter() - t1)
         errs.append(float(np.abs(sd.psi - exact(gd.zs))
                           [gd.interior_mask()].max()))
@@ -100,7 +101,7 @@ def test_criterion_5_estimate_suite_z_cubic():
     sol = blaschke.solve_wang(g, q, tol=1e-10, boundary_psi=bc)
     inner = g.interior_mask()
     assert (sol.gap[inner] > 0).all()
-    kappa = blaschke.curvature_field(sol)
+    kappa = blaschke.log_density_curvature(sol.grid, sol.psi)
     assert (kappa[inner] < 0).all()
     ident = float(np.abs(kappa + 1.0 - 2.0 * q.abs2
                          * np.exp(-3.0 * sol.psi))[inner].max())
@@ -178,7 +179,7 @@ def test_criterion_8_appendix_formulas():
 
     seq1 = [(geomlimits.ModelSurface(geomlimits.ANNULUS, kappa=-0.5,
                                      R=math.exp(n)),
-             geomlimits.FramedBasepoint(0.5)) for n in range(4, 14)]
+             0.5) for n in range(4, 14)]
     assert geomlimits.classify_geometric_limit(seq1).variant \
         == geomlimits.PUNCTURED_DISK
     seq2 = []
@@ -187,13 +188,13 @@ def test_criterion_8_appendix_formulas():
         kap = -math.pi ** 4 / (4.0 * math.log(Rn) ** 2)
         seq2.append((geomlimits.ModelSurface(geomlimits.ANNULUS, kappa=kap,
                                              R=Rn),
-                     geomlimits.FramedBasepoint(1.0 / math.sqrt(Rn))))
+                     1.0 / math.sqrt(Rn)))
     lim = geomlimits.classify_geometric_limit(seq2)
     assert lim.variant == geomlimits.PUNCTURED_PLANE
     assert abs(lim.r - 2.0) < 1e-9
     seq3 = [(geomlimits.ModelSurface(geomlimits.PUNCTURED_DISK,
                                      kappa=-1.0 / n ** 2),
-             geomlimits.FramedBasepoint(0.3)) for n in range(2, 60, 4)]
+             0.3) for n in range(2, 60, 4)]
     assert geomlimits.classify_geometric_limit(seq3).variant \
         == geomlimits.PLANE
     _report(8, f"identities exact, quadratures {err_quad:.1e}/{worst:.1e}, "

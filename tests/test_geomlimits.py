@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from cubiclab.blaschke import log_density_curvature
+from cubiclab.blaschke import Grid2D, log_density_curvature
 from cubiclab.errors import BadParameters, IndeterminateSequence
 from cubiclab.geomlimits import (
     ANNULUS,
@@ -12,7 +12,6 @@ from cubiclab.geomlimits import (
     PLANE,
     PUNCTURED_DISK,
     PUNCTURED_PLANE,
-    FramedBasepoint,
     ModelSurface,
     classify_geometric_limit,
     core_length,
@@ -53,13 +52,10 @@ def test_densities_reproduce_curvature():
     for m, kappa, (x0, x1, y0, y1) in cases:
         maxima, common = [], []
         for n in (33, 65, 129):
-            xs = np.linspace(x0, x1, n)
-            ys = np.linspace(y0, y1, n)
-            X, Y = np.meshgrid(xs, ys)
-            Z = X + 1j * Y
+            g = Grid2D(x0, x1, y0, y1, n, n)
             logdens = np.log(np.vectorize(
-                lambda z: density(m, complex(z)))(Z))
-            k = log_density_curvature(logdens, xs[1] - xs[0], ys[1] - ys[0])
+                lambda z: density(m, complex(z)))(g.zs))
+            k = log_density_curvature(g, logdens)
             err = np.abs(k - kappa)
             s = (n - 1) // 32  # interior nodes of the n = 33 grid
             maxima.append(float(np.nanmax(err[1:-1, 1:-1])))
@@ -160,7 +156,7 @@ def test_far_end_mass_limits_and_monotonicity():
 
 def test_classify_pinching_annuli():
     seq = [(ModelSurface(ANNULUS, kappa=-0.5, R=math.exp(n)),
-            FramedBasepoint(0.5)) for n in range(4, 14)]
+            0.5) for n in range(4, 14)]
     lim = classify_geometric_limit(seq)
     assert lim.variant == PUNCTURED_DISK
     assert abs(lim.kappa + 0.5) < 1e-12
@@ -173,7 +169,7 @@ def test_classify_core_tracking():
         R = math.exp(n)
         kap = -math.pi ** 4 / (r ** 2 * math.log(R) ** 2)
         seq.append((ModelSurface(ANNULUS, kappa=kap, R=R),
-                    FramedBasepoint(1.0 / math.sqrt(R))))
+                    1.0 / math.sqrt(R)))
     lim = classify_geometric_limit(seq)
     assert lim.variant == PUNCTURED_PLANE
     assert abs(lim.r - r) < 1e-9
@@ -181,10 +177,10 @@ def test_classify_core_tracking():
 
 def test_classify_plane_limits():
     seq = [(ModelSurface(PUNCTURED_DISK, kappa=-1.0 / n ** 2),
-            FramedBasepoint(0.3)) for n in range(2, 60, 4)]
+            0.3) for n in range(2, 60, 4)]
     assert classify_geometric_limit(seq).variant == PLANE
     seq2 = [(ModelSurface(ANNULUS, kappa=-1.0 / n ** 2, R=15.0),
-             FramedBasepoint(0.5)) for n in range(2, 60, 4)]
+             0.5) for n in range(2, 60, 4)]
     assert classify_geometric_limit(seq2).variant == PLANE
 
 
@@ -194,7 +190,7 @@ def test_classify_rescaled_punctured_disks():
     for n in range(6, 30, 2):
         kap = -math.pi ** 2 / (r ** 2 * n ** 2)
         seq.append((ModelSurface(PUNCTURED_DISK, kappa=kap),
-                    FramedBasepoint(math.exp(-n))))
+                    math.exp(-n)))
     lim = classify_geometric_limit(seq)
     assert lim.variant == PUNCTURED_PLANE
     assert abs(lim.r - r) < 1e-9
@@ -203,7 +199,7 @@ def test_classify_rescaled_punctured_disks():
 def test_classify_scale_consistency():
     # rescaling the annulus parameters per the documented law keeps the
     # classification (here: trivial constant-sequence case)
-    seq = [(ModelSurface(ANNULUS, kappa=-0.7, R=9.0), FramedBasepoint(0.5))
+    seq = [(ModelSurface(ANNULUS, kappa=-0.7, R=9.0), 0.5)
            for _ in range(5)]
     lim = classify_geometric_limit(seq)
     assert lim.variant == ANNULUS and abs(lim.R - 9.0) < 1e-12
@@ -211,7 +207,7 @@ def test_classify_scale_consistency():
 
 def test_classify_indeterminate():
     seq = [(ModelSurface(ANNULUS, kappa=(-0.3 if n % 2 else -0.6), R=20.0),
-            FramedBasepoint(0.5)) for n in range(8)]
+            0.5) for n in range(8)]
     with pytest.raises(IndeterminateSequence):
         classify_geometric_limit(seq)
 
@@ -220,11 +216,12 @@ def test_framed_basepoint_injectivity_validation():
     # at the core circle |z| = R^(-1/2) the injectivity radius is half the
     # core length, pi^2 / log R: at least one exactly when log R <= pi^2
     thick = ModelSurface(ANNULUS, kappa=-1.0, R=math.exp(1.0))  # 9.87
-    v = FramedBasepoint(1.0 / math.sqrt(thick.R))
-    assert v.validated_on(thick) is v
+    assert classify_geometric_limit(
+        [(thick, 1.0 / math.sqrt(thick.R))]) == thick
     thin = ModelSurface(ANNULUS, kappa=-1.0, R=math.exp(30.0))  # 0.329
     with pytest.raises(BadParameters, match=r"injectivity radius 0\.328987 "):
-        FramedBasepoint(1.0 / math.sqrt(thin.R)).validated_on(thin)
+        classify_geometric_limit([(thick, 1.0 / math.sqrt(thick.R)),
+                                  (thin, 1.0 / math.sqrt(thin.R))])
 
 
 @pytest.mark.parametrize("variant,kappa,r", [
@@ -234,7 +231,7 @@ def test_classify_constant_variant(variant, kappa, r):
     # limit, at the last parameters
     seq = [(ModelSurface(variant, kappa=kappa * (1.0 + 1.0 / n ** 3),
                          r=r * (1.0 + 1.0 / n ** 3)),
-            FramedBasepoint(0.5)) for n in range(20, 30)]
+            0.5) for n in range(20, 30)]
     lim = classify_geometric_limit(seq)
     assert lim.variant == variant
     last = seq[-1][0]
@@ -247,7 +244,7 @@ def test_classify_constant_variant(variant, kappa, r):
 def test_classify_punctured_disk_that_stays():
     # kappa and the basepoint settle inside the disk: no rescaling limit
     seq = [(ModelSurface(PUNCTURED_DISK, kappa=-1.0 - 1.0 / n ** 4),
-            FramedBasepoint(0.5 + 1.0 / n ** 4)) for n in range(20, 30)]
+            0.5 + 1.0 / n ** 4) for n in range(20, 30)]
     lim = classify_geometric_limit(seq)
     assert lim.variant == PUNCTURED_DISK
     assert lim.kappa == -1.0 - 1.0 / 29 ** 4
@@ -259,8 +256,8 @@ def test_classify_empty_sequence():
 
 
 def test_classify_mixed_variants():
-    seq = [(ModelSurface(PLANE), FramedBasepoint(0.0)),
-           (ModelSurface(DISK, kappa=-1.0), FramedBasepoint(0.0))]
+    seq = [(ModelSurface(PLANE), 0.0),
+           (ModelSurface(DISK, kappa=-1.0), 0.0)]
     with pytest.raises(IndeterminateSequence,
                        match=r"mixed model variants .*\['disk', 'plane'\]$"):
         classify_geometric_limit(seq)
@@ -270,7 +267,7 @@ def test_classify_unsettled_names_its_rule_and_values():
     # kappa_n = -1 - 1/n^3 is monotone and converges, but its last four
     # terms (n = 5..8) still step by 0.00337 > 1e-3 |kappa_8|
     seq = [(ModelSurface(DISK, kappa=-1.0 - 1.0 / n ** 3),
-            FramedBasepoint(0.0)) for n in range(1, 9)]
+            0.0) for n in range(1, 9)]
     with pytest.raises(IndeterminateSequence, match=(
             r"^disk sequence fits no supported case \(kappa and r settle\): "
             r"kappa ends \[-1\.008, -1\.00463, -1\.00292, -1\.00195\], "
@@ -281,7 +278,7 @@ def test_classify_unsettled_names_its_rule_and_values():
 
 def test_classify_punctured_disk_that_fits_no_case():
     seq = [(ModelSurface(PUNCTURED_DISK, kappa=(-1.0 if n % 2 else -2.0)),
-            FramedBasepoint(0.5)) for n in range(8)]
+            0.5) for n in range(8)]
     with pytest.raises(IndeterminateSequence, match=(
             r"^punctured-disk sequence fits no supported case \(inj "
             r"diverges, or .*\): inj ends .*; kappa ends \[-2, -1, -2, -1\], "

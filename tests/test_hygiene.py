@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used, every definition in the
 package is reached from what the package runs, every stored field is read,
 every call the benchmark traces exists, the flat layer rounds with one
-epsilon, only flatsurface/io.py knows the surface file's keys, and
-importing the package loads only the SciPy it runs.
+epsilon, only flatsurface/io.py knows the surface file's keys, only
+blaschke/grid.py applies the stencil and its transforms, and importing the
+package loads only the SciPy it runs.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -24,8 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # of the walk, so what they reach (their errors, helpers and result types)
 # needs no entry of its own; an entry that is reached anyway is stale.
 ALLOWED = {
-    "curvature_field": "estimate suite, criterion 5: the solved metric has "
-                       "negative curvature",
+    "log_density_curvature": "estimate suite, criterion 5: the solved "
+                             "metric has negative curvature",
     "minimal_surface_metric": "estimate suite, criterion 5: the sandwich "
                               "12 h < g <= 24 h",
     "largest_root": "estimate suite, criterion 9: the comparison root of "
@@ -551,6 +552,41 @@ def test_surface_file_format_lives_in_io():
                          + "\n".join(outside))
 
 
+# The 5-point stencil and its spectral transforms, which blaschke/grid.py
+# alone applies: the one module that knows the grid's boundary condition
+STENCIL_NAMES = ("scipy.fft", "np.roll", "np.pad", "numpy.roll", "numpy.pad")
+
+
+def _stencil_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each import from ``scipy.fft`` and each use of
+    ``np.roll`` or ``np.pad`` in the module."""
+    hits = []
+    for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [f"{n.module}.{a.name}" for a in n.names]
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            names = [f"{n.value.id}.{n.attr}"]
+        else:
+            continue
+        hits += [(n.lineno, name) for name in names
+                 if name.startswith(STENCIL_NAMES)]
+    return hits
+
+
+def test_stencil_and_transforms_live_in_grid():
+    grid_py = ROOT / "src/cubiclab/blaschke/grid.py"
+    used = {name.split(".")[-1] for _line, name in _stencil_uses(grid_py)}
+    assert {"dstn", "fft2", "pad"} <= used
+    outside = [f"{path.relative_to(ROOT)}:{line}: {name}"
+               for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
+               if path != grid_py
+               for line, name in _stencil_uses(path)]
+    assert not outside, ("stencil or transform outside blaschke/grid.py:\n"
+                         + "\n".join(outside))
+
+
 def _scipy_loaded_by(modules: str) -> list[str]:
     """The SciPy modules a fresh interpreter holds after importing
     ``modules`` (a comma-separated list), by package: ``scipy.sparse`` for
@@ -567,7 +603,8 @@ def _scipy_loaded_by(modules: str) -> list[str]:
 
 def test_pde_layer_loads_no_sparse_algebra_or_quadrature():
     # the Newton kernel runs its own CG loop and quad is imported where it
-    # is called; scipy.fft is all a PDE run needs at import
+    # is called; scipy.fft, which blaschke/grid.py alone imports for the
+    # spectral inverse, is all a PDE run needs at import
     loaded = _scipy_loaded_by("cubiclab.blaschke, cubiclab.cli")
     banned = {"scipy.sparse", "scipy.linalg", "scipy.optimize",
               "scipy.integrate"}

@@ -8,7 +8,6 @@ from cubiclab.blaschke import (
     Grid2D,
     area_and_bounds,
     check_subsolution,
-    curvature_field,
     gap_upper_bound,
     largest_root,
     log_density_curvature,
@@ -54,7 +53,7 @@ def test_torus_constant_solution(torus_solution):
 
 def test_torus_curvature_is_zero(torus_solution):
     sol = torus_solution
-    kappa = curvature_field(sol)
+    kappa = log_density_curvature(sol.grid, sol.psi)
     # - 1 + 2 |q|^2 e^(-3 psi) = -1 + 2 * (1/2) = 0: the flat boundary case
     assert np.abs(kappa).max() < 1e-9
     margin = check_subsolution(sol)
@@ -193,13 +192,23 @@ def test_q_zero_periodic_has_no_solution():
         solve_wang(g, q, tol=1e-10)
 
 
+def test_torus_rejects_boundary_psi():
+    # a torus has no rim to pin: boundary data is an error, not ignored
+    g = unit_torus_grid(16)
+    q = CubicDifferentialField.constant(g, 1.0)
+    with pytest.raises(BadParameters, match=r"wang: a torus grid has no "
+                       r"boundary: got 0 masked nodes and boundary values "
+                       r"given"):
+        solve_wang(g, q, tol=1e-10, boundary_psi=np.zeros((g.ny, g.nx)))
+
+
 def test_disk_refinement_second_order():
     errs = []
     for n in (65, 129):
         g = Grid2D(-1.3, 1.3, -1.3, 1.3, n, n)
         q = CubicDifferentialField.constant(g, 0.0)
         sol = solve_wang(g, q, tol=1e-10,
-                         boundary_psi=hyperbolic_disk_density)
+                         boundary_psi=hyperbolic_disk_density(g.zs))
         err = np.abs(sol.psi - hyperbolic_disk_density(g.zs))
         errs.append(float(err[g.interior_mask()].max()))
     ratio = errs[0] / errs[1]
@@ -209,8 +218,9 @@ def test_disk_refinement_second_order():
 def test_disk_curvature_minus_one():
     g = Grid2D(-1.3, 1.3, -1.3, 1.3, 65, 65)
     q = CubicDifferentialField.constant(g, 0.0)
-    sol = solve_wang(g, q, tol=1e-10, boundary_psi=hyperbolic_disk_density)
-    kappa = curvature_field(sol)
+    sol = solve_wang(g, q, tol=1e-10,
+                     boundary_psi=hyperbolic_disk_density(g.zs))
+    kappa = log_density_curvature(sol.grid, sol.psi)
     inner = g.interior_mask()
     assert np.abs(kappa[inner] + 1.0).max() < 1e-8
 
@@ -225,7 +235,7 @@ def test_curvature_stencil_second_order_on_exact_density():
     own, common = [], []
     for n in (33, 65, 129):
         g = Grid2D(-1.3, 1.3, -1.3, 1.3, n, n)
-        k = log_density_curvature(hyperbolic_disk_density(g.zs), g.dx, g.dy)
+        k = log_density_curvature(g, hyperbolic_disk_density(g.zs))
         err = np.abs(k + 1.0)
         s = (n - 1) // 32
         own.append(float(err[g.interior_mask()].max()))
@@ -240,7 +250,7 @@ def test_zcubic_estimate_suite(zcubic_solution):
     sol, q, g = zcubic_solution
     inner = g.interior_mask()
     assert (sol.gap[inner] > 0).all()
-    kappa = curvature_field(sol)
+    kappa = log_density_curvature(sol.grid, sol.psi)
     assert (kappa[inner] < 0).all()
     ident = np.abs(kappa + 1.0 - 2.0 * q.abs2 * np.exp(-3.0 * sol.psi))
     assert ident[inner].max() < 1e-4
