@@ -37,16 +37,16 @@ class DecayCertificate:
     passed: bool
 
 
-def flat_metric_path_length(q_coeffs, z_from: complex, z_to: complex,
-                            scale: float = 1.0) -> float:
-    """Length of the straight segment in the |scale * q|^(2/3) metric."""
+def flat_metric_path_length(q_coeffs, z_from: complex,
+                            z_to: complex) -> float:
+    """Length of the straight segment in the |q|^(2/3) metric."""
     from scipy.integrate import quad
 
     coeffs = np.asarray(q_coeffs, dtype=complex)
 
     def density(s):
         z = z_from + s * (z_to - z_from)
-        return abs(scale * np.polyval(coeffs[::-1], z)) ** (1.0 / 3.0)
+        return abs(np.polyval(coeffs[::-1], z)) ** (1.0 / 3.0)
 
     val, _err = quad(density, 0.0, 1.0, limit=200)
     return float(val * abs(z_to - z_from))
@@ -95,6 +95,11 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     # solve on the inscribed coordinate disk: all nodes outside it carry
     # the boundary bound, matching the comparison region of the barrier
     disk_fixed = np.abs(grid.zs - probe) >= coord_radius
+    # |t q| is t |q|, so the disk minimum scales as t and the flat
+    # distance to the zeros as t^(1/3): each is computed once, at t = 1
+    min_q = _min_abs_q_on_disk(coeffs, probe, coord_radius)
+    d_flat = min((flat_metric_path_length(coeffs, probe, z0)
+                  for z0 in zero_pts), default=math.inf)
     out = []
     for t in ts:
         q = CubicDifferentialField.from_polynomial(grid, coeffs * t)
@@ -102,15 +107,10 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
                                       fixed_mask=disk_fixed)
         iy, ix = grid.nearest_node(probe)
         measured = float(F[iy, ix])
-        min_d = _min_abs_q_on_disk(coeffs * t, probe, coord_radius) ** (2 / 3)
+        min_d = (t * min_q) ** (2 / 3)
         m = 3.0 * 2.0 ** (4.0 / 3.0) * math.exp(-bound / 3.0) * min_d
         barrier = bound / math.cosh(math.sqrt(m / 2.0) * coord_radius)
-        if zero_pts.size:
-            d_flat = min(flat_metric_path_length(coeffs, probe, z0, scale=t)
-                         for z0 in zero_pts)
-        else:
-            d_flat = math.inf
         passed = measured <= barrier + 1e-6 * max(1.0, bound)
-        out.append(DecayCertificate(t, d_flat, coord_radius,
+        out.append(DecayCertificate(t, t ** (1 / 3) * d_flat, coord_radius,
                                     barrier, measured, residual, passed))
     return out

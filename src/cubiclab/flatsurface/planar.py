@@ -2,8 +2,10 @@
 
 A point or vector of a chart is a Python ``complex``.  The flat metric
 |q|^(2/3) comes from natural coordinates w with dw^3 = q, and every chart
-change w -> zeta w + c is one ``PlanarIsometry``: it is the only thing
-that rotates a point.
+change w -> zeta w + c is one ``PlanarIsometry``.  The saddle enumerator's
+inner loop alone carries its frames as bare (rot, shift) pairs, composed
+with the same two products as ``PlanarIsometry.compose``.  Every product
+with a conjugate is written in this module.
 
 ``EPS`` is the flat layer's one rounding tolerance, relative to the scale
 of what a decision compares: directions are parallel within EPS |u| |v|
@@ -35,6 +37,33 @@ def left_of(u: complex, v: complex) -> bool:
 def dot(u: complex, v: complex) -> float:
     """Re(conj(u) v) = u.x v.x + u.y v.y."""
     return (u.conjugate() * v).real
+
+
+def in_wedge(w1: complex, w2: complex, c: complex) -> bool:
+    """left_of(w1, c) and left_of(c, w2), fused: c lies strictly inside
+    the wedge from w1 to w2."""
+    return ((w1.conjugate() * c).imag > EPS * abs(w1) * abs(c)
+            and (c.conjugate() * w2).imag > EPS * abs(c) * abs(w2))
+
+
+def clip_cone(a1: complex, a2: complex, b1: complex, b2: complex):
+    """The ccw cone (s, e) where the cones a1 -> a2 and b1 -> b2, each of
+    span < pi, overlap beyond rounding, or None."""
+    s = b1 if (a1.conjugate() * b1).imag > 0 else a1
+    e = b2 if (b2.conjugate() * a2).imag > 0 else a2
+    if (s.conjugate() * e).imag > EPS * abs(s) * abs(e):
+        return s, e
+    return None
+
+
+def origin_to_segment(a: complex, b: complex) -> float:
+    """Distance from the origin to the segment [a, b]."""
+    d = b - a
+    L2 = (d.conjugate() * d).real
+    if L2 == 0.0:
+        return abs(a)
+    t = min(1.0, max(0.0, -(a.conjugate() * d).real / L2))
+    return abs(a + t * d)
 
 
 def turn(o: complex, a: complex, b: complex) -> float:

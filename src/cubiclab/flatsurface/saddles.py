@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import BadParameters, NoConvergence
-from .planar import EPS, PlanarIsometry, ccw_angle, cross, dot, left_of
+from .planar import EPS, ccw_angle, clip_cone, in_wedge, origin_to_segment
 from .surface import TriangulatedFlatSurface
 
 
@@ -31,25 +31,6 @@ class SaddleConnection:
     @property
     def length(self) -> float:
         return abs(self.holonomy)
-
-
-def _cone_intersect(a1, a2, b1, b2):
-    """Intersection of two ccw cones of angular span < pi, or None."""
-    s = b1 if cross(a1, b1) > 0 else a1
-    e = b2 if cross(b2, a2) > 0 else a2
-    if not left_of(s, e):
-        return None
-    return s, e
-
-
-def _seg_min_dist(a: complex, b: complex) -> float:
-    """Distance from the origin to segment [a, b]."""
-    d = b - a
-    L2 = dot(d, d)
-    if L2 == 0.0:
-        return abs(a)
-    t = min(1.0, max(0.0, -dot(a, d) / L2))
-    return abs(a + t * d)
 
 
 def _intrinsic(s: TriangulatedFlatSurface, corner, ray, d) -> float:
@@ -99,13 +80,25 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
             found[key] = SaddleConnection(origin_orbit, t_orbit, w,
                                           (ang_start, ang_end))
 
+    # one step per glued slot: the inverse gluing isometry as (rot, shift)
+    # and the far triangle's corners A, B, C from the entry edge A -> B;
+    # corner i starts edge i, so the slot of edge C -> A is the apex corner
+    step = {}
+    for slot, (t2, e2) in s.gluings.items():
+        inv = s.isometries[slot].inverse()
+        tri2 = s.triangles[t2]
+        step[slot] = (inv.rot, inv.shift, tri2[e2], tri2[(e2 + 1) % 3],
+                      tri2[(e2 + 2) % 3], (t2, (e2 + 1) % 3),
+                      (t2, (e2 + 2) % 3))
+
     for orbit in sorted(ends):
         for (t0, i0) in s.vertex_orbits[orbit]:
             tri = s.triangles[t0]
-            # the developing frame puts the start vertex at the origin
-            frame = PlanarIsometry(1 + 0j, -tri[i0])
-            v1 = frame(tri[(i0 + 1) % 3])
-            v2 = frame(tri[(i0 + 2) % 3])
+            # the developing frame z -> rot z + shift puts the start vertex
+            # at the origin; frames stay (rot, shift) pairs in the loop
+            rot, shift = 1 + 0j, -tri[i0]
+            v1 = rot * tri[(i0 + 1) % 3] + shift
+            v2 = rot * tri[(i0 + 2) % 3] + shift
             start_corner = (t0, i0)
             # the two boundary edges of the corner are themselves candidates
             record(orbit, start_corner, v1, v1,
@@ -113,7 +106,7 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
             record(orbit, start_corner, v1, v2,
                    (t0, (i0 + 2) % 3), -v2)
             queue = deque()
-            queue.append((t0, frame, (i0 + 1) % 3, (v1, v2)))
+            queue.append(((t0, (i0 + 1) % 3), rot, shift, v1, v2))
             while queue:
                 if budget <= 0:
                     raise NoConvergence(
@@ -122,26 +115,19 @@ def enumerate_saddle_connections(s: TriangulatedFlatSurface, max_length: float,
                         f"max_length={max_length:g}; {len(found)} "
                         f"connections found so far")
                 budget -= 1
-                t, phi, e_in, wedge = queue.popleft()
-                t2, e2 = s.gluings[(t, e_in)]
-                phi2 = phi.compose(s.isometries[(t, e_in)].inverse())
-                tri2 = s.triangles[t2]
-                apex_idx = (e2 + 2) % 3
-                A = phi2(tri2[e2])
-                B = phi2(tri2[(e2 + 1) % 3])
-                C = phi2(tri2[apex_idx])
-                w1, w2 = wedge
-                if left_of(w1, C) and left_of(C, w2):  # inside the wedge
-                    record(orbit, start_corner, v1, C,
-                           (t2, apex_idx), A - C)
-                # far edges: B -> C is edge (e2+1)%3, C -> A is edge (e2+2)%3
-                for (p, q, e_next) in ((B, C, (e2 + 1) % 3),
-                                       (C, A, (e2 + 2) % 3)):
-                    sub = _cone_intersect(w1, w2, p, q)
-                    if sub is None:
+                slot, rot, shift, w1, w2 = queue.popleft()
+                irot, ishift, a, b, c, bc, ca = step[slot]
+                # the products of PlanarIsometry.compose and __call__
+                rot, shift = rot * irot, rot * ishift + shift
+                A = rot * a + shift
+                B = rot * b + shift
+                C = rot * c + shift
+                if in_wedge(w1, w2, C):
+                    record(orbit, start_corner, v1, C, ca, A - C)
+                for (p, q, nxt) in ((B, C, bc), (C, A, ca)):
+                    sub = clip_cone(w1, w2, p, q)
+                    if sub is None or origin_to_segment(p, q) > max_length:
                         continue
-                    if _seg_min_dist(p, q) > max_length:
-                        continue
-                    queue.append((t2, phi2, e_next, sub))
+                    queue.append((nxt, rot, shift, *sub))
     return sorted(found.values(),
                   key=lambda sc: (sc.length, sc.directions))

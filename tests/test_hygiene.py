@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used, every definition in the
 package is reached from what the package runs, every stored field is read,
 every call the benchmark traces exists, the flat layer rounds with one
-epsilon, only flatsurface/io.py knows the surface file's keys, only
+epsilon and takes its planar products from planar.py, only
+flatsurface/io.py knows the surface file's keys, only
 blaschke/grid.py applies the stencil and its transforms, and importing the
 package loads only the SciPy it runs.
 
@@ -549,6 +550,29 @@ def test_surface_file_format_lives_in_io():
                if path != io_py
                for line, key in _surface_file_keys(path)]
     assert not outside, ("surface file keys outside flatsurface/io.py:\n"
+                         + "\n".join(outside))
+
+
+def _conjugates(path: Path) -> list[int]:
+    """The line of each ``.conjugate()`` call in the module."""
+    return [n.lineno
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "conjugate"]
+
+
+def test_planar_products_live_in_planar():
+    # cross and dot products, and the wedge predicates fused from them, are
+    # written once in planar.py, where their roundings are kept the same
+    planar_py = ROOT / "src/cubiclab/flatsurface/planar.py"
+    assert _conjugates(planar_py)
+    outside = [f"{path.relative_to(ROOT)}:{line}"
+               for path in sorted([*(ROOT / "src/cubiclab/flatsurface")
+                                   .glob("*.py"),
+                                   ROOT / "src/cubiclab/currents.py"])
+               if path != planar_py
+               for line in _conjugates(path)]
+    assert not outside, (".conjugate() outside flatsurface/planar.py:\n"
                          + "\n".join(outside))
 
 

@@ -124,6 +124,18 @@ def test_budget_exhaustion_names_its_numbers():
         enumerate_saddle_connections(o, 3.0, max_expansions=10)
 
 
+@pytest.mark.parametrize("bound,needed,count", [(5.0, 738, 56),
+                                                (20.0, 27_414, 848)])
+def test_wedge_expansions_are_pinned(bound, needed, count):
+    # the BFS's work: a faster loop must explore the same wedges and
+    # charge the budget the same way, one unit per wedge expansion
+    o = presets.regular_octagon()
+    assert len(enumerate_saddle_connections(
+        o, bound, max_expansions=needed)) == count
+    with pytest.raises(NoConvergence, match=f"budget of {needed - 1} "):
+        enumerate_saddle_connections(o, bound, max_expansions=needed - 1)
+
+
 @pytest.mark.parametrize("f", [1e-6, 1e-3, 0.37, 1e3, 1e6])
 def test_connections_scale_with_the_surface(f):
     # every tolerance is relative to the surface, so the connections of a

@@ -113,10 +113,10 @@ def test_negative_boundary_rejected():
 def test_flat_path_length_quadrature():
     # |t z|^(1/3) integrated from 1 to 0: t^(1/3) * 3/4
     for t in (1.0, 8.0):
-        got = flat_metric_path_length([0.0, 1.0], 1.0 + 0j, 0j, scale=t)
+        got = flat_metric_path_length([0.0, t], 1.0 + 0j, 0j)
         assert abs(got - 0.75 * t ** (1.0 / 3.0)) < 1e-10
     # constant differential: plain Euclidean distance times t^(1/3)
-    got = flat_metric_path_length([1.0], 0j, 3.0 + 4.0j, scale=8.0)
+    got = flat_metric_path_length([8.0], 0j, 3.0 + 4.0j)
     assert abs(got - 2.0 * 5.0) < 1e-10
 
 
