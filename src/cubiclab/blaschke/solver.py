@@ -161,23 +161,23 @@ def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
     x = np.where(fixed_mask, fixed_values, x0)
 
     def residual(v):
-        fv, _ = f_and_deriv(v)
-        return grid.laplacian(v)[inner] - fv[free]
+        """The residual at v, with f' at v for the next Newton step."""
+        fv, fp = f_and_deriv(v)
+        return grid.laplacian(v)[inner] - fv[free], fp
 
-    r = residual(x)
+    r, fp = residual(x)
     rn = float(np.abs(r).max())
     for it in range(max_iter):
         if rn <= tol:
             return x, rn, it
-        _, fp = f_and_deriv(x)
         delta = _pcg(grid, free, fp[free], r, tol, label)
         step = 1.0
         while step > 1e-8:
             xn = x + step * delta
-            r2 = residual(xn)
+            r2, fp2 = residual(xn)
             rn2 = float(np.abs(r2).max())
             if rn2 < (1.0 - 0.25 * step) * rn or rn2 <= tol:
-                x, r, rn = xn, r2, rn2
+                x, r, rn, fp = xn, r2, rn2, fp2
                 break
             step *= 0.5
         else:

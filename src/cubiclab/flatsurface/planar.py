@@ -2,10 +2,12 @@
 
 A point or vector of a chart is a Python ``complex``.  The flat metric
 |q|^(2/3) comes from natural coordinates w with dw^3 = q, and every chart
-change w -> zeta w + c is one ``PlanarIsometry``.  The saddle enumerator's
-inner loop alone carries its frames as bare (rot, shift) pairs, composed
-with the same two products as ``PlanarIsometry.compose``.  Every product
-with a conjugate is written in this module.
+change w -> zeta w + c is one ``PlanarIsometry``.  Every product with a
+conjugate is written in this module.  The saddle enumerator holds points
+as (re, im) pairs of float arrays, and the array forms here round as
+Python's complex arithmetic: a product (ar br - ai bi, ar bi + ai br), a
+cross ar bi + (-ai) br, a magnitude ``np.hypot``, a threshold EPS |u| |v|
+grouped from the left; NumPy's complex product and ``np.abs`` do not.
 
 ``EPS`` is the flat layer's one rounding tolerance, relative to the scale
 of what a decision compares: directions are parallel within EPS |u| |v|
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 EPS = 1e-12
 
@@ -39,31 +43,45 @@ def dot(u: complex, v: complex) -> float:
     return (u.conjugate() * v).real
 
 
-def in_wedge(w1: complex, w2: complex, c: complex) -> bool:
-    """left_of(w1, c) and left_of(c, w2), fused: c lies strictly inside
-    the wedge from w1 to w2."""
-    return ((w1.conjugate() * c).imag > EPS * abs(w1) * abs(c)
-            and (c.conjugate() * w2).imag > EPS * abs(c) * abs(w2))
+def mul(u, v):
+    """u v for (re, im) pairs of arrays, rounded as Python's."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
-def clip_cone(a1: complex, a2: complex, b1: complex, b2: complex):
+def _cross(u, v):
+    """cross(u, v) for (re, im) pairs of arrays, rounded as Python's."""
+    return u[0] * v[1] + (-u[1]) * v[0]
+
+
+def in_wedge(w1, w2, c):
+    """Where c lies strictly inside the wedge from w1 to w2."""
+    hc = np.hypot(*c)
+    return ((_cross(w1, c) > EPS * np.hypot(*w1) * hc)
+            & (_cross(c, w2) > EPS * hc * np.hypot(*w2)))
+
+
+def clip_cone(a1, a2, b1, b2):
     """The ccw cone (s, e) where the cones a1 -> a2 and b1 -> b2, each of
-    span < pi, overlap beyond rounding, or None."""
-    s = b1 if (a1.conjugate() * b1).imag > 0 else a1
-    e = b2 if (b2.conjugate() * a2).imag > 0 else a2
-    if (s.conjugate() * e).imag > EPS * abs(s) * abs(e):
-        return s, e
-    return None
+    span < pi, overlap, and where that is open beyond rounding."""
+    b = _cross(a1, b1) > 0
+    s = np.where(b, b1[0], a1[0]), np.where(b, b1[1], a1[1])
+    b = _cross(b2, a2) > 0
+    e = np.where(b, b2[0], a2[0]), np.where(b, b2[1], a2[1])
+    return s, e, _cross(s, e) > EPS * np.hypot(*s) * np.hypot(*e)
 
 
-def origin_to_segment(a: complex, b: complex) -> float:
-    """Distance from the origin to the segment [a, b]."""
-    d = b - a
-    L2 = (d.conjugate() * d).real
-    if L2 == 0.0:
-        return abs(a)
-    t = min(1.0, max(0.0, -(a.conjugate() * d).real / L2))
-    return abs(a + t * d)
+def origin_to_segment(a, b):
+    """Distance from the origin to the segment [a, b].  For finite d, t d
+    as (t dr, t di) differs from Python's complex(t) * d only in the signs
+    of zeros, which the magnitude drops."""
+    dr, di = b[0] - a[0], b[1] - a[1]
+    L2 = dr * dr + di * di
+    x = np.divide(-(a[0] * dr + a[1] * di), L2, out=np.zeros_like(L2),
+                  where=L2 != 0.0)
+    # min(1.0, max(0.0, x)) as Python picks it, and t = 0 when L2 = 0
+    t = np.where(x > 0.0, x, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    return np.hypot(a[0] + t * dr, a[1] + t * di)
 
 
 def turn(o: complex, a: complex, b: complex) -> float:

@@ -8,6 +8,12 @@ Newton-step solves from SciPy's conjugate gradients.
 Strips are developed here with 2 x 2 rotation matrices and (x, y) arrays,
 not with the library's complex isometries.  ``random_closed_strip`` draws the random classes that several
 tests share.
+
+``sequential_saddle_connections`` is the one exception: the saddle
+enumerator as a queue of single wedges in Python complex arithmetic, with
+its wedge tests composed from ``planar.cross``, ``left_of`` and ``dot``.
+The enumerator advances whole levels of wedges in arrays and must give the
+same list, field for field and in the same order.
 """
 
 from __future__ import annotations
@@ -23,8 +29,12 @@ from scipy.fft import dstn, fft2, idstn, ifft2
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from cubiclab.blaschke.grid import DIRICHLET
+from cubiclab.errors import BadParameters, NoConvergence
 from cubiclab.flatsurface.geodesics import HomotopyClassPath
-from cubiclab.flatsurface.planar import EPS, angle_between
+from cubiclab.flatsurface.planar import (EPS, angle_between, cross, dot,
+                                         left_of)
+from cubiclab.flatsurface.saddles import SaddleConnection
+from cubiclab.flatsurface.saddles import _intrinsic as _fan_angle
 
 
 # -- developing strips with rotation matrices ---------------------------------
@@ -397,6 +407,122 @@ def brute_saddle_connections(s, max_length: float, depth: int):
                        tuple(sorted((round(ang_a, 7), round(ang_b, 7)))))
                 found.setdefault(key, norm)
     return sorted(found.values()), found
+
+
+# -- saddle connections one wedge at a time -----------------------------------
+
+# The wedge tests as compositions of planar.cross, left_of and dot; the
+# array forms in planar.py must round exactly as these do
+
+def in_wedge(w1, w2, c):
+    """Whether c lies strictly inside the wedge from w1 to w2."""
+    return left_of(w1, c) and left_of(c, w2)
+
+
+def clip_cone(a1, a2, b1, b2):
+    """The ccw cone (s, e) where the cones a1 -> a2 and b1 -> b2 overlap
+    beyond rounding, or None."""
+    s = b1 if cross(a1, b1) > 0 else a1
+    e = b2 if cross(b2, a2) > 0 else a2
+    if not left_of(s, e):
+        return None
+    return s, e
+
+
+def origin_to_segment(a, b):
+    """Distance from the origin to the segment [a, b]."""
+    d = b - a
+    L2 = dot(d, d)
+    if L2 == 0.0:
+        return abs(a)
+    t = min(1.0, max(0.0, -dot(a, d) / L2))
+    return abs(a + t * d)
+
+
+def sequential_saddle_connections(s, max_length: float,
+                                  max_expansions: int = 2_000_000
+                                  ) -> list[SaddleConnection]:
+    """``enumerate_saddle_connections`` one wedge at a time: start corner
+    by start corner, each with its own first-in first-out queue, every
+    wedge recorded and expanded as it is popped."""
+    if not max_length > 0:
+        raise BadParameters(f"max_length must be positive, got {max_length}")
+    ends = {cp.orbit for cp in s.cone_points} | s.marked_punctures
+    found: dict[tuple, SaddleConnection] = {}
+    budget = max_expansions
+    # lengths are cut and deduplicated at EPS of the longest edge
+    unit = max(s.edge_length(slot) for slot in s.gluings)
+    cut = max_length + EPS * unit
+
+    def record(origin_orbit, start_corner, start_ray, w,
+               target_corner, target_ray) -> None:
+        """Candidate segment from the origin to developed point w."""
+        t_orbit = s.orbit_of[target_corner]
+        if t_orbit not in ends:
+            return
+        norm = abs(w)
+        if norm > cut or norm <= EPS * unit:
+            return
+        ang_start = _fan_angle(s, start_corner, start_ray, w)
+        ang_end = _fan_angle(s, target_corner, target_ray, -w)
+        pair = tuple(sorted((round(ang_start, 7), round(ang_end, 7))))
+        key = (min(origin_orbit, t_orbit), max(origin_orbit, t_orbit),
+               round(norm / unit, 9), pair)
+        if key not in found:
+            found[key] = SaddleConnection(origin_orbit, t_orbit, w,
+                                          (ang_start, ang_end))
+
+    # one step per glued slot: the inverse gluing isometry as (rot, shift)
+    # and the far triangle's corners A, B, C from the entry edge A -> B;
+    # corner i starts edge i, so the slot of edge C -> A is the apex corner
+    step = {}
+    for slot, (t2, e2) in s.gluings.items():
+        inv = s.isometries[slot].inverse()
+        tri2 = s.triangles[t2]
+        step[slot] = (inv.rot, inv.shift, tri2[e2], tri2[(e2 + 1) % 3],
+                      tri2[(e2 + 2) % 3], (t2, (e2 + 1) % 3),
+                      (t2, (e2 + 2) % 3))
+
+    for orbit in sorted(ends):
+        for (t0, i0) in s.vertex_orbits[orbit]:
+            tri = s.triangles[t0]
+            # the developing frame z -> rot z + shift puts the start vertex
+            # at the origin; frames stay (rot, shift) pairs in the loop
+            rot, shift = 1 + 0j, -tri[i0]
+            v1 = rot * tri[(i0 + 1) % 3] + shift
+            v2 = rot * tri[(i0 + 2) % 3] + shift
+            start_corner = (t0, i0)
+            # the two boundary edges of the corner are themselves candidates
+            record(orbit, start_corner, v1, v1,
+                   (t0, (i0 + 1) % 3), v2 - v1)
+            record(orbit, start_corner, v1, v2,
+                   (t0, (i0 + 2) % 3), -v2)
+            queue = deque()
+            queue.append(((t0, (i0 + 1) % 3), rot, shift, v1, v2))
+            while queue:
+                if budget <= 0:
+                    raise NoConvergence(
+                        f"saddle-connection enumeration used its budget of "
+                        f"{max_expansions} wedge expansions with "
+                        f"max_length={max_length:g}; {len(found)} "
+                        f"connections found so far")
+                budget -= 1
+                slot, rot, shift, w1, w2 = queue.popleft()
+                irot, ishift, a, b, c, bc, ca = step[slot]
+                # the products of PlanarIsometry.compose and __call__
+                rot, shift = rot * irot, rot * ishift + shift
+                A = rot * a + shift
+                B = rot * b + shift
+                C = rot * c + shift
+                if in_wedge(w1, w2, C):
+                    record(orbit, start_corner, v1, C, ca, A - C)
+                for (p, q, nxt) in ((B, C, bc), (C, A, ca)):
+                    sub = clip_cone(w1, w2, p, q)
+                    if sub is None or origin_to_segment(p, q) > max_length:
+                        continue
+                    queue.append((nxt, rot, shift, *sub))
+    return sorted(found.values(),
+                  key=lambda sc: (sc.length, sc.directions))
 
 
 def _fan_cumulative(s):

@@ -7,36 +7,28 @@ from cubiclab.flatsurface.planar import (
     EPS,
     clip_cone,
     cross,
-    dot,
     in_wedge,
     left_of,
+    mul,
     origin_to_segment,
 )
+from oracles import clip_cone as _clip_cone
+from oracles import in_wedge as _in_wedge
+from oracles import origin_to_segment as _origin_to_segment
 
-# The fused wedge predicates of planar.py must round exactly as their
-# cross / left_of / dot compositions below, so that saddle enumeration
-# gives the same connections bit for bit.
-
-
-def _in_wedge(w1, w2, c):
-    return left_of(w1, c) and left_of(c, w2)
-
-
-def _clip_cone(a1, a2, b1, b2):
-    s = b1 if cross(a1, b1) > 0 else a1
-    e = b2 if cross(b2, a2) > 0 else a2
-    if not left_of(s, e):
-        return None
-    return s, e
+# The array forms of planar.py must round exactly as the cross / left_of /
+# dot compositions of oracles.py, element for element, so that saddle
+# enumeration gives the same connections bit for bit.
 
 
-def _origin_to_segment(a, b):
-    d = b - a
-    L2 = dot(d, d)
-    if L2 == 0.0:
-        return abs(a)
-    t = min(1.0, max(0.0, -dot(a, d) / L2))
-    return abs(a + t * d)
+def _pair(zs):
+    """A list of complex numbers as an (re, im) pair of arrays."""
+    return (np.array([z.real for z in zs], dtype=float),
+            np.array([z.imag for z in zs], dtype=float))
+
+
+def _complex(pair):
+    return [complex(x, y) for x, y in zip(*(a.tolist() for a in pair))]
 
 
 def _points(rng, n):
@@ -77,9 +69,29 @@ def _on_threshold(rng, n):
     return pairs
 
 
-def _same(got, want):
-    # == on floats and on (complex, complex) pairs, with None == None
-    return type(got) is type(want) and got == want
+def _same_wedges(quads):
+    """in_wedge(a, b, c) and the composition agree on every quad."""
+    a, b, c = (_pair(col) for col in list(zip(*quads))[:3])
+    got = in_wedge(a, b, c).tolist()
+    assert got == [_in_wedge(*q[:3]) for q in quads]
+    return got
+
+
+def _same_clips(quads):
+    """clip_cone agrees with the composition on every quad: the same
+    verdict, and where the cone is open the same rays."""
+    s, e, open_ = clip_cone(*(_pair(col) for col in zip(*quads)))
+    got = [(lo, hi) if ok else None
+           for lo, hi, ok in zip(_complex(s), _complex(e), open_.tolist())]
+    assert got == [_clip_cone(*q) for q in quads]
+    return got
+
+
+def _same_distances(segments):
+    a, b = (_pair(col) for col in zip(*segments))
+    got = origin_to_segment(a, b).tolist()
+    assert got == [_origin_to_segment(*seg) for seg in segments]
+    return got
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -87,25 +99,23 @@ def test_fused_predicates_match_their_compositions(seed):
     rng = np.random.default_rng(seed)
     p = _points(rng, 4 * 2000)
     quads = [*zip(p[0::4], p[1::4], p[2::4], p[3::4]), *_near_rays(rng, 2000)]
-    inside = [in_wedge(a, b, c) for a, b, c, _d in quads]
-    assert inside == [_in_wedge(a, b, c) for a, b, c, _d in quads]
+    inside = _same_wedges(quads)
     assert any(inside) and not all(inside)
-    clips = [clip_cone(*q) for q in quads]
-    assert all(_same(got, _clip_cone(*q)) for got, q in zip(clips, quads))
+    clips = _same_clips(quads)
     assert None in clips and any(c is not None for c in clips)
-    dists = [origin_to_segment(a, b) for a, b, _c, _d in quads]
-    assert dists == [_origin_to_segment(a, b) for a, b, _c, _d in quads]
+    _same_distances([q[:2] for q in quads])
+    u, v = _pair(p[0::2]), _pair(p[1::2])
+    assert _complex(mul(u, v)) == [a * b for a, b in zip(p[0::2], p[1::2])]
 
 
 def test_fused_predicates_keep_the_threshold_grouping():
     pairs = _on_threshold(np.random.default_rng(3), 200)
     assert any(left_of(u, v) for u, v in pairs)
     assert not all(left_of(u, v) for u, v in pairs)
-    for u, v in pairs:
-        # the first test of in_wedge, its second, and the clip's last
-        assert in_wedge(u, v * 1j, v) == _in_wedge(u, v * 1j, v)
-        assert in_wedge(u * -1j, v, u) == _in_wedge(u * -1j, v, u)
-        assert _same(clip_cone(u, v, u, v), _clip_cone(u, v, u, v))
+    # the first test of in_wedge, its second, and the clip's last
+    _same_wedges([(u, v * 1j, v) for u, v in pairs])
+    _same_wedges([(u * -1j, v, u) for u, v in pairs])
+    _same_clips([(u, v, u, v) for u, v in pairs])
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -113,24 +123,19 @@ def test_fused_predicates_on_degenerate_input(scale):
     w1, w2 = scale * (1 + 0j), scale * (1 + 1j)
     rays = (w1, w2)
     # an apex on a wedge ray, at or beyond its length, or a rounding off it
-    for c in [3.0 * w1, 0.5 * w2, w1 * complex(1.0, 1e-13),
-              w2 * complex(1.0, -1e-13), 0j]:
-        assert in_wedge(w1, w2, c) is _in_wedge(w1, w2, c) is False
-    assert in_wedge(w1, w2, 2.0 * w1 + w2) == _in_wedge(w1, w2, 2.0 * w1 + w2)
+    apexes = [3.0 * w1, 0.5 * w2, w1 * complex(1.0, 1e-13),
+              w2 * complex(1.0, -1e-13), 0j]
+    assert _same_wedges([(w1, w2, c) for c in apexes]) == [False] * 5
+    _same_wedges([(w1, w2, 2.0 * w1 + w2)])
     # a portal with an end on a wedge ray, or wholly along one
-    for b1, b2 in [(2.0 * w1, 2.0 * w2), (w1, 3.0 * w1), (2.0 * w2, w2),
-                   (0.5 * w1, 0.25 * w1 + w2), (w2 * 1j, w1 * -1j)]:
-        for a1, a2 in (rays, rays[::-1]):
-            assert _same(clip_cone(a1, a2, b1, b2),
-                         _clip_cone(a1, a2, b1, b2))
+    portals = [(2.0 * w1, 2.0 * w2), (w1, 3.0 * w1), (2.0 * w2, w2),
+               (0.5 * w1, 0.25 * w1 + w2), (w2 * 1j, w1 * -1j)]
+    _same_clips([(*a, *b) for b in portals for a in (rays, rays[::-1])])
     # a portal end parallel to a ray keeps the wedge's own ray
-    assert clip_cone(w1, w2, 2.0 * w1, 2.0 * w2) == (w1, w2)
-    assert clip_cone(w1, w2, w1, 3.0 * w1) is None
+    assert _same_clips([(w1, w2, 2.0 * w1, 2.0 * w2),
+                        (w1, w2, w1, 3.0 * w1)]) == [(w1, w2), None]
     # zero-length and origin-crossing segments, and ends on the origin
-    for a, b in [(w2, w2), (0j, 0j), (-w1, w1), (0j, w2),
-                 (w1, w1 + w2 * 1e-9)]:
-        assert origin_to_segment(a, b) == _origin_to_segment(a, b)
-    assert origin_to_segment(w2, w2) == abs(w2)
-    assert origin_to_segment(-w1, w1) == 0.0
-    assert math.isclose(origin_to_segment(w1 * 1j, w1 * 1j + w2),
-                        abs(w1), rel_tol=1e-15)
+    got = _same_distances([(w2, w2), (0j, 0j), (-w1, w1), (0j, w2),
+                           (w1, w1 + w2 * 1e-9), (w1 * 1j, w1 * 1j + w2)])
+    assert got[:3] == [abs(w2), 0.0, 0.0]
+    assert math.isclose(got[-1], abs(w1), rel_tol=1e-15)

@@ -12,8 +12,8 @@ from cubiclab.flatsurface import (
     presets,
 )
 from cubiclab.flatsurface.saddles import enumerate_saddle_connections
-from oracles import brute_saddle_connections
-from reference import keyset
+from oracles import brute_saddle_connections, sequential_saddle_connections
+from reference import glued_tori, keyset
 
 
 def test_torus_has_no_saddle_connections():
@@ -170,3 +170,30 @@ def test_rotated_octagon_has_the_same_spectrum_and_saddles(seed,
     assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
     assert keyset(enumerate_saddle_connections(r, 5.0)) == \
         keyset(enumerate_saddle_connections(o, 5.0))
+
+
+
+# (surface, L) of each case
+SEQUENTIAL_CASES = {
+    "octagon-5": lambda: (presets.regular_octagon(), 5.0),
+    "octagon-10": lambda: (presets.regular_octagon(), 10.0),
+    "octagon-x1e-6": lambda: (presets.regular_octagon().scaled(1e-6), 1e-5),
+    "octagon-x1e6": lambda: (presets.regular_octagon().scaled(1e6), 1e7),
+    "glued-0.2": lambda: (glued_tori(0.2), 2.0),
+    "glued-0.15-w0.3": lambda: (glued_tori(0.15, 0.3), 2.0),
+    "glued-0.25-w0.3": lambda: (glued_tori(0.25, 0.3), 2.0),
+    "glued-0.25-w0.3-x0.37": lambda: (glued_tori(0.25, 0.3).scaled(0.37),
+                                      0.74),
+    "doubled-triangle": lambda: (presets.doubled_triangle(), 3.0),
+    "marked-torus": lambda: (presets.square_torus(mark_vertex=True), 6.0),
+}
+
+
+@pytest.mark.parametrize("case", SEQUENTIAL_CASES)
+def test_levels_match_the_sequential_queue(case):
+    # the level-at-a-time search must find the same connections as a queue
+    # of single wedges, bit for bit in every field and in the same order
+    s, L = SEQUENTIAL_CASES[case]()
+    got = enumerate_saddle_connections(s, L)
+    assert got
+    assert got == sequential_saddle_connections(s, L)
