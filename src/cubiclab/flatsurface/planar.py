@@ -71,9 +71,9 @@ def clip_cone(a1, a2, b1, b2):
 
 
 def origin_to_segment(a, b):
-    """Distance from the origin to the segment [a, b].  For finite d, t d
-    as (t dr, t di) differs from Python's complex(t) * d only in the signs
-    of zeros, which the magnitude drops."""
+    """Distance from the origin to the segment [a, b].  Re(conj(u) v) is
+    ur vr + ui vi bit for bit, and t d, for finite d, differs from Python's
+    complex(t) * d only in signed zeros, which the magnitude drops."""
     dr, di = b[0] - a[0], b[1] - a[1]
     L2 = dr * dr + di * di
     x = np.divide(-(a[0] * dr + a[1] * di), L2, out=np.zeros_like(L2),
