@@ -19,7 +19,7 @@ def log_density_curvature(grid: Grid2D, log_density) -> np.ndarray:
     nodes (NaN on the rim of a Dirichlet grid)."""
     w = np.asarray(log_density, dtype=float)
     lap = np.full_like(w, np.nan)
-    lap[grid.inner] = grid.laplacian(w)
+    grid.laplacian(w, out=lap[grid.inner])
     return -0.5 * _safe_exp(-w) * lap
 
 

@@ -8,6 +8,7 @@ of -Lap + c on those nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.fft import dstn, fft2, idstn, ifft2
@@ -72,19 +73,33 @@ class Grid2D:
         m[self.inner] = True
         return m
 
-    def laplacian(self, field) -> np.ndarray:
-        """5-point Laplacian of a node field on the inner block; a torus
-        field is padded by wrapping around."""
+    def laplacian(self, field, out=None) -> np.ndarray:
+        """5-point Laplacian of a node field on the inner block, written
+        into ``out`` if given; a torus field is padded by wrapping around."""
         x = np.asarray(field, dtype=float)
         if self.bc == PERIODIC:
             x = np.pad(x, 1, mode="wrap")
+        # (x_e - 2 x_c + x_w) / dx^2 + (x_n - 2 x_c + x_s) / dy^2, in order
         c2 = 2.0 * x[1:-1, 1:-1]
-        return ((x[1:-1, 2:] - c2 + x[1:-1, :-2]) * (1.0 / self.dx ** 2)
-                + (x[2:, 1:-1] - c2 + x[:-2, 1:-1]) * (1.0 / self.dy ** 2))
+        out = np.subtract(x[1:-1, 2:], c2, out=out)
+        out += x[1:-1, :-2]
+        out *= 1.0 / self.dx ** 2
+        c2 = np.subtract(x[2:, 1:-1], c2, out=c2)
+        c2 += x[:-2, 1:-1]
+        c2 *= 1.0 / self.dy ** 2
+        out += c2
+        return out
 
     def shifted_inverse(self, c: float):
         """The map b -> (-Lap + c)^-1 b on inner-block arrays: a type-1 sine
-        transform on Dirichlet grids, an FFT on the torus."""
+        transform on Dirichlet grids, an FFT on the torus.
+
+        The transforms run in single precision, on a float32 copy of b that
+        is divided by the eigenvalues (computed in double, then rounded),
+        and the result comes back as float64.  This map only preconditions
+        the Newton kernel's conjugate gradients, whose recurrences and
+        stopping test read the double residual, so its rounding can cost
+        iterations but not accuracy."""
         periodic = self.bc == PERIODIC
 
         def symbol(n, h):
@@ -94,15 +109,17 @@ class Grid2D:
                                                         2 * n - 2)
             return (2.0 / h * np.sin(np.pi * j / m)) ** 2
 
-        eig = symbol(self.ny, self.dy)[:, None] \
-            + symbol(self.nx, self.dx)[None, :] + c
-        if periodic:
-            return lambda b: ifft2(fft2(b) / eig).real
+        eig = (symbol(self.ny, self.dy)[:, None]
+               + symbol(self.nx, self.dx)[None, :] + c).astype(np.float32)
+        work = np.empty(eig.shape, dtype=np.float32)
+        forward, back = (fft2, ifft2) if periodic else (
+            partial(dstn, type=1), partial(idstn, type=1))
 
         def solve(b):
-            spec = dstn(b, type=1)
+            work[...] = b
+            spec = forward(work, overwrite_x=True)
             spec /= eig
-            return idstn(spec, type=1, overwrite_x=True)
+            return back(spec, overwrite_x=True).real.astype(float)
         return solve
 
     def nearest_node(self, z: complex) -> tuple[int, int]:

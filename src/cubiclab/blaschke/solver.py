@@ -13,12 +13,13 @@ Both read Lap x = f(x) with f' > 0, so the Newton systems are uniformly
 invertible (also on the torus) and the discrete solutions obey the maximum
 principle.  One matrix-free damped Newton kernel solves both on the free
 nodes (those not pinned to boundary values), applying the grid's 5-point
-stencil.  Each step solves (-Lap + diag f') d = r by the kernel's own
-conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for step, on
-buffers allocated once per solve), preconditioned by the grid's spectral
-inverse of -Lap + c on the whole stencil block, c the mean of f' over the
-free nodes, with free-node vectors zero-padded to the block.  The kernel
-never asks which boundary condition the grid has.
+stencil to arrays of its stencil block, where a 0/1 float mask holds the
+pinned nodes at zero.  Each step solves (-Lap + diag f') d = r by the
+kernel's own conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for
+step, on buffers allocated once per solve), preconditioned by the grid's
+single-precision spectral inverse of -Lap + c on the block, c the mean of
+f' over the free nodes; the iterates and every stopping test stay in
+double.  The kernel never asks which boundary condition the grid has.
 """
 
 from __future__ import annotations
@@ -69,55 +70,56 @@ def check_subsolution(sol: BlaschkeSolution) -> np.ndarray:
     return sol.h - CBRT2 * sol.q.abs23
 
 
-def _pcg(grid: Grid2D, free: np.ndarray, fp: np.ndarray, b: np.ndarray,
+def _pcg(grid: Grid2D, mask: np.ndarray, fp: np.ndarray, b: np.ndarray,
          tol: float, label: str) -> np.ndarray:
-    """Solve (-Lap + diag fp) d = b on the free nodes; d = 0 elsewhere.
+    """Solve (-Lap + diag fp) d = b on the stencil block, with d = 0 on its
+    pinned nodes; ``mask`` is 1.0 on the free nodes and 0.0 on the pinned
+    ones, where b must vanish.
 
-    The loop is SciPy's ``sparse.linalg.cg`` from x = 0, step for step, with
-    atol = 0.01 tol and rtol = 1e-3 min(1, max|b|)."""
-    shifted = grid.shifted_inverse(float(fp.mean()))
-    full = np.zeros((grid.ny, grid.nx))  # a free-node vector, zero-padded
-    inner = free[grid.inner]  # every free node is in the stencil's block
-    work = np.zeros(inner.shape)
-
-    def matvec(v):
-        full[free] = v
-        return fp * v - grid.laplacian(full)[inner]
-
-    def precondition(v):
-        work[inner] = v
-        return shifted(work)[inner]
-
+    The loop is SciPy's ``sparse.linalg.cg`` from x = 0, step for step, on
+    the block's arrays, with atol = 0.01 tol and rtol = 1e-3 min(1, max|b|):
+    the matvec (fp p - Lap p) mask and the preconditioner
+    (-Lap + c)^-1 r mask, c the mean of fp over the free nodes."""
+    shifted = grid.shifted_inverse(float(fp[mask > 0].mean()))
+    x = np.zeros_like(b)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
-        return full
+        return x
     atol = max(0.01 * tol,
                1e-3 * min(1.0, float(np.abs(b).max())) * float(b_norm))
-    x = np.zeros_like(b)
+    full = np.zeros((grid.ny, grid.nx))  # a block array, zero-padded
     r = b.copy()
-    p = rho_prev = None
-    for _ in range(_CG_MAXITER):
+    p, q, z, tmp = (np.empty_like(b) for _ in range(4))
+
+    def matvec(v, out):
+        full[grid.inner] = v
+        np.multiply(fp, v, out=out)
+        out -= grid.laplacian(full, out=tmp)
+        out *= mask
+        return out
+
+    rho_prev = None
+    for it in range(_CG_MAXITER):
         if np.linalg.norm(r) < atol:
             break
-        z = precondition(r)
-        rho = np.dot(r, z)
-        if p is None:
-            p = z.copy()
-        else:
+        np.multiply(shifted(r), mask, out=z)
+        rho = np.vdot(r, z)  # SciPy's np.dot of the flattened arrays
+        if it:
             p *= rho / rho_prev
             p += z
-        q = matvec(p)
-        alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        else:
+            p[...] = z
+        matvec(p, q)
+        alpha = rho / np.vdot(p, q)
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(q, alpha, out=tmp)
         rho_prev = rho
     else:
-        rel = np.linalg.norm(b - matvec(x)) / b_norm
+        rel = np.linalg.norm(b - matvec(x, q)) / b_norm
         raise SingularJacobian(
             f"{label}: CG stopped after {_CG_MAXITER} iterations at "
             f"relative residual {rel:.3e}")
-    full[free] = x
-    return full
+    return x
 
 
 def _pinned(grid: Grid2D, values, mask, label: str):
@@ -156,24 +158,27 @@ def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
     """Damped Newton for Lap x = f(x), f' > 0, on the nodes outside
     ``fixed_mask`` (x = ``fixed_values`` on it): the solution field, its
     max-norm residual over the free nodes and the Newton step count."""
-    free = ~fixed_mask
-    inner = free[grid.inner]
+    mask = np.where(fixed_mask[grid.inner], 0.0, 1.0)
     x = np.where(fixed_mask, fixed_values, x0)
 
     def residual(v):
         """The residual at v, with f' at v for the next Newton step."""
         fv, fp = f_and_deriv(v)
-        return grid.laplacian(v)[inner] - fv[free], fp
+        r = grid.laplacian(v)
+        r -= fv[grid.inner]
+        r *= mask
+        return r, fp[grid.inner]
 
     r, fp = residual(x)
     rn = float(np.abs(r).max())
     for it in range(max_iter):
         if rn <= tol:
             return x, rn, it
-        delta = _pcg(grid, free, fp[free], r, tol, label)
+        delta = _pcg(grid, mask, fp, r, tol, label)
         step = 1.0
         while step > 1e-8:
-            xn = x + step * delta
+            xn = x.copy()
+            xn[grid.inner] += step * delta
             r2, fp2 = residual(xn)
             rn2 = float(np.abs(r2).max())
             if rn2 < (1.0 - 0.25 * step) * rn or rn2 <= tol:
@@ -201,12 +206,13 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
     with np.errstate(divide="ignore"):
         sub = np.log(2.0 * abs2) / 3.0
     if fixed.any():
-        # harmonic extension: f' = 0 makes the preconditioner exact
-        free = ~fixed
+        # harmonic extension: with f' = 0 the preconditioner is the
+        # inverse, up to its single-precision rounding
         base = np.where(fixed, bvals, 0.0)
-        harmonic = base + _pcg(grid, free, np.zeros(int(free.sum())),
-                               grid.laplacian(base)[free[grid.inner]], tol,
-                               "wang")
+        lap = grid.laplacian(base)
+        harmonic = base.copy()
+        harmonic[grid.inner] += _pcg(grid, np.ones_like(lap),
+                                     np.zeros_like(lap), lap, tol, "wang")
         x0 = np.maximum(harmonic, np.maximum(sub, bvals[fixed].min() - 50.0))
     elif float(abs2.max()) == 0.0:
         raise BadParameters(

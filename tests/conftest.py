@@ -5,6 +5,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
+from cubiclab.blaschke import Grid2D
 from cubiclab.flatsurface import HomotopyClassPath, presets
 from reference import glued_tori
 
@@ -36,3 +37,22 @@ def flat_puncture_surface():
         return g
 
     return build
+
+
+@pytest.fixture
+def preconditioner_applications(monkeypatch):
+    """A list that gains an entry each time a preconditioner made by
+    ``Grid2D.shifted_inverse`` is applied, that is once per CG iteration."""
+    applied = []
+    shifted_inverse = Grid2D.shifted_inverse
+
+    def counting(grid, c):
+        solve = shifted_inverse(grid, c)
+
+        def apply(b):
+            applied.append(1)
+            return solve(b)
+        return apply
+
+    monkeypatch.setattr(Grid2D, "shifted_inverse", counting)
+    return applied

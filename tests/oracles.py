@@ -176,12 +176,15 @@ def five_point_laplacian(f, dx, dy, periodic=False):
     return out
 
 
-def scipy_pcg(grid, free, fp, b, tol):
-    """(-Lap + diag fp) d = b on the free nodes by ``scipy.sparse.linalg.cg``
-    with linear operators: the 5-point matvec, and as preconditioner
-    (-Lap + mean(fp))^-1 on the whole rectangle by sine transforms, or by
-    FFT on a torus.  Tolerances atol = 0.01 tol, rtol = 1e-3 min(1, max|b|);
-    d as a node field, zero off the free nodes."""
+def scipy_pcg(grid, mask, fp, b, tol):
+    """(-Lap + diag fp) d = b on the stencil block by
+    ``scipy.sparse.linalg.cg`` on the block's flattened arrays, with linear
+    operators: the 5-point matvec (fp p - Lap p) mask, and as preconditioner
+    (-Lap + c)^-1 r mask, c the mean of fp where the 0/1 ``mask`` is 1, by
+    sine transforms on the block, or by FFT on a torus, in single precision:
+    r rounded to float32, divided by the float32 rounding of the double
+    eigenvalues, transformed back and widened to float64.  Tolerances
+    atol = 0.01 tol, rtol = 1e-3 min(1, max|b|); d as a block array."""
     periodic = grid.bc != DIRICHLET
 
     def symbol(n, h):
@@ -190,31 +193,29 @@ def scipy_pcg(grid, free, fp, b, tol):
         return (2.0 / h * np.sin(np.pi * j / m)) ** 2
 
     eig = (symbol(grid.ny, grid.dy)[:, None] + symbol(grid.nx, grid.dx)[None]
-           + float(fp.mean()))
-
-    def pad(v):
-        out = np.zeros((grid.ny, grid.nx))
-        out[free] = v
-        return out
+           + float(fp[mask > 0].mean())).astype(np.float32)
 
     def matvec(v):
-        return fp * v - grid.laplacian(pad(v))[free[grid.inner]]
+        v = v.reshape(mask.shape)
+        full = np.zeros((grid.ny, grid.nx))
+        full[grid.inner] = v
+        return ((fp * v - grid.laplacian(full)) * mask).ravel()
 
     def precondition(v):
-        w = pad(v)
+        w = v.reshape(mask.shape).astype(np.float32)
         if periodic:
             w = ifft2(fft2(w) / eig).real
         else:
-            w[1:-1, 1:-1] = idstn(dstn(w[1:-1, 1:-1], type=1) / eig, type=1)
-        return w[free]
+            w = idstn(dstn(w, type=1) / eig, type=1)
+        return (w.astype(float) * mask).ravel()
 
     shape = (b.size, b.size)
-    d, info = spla.cg(spla.LinearOperator(shape, matvec, dtype=float), b,
-                      rtol=1e-3 * min(1.0, float(np.abs(b).max())),
+    d, info = spla.cg(spla.LinearOperator(shape, matvec, dtype=float),
+                      b.ravel(), rtol=1e-3 * min(1.0, float(np.abs(b).max())),
                       atol=0.01 * tol, maxiter=500,
                       M=spla.LinearOperator(shape, precondition, dtype=float))
     assert info == 0, f"SciPy's cg stopped after {info} iterations"
-    return pad(d)
+    return d.reshape(mask.shape)
 
 
 def lattice_norm(p, q, a=1.0, b=1.0):

@@ -3,8 +3,8 @@ package is reached from what the package runs, every stored field is read,
 every call the benchmark traces exists, the flat layer rounds with one
 epsilon, takes its planar products from planar.py and uses no NumPy complex
 arithmetic, only flatsurface/io.py knows the surface file's keys, only
-blaschke/grid.py applies the stencil and its transforms, and importing the
-package loads only the SciPy it runs.
+blaschke/grid.py applies the stencil and its transforms and computes in
+single precision, and importing the package loads only the SciPy it runs.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -648,6 +648,46 @@ def test_stencil_and_transforms_live_in_grid():
                if path != grid_py
                for line, name in _stencil_uses(path)]
     assert not outside, ("stencil or transform outside blaschke/grid.py:\n"
+                         + "\n".join(outside))
+
+
+# Single-precision NumPy types, which blaschke/grid.py alone uses, for the
+# transforms of its preconditioner: the Newton iterates, the residuals and
+# the CG recurrences stay in double
+SINGLE_PRECISION = {"float32", "complex64", "single", "csingle", "float16",
+                    "half"}
+
+
+def _single_precision(path: Path) -> list[str]:
+    """line: name of each single-precision type in the module: an attribute
+    or imported name in ``SINGLE_PRECISION``, or a ``dtype=``, ``astype``
+    or ``np.dtype`` string naming one."""
+    hits = []
+    for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(n, ast.Attribute) and n.attr in SINGLE_PRECISION:
+            hits.append(f"{n.lineno}: .{n.attr}")
+        elif isinstance(n, ast.ImportFrom):
+            hits += [f"{n.lineno}: {n.module}.{a.name}" for a in n.names
+                     if a.name in SINGLE_PRECISION]
+        elif isinstance(n, ast.Call):
+            args = [k.value for k in n.keywords if k.arg == "dtype"]
+            if isinstance(n.func, ast.Attribute) \
+                    and n.func.attr in ("astype", "dtype"):
+                args += n.args[:1]
+            hits += [f"{n.lineno}: dtype {a.value!r}" for a in args
+                     if isinstance(a, ast.Constant)
+                     and isinstance(a.value, str)
+                     and np.dtype(a.value).name in SINGLE_PRECISION]
+    return hits
+
+
+def test_single_precision_lives_in_grid():
+    grid_py = ROOT / "src/cubiclab/blaschke/grid.py"
+    assert _single_precision(grid_py)  # the gate sees what it looks for
+    outside = [f"{path.relative_to(ROOT)}:{hit}"
+               for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
+               if path != grid_py for hit in _single_precision(path)]
+    assert not outside, ("single precision outside blaschke/grid.py:\n"
                          + "\n".join(outside))
 
 

@@ -136,6 +136,23 @@ def test_wedge_expansions_are_pinned(bound, needed, count):
         enumerate_saddle_connections(o, bound, max_expansions=needed - 1)
 
 
+@pytest.mark.parametrize("make,bound,needed,short", [
+    (presets.regular_octagon, 5.0, 738, 736),
+    (lambda: presets.square_torus(mark_vertex=True), 6.0, 490, 470)],
+    ids=["octagon", "marked-torus"])
+def test_budget_is_charged_a_level_at_a_time(make, bound, needed, short):
+    # an apex inside a wedge opens a wedge on the next level, so the last
+    # level records nothing, and a loop that stopped once the total equalled
+    # the budget would still give the unbounded list at the exact budget;
+    # it shows at the expansions through the level before the last
+    # (``short``), which the last level's expansions exceed
+    s = make()
+    assert enumerate_saddle_connections(s, bound, max_expansions=needed) \
+        == enumerate_saddle_connections(s, bound)
+    with pytest.raises(NoConvergence, match=f"budget of {short} "):
+        enumerate_saddle_connections(s, bound, max_expansions=short)
+
+
 @pytest.mark.parametrize("f", [1e-6, 1e-3, 0.37, 1e3, 1e6])
 def test_connections_scale_with_the_surface(f):
     # every tolerance is relative to the surface, so the connections of a

@@ -145,6 +145,13 @@ def test_decay_certificates_zq():
         assert abs(c.flat_radius - 0.75 * c.t ** (1.0 / 3.0)) < 1e-8
 
 
+def test_decay_cg_work_is_bounded(preconditioner_applications):
+    # 200 CG iterations with the preconditioner in double precision, 202 in
+    # single: a preconditioner that lost accuracy fails here
+    decay_experiment([0, 1], (1, 8, 64, 512), 1, window_side=1.6, n=129)
+    assert len(preconditioner_applications) <= 210
+
+
 def test_probe_at_zero_rejected():
     with pytest.raises(BadParameters, match=r"coordinate radius 0 around "
                                             r"the probe 0j is below"):
