@@ -4,9 +4,9 @@ For each t the gap equation is solved on a Dirichlet window with constant
 boundary value B.  On a coordinate disk of radius R around the probe that
 is free of zeros of q, the gap G satisfies Lap G >= m G with
 
-    m = 3 * 2^(4/3) e^(-B/3) * min_disk |t q|^(2/3),
+    m = 3 * 2^(4/3) e^(-B/3) * min_disk |t q|^(2/3)
 
-so the comparison function  g = B cosh(a x) cosh(a y) / cosh(a R),
+(or any m below it, as G >= 0), so g = B cosh(a x) cosh(a y) / cosh(a R),
 a = sqrt(m/2), dominates G on the disk (g >= B on its boundary and
 Lap g = m g); in particular G(probe) <= B / cosh(a R).
 """
@@ -52,12 +52,11 @@ def flat_metric_path_length(q_coeffs, z_from: complex,
     return float(val * abs(z_to - z_from))
 
 
-def _min_abs_q_on_disk(coeffs, center: complex, radius: float) -> float:
-    cs = np.asarray(coeffs, dtype=complex)
-    rr = np.linspace(0.0, radius, 48)
-    th = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
-    zz = center + rr[:, None] * np.exp(1j * th)[None, :]
-    return float(np.abs(np.polyval(cs[::-1], zz)).min())
+def _min_abs_q_on_disk(lead, zeros, center: complex, radius: float) -> float:
+    """A lower bound on |q| over a disk free of the zeros of q = lead *
+    prod (z - z_k): |lead| prod (|center - z_k| - radius), exact for
+    degree <= 1 and 0 for q = 0."""
+    return float(abs(lead) * np.prod(np.abs(center - zeros) - radius))
 
 
 def decay_experiment(q_coeffs, t_list, probe: complex, *,
@@ -79,9 +78,8 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
         raise BadParameters(f"t_list must be positive on the ray t * q, got "
                             f"{nonpositive}")
     coeffs = np.asarray(q_coeffs, dtype=complex)
-
-    zero_pts = np.roots(np.trim_zeros(coeffs, "b")[::-1]) \
-        if len(np.trim_zeros(coeffs, "b")) > 1 else np.array([])
+    nonzero = np.trim_zeros(coeffs, "b")
+    zero_pts = np.roots(nonzero[::-1]) if len(nonzero) > 1 else np.array([])
     d_boundary = window_side / 2.0
     d_zero = float(np.abs(zero_pts - probe).min()) if zero_pts.size else \
         math.inf
@@ -97,7 +95,8 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     disk_fixed = np.abs(grid.zs - probe) >= coord_radius
     # |t q| is t |q|, so the disk minimum scales as t and the flat
     # distance to the zeros as t^(1/3): each is computed once, at t = 1
-    min_q = _min_abs_q_on_disk(coeffs, probe, coord_radius)
+    min_q = _min_abs_q_on_disk(nonzero[-1] if len(nonzero) else 0.0,
+                               zero_pts, probe, coord_radius)
     d_flat = min((flat_metric_path_length(coeffs, probe, z0)
                   for z0 in zero_pts), default=math.inf)
     out = []

@@ -16,8 +16,7 @@ the core's crossing word comes back.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import BadParameters, NoConvergence, NotCylindrical, \
     NotNonsingular
@@ -29,7 +28,7 @@ from .geodesics import (
     tighten_geodesic,
 )
 from .planar import EPS, dot
-from .subdivide import Soup, slot_partner_tag, split_piece, triangle_piece
+from .subdivide import Soup, add_cut, split_piece, sub_edge, triangle_piece
 from .surface import TriangulatedFlatSurface
 
 # rises one sweep may take before it gives up
@@ -180,9 +179,9 @@ class TransportMap:
     which preserves the intersection pattern and hence the homotopy class
     on the new surface.
 
-    ``cuts[slot]`` lists the (param, cut id) of the core's points on an old
-    slot, ``where`` finds a soup tag's edge on the new surface and
-    ``region[i]`` is the old triangle that new triangle i lies in.
+    ``cuts`` holds the core's cuts on the old slots (``subdivide.add_cut``),
+    ``where`` finds a soup tag's edge on the new surface and ``region[i]``
+    is the old triangle that new triangle i lies in.
     """
 
     old_surface: TriangulatedFlatSurface
@@ -190,7 +189,6 @@ class TransportMap:
     cuts: dict
     where: dict
     region: list[int]
-    routes: dict = field(default_factory=dict, init=False, repr=False)
 
     def transport(self, path: HomotopyClassPath) -> HomotopyClassPath:
         rep = tighten_geodesic(self.old_surface, path)
@@ -219,18 +217,11 @@ class TransportMap:
     def _sub_slot(self, slot, u: float):
         """The new edge of the piece of an old slot, between two cuts,
         that holds the param u."""
-        cuts = self.cuts.get(slot, [])
-        i = bisect_left(cuts, (u,))
-        below = cuts[i - 1][1] if i else "lo"
-        above = cuts[i][1] if i < len(cuts) else "hi"
-        return self.where[("slot", None, slot, below, above)]
+        return self.where[sub_edge(self.cuts, None, slot, u)]
 
     def _route(self, start: int, goal: int) -> list[tuple[int, int]]:
         """The slots crossed on the way from new triangle start to goal,
-        both in one old triangle, along the tree of its new triangles;
-        each route is searched once per map."""
-        if (start, goal) in self.routes:
-            return self.routes[(start, goal)]
+        both in one old triangle, along the tree of its new triangles."""
         gluings, region = self.new_surface.gluings, self.region
         via = {start: []}
         todo = [start]
@@ -241,7 +232,6 @@ class TransportMap:
                 if nxt not in via and region[nxt] == region[start]:
                     via[nxt] = via[t] + [(t, e)]
                     todo.append(nxt)
-        self.routes[(start, goal)] = via[goal]
         return via[goal]
 
 
@@ -264,37 +254,32 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
         raise BadParameters(f"cylinder height must be positive, got {height}")
     g = tighten_geodesic(s, core)
     if g.kind != "nonsingular":
-        raise NotCylindrical("core class is not cylindrical "
-                             "(geodesic passes through a cone point)")
+        raise NotNonsingular("core geodesic passes through a cone point")
     st = _core_strip(s, g)
     n = len(st.crossings)
 
     # the core's crossing k is cut ("x", k) on both glued slots, and its
     # chord k runs from cut k - 1 to cut k in the triangle it leaves by k
-    cut_ids: dict = {}
+    cuts: dict = {}
     chords: dict[int, list] = {t: [] for t in range(s.num_triangles)}
     widths = []
     for k in range(n):
         slot, u = st.crossings[k], st.params[k]
-        pslot, pu = s.partner_param(slot, u)
-        if slot[0] == pslot[0]:
+        if slot[0] == s.gluings[slot][0]:
             raise NotCylindrical(
                 "cylinder insertion does not support edges glued within "
                 "one triangle; subdivide the surface first")
-        cut_ids.setdefault(slot, []).append((u, ("x", k)))
-        cut_ids.setdefault(pslot, []).append((pu, ("x", k)))
+        add_cut(cuts, s, slot, u, ("x", k))
         p_in = s.edge_point(*s.partner_param(st.crossings[k - 1],
                                              st.params[k - 1]))
         p_out = s.edge_point(slot, u)
         chords[slot[0]].append((k, ("x", (k - 1) % n), ("x", k), p_in, p_out))
         widths.append(abs(p_out - p_in))
-    for slot in cut_ids:
-        cut_ids[slot].sort()
 
     soup = Soup()
     fans: dict[int, list[int]] = {}
     for t in range(s.num_triangles):
-        pending = [triangle_piece(s, t, cut_ids)]
+        pending = [triangle_piece(s, t, cuts)]
         tchords = chords[t]
         if tchords:
             dvec = tchords[0][4] - tchords[0][3]
@@ -320,12 +305,9 @@ def insert_cylinder_detailed(s: TriangulatedFlatSurface,
     region += [st.crossings[k][0] for k, rect in enumerate(rects)
                for _ti in rect]
 
-    punctures = []
-    for orbit in s.marked_punctures:
-        t, i = s.vertex_orbits[orbit][0]
-        punctures.append(soup.vertex_at(fans[t], s.triangles[t][i]))
-    new_surface = soup.assemble(lambda tag: slot_partner_tag(tag, s.gluings),
-                                marked_punctures=punctures)
-    tmap = TransportMap(s, new_surface, cut_ids, soup.where(), region)
+    new_surface = soup.assemble(
+        {None: s.gluings},
+        marked_punctures=soup.carry(s, fans, s.marked_punctures))
+    tmap = TransportMap(s, new_surface, cuts, soup.where(), region)
     return InsertResult(new_surface, tmap)
 

@@ -157,15 +157,16 @@ class _Strip:
         self.s = s
         self.crossings = list(crossings)
         self.params = list(params) if params is not None else [0.5] * len(crossings)
+        self.simplify()
         self.refresh()
 
     def refresh(self):
-        self.phis = develop_strip(self.s, self.crossings)
+        phis = develop_strip(self.s, self.crossings)
         self.edges = []
         for k, slot in enumerate(self.crossings):
             a, b = self.s.edge_endpoints(slot)
-            self.edges.append((self.phis[k](a), self.phis[k](b)))
-        self.holonomy = self.phis[-1]
+            self.edges.append((phis[k](a), phis[k](b)))
+        self.holonomy = phis[-1]
         # the strip's length scale, for tolerances on developed points
         self.scale = max(abs(z) for ab in self.edges for z in ab)
         # shares[k]: the endpoint side (0 right, 1 left) that edges k and
@@ -457,23 +458,22 @@ class _Strip:
         return (t2, (e2 + 1) % 3) if u <= 0.5 else (t2, e2)
 
     def simplify(self) -> None:
-        """Remove immediate backtracks (crossing an edge and re-crossing it)."""
-        changed = True
-        while changed:
-            changed = False
-            n = len(self.crossings)
-            if n == 0:
-                raise TrivialClass("class simplified to the trivial loop")
-            for k in range(n):
-                k2 = (k + 1) % n
-                if self.s.gluings[self.crossings[k]] == self.crossings[k2]:
-                    for idx in sorted((k, k2), reverse=True):
-                        del self.crossings[idx]
-                        del self.params[idx]
-                    changed = True
-                    break
-        if not self.crossings:
+        """Remove immediate backtracks (crossing an edge and re-crossing
+        it), across the seam too: one stack pass, then the two ends trimmed
+        while they cancel."""
+        gluings, kept = self.s.gluings, []
+        for pair in zip(self.crossings, self.params):
+            if kept and gluings[kept[-1][0]] == pair[0]:
+                kept.pop()
+            else:
+                kept.append(pair)
+        lo, hi = 0, len(kept)
+        while hi - lo > 1 and gluings[kept[hi - 1][0]] == kept[lo][0]:
+            lo, hi = lo + 1, hi - 1
+        if lo == hi:
             raise TrivialClass("class simplified to the trivial loop")
+        self.crossings = [slot for slot, _u in kept[lo:hi]]
+        self.params = [u for _slot, u in kept[lo:hi]]
 
 
 def _unit(z: complex, tiny: float) -> complex:
@@ -558,8 +558,6 @@ def tighten_geodesic(s: TriangulatedFlatSurface, path: HomotopyClassPath,
     """
     path.validate_on(s)
     strip = _Strip(s, path.crossings)
-    strip.simplify()
-    strip.refresh()
 
     solves = slides = 0
     while True:

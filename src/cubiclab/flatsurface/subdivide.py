@@ -1,21 +1,20 @@
 """Tagged triangle soup: the cut-and-glue layer shared by the surgeries.
 
-Cylinder insertion and triangle surgery both cut triangles into pieces,
-add flat parts between the cuts and rebuild a surface.  The shared
-decisions live here:
+Cylinder insertion and triangle surgery cut triangles into pieces, add flat
+parts between the cuts and rebuild a surface.  They only say where to cut
+and what to glue; the bookkeeping lives here:
 
-- ``triangle_piece`` turns a triangle into a piece with the cut points of
-  its edges inserted, each sub-edge tagged ``("slot", key, slot, a, b)``;
-- ``split_piece`` cuts a piece in two along a path between two of its
-  boundary vertices: a chord for insertion, the wedge's base (and leg)
-  for surgery;
-- ``slot_partner_tag`` names the same sub-edge seen from the glued slot;
-- ``Soup.add_fan`` triangulates a piece, pairing its internal diagonals;
-- ``Soup.add_band`` glues a closed band of flat rectangles between two
-  sides of a cut;
-- ``Soup.vertex_at`` finds a vertex again after subdivision;
-- ``Soup.where`` finds the edge that carries a tag;
-- ``Soup.assemble`` pairs the tags and builds the validated surface.
+- ``add_cut`` records a cut on a slot and on its glued slot, in order;
+- ``triangle_piece`` turns a triangle into a piece with its cut points
+  inserted, and ``sub_edge`` names the sub-edge that holds a param;
+- ``split_piece`` cuts a piece in two along a path between two boundary
+  vertices: a chord for insertion, the wedge's base (and leg) for surgery;
+- ``Soup.add_fan`` triangulates a piece and ``Soup.add_band`` glues a
+  closed band of flat rectangles between two sides of a cut;
+- ``Soup.glue`` pairs two tags, and ``Soup.assemble`` pairs every other
+  sub-edge with that of its glued slot and builds the validated surface;
+- ``Soup.carry`` finds surviving marked punctures, ``Soup.where`` the edge
+  that carries a tag.
 
 Tags are matched symbolically, so no floating-point keys enter the matching.
 """
@@ -23,13 +22,17 @@ Tags are matched symbolically, so no floating-point keys enter the matching.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .planar import left_of
 from .surface import TriangulatedFlatSurface
 
-# A tag is any hashable value; each tag appears on exactly one soup edge and
-# the assembler pairs tags via a caller-supplied partner function.
+# A tag is any hashable value; each tag appears on exactly one soup edge.
+# The sub-edge of a slot between the cut ids a and b ("lo"/"hi" at the
+# slot's own ends 0/1) is tagged ("slot", key, slot, a, b), where ``key``
+# tells apart the surfaces that enter one soup.
+_FLIP = {"lo": "hi", "hi": "lo"}
 
 
 @dataclass
@@ -77,7 +80,7 @@ class Soup:
         self.tris: list[tuple[complex, complex, complex]] = []
         self.tags: list[list] = []
         self._fresh = itertools.count()
-        self._internal_pairs: list[tuple] = []
+        self._pairs: dict = {}
 
     def add_triangle(self, pts, tags3) -> int:
         self.tris.append(tuple(pts))
@@ -117,7 +120,7 @@ class Soup:
                 pid = ("fan", next(self._fresh))
                 self.tags[prev_diag][2] = pid
                 self.tags[idx][0] = (pid, "twin")
-                self._internal_pairs.append((pid, (pid, "twin")))
+                self.glue(pid, (pid, "twin"))
             prev_diag = idx
             subtris.append(idx)
         return subtris
@@ -129,7 +132,7 @@ class Soup:
         Rectangle k is cut along its diagonal from (0, 0).  Its bottom is
         glued to the soup edge tagged ``bottoms[k]``, its top to the edge
         tagged ``tops[k]`` and its right side to the left side of rectangle
-        k+1, cyclically.  All these pairs are internal.
+        k+1, cyclically.
         """
         band = ("band", next(self._fresh))
         n = len(widths)
@@ -140,20 +143,32 @@ class Soup:
             sides = [bottom, seam, top, (prev_seam, "twin")]
             corners = [0j, complex(w, 0.0), complex(w, h), complex(0.0, h)]
             rects.append(self.add_fan(Piece([0, 1, 2, 3], corners, sides)))
-            self._internal_pairs += [(bottom, bottoms[k]), (top, tops[k]),
-                                     (seam, (seam, "twin"))]
+            self.glue(bottom, bottoms[k])
+            self.glue(top, tops[k])
+            self.glue(seam, (seam, "twin"))
         return rects
 
-    def vertex_at(self, subtris, pos) -> tuple[int, int]:
-        """(soup triangle, corner) of the first corner of ``subtris`` at
-        ``pos``.  Pieces copy their corners bit for bit, so the match is
-        exact at every scale."""
-        for ti in subtris:
-            for li in range(3):
-                if self.tris[ti][li] == pos:
-                    return ti, li
-        raise RuntimeError(f"no corner of soup triangles {list(subtris)} "
-                           f"lies at ({pos.real:.17g}, {pos.imag:.17g})")
+    def glue(self, a, b) -> None:
+        """Pair the soup edges tagged a and b."""
+        self._pairs[a] = b
+        self._pairs[b] = a
+
+    def carry(self, s: TriangulatedFlatSurface, fans, orbits) -> list:
+        """(soup triangle, corner) of each vertex orbit of s in ``orbits``,
+        found at the orbit's least corner (t, i) among ``fans[t]``, the soup
+        triangles of old triangle t.  Pieces copy their corners bit for
+        bit, so the match is exact at every scale."""
+        out = []
+        for orbit in orbits:
+            t, i = s.vertex_orbits[orbit][0]
+            pos = s.triangles[t][i]
+            hit = next(((ti, li) for ti in fans[t] for li in range(3)
+                        if self.tris[ti][li] == pos), None)
+            if hit is None:
+                raise RuntimeError(f"no corner of soup triangles {fans[t]} "
+                                   f"lies at {pos!r}")
+            out.append(hit)
+        return out
 
     def where(self) -> dict:
         """The (triangle, edge) carrying each tag, in the soup and, as soup
@@ -168,23 +183,25 @@ class Soup:
                 index[tag] = (ti, e)
         return index
 
-    def assemble(self, partner_fn, marked_punctures=()) -> TriangulatedFlatSurface:
+    def assemble(self, by_key, marked_punctures=()) -> TriangulatedFlatSurface:
         """Pair all tagged edges and build the validated surface.
 
-        ``partner_fn(tag) -> tag`` must be an involution on non-internal tags.
+        A sub-edge no ``glue`` paired meets the sub-edge of its glued slot
+        in ``by_key[key]``, the gluings of the surface it came from: cut ids
+        are shared, the slot's own ends swap.
         """
         index = self.where()
         used = set()
         gluings = []
-        internal = {a: b for a, b in self._internal_pairs}
-        internal.update({b: a for a, b in self._internal_pairs})
         for tag, slot in index.items():
             if tag in used:
                 continue
-            partner = internal.get(tag)
+            partner = self._pairs.get(tag)
             if partner is None:
-                partner = partner_fn(tag)
-            if partner is None or partner not in index:
+                _, key, old, a, b = tag
+                partner = ("slot", key, by_key[key][old],
+                           _FLIP.get(b, b), _FLIP.get(a, a))
+            if partner not in index:
                 raise ValueError(f"no partner for soup tag {tag!r}")
             gluings.append((slot, index[partner]))
             used.add(tag)
@@ -193,16 +210,26 @@ class Soup:
             [t for t in self.tris], gluings, marked_punctures=marked_punctures)
 
 
+def add_cut(cuts, s: TriangulatedFlatSurface, slot, u: float, cid) -> None:
+    """Record the cut ``cid`` at param u on the slot and at 1 - u on its
+    glued slot: ``cuts[slot]`` lists (param, cut id) sorted by param, and a
+    cut id names a point shared with the glued slot."""
+    insort(cuts.setdefault(slot, []), (u, cid))
+    insort(cuts.setdefault(s.gluings[slot], []), (1.0 - u, cid))
+
+
+def sub_edge(cuts, key, slot, u: float):
+    """The tag of the sub-edge of the slot that holds the param u."""
+    on = cuts.get(slot, [])
+    i = bisect_left(on, (u,))
+    return ("slot", key, slot, on[i - 1][1] if i else "lo",
+            on[i][1] if i < len(on) else "hi")
+
+
 def triangle_piece(s: TriangulatedFlatSurface, t: int, cuts, key=None,
                    ) -> Piece:
-    """Triangle t as a piece with the cut points of its edges inserted.
-
-    ``cuts[slot]`` lists (param, cut id) sorted by param; a cut id names a
-    point shared with the glued slot.  The sub-edge of ``slot`` between the
-    ids a and b ("lo"/"hi" at the slot's own ends 0/1) is tagged
-    ``("slot", key, slot, a, b)``; ``key`` tells apart the surfaces that
-    enter one soup.
-    """
+    """Triangle t as a piece with the cut points of its edges inserted,
+    each sub-edge tagged with ``key`` (see ``add_cut`` for ``cuts``)."""
     tri = s.triangles[t]
     verts, coords, tags = [], [], []
     for e in range(3):
@@ -220,14 +247,3 @@ def triangle_piece(s: TriangulatedFlatSurface, t: int, cuts, key=None,
     if len(set(verts)) != len(verts):
         raise ValueError(f"a cut id appears twice on triangle {t}: {verts}")
     return Piece(verts, coords, tags)
-
-
-_FLIP = {"lo": "hi", "hi": "lo"}
-
-
-def slot_partner_tag(tag, gluings):
-    """The tag of a ``triangle_piece`` sub-edge seen from the glued slot:
-    cut ids are shared, the slot's own ends swap."""
-    _, key, slot, a_id, b_id = tag
-    return ("slot", key, gluings[slot],
-            _FLIP.get(b_id, b_id), _FLIP.get(a_id, a_id))

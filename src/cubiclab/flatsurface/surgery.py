@@ -22,7 +22,7 @@ from ..errors import (
 )
 from .planar import cross
 from .saddles import enumerate_saddle_connections
-from .subdivide import (Piece, Soup, slot_partner_tag, split_piece,
+from .subdivide import (Piece, Soup, add_cut, split_piece, sub_edge,
                         triangle_piece)
 from .surface import PlanarIsometry, TriangulatedFlatSurface
 
@@ -61,7 +61,7 @@ class _Carve:
     eps: float
     corners: list
     cum: list
-    ray_cuts: dict = field(default_factory=dict)   # slot -> [(param, id)]
+    ray_cuts: dict = field(default_factory=dict)   # by subdivide.add_cut
     base_taus: list = field(default_factory=list)  # base partition 0 .. 1
     ray_k: list = field(default_factory=list)      # base index of ray j
     leg_a_slot: tuple | None = None  # glued slot of the first fan ray
@@ -126,12 +126,7 @@ def _carve_with_rotation(s, eps, part, fan, angs) -> _Carve:
         if rho >= 0.45 * ray_len:
             raise BadParameters(f"the ray cut at {rho:.6g} reaches too far "
                                 f"along fan edge {slot}")
-        cid = _ray_id(part, j)
-        carve.ray_cuts.setdefault(slot, []).append((rho / ray_len, cid))
-        pslot = s.gluings[slot]
-        carve.ray_cuts.setdefault(pslot, []).append((1.0 - rho / ray_len, cid))
-    for cuts in carve.ray_cuts.values():
-        cuts.sort()
+        add_cut(carve.ray_cuts, s, slot, rho / ray_len, _ray_id(part, j))
     carve.base_taus = [round(_tau(eps, a), 12) for a in carve.cum] + [1.0]
     return carve
 
@@ -191,10 +186,11 @@ def _apply_carve(piece: Piece, s, cv: _Carve, j: int) -> Piece:
 def _cut_boundary(cv: _Carve, m_base: int) -> list:
     """The tags of a part's cut boundary in walk order: leg B, the base
     pieces m-1..0, then leg A, which is the stub of the first fan ray's
-    glued slot past the p1 cut."""
+    glued slot past the p1 cut: the slot's highest cut, as every ray cut
+    lies within 0.45 of its own edge's apex end."""
     return ([("legB", cv.part)]
             + [("base", cv.part, j) for j in range(m_base - 1, -1, -1)]
-            + [("slot", cv.part, cv.leg_a_slot, _ray_id(cv.part, 0), "hi")])
+            + [sub_edge(cv.ray_cuts, cv.part, cv.leg_a_slot, 1.0)])
 
 
 def triangle_surgery_glue(parts, eps: float, weights=None,
@@ -246,32 +242,25 @@ def triangle_surgery_glue(parts, eps: float, weights=None,
                     f"with eps={eps} leaves triangle {t} a piece no fan "
                     f"triangulates (triangulation too coarse near the "
                     f"puncture): {err}") from err
-        # the marked punctures not glued here survive, found by position
-        for other in s.marked_punctures - {orbit}:
-            t, i = s.vertex_orbits[other][0]
-            punctures.append(soup.vertex_at(fans[t], s.triangles[t][i]))
+        # the marked punctures not glued here survive
+        punctures += soup.carry(s, fans, s.marked_punctures - {orbit})
 
     # with weight 0 the two cut boundaries glue directly, else a band
     # between them.  A rectangle's bottom meets its boundary edge
     # reversed, so the band runs right to left along the walk and takes
     # the boundaries in reverse walk order
     first, second = (_cut_boundary(cv, m_base) for cv in carves)
-    pairs = {}
     if weights[0] == 0.0:
-        pairs.update(zip(first, reversed(second)))
-        pairs.update(zip(reversed(second), first))
+        for a, b in zip(first, reversed(second)):
+            soup.glue(a, b)
     else:
         taus = carves[0].base_taus
         widths = [eps * (taus[j + 1] - taus[j]) for j in range(m_base)]
         soup.add_band([eps] + widths + [eps], weights[0], first[::-1],
                       second)
-
-    def partner(tag):
-        if tag in pairs:
-            return pairs[tag]
-        return slot_partner_tag(tag, parts[tag[1]][0].gluings)
-
     try:
-        return soup.assemble(partner, marked_punctures=punctures)
+        return soup.assemble({cv.part: s.gluings
+                              for cv, (s, _orbit) in zip(carves, parts)},
+                             marked_punctures=punctures)
     except (BadConeAngle, NegativeOrderAtInterior, NonInvolutiveGluing) as err:
         raise AngleClash(f"glued surface fails cone-angle validation: {err}")

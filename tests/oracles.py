@@ -4,10 +4,13 @@ These deliberately avoid the library's algorithms: shortest homotopic loops
 come from Dijkstra on a refined strip mesh, saddle connections from
 depth-limited unfolding with explicit segment tracing, torus intersection
 numbers from the lattice formula, grid Laplacians from second differences,
-Newton-step solves from SciPy's conjugate gradients.
+Newton-step solves from SciPy's conjugate gradients, the radial Wang
+solution for q = z^k from SciPy's BVP solver.
 Strips are developed here with 2 x 2 rotation matrices and (x, y) arrays,
 not with the library's complex isometries.  ``random_closed_strip`` draws the random classes that several
-tests share.
+tests share.  ``restart_scan_simplify`` removes backtracks from a crossing
+word by the strip's former restart scan, which its one stack pass must
+match.
 
 ``sequential_saddle_connections`` is the one exception: the saddle
 enumerator as a queue of single wedges in Python complex arithmetic, with
@@ -29,7 +32,7 @@ from scipy.fft import dstn, fft2, idstn, ifft2
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from cubiclab.blaschke.grid import DIRICHLET
-from cubiclab.errors import BadParameters, NoConvergence
+from cubiclab.errors import BadParameters, NoConvergence, TrivialClass
 from cubiclab.flatsurface.geodesics import HomotopyClassPath
 from cubiclab.flatsurface.planar import (EPS, angle_between, cross, dot,
                                          left_of)
@@ -218,6 +221,35 @@ def scipy_pcg(grid, mask, fp, b, tol):
     return d.reshape(mask.shape)
 
 
+def radial_wang(k, R):
+    """The whole-plane Wang solution for q = z^k dz^3 as a function of r,
+    on [0, R]: |q| is radial, so psi solves the ODE
+
+        psi'' + psi'/r = 2 e^psi - 4 r^(2k) e^(-2 psi),
+
+    with psi'(0) = 0 through the singular term and psi(R) = log(2 R^(2k))/3,
+    the flat metric's value, which the solution approaches faster than any
+    power.  SciPy's collocation BVP solver, at tolerance 1e-10."""
+    from scipy.integrate import solve_bvp
+
+    def rhs(r, y):
+        return np.vstack([y[1], 2.0 * np.exp(y[0])
+                          - 4.0 * r ** (2 * k) * np.exp(-2.0 * y[0])])
+
+    def bc(ya, yb):
+        return np.array([ya[1], yb[0] - math.log(2.0 * R ** (2 * k)) / 3.0])
+
+    r = np.linspace(0.0, R, 200)
+    guess = np.vstack([np.log(2.0 * (1.0 + r ** (2 * k))) / 3.0,
+                       np.zeros_like(r)])
+    sol = solve_bvp(rhs, bc, r, guess, S=np.diag([0.0, -1.0]), tol=1e-10,
+                    max_nodes=100_000)
+    if not sol.success:
+        raise NoConvergence(f"radial Wang BVP for k={k}, R={R}: "
+                            f"{sol.message}")
+    return lambda radius: sol.sol(radius)[0]
+
+
 def lattice_norm(p, q, a=1.0, b=1.0):
     return math.hypot(p * a, q * b)
 
@@ -233,6 +265,32 @@ def random_closed_strip(s, rng, min_len):
         t = entered[0]
         if len(seq) >= min_len and t == 0 and s.gluings[seq[-1]] != seq[0]:
             return HomotopyClassPath(tuple(seq))
+
+
+def restart_scan_simplify(gluings, crossings, params):
+    """A crossing word with its immediate backtracks removed, as the strip
+    once did it: scan the cyclic word from its start, delete the first
+    crossing re-crossed by its successor (the seam pair last) together with
+    that successor, and scan again.  Returns (crossings, params); raises
+    TrivialClass if nothing is left."""
+    crossings, params = list(crossings), list(params)
+    changed = True
+    while changed:
+        changed = False
+        n = len(crossings)
+        if n == 0:
+            raise TrivialClass("class simplified to the trivial loop")
+        for k in range(n):
+            k2 = (k + 1) % n
+            if gluings[crossings[k]] == crossings[k2]:
+                for idx in sorted((k, k2), reverse=True):
+                    del crossings[idx]
+                    del params[idx]
+                changed = True
+                break
+    if not crossings:
+        raise TrivialClass("class simplified to the trivial loop")
+    return crossings, params
 
 
 def lattice_intersection(c1, c2):

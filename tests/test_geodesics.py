@@ -6,9 +6,9 @@ import pytest
 from cubiclab.errors import NoConvergence, TrivialClass
 from cubiclab.flatsurface import HomotopyClassPath, presets, tighten_geodesic
 from cubiclab.flatsurface.cylinders import detect_cylinder
-from cubiclab.flatsurface.geodesics import develop_strip
+from cubiclab.flatsurface.geodesics import _Strip, develop_strip
 from oracles import (lattice_norm, pivot_side_angles, random_closed_strip,
-                     strip_dijkstra_length)
+                     restart_scan_simplify, strip_dijkstra_length)
 
 TORUS_CLASSES = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (-1, 2), (3, -2)]
 
@@ -272,3 +272,48 @@ def test_cone_visit_angles_match_the_corner_sums(name, flat_puncture_surface):
                 <= 1e-11
         visits += len(want)
     assert visits >= 150
+
+
+def _walk_with_backtracks(s, rng, min_len):
+    """A random closed walk from triangle 0 that may step straight back."""
+    t, seq = 0, []
+    while len(seq) < min_len or t != 0:
+        seq.append((t, int(rng.integers(3))))
+        t = s.gluings[seq[-1]][0]
+    return seq
+
+
+@pytest.mark.parametrize("name", ["square torus", "octagon"])
+def test_strip_simplify_matches_restart_scan(name):
+    # the stack pass keeps the crossings and params the restart scan kept,
+    # in order, across the seam and down to the trivial loop
+    s = {"square torus": presets.square_torus,
+         "octagon": presets.regular_octagon}[name]()
+    rng = np.random.default_rng(11)
+    words = [_walk_with_backtracks(s, rng, int(rng.integers(2, 25)))
+             for _ in range(300)]
+    # a class closed at triangle 0 with a backtrack there, at each rotation:
+    # one of them straddles the seam
+    base = list(random_closed_strip(s, rng, 8).crossings)
+    x = next((0, e) for e in range(3) if (0, e) != s.gluings[base[-1]])
+    loop = base + [x, s.gluings[x]]
+    words += [loop[r:] + loop[:r] for r in range(len(loop))]
+    # trivial loops: a word followed by its reverse, at every third rotation
+    back = [s.gluings[c] for c in reversed(base)]
+    words += [(base + back)[r:] + (base + back)[:r]
+              for r in range(0, 2 * len(base), 3)]
+    seen = {"seam": 0, "trivial": 0, "reduced": 0}
+    for word in words:
+        params = rng.uniform(0.0, 1.0, len(word)).tolist()
+        try:
+            want = restart_scan_simplify(s.gluings, word, params)
+        except TrivialClass:
+            with pytest.raises(TrivialClass):
+                _Strip(s, word, params)
+            seen["trivial"] += 1
+            continue
+        st = _Strip(s, word, params)
+        assert (st.crossings, st.params) == want
+        seen["seam"] += s.gluings[word[-1]] == word[0]
+        seen["reduced"] += len(want[0]) < len(word)
+    assert min(seen.values()) >= 10, seen

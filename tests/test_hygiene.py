@@ -3,6 +3,7 @@ package is reached from what the package runs, every stored field is read,
 every call the benchmark traces exists, the flat layer rounds with one
 epsilon, takes its planar products from planar.py and uses no NumPy complex
 arithmetic, only flatsurface/io.py knows the surface file's keys, only
+flatsurface/subdivide.py knows how a sub-edge is tagged, only
 blaschke/grid.py applies the stencil and its transforms and computes in
 single precision, and importing the package loads only the SciPy it runs.
 
@@ -401,7 +402,7 @@ BUILTIN_RAISES = {
         "a piece no fan triangulates; the one caller whose pieces depend "
         "on its arguments, triangle_surgery_glue, re-raises it as "
         "BadParameters naming eps and the triangle",
-    "flatsurface/subdivide.py:Soup.vertex_at":
+    "flatsurface/subdivide.py:Soup.carry":
         "pieces copy their corners bit for bit, so a corner of the old "
         "surface is always found",
     "flatsurface/subdivide.py:Soup.where":
@@ -532,27 +533,44 @@ def test_flat_layer_rounds_with_one_epsilon():
 
 # The keys of the surface file, which flatsurface/io.py alone writes and reads
 SURFACE_FILE_KEYS = {"rot", "tx", "ty", "punctures"}
+# The layout of the soup's sub-edge tags ("slot", key, slot, a, b) and the
+# ids of a slot's own ends, which flatsurface/subdivide.py alone builds and
+# reads
+SUB_EDGE_TAG_WORDS = {"slot", "lo", "hi"}
 
 
-def _surface_file_keys(path: Path) -> list[tuple[int, str]]:
-    """(line, key) of each string literal in the module that is a key of
-    the surface file."""
+def _string_literals(path: Path, words) -> list[tuple[int, str]]:
+    """(line, word) of each string literal in the module that is one of
+    ``words``."""
     return [(n.lineno, n.value)
             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(n, ast.Constant) and isinstance(n.value, str)
-            and n.value in SURFACE_FILE_KEYS]
+            and n.value in words]
+
+
+def _literals_outside(owner: Path, words) -> list[str]:
+    """Where the package writes one of ``words`` outside ``owner``, after
+    checking that the gate sees all of them in ``owner``."""
+    assert {w for _line, w in _string_literals(owner, words)} == words
+    return [f"{path.relative_to(ROOT)}:{line}: {w!r}"
+            for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
+            if path != owner for line, w in _string_literals(path, words)]
 
 
 def test_surface_file_format_lives_in_io():
-    io_py = ROOT / "src/cubiclab/flatsurface/io.py"
-    assert {key for _line, key in _surface_file_keys(io_py)} \
-        == SURFACE_FILE_KEYS
-    outside = [f"{path.relative_to(ROOT)}:{line}: {key!r}"
-               for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
-               if path != io_py
-               for line, key in _surface_file_keys(path)]
+    outside = _literals_outside(ROOT / "src/cubiclab/flatsurface/io.py",
+                                SURFACE_FILE_KEYS)
     assert not outside, ("surface file keys outside flatsurface/io.py:\n"
                          + "\n".join(outside))
+
+
+def test_sub_edge_tags_live_in_subdivide():
+    # cylinder insertion and triangle surgery say where to cut and what to
+    # glue; only the cut-and-glue layer knows how a sub-edge is tagged
+    outside = _literals_outside(
+        ROOT / "src/cubiclab/flatsurface/subdivide.py", SUB_EDGE_TAG_WORDS)
+    assert not outside, ("sub-edge tag layout outside "
+                         "flatsurface/subdivide.py:\n" + "\n".join(outside))
 
 
 def _conjugates(path: Path) -> list[int]:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -14,6 +15,7 @@ from cubiclab.blaschke import (
     square_window,
     unit_torus_grid,
 )
+from cubiclab.blaschke.decay import _min_abs_q_on_disk
 from cubiclab.errors import BadParameters
 from oracles import five_point_laplacian
 
@@ -143,6 +145,20 @@ def test_decay_certificates_zq():
     # flat distance from the probe to the zero: (3/4) t^(1/3), quadrature
     for c in certs:
         assert abs(c.flat_radius - 0.75 * c.t ** (1.0 / 3.0)) < 1e-8
+
+
+def test_disk_minimum_is_a_lower_bound():
+    # on a disk free of the zeros, |q| = |lead| prod |z - z_k| is at least
+    # |lead| prod (|centre - z_k| - R), and its minimum lies on the circle
+    circle = np.exp(2j * math.pi * np.arange(100_000) / 100_000)
+    for probe, radius in [(0.5, 0.9), (1.0 + 0.3j, 1.0), (-0.2 - 0.4j, 0.5)]:
+        bound = _min_abs_q_on_disk(1.0, np.array([1j, -1j]), probe, radius)
+        sampled = np.abs(1.0 + (probe + radius * circle) ** 2).min()
+        assert 0.0 < bound <= sampled
+    # for q = z it is the minimum 1 - R, where a 48 x 96 polar sample
+    # missing the direction of the zero read 0.202272
+    bound = _min_abs_q_on_disk(1.0, np.array([0j]), cmath.exp(0.3j), 0.7992)
+    assert bound == pytest.approx(0.2008, rel=0.0, abs=1e-15)
 
 
 def test_decay_cg_work_is_bounded(preconditioner_applications):

@@ -19,7 +19,7 @@ from cubiclab.blaschke import (
 from cubiclab.blaschke import solver
 from cubiclab.blaschke.grid import DIRICHLET, PERIODIC
 from cubiclab.errors import BadParameters, NoConvergence, SingularJacobian
-from oracles import five_point_laplacian, scipy_pcg
+from oracles import five_point_laplacian, radial_wang, scipy_pcg
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -147,6 +147,26 @@ def test_zcubic_cg_work_is_pinned(preconditioner_applications):
     sol = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
     assert (len(preconditioner_applications), sol.newton_iterations) \
         == (27, 4)
+
+
+def test_zcubic_second_order_against_radial_solution():
+    # q = e^(i theta) z on [-4, 4]^2 with Dirichlet data read off the radial
+    # whole-plane solution: the max error falls by 4 per halving of the step
+    psi = radial_wang(1, 9.0)
+    # the oracle: above the flat value log(2 r^2)/3 by (2/3)F, F(4) = 5.8e-7
+    assert 0.0 < psi(4.0) - math.log(32.0) / 3.0 < 5e-7
+    for theta in (0.0, 2.0):
+        errors = []
+        for n in (65, 129, 257):
+            g = Grid2D(-4, 4, -4, 4, n, n)
+            q = CubicDifferentialField.from_polynomial(
+                g, [0.0, np.exp(1j * theta)])
+            exact = psi(np.abs(g.zs))
+            sol = solve_wang(g, q, tol=1e-10, boundary_psi=exact)
+            errors.append(np.abs(sol.psi - exact).max())
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(1.9 < p < 2.1 for p in orders), (theta, errors)
+        assert errors[-1] < 1e-4
 
 
 def _allocating_laplacian(grid, field):
