@@ -1,8 +1,8 @@
 """Uniform finite-difference grids on axis-aligned rectangles.
 
 The grid is the one place that knows its boundary condition: which nodes
-the 5-point stencil acts on, the stencil itself, and the spectral inverse
-of -Lap + c on those nodes.
+the 5-point stencil acts on, the stencil itself, and how to precondition
+-Lap + diag f' on those nodes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.fft import dstn, fft2, idstn, ifft2
+from scipy.fft import dstn, idstn, irfft2, rfft2
 
 from ..errors import BadParameters
 
@@ -92,7 +92,7 @@ class Grid2D:
 
     def shifted_inverse(self, c: float):
         """The map b -> (-Lap + c)^-1 b on inner-block arrays: a type-1 sine
-        transform on Dirichlet grids, an FFT on the torus.
+        transform on Dirichlet grids, a real FFT on the torus.
 
         The transforms run in single precision, on a float32 copy of b that
         is divided by the eigenvalues (computed in double, then rounded),
@@ -112,8 +112,9 @@ class Grid2D:
         eig = (symbol(self.ny, self.dy)[:, None]
                + symbol(self.nx, self.dx)[None, :] + c).astype(np.float32)
         work = np.empty(eig.shape, dtype=np.float32)
-        forward, back = (fft2, ifft2) if periodic else (
-            partial(dstn, type=1), partial(idstn, type=1))
+        forward, back = (rfft2, partial(irfft2, s=eig.shape)) if periodic \
+            else (partial(dstn, type=1), partial(idstn, type=1))
+        eig = eig[:, :self.nx // 2 + 1] if periodic else eig  # real fields
 
         def solve(b):
             work[...] = b
@@ -121,6 +122,16 @@ class Grid2D:
             spec /= eig
             return back(spec, overwrite_x=True).real.astype(float)
         return solve
+
+    def preconditioner(self, fp, mask):
+        """r -> M r on inner-block arrays, preconditioning the masked
+        -Lap + diag fp (``mask`` 1.0 on free nodes, 0.0 on pinned ones):
+        ``shifted_inverse`` at c the mean of fp if no node is pinned, else,
+        as no transform fits the free domain, a multigrid V-cycle."""
+        if mask.all():
+            return self.shifted_inverse(float(fp[mask > 0].mean()))
+        scratch = np.empty((2, (mask.shape[0] + 2) * (mask.shape[1] + 2)))
+        return _Level(mask, fp, self.dx, self.dy, scratch).apply
 
     def nearest_node(self, z: complex) -> tuple[int, int]:
         ix = int(round((z.real - self.x0) / self.dx))
@@ -139,6 +150,87 @@ class Grid2D:
             wx[[0, -1]] = wy[[0, -1]] = 0.5
         return float(wy @ np.asarray(field, dtype=float) @ wx) \
             * (self.dx * self.dy)
+
+
+class _Level:
+    """A level of the multigrid hierarchy for the masked -Lap + diag fp:
+    each coarser one takes every other node, with fp and pins injected;
+    prolongation P is bilinear, restriction P^T / 4.  Fields are padded by
+    a zero rim and flattened: the stencil's neighbours lie at offsets +-1
+    and +-(nx + 2), and the mask, 0 on the rim, drops the wrong ones.  The
+    mask is stored times omega and the stencil over omega."""
+
+    OMEGA = 0.8  # Jacobi damping: the 5-point stencil's best smoother
+
+    def __init__(self, mask, fp, dx, dy, scratch):
+        ny, nx = self.shape = mask.shape
+        self.w, om = nx + 2, self.OMEGA
+        fields = np.zeros((4, ny + 2, nx + 2))
+        fields[1] = 1.0
+        fields[:2, 1:-1, 1:-1] = om * mask, (2 / dx**2 + 2 / dy**2 + fp) / om
+        self.mask, self.diag, self.rhs, self.x = fields.reshape(4, -1)
+        self.res, self.tmp = scratch[:, :self.x.size]  # shared by all levels
+        self.cx, self.cy = 1.0 / (om * dx ** 2), 1.0 / (om * dy ** 2)
+        self.coarse = None if min(ny, nx) < 3 else _Level(
+            mask[1::2, 1::2], fp[1::2, 1::2], 2 * dx, 2 * dy, scratch)
+
+    def apply(self, r):
+        """M r, as a view that the next application overwrites."""
+        self.rhs.reshape(-1, self.w)[1:-1, 1:-1] = r
+        self.cycle()
+        return self.x.reshape(-1, self.w)[1:-1, 1:-1]
+
+    def residual(self):
+        """rhs - A x into ``res``, zero on the pinned nodes and the rim."""
+        x, w = self.x, self.w
+        self.res[:w] = self.res[-w:] = 0.0
+        out, tmp = self.res[w:-w], self.tmp[w:-w]
+        np.add(x[w - 1:-w - 1], x[w + 1:-w + 1], out=out)
+        out *= self.cx
+        np.add(x[:-2 * w], x[2 * w:], out=tmp)
+        tmp *= self.cy
+        out += tmp
+        out -= np.multiply(self.diag[w:-w], x[w:-w], out=tmp)
+        out *= self.mask[w:-w]
+        out += self.rhs[w:-w]
+
+    def cycle(self):
+        """x = M rhs, M symmetric positive: a damped Jacobi sweep from 0, the
+        coarse correction (none below 3 nodes wide) and another sweep."""
+        np.divide(self.rhs, self.diag, out=self.x)
+        co, w = self.coarse, self.w
+        if co is not None:
+            (my, mx), res = co.shape, self.res.reshape(-1, w)
+            self.residual()
+            rows = self.tmp[:my * w].reshape(my, w)
+            _weigh(res[1:], rows)
+            _weigh(rows.T[1:], co.rhs.reshape(my + 2, -1)[1:-1, 1:-1].T)
+            co.rhs *= co.mask
+            co.rhs *= 1.0 / (16.0 * self.OMEGA ** 2)  # P^T / 4, two masks
+            co.cycle()
+            half = self.tmp[:(my + 2) * w].reshape(-1, w)
+            _interpolate(co.x.reshape(my + 2, -1).T, half.T)
+            _interpolate(half, res)
+            self.res *= self.mask
+            self.x += self.res
+        self.residual()
+        self.x += np.divide(self.res, self.diag, out=self.res)
+
+
+def _weigh(fine, coarse):
+    """2 P^T along axis 0: fine[2j] + 2 fine[2j + 1] + fine[2j + 2]."""
+    n = len(coarse)
+    np.add(fine[:2 * n:2], fine[2:2 * n + 1:2], out=coarse)
+    for _ in range(2):
+        coarse += fine[1:2 * n:2]
+
+
+def _interpolate(coarse, fine):
+    """P along axis 0: fine 2j is coarse j, 2j + 1 the mean of j, j + 1."""
+    n = len(fine)
+    fine[0::2] = coarse[:(n + 1) // 2]
+    np.add(coarse[:n // 2], coarse[1:n // 2 + 1], out=fine[1::2])
+    fine[1::2] *= 0.5
 
 
 def square_window(center: complex, side: float, n: int) -> Grid2D:

@@ -16,10 +16,10 @@ nodes (those not pinned to boundary values), applying the grid's 5-point
 stencil to arrays of its stencil block, where a 0/1 float mask holds the
 pinned nodes at zero.  Each step solves (-Lap + diag f') d = r by the
 kernel's own conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for
-step, on buffers allocated once per solve), preconditioned by the grid's
-single-precision spectral inverse of -Lap + c on the block, c the mean of
-f' over the free nodes; the iterates and every stopping test stay in
-double.  The kernel never asks which boundary condition the grid has.
+step, on buffers allocated once per solve), preconditioned by the grid:
+by a single-precision spectral inverse of -Lap + c if no node of the block
+is pinned, by a multigrid V-cycle if some are.  Iterates and stopping tests
+stay in double.  The kernel never asks the grid's boundary condition.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _pcg(grid: Grid2D, mask: np.ndarray, fp: np.ndarray, b: np.ndarray,
     The loop is SciPy's ``sparse.linalg.cg`` from x = 0, step for step, on
     the block's arrays, with atol = 0.01 tol and rtol = 1e-3 min(1, max|b|):
     the matvec (fp p - Lap p) mask and the preconditioner
-    (-Lap + c)^-1 r mask, c the mean of fp over the free nodes."""
-    shifted = grid.shifted_inverse(float(fp[mask > 0].mean()))
+    ``grid.preconditioner(fp, mask)`` r mask."""
+    precondition = grid.preconditioner(fp, mask)
     x = np.zeros_like(b)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
@@ -102,7 +102,7 @@ def _pcg(grid: Grid2D, mask: np.ndarray, fp: np.ndarray, b: np.ndarray,
     for it in range(_CG_MAXITER):
         if np.linalg.norm(r) < atol:
             break
-        np.multiply(shifted(r), mask, out=z)
+        np.multiply(precondition(r), mask, out=z)
         rho = np.vdot(r, z)  # SciPy's np.dot of the flattened arrays
         if it:
             p *= rho / rho_prev

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -42,17 +43,21 @@ def flat_puncture_surface():
 @pytest.fixture
 def preconditioner_applications(monkeypatch):
     """A list that gains an entry each time a preconditioner made by
-    ``Grid2D.shifted_inverse`` is applied, that is once per CG iteration."""
+    ``Grid2D.preconditioner`` is applied, that is once per CG iteration,
+    spectral or V-cycle alike.  The entry numbers the preconditioner, one a
+    CG solve: k for the k-th made, from 0."""
     applied = []
-    shifted_inverse = Grid2D.shifted_inverse
+    serials = itertools.count()
+    preconditioner = Grid2D.preconditioner
 
-    def counting(grid, c):
-        solve = shifted_inverse(grid, c)
+    def counting(grid, fp, mask):
+        precondition = preconditioner(grid, fp, mask)
+        serial = next(serials)
 
         def apply(b):
-            applied.append(1)
-            return solve(b)
+            applied.append(serial)
+            return precondition(b)
         return apply
 
-    monkeypatch.setattr(Grid2D, "shifted_inverse", counting)
+    monkeypatch.setattr(Grid2D, "preconditioner", counting)
     return applied

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn, fft2, idstn, ifft2
+from scipy.fft import dstn, idstn, irfft2, rfft2
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from cubiclab.blaschke.grid import DIRICHLET
@@ -183,11 +183,13 @@ def scipy_pcg(grid, mask, fp, b, tol):
     """(-Lap + diag fp) d = b on the stencil block by
     ``scipy.sparse.linalg.cg`` on the block's flattened arrays, with linear
     operators: the 5-point matvec (fp p - Lap p) mask, and as preconditioner
-    (-Lap + c)^-1 r mask, c the mean of fp where the 0/1 ``mask`` is 1, by
-    sine transforms on the block, or by FFT on a torus, in single precision:
-    r rounded to float32, divided by the float32 rounding of the double
-    eigenvalues, transformed back and widened to float64.  Tolerances
-    atol = 0.01 tol, rtol = 1e-3 min(1, max|b|); d as a block array."""
+    M r mask.  M is (-Lap + c)^-1, c the mean of fp, when the 0/1 ``mask``
+    pins no node of the block: by sine transforms on the block, or by real
+    FFT on a torus, in single precision: r rounded to float32, divided by
+    the float32 rounding of the double eigenvalues, transformed back and
+    widened to float64.  When it pins some, M is the grid's own
+    ``preconditioner``, the V-cycle.  Tolerances atol = 0.01 tol,
+    rtol = 1e-3 min(1, max|b|); d as a block array."""
     periodic = grid.bc != DIRICHLET
 
     def symbol(n, h):
@@ -204,19 +206,20 @@ def scipy_pcg(grid, mask, fp, b, tol):
         full[grid.inner] = v
         return ((fp * v - grid.laplacian(full)) * mask).ravel()
 
-    def precondition(v):
-        w = v.reshape(mask.shape).astype(np.float32)
+    def spectral(w):
+        w = w.astype(np.float32)
         if periodic:
-            w = ifft2(fft2(w) / eig).real
-        else:
-            w = idstn(dstn(w, type=1) / eig, type=1)
-        return (w.astype(float) * mask).ravel()
+            half = eig[:, :grid.nx // 2 + 1]
+            return irfft2(rfft2(w) / half, s=w.shape)
+        return idstn(dstn(w, type=1) / eig, type=1)
 
+    precondition = spectral if mask.all() else grid.preconditioner(fp, mask)
     shape = (b.size, b.size)
+    M = spla.LinearOperator(shape, lambda v: (precondition(
+        v.reshape(mask.shape)).astype(float) * mask).ravel(), dtype=float)
     d, info = spla.cg(spla.LinearOperator(shape, matvec, dtype=float),
                       b.ravel(), rtol=1e-3 * min(1.0, float(np.abs(b).max())),
-                      atol=0.01 * tol, maxiter=500,
-                      M=spla.LinearOperator(shape, precondition, dtype=float))
+                      atol=0.01 * tol, maxiter=500, M=M)
     assert info == 0, f"SciPy's cg stopped after {info} iterations"
     return d.reshape(mask.shape)
 

@@ -660,7 +660,7 @@ def _stencil_uses(path: Path) -> list[tuple[int, str]]:
 def test_stencil_and_transforms_live_in_grid():
     grid_py = ROOT / "src/cubiclab/blaschke/grid.py"
     used = {name.split(".")[-1] for _line, name in _stencil_uses(grid_py)}
-    assert {"dstn", "fft2", "pad"} <= used
+    assert {"dstn", "rfft2", "pad"} <= used
     outside = [f"{path.relative_to(ROOT)}:{line}: {name}"
                for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
                if path != grid_py

@@ -162,10 +162,24 @@ def test_disk_minimum_is_a_lower_bound():
 
 
 def test_decay_cg_work_is_bounded(preconditioner_applications):
-    # 200 CG iterations with the preconditioner in double precision, 202 in
-    # single: a preconditioner that lost accuracy fails here
+    # 96 CG iterations with the V-cycle on the disk, 203 with the spectral
+    # inverse of the square: a preconditioner that lost accuracy fails here
     decay_experiment([0, 1], (1, 8, 64, 512), 1, window_side=1.6, n=129)
-    assert len(preconditioner_applications) <= 210
+    assert len(preconditioner_applications) <= 100
+
+
+def test_decay_cg_work_per_newton_step_is_h_independent(
+        preconditioner_applications):
+    # CG iterations per Newton step on the disk: 5.7 at n = 65 and 7.5 at
+    # n = 257 with the V-cycle; the spectral inverse of the square took
+    # 9.9 and 18.5, a growth like h^(-1/2)
+    per_step = []
+    for n in (65, 257):
+        preconditioner_applications.clear()
+        decay_experiment([0, 1], (1, 8, 64, 512), 1, window_side=1.6, n=n)
+        solves = len(set(preconditioner_applications))
+        per_step.append(len(preconditioner_applications) / solves)
+    assert per_step[1] <= 1.5 * per_step[0], per_step
 
 
 def test_probe_at_zero_rejected():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.special import k0
 
 from cubiclab.blaschke import (
     CubicDifferentialField,
@@ -169,6 +172,21 @@ def test_zcubic_second_order_against_radial_solution():
         assert errors[-1] < 1e-4
 
 
+def test_radial_oracle_fits_one_decay_constant():
+    # far from the zero the gap of the oracle decays as A_1 K_0(c rho), rho
+    # = (3/4) r^(4/3) the flat distance and c = sqrt(3 2^(4/3)): the fitted
+    # A_1 reads 0.8269929 at rho = 4 and 0.8269930 at rho = 5 (at rho = 3,
+    # 0.8269854: the next, nonlinear term is still 9.6e-6 of it)
+    psi = radial_wang(1, 9.0)
+
+    def fitted(rho):
+        r = (4.0 * rho / 3.0) ** 0.75
+        gap = 1.5 * (psi(r) - math.log(2.0 * r * r) / 3.0)
+        return gap / k0(math.sqrt(3.0 * 2.0 ** (4.0 / 3.0)) * rho)
+
+    assert fitted(4.0) == pytest.approx(fitted(5.0), rel=1e-6, abs=0.0)
+
+
 def _allocating_laplacian(grid, field):
     """The stencil as one allocating expression, rounded in the order that
     ``Grid2D.laplacian`` keeps."""
@@ -223,6 +241,69 @@ def test_pcg_matches_scipy_cg(domain, rhs):
     got = solver._pcg(g, mask, fp, b, tol, "test")
     assert not got[mask == 0].any()
     assert np.array_equal(got, scipy_pcg(g, mask, fp, b, tol))
+
+
+def _disk_problem(nx, ny):
+    """A disk pinned as in decay_experiment, inscribed in a grid of nx x ny
+    nodes on [-0.8, 0.8] x [-b, b], with f' spread over five decades: the
+    grid, the 0/1 mask on the stencil block and f' there."""
+    b = 0.8 * (ny - 1) / (nx - 1)
+    g = Grid2D(-0.8, 0.8, -b, b, nx, ny)
+    free = g.interior_mask() & (np.abs(g.zs) < 0.999 * min(0.8, b))
+    mask = np.where(free[g.inner], 1.0, 0.0)
+    fp = 10.0 ** np.random.default_rng(3).uniform(-1.0, 4.0, mask.shape)
+    return g, mask, fp
+
+
+# the decay window's odd n, an even n and a rectangle: the CLI takes any
+# n >= 8, so the hierarchy must coarsen blocks of either parity
+SHAPES = [(65, 65), (64, 64), (65, 40)]
+
+
+@pytest.mark.parametrize("nx,ny", SHAPES)
+def test_vcycle_is_symmetric_positive_definite(nx, ny):
+    # CG needs a symmetric positive definite preconditioner; the V-cycle is
+    # one in exact arithmetic, and in double it keeps the symmetry to
+    # rounding, relative to the Cauchy-Schwarz bound of the inner product
+    g, mask, fp = _disk_problem(nx, ny)
+    apply = g.preconditioner(fp, mask)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        u, v = (rng.standard_normal(mask.shape) * mask for _ in range(2))
+        mu = apply(u).copy()  # a view, which the next application overwrites
+        mv = apply(v).copy()
+        assert not mu[mask == 0].any()
+        scale = np.linalg.norm(mu) * np.linalg.norm(v)
+        assert abs(np.vdot(mu, v) - np.vdot(u, mv)) <= 1e-12 * scale
+        assert np.vdot(mu, u) > 0.0
+
+
+@pytest.mark.parametrize("nx,ny", SHAPES)
+def test_masked_pcg_matches_direct_solve(nx, ny):
+    # the kernel's CG with the V-cycle against SciPy's sparse direct solve
+    # of -Lap + diag f' on the free nodes: CG stops once its residual is
+    # below atol, so the error is at most atol over the smallest eigenvalue,
+    # which is at least the whole block's: the square's plus min f'
+    g, mask, fp = _disk_problem(nx, ny)
+    b = 1e-3 * np.random.default_rng(5).standard_normal(mask.shape) * mask
+    got = solver._pcg(g, mask, fp, b, 1e-10, "test")
+    assert not got[mask == 0].any()
+
+    def second_difference(n, h):
+        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n - 2, n - 2)) \
+            / h ** 2
+
+    lap = sp.kronsum(second_difference(g.nx, g.dx),
+                     second_difference(g.ny, g.dy))
+    free = mask.ravel() > 0
+    A = (sp.diags(fp.ravel()) - lap).tocsr()[free][:, free]
+    exact = spla.spsolve(A.tocsc(), b.ravel()[free])
+    atol = max(1e-12, 1e-3 * min(1.0, np.abs(b).max()) * np.linalg.norm(b))
+    smallest = sum((2.0 / h * math.sin(math.pi / (2 * n - 2))) ** 2
+                   for n, h in ((g.nx, g.dx), (g.ny, g.dy))) + fp.min()
+    assert np.linalg.norm(A @ got.ravel()[free] - b.ravel()[free]) \
+        <= 1.01 * atol
+    assert np.linalg.norm(got.ravel()[free] - exact) <= 1.01 * atol / smallest
 
 
 def test_polynomial_field_evaluated_once(monkeypatch):
