@@ -7,7 +7,7 @@ the 5-point stencil acts on, the stencil itself, and how to precondition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -35,6 +35,8 @@ class Grid2D:
     nx: int
     ny: int
     bc: str = DIRICHLET
+
+    COARSEST = 65  # levels below 65 nodes a side save no CG step above them
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
@@ -132,6 +134,21 @@ class Grid2D:
             return self.shifted_inverse(float(fp[mask > 0].mean()))
         scratch = np.empty((2, (mask.shape[0] + 2) * (mask.shape[1] + 2)))
         return _Level(mask, fp, self.dx, self.dy, scratch).apply
+
+    def halved(self) -> Grid2D | None:
+        """The grid of every other node; None on a torus, on an even side
+        or if it would have fewer than ``COARSEST`` nodes a side."""
+        nx, ny = (self.nx + 1) // 2, (self.ny + 1) // 2
+        if self.bc == PERIODIC or not self.nx % 2 == self.ny % 2 == 1 \
+                or min(nx, ny) < self.COARSEST:
+            return None
+        return replace(self, nx=nx, ny=ny)
+
+    def prolong(self, coarse) -> np.ndarray:
+        """A node field on ``halved()`` prolonged bilinearly, as in _Level."""
+        _interpolate(coarse, half := np.empty((self.ny, coarse.shape[1])))
+        _interpolate(half.T, (fine := np.empty((self.ny, self.nx))).T)
+        return fine
 
     def nearest_node(self, z: complex) -> tuple[int, int]:
         ix = int(round((z.real - self.x0) / self.dx))

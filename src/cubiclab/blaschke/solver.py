@@ -19,7 +19,9 @@ kernel's own conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for
 step, on buffers allocated once per solve), preconditioned by the grid:
 by a single-precision spectral inverse of -Lap + c if no node of the block
 is pinned, by a multigrid V-cycle if some are.  Iterates and stopping tests
-stay in double.  The kernel never asks the grid's boundary condition.
+stay in double.  The kernel never asks the grid's boundary condition.  A
+Wang solve starts from the solve on the halved grid, prolonged (nested
+iteration), and on the coarsest level from the harmonic extension.
 """
 
 from __future__ import annotations
@@ -186,11 +188,41 @@ def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
                 break
             step *= 0.5
         else:
+            floor = np.finfo(float).eps * (2 / grid.dx**2 + 2 / grid.dy**2) \
+                * float(np.abs(x[grid.inner] * mask).max())
             raise NoConvergence(
-                f"{label}: line search stalled at residual {rn:.3e}")
+                f"{label}: line search stalled at residual {rn:.3e} for tol "
+                f"{tol:.3e}; the residual's rounding floor is {floor:.3e}")
     if rn <= tol:
         return x, rn, max_iter
     raise NoConvergence(f"{label}: residual {rn:.3e} after {max_iter} steps")
+
+
+def _wang(grid: Grid2D, abs2, fixed, bvals, tol, max_iter):
+    """Newton for the Wang equation from the prolonged solve on
+    ``grid.halved()`` (|q|^2, pins and values injected), or on the coarsest
+    level from the capped subsolution and the harmonic extension."""
+    label, every = f"wang on {grid.nx} x {grid.ny}", np.s_[::2, ::2]
+    if (coarse := grid.halved()) is not None:
+        x0 = grid.prolong(_wang(coarse, abs2[every], fixed[every],
+                                bvals[every], tol, max_iter)[0])
+    else:
+        with np.errstate(divide="ignore"):
+            sub = np.log(2.0 * abs2) / 3.0
+        if fixed.any():  # with f' = 0 the preconditioner is the inverse
+            lap = grid.laplacian(base := np.where(fixed, bvals, 0.0))
+            base[grid.inner] += _pcg(grid, np.ones_like(lap),
+                                     np.zeros_like(lap), lap, tol, label)
+            x0 = np.maximum(base, np.maximum(sub, bvals[fixed].min() - 50.0))
+        else:
+            x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
+
+    def f_and_deriv(psi):
+        e1, e2 = _safe_exp(psi), _safe_exp(-2.0 * psi)
+        return 2.0 * e1 - 4.0 * abs2 * e2, 2.0 * e1 + 8.0 * abs2 * e2
+
+    return _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0, tol,
+                             max_iter, label)
 
 
 def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
@@ -199,36 +231,17 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
 
     Dirichlet solves take boundary psi values (a number or a node field);
     doubly periodic solves take none and need q not identically zero.
+    Newton starts from the same solve on ``grid.halved()``, if there is
+    one; ``newton_iterations`` counts the steps on ``grid`` alone.
     """
     abs2 = q.abs2
     fixed, bvals = _pinned(grid, boundary_psi, None, "wang")
-    # initial guess: capped subsolution, blended with boundary data
-    with np.errstate(divide="ignore"):
-        sub = np.log(2.0 * abs2) / 3.0
-    if fixed.any():
-        # harmonic extension: with f' = 0 the preconditioner is the
-        # inverse, up to its single-precision rounding
-        base = np.where(fixed, bvals, 0.0)
-        lap = grid.laplacian(base)
-        harmonic = base.copy()
-        harmonic[grid.inner] += _pcg(grid, np.ones_like(lap),
-                                     np.zeros_like(lap), lap, tol, "wang")
-        x0 = np.maximum(harmonic, np.maximum(sub, bvals[fixed].min() - 50.0))
-    elif float(abs2.max()) == 0.0:
+    if not fixed.any() and float(abs2.max()) == 0.0:
         raise BadParameters(
             f"q = 0 on the {grid.nx} x {grid.ny} periodic grid: the "
             "integral of Lap psi vanishes but the right side 2 e^psi is "
             "strictly positive")
-    else:
-        x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
-
-    def f_and_deriv(psi):
-        e1 = _safe_exp(psi)
-        e2 = _safe_exp(-2.0 * psi)
-        return 2.0 * e1 - 4.0 * abs2 * e2, 2.0 * e1 + 8.0 * abs2 * e2
-
-    psi, rn, its = _solve_semilinear(grid, f_and_deriv, fixed, bvals, x0,
-                                     tol, max_iter, "wang")
+    psi, rn, its = _wang(grid, abs2, fixed, bvals, tol, max_iter)
     sol = BlaschkeSolution(grid, q, psi, rn, its)
     margin = check_subsolution(sol)
     sol.flags["subsolution_ok"] = bool(margin.min() >= -1e-8 * max(

@@ -16,7 +16,7 @@ from cubiclab.blaschke import (
     unit_torus_grid,
 )
 from cubiclab.blaschke.decay import _min_abs_q_on_disk
-from cubiclab.errors import BadParameters
+from cubiclab.errors import BadParameters, NoConvergence
 from oracles import five_point_laplacian
 
 
@@ -110,6 +110,23 @@ def test_negative_boundary_rejected():
     q = CubicDifferentialField.constant(g, 1.0)
     with pytest.raises(BadParameters, match=r"boundary gap value -0\.1 < 0"):
         solve_tzitzeica(g, q, boundary=-0.1)
+
+
+def test_stalled_line_search_names_tol_and_rounding_floor():
+    # ray-z-window's disk solve at t = 1 asked for tol 1e-12: the residual
+    # stalls near 1.5e-12, below its rounding floor eps (2/dx^2 + 2/dy^2)
+    # max|F| over the free nodes, about 3.2e-12 with dx = 1.6/96 and F <= 1
+    g = square_window(1.0, 1.6, 97)
+    q = CubicDifferentialField.from_polynomial(g, [0.0, 1.0])
+    disk = np.abs(g.zs - 1.0) >= 0.999 * 0.8
+    with pytest.raises(NoConvergence, match=r"^tzitzeica: line search stalled "
+                       r"at residual \d\.\d{3}e-12 for tol 1\.000e-12; the "
+                       r"residual's rounding floor is 3\.\d{3}e-12$") as err:
+        solve_tzitzeica(g, q, boundary=1.0, tol=1e-12, fixed_mask=disk)
+    stalled, _tol, floor = map(float, re.findall(r"\d\.\d{3}e-12",
+                                                 str(err.value)))
+    bound = np.finfo(float).eps * 4.0 / g.dx ** 2
+    assert stalled < floor <= bound
 
 
 def test_flat_path_length_quadrature():

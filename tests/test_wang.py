@@ -127,29 +127,107 @@ def test_wang_residual_by_independent_stencil(periodic):
 
 def test_wang_newton_budget_reports_residual():
     g, q, bc = _zcubic_problem(65)
-    with pytest.raises(NoConvergence, match=r"residual \d\.\d{3}e[+-]\d+ "
-                                            r"after 1 steps"):
+    with pytest.raises(NoConvergence, match=r"^wang on 65 x 65: residual "
+                       r"\d\.\d{3}e[+-]\d+ after 1 steps$"):
+        solve_wang(g, q, tol=1e-10, boundary_psi=bc, max_iter=1)
+
+
+def test_nested_wang_failure_names_its_level():
+    # the 129-node solve starts from the 65-node one, which fails first:
+    # the error names the 65-node grid, not the 129-node grid asked for
+    g, q, bc = _zcubic_problem(129)
+    with pytest.raises(NoConvergence, match=r"^wang on 65 x 65: residual "):
         solve_wang(g, q, tol=1e-10, boundary_psi=bc, max_iter=1)
 
 
 def test_wang_cg_failure_reports_iterations(monkeypatch):
-    # the harmonic start converges within two CG iterations, the first
-    # Newton step needs five
+    # 65 nodes a side is not halved: the solve starts from the harmonic
+    # extension, whose CG solve takes one iteration, and the first Newton
+    # step needs five
     g, q, bc = _zcubic_problem(65)
     monkeypatch.setattr(solver, "_CG_MAXITER", 2)
-    with pytest.raises(SingularJacobian, match=r"wang: CG stopped after 2 "
-                       r"iterations at relative residual \d\.\d{3}e[+-]\d+"):
+    with pytest.raises(SingularJacobian, match=r"^wang on 65 x 65: CG stopped "
+                       r"after 2 iterations at relative residual "
+                       r"\d\.\d{3}e[+-]\d+$"):
         solve_wang(g, q, tol=1e-10, boundary_psi=bc)
 
 
 def test_zcubic_cg_work_is_pinned(preconditioner_applications):
-    # the single-precision preconditioner costs the z-cubic solve no CG
-    # iteration: 27 applications in 4 Newton steps, as in double precision,
-    # so one that lost accuracy fails here instead of only running slower
+    # the applications of each CG solve, in order: on 65 nodes a side the
+    # harmonic start and 4 Newton steps, as in double precision, then 3
+    # steps on 129 from the prolonged 65-node solution; a preconditioner
+    # that lost accuracy or a worse nested start fails here instead of
+    # only running slower
     g, q, bc = _zcubic_problem(129)
     sol = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
-    assert (len(preconditioner_applications), sol.newton_iterations) \
-        == (27, 4)
+    per_solve = [preconditioner_applications.count(k)
+                 for k in range(max(preconditioner_applications) + 1)]
+    assert (per_solve, sol.newton_iterations) == ([1, 5, 5, 6, 10, 3, 8, 7],
+                                                  3)
+
+
+def test_halved_grid_takes_every_other_node():
+    g = Grid2D(-4.0, 4.0, -2.0, 6.0, 129, 257)
+    assert g.halved() == Grid2D(-4.0, 4.0, -2.0, 6.0, 65, 129)
+    assert np.array_equal(g.halved().zs, g.zs[::2, ::2])
+
+
+@pytest.mark.parametrize("grid", [
+    unit_torus_grid(129),
+    Grid2D(-4.0, 4.0, -4.0, 4.0, 128, 129),  # an even side
+    Grid2D(-4.0, 4.0, -4.0, 4.0, 129, 128),
+    Grid2D(-4.0, 4.0, -4.0, 4.0, 129, 127),  # 64 nodes a side when halved
+    Grid2D(-4.0, 4.0, -4.0, 4.0, 65, 65)])
+def test_halved_is_none_on_a_torus_an_even_side_or_below_the_threshold(grid):
+    assert Grid2D.COARSEST == 65
+    assert grid.halved() is None
+
+
+def test_prolong_reproduces_bilinear_fields_exactly():
+    # dyadic nodes and coefficients: every value and every mean of two is
+    # exact, so bilinear interpolation must return a + bx + cy + dxy bit
+    # for bit, on both axes of a grid that is not square
+    g = Grid2D(-2.0, 2.0, -1.0, 5.0, 129, 193)
+
+    def f(z):
+        return 0.75 - 1.5 * z.real + 2.25 * z.imag + 0.5 * z.real * z.imag
+
+    fine = g.prolong(f(g.halved().zs))
+    assert fine.shape == (193, 129)
+    assert np.array_equal(fine, f(g.zs))
+
+
+def test_nested_start_agrees_with_the_harmonic_start(monkeypatch):
+    # both are Newton solves of one discrete equation to residual 1e-10:
+    # they differ by the residual over the smallest eigenvalue of the
+    # Jacobian, far below the discretisation error
+    g, q, bc = _zcubic_problem(257)
+    nested = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
+    monkeypatch.setattr(Grid2D, "halved", lambda grid: None)
+    harmonic = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
+    assert (nested.newton_iterations, harmonic.newton_iterations) == (3, 4)
+    assert np.abs(nested.psi - harmonic.psi).max() <= 1e-9
+
+
+def test_nested_solve_enters_solve_wang_once(monkeypatch):
+    # the levels recurse through the private _wang, so a wrapper of
+    # solve_wang (the benchmark's span) sees one call per solve
+    calls, levels = [], []
+    solve, wang = solver.solve_wang, solver._wang
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0].nx)
+        return solve(*args, **kwargs)
+
+    def counting_wang(grid, *args):
+        levels.append(grid.nx)
+        return wang(grid, *args)
+
+    monkeypatch.setattr(solver, "solve_wang", counting_solve)
+    monkeypatch.setattr(solver, "_wang", counting_wang)
+    g, q, bc = _zcubic_problem(257)
+    solver.solve_wang(g, q, tol=1e-10, boundary_psi=bc)
+    assert (calls, levels) == ([257], [257, 129, 65])
 
 
 def test_zcubic_second_order_against_radial_solution():
