@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.fft import dstn, idstn, irfft2, rfft2
 
 from ..errors import BadParameters
 
@@ -101,7 +100,9 @@ class Grid2D:
         and the result comes back as float64.  This map only preconditions
         the Newton kernel's conjugate gradients, whose recurrences and
         stopping test read the double residual, so its rounding can cost
-        iterations but not accuracy."""
+        iterations but not accuracy.  ``scipy.fft`` is imported here, so a
+        process loads it with its first spectral inverse."""
+        from scipy.fft import dstn, idstn, irfft2, rfft2
         periodic = self.bc == PERIODIC
 
         def symbol(n, h):

@@ -709,30 +709,40 @@ def test_single_precision_lives_in_grid():
                          + "\n".join(outside))
 
 
-def _scipy_loaded_by(modules: str) -> list[str]:
-    """The SciPy modules a fresh interpreter holds after importing
-    ``modules`` (a comma-separated list), by package: ``scipy.sparse`` for
-    ``scipy.sparse.linalg._isolve`` too."""
+def _scipy_loaded_by(*stages: str) -> list[list[str]]:
+    """The SciPy modules one fresh interpreter holds after each of
+    ``stages`` (Python source, run in order), by package: ``scipy.sparse``
+    for ``scipy.sparse.linalg._isolve`` too."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = (f"import sys, {modules}\n"
-            "print(*sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'}))")
+    report = ("print(*sorted({'.'.join(m.split('.')[:2]) for m in "
+              "sys.modules if m.split('.')[0] == 'scipy'}))\n")
+    code = "import sys\n" + "".join(stage + "\n" + report
+                                    for stage in stages)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    return done.stdout.split()
+    return [line.split() for line in done.stdout.splitlines()]
 
 
 def test_pde_layer_loads_no_sparse_algebra_or_quadrature():
-    # the Newton kernel runs its own CG loop and quad is imported where it
-    # is called; scipy.fft, which blaschke/grid.py alone imports for the
-    # spectral inverse, is all a PDE run needs at import
-    loaded = _scipy_loaded_by("cubiclab.blaschke, cubiclab.cli")
+    # the Newton kernel runs its own CG loop, quad is imported where it is
+    # called, and scipy.fft loads with the first spectral inverse, which
+    # only a solve pinning no node of the stencil's block builds: importing
+    # the package and the gap solves of a zero-free ray load no SciPy
+    at_import, after_decay, after_wang = _scipy_loaded_by(
+        "import cubiclab.blaschke, cubiclab.cli",
+        "cubiclab.blaschke.decay_experiment([1.0], [1.0, 8.0], 0j, "
+        "window_side=2.0, n=33)",
+        "g = cubiclab.blaschke.Grid2D(-1, 1, -1, 1, 33, 33)\n"
+        "cubiclab.blaschke.solve_wang(g, cubiclab.blaschke."
+        "CubicDifferentialField.constant(g, 1.0), boundary_psi=0.0)")
     banned = {"scipy.sparse", "scipy.linalg", "scipy.optimize",
               "scipy.integrate"}
-    assert "scipy.fft" in loaded
-    assert not banned & set(loaded), sorted(banned & set(loaded))
+    assert at_import == [] and after_decay == [], (at_import, after_decay)
+    assert "scipy.fft" in after_wang
+    assert not banned & set(after_wang), sorted(banned & set(after_wang))
 
 
 def test_flat_layer_loads_no_scipy():
-    assert _scipy_loaded_by("cubiclab.flatsurface, cubiclab.currents") == []
+    assert _scipy_loaded_by(
+        "import cubiclab.flatsurface, cubiclab.currents") == [[]]
