@@ -128,15 +128,18 @@ def _point(pair) -> complex:
     return complex(float(x), float(y))
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+def _list_of(convert, what: str):
+    """A converter of config lists; a bare string is not read as its
+    characters."""
+    def read(values) -> list:
+        if isinstance(values, str):
+            raise TypeError(f"expected a list of {what}, got a string")
+        return [convert(v) for v in values]
+    return read
 
 
-def _names(values) -> list[str]:
-    """A config list of names; a bare string is not read as its letters."""
-    if isinstance(values, str):
-        raise TypeError("expected a list of names, got a string")
-    return [str(v) for v in values]
+_floats = _list_of(float, "numbers")
+_names = _list_of(str, "names")
 
 
 def _flag(value) -> bool:
@@ -154,24 +157,22 @@ def _whole(value) -> int:
 
 
 def _load_config(args) -> _Config:
-    if args.preset:
+    if args.preset is not None:
         if args.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; "
                 f"available: {', '.join(sorted(PRESETS))}")
         return _Config(PRESETS[args.preset])
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            config = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"malformed config {path}: {err}")
-        if not isinstance(config, dict):
-            raise ConfigError(f"config {path} is not a JSON object")
-        return _Config(config)
-    raise ConfigError("either --preset or --config is required")
+    path = Path(args.config)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        config = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"malformed config {path}: {err}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return _Config(config)
 
 
 SURFACES = {"square-torus": presets.square_torus,
@@ -227,10 +228,10 @@ def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
     probe = config.read("probe", _point)
     torus_check = config.read("torus_check", _flag, False)
 
-    certs = blaschke.decay_experiment(
-        coeffs, t_list, probe,
-        window_side=config.read("window_side", float, 4.0),
-        n=config.read("n", _whole, 97), bound=config.read("bound", float, 1.0))
+    window = {key: config.read(key, convert) for key, convert in
+              (("window_side", float), ("n", _whole), ("bound", float))
+              if key in config}
+    certs = blaschke.decay_experiment(coeffs, t_list, probe, **window)
 
     rows = [["t", "residual", "gap_at_probe", "barrier", "pass"]]
     for c in certs:
@@ -450,8 +451,9 @@ def main(argv=None) -> int:
         description="flat cone metrics, the Wang equation, length spectra, "
                     "and model-surface limits")
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--preset", help="named built-in config")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON config file")
+    source.add_argument("--preset", help="named built-in config")
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
 

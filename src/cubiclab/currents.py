@@ -156,80 +156,53 @@ def classify_limit(seq: list[MarkedLengthSpectrum],
 
     proj = [projectivize(sp) for sp in seq]
     comps = np.array([p.values for p in proj])
-    limits = []
-    modes = []
-    for j in range(n):
-        lim, mode = _component_limit(list(comps[:, j]), 1e-6)
-        limits.append(lim)
-        modes.append(mode)
+    limits, modes = zip(*(_component_limit(col, 1e-6)
+                          for col in comps.T.tolist()))
     top = max(limits)
     if top <= 0:
         raise NotConverged("all projectivized limits vanished")
-    limits = [v / top for v in limits]
+    limits = np.array(limits) / top
     limit = ProjectiveSpectrum(marking, tuple(limits), proj[-1].scale)
 
-    null_set = []
-    for j in range(n):
-        if limits[j] > ZERO_TOL:
-            continue
-        crossing = [k for k in range(n) if table[j, k] > 0]
-        if all(limits[k] > ZERO_TOL for k in crossing):
-            null_set.append(j)
-    null_ids = tuple(marking[j] for j in null_set)
-
-    # group classes disjoint from the null set by the intersection graph
-    null = set(null_set)
-    disjoint = [j for j in range(n) if j not in null
-                and all(table[j, k] == 0 for k in null)]
-    crossing_cls = [j for j in range(n) if j not in null and j not in disjoint]
-    adj = {j: set() for j in disjoint}
-    for a in disjoint:
-        for b in disjoint:
-            if a != b and table[a, b] > 0:
-                adj[a].add(b)
-    seen: set[int] = set()
-    parts: list[SubsurfaceMarking] = []
-    for j in disjoint:
-        if j in seen:
-            continue
-        comp = {j}
-        stack = [j]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen |= comp
-        members = tuple(marking[k] for k in sorted(comp))
-        periph = tuple(marking[k] for k in sorted(
-            set(null_set) | {c for c in crossing_cls
-                             if any(table[c, k] > 0 for k in comp)}))
-        systole = min(limits[k] for k in sorted(comp))
+    names = np.array(marking, dtype=object)
+    meets, zero = table > 0, limits <= ZERO_TOL
+    null = zero & ~(meets & zero).any(1)
+    touches = meets[:, null].any(1)
+    crossing, free = touches & ~null, ~null & ~touches
+    # the free classes (disjoint from the null set) group into parts by the
+    # reachability closure of the intersection graph (each squaring doubles
+    # the path length it covers); a part's row is that of its least class
+    reach = meets[free][:, free] | np.eye(free.sum(), dtype=bool)
+    for _ in range(len(reach).bit_length()):
+        reach = reach @ reach
+    blocks = np.zeros((len(reach), n), dtype=bool)
+    blocks[:, free] = reach
+    parts = []
+    for part in blocks[blocks.argmax(1) == np.flatnonzero(free)]:
+        systole = limits[part].min()
         label = "flat-candidate" if systole > ZERO_TOL else "laminar-candidate"
-        parts.append(SubsurfaceMarking(members, periph, systole, label))
+        periph = null | (crossing & meets[:, part].any(1))
+        parts.append(SubsurfaceMarking(tuple(names[part]),
+                                       tuple(names[periph]), systole, label))
     # classes crossing the null set cannot be certified inside any part;
     # when the null set is nonempty the laminar candidate supported on it
     # is reported as its own entry with systole zero
-    if null_ids:
-        parts.append(SubsurfaceMarking(
-            null_ids, tuple(marking[c] for c in crossing_cls), 0.0,
-            "laminar-candidate"))
+    if null.any():
+        parts.append(SubsurfaceMarking(tuple(names[null]),
+                                       tuple(names[crossing]), 0.0,
+                                       "laminar-candidate"))
 
     weights = None
-    if null_ids and not any(p.label == "flat-candidate" for p in parts):
+    if null.any() and not any(p.label == "flat-candidate" for p in parts):
         # fit nonnegative weights: limit(beta) = sum_alpha w_alpha i(alpha, beta)
-        rows = [k for k in range(n) if k not in null]
-        A = np.array([[table[k, j] for j in null_set] for k in rows],
-                     dtype=float)
-        b = np.array([limits[k] for k in rows])
-        if A.size and np.linalg.matrix_rank(A) == len(null_set):
-            w, *_ = np.linalg.lstsq(A, b, rcond=None)
+        A = table[~null][:, null].astype(float)
+        if A.size and np.linalg.matrix_rank(A) == null.sum():
+            w, *_ = np.linalg.lstsq(A, limits[~null], rcond=None)
             if np.all(w >= -1e-9):
-                weights = {marking[j]: max(float(wj), 0.0)
-                           for j, wj in zip(null_set, w)}
+                weights = {name: max(float(wj), 0.0)
+                           for name, wj in zip(names[null], w)}
 
-    return LimitClassification(limit, tuple(modes), null_ids, tuple(parts),
+    return LimitClassification(limit, modes, tuple(names[null]), tuple(parts),
                                weights)
 
 

@@ -143,8 +143,42 @@ def test_classify_errors():
     osc = [MarkedLengthSpectrum(("a", "b"),
                                 (1.0, 2.0 if i % 2 else 1.0))
            for i in range(8)]
-    with pytest.raises(NotConverged):
+    with pytest.raises(NotConverged,
+                       match=r"component tail \[0\.5, 1\.0, 0\.5\]"):
         classify_limit(osc, np.array([[0, 1], [1, 0]]))
+
+
+def _chain_table(marking, edges):
+    index = {c: i for i, c in enumerate(marking)}
+    table = np.zeros((len(marking), len(marking)), dtype=int)
+    for u, v in edges:
+        table[index[u], index[v]] = table[index[v], index[u]] = 1
+    return table
+
+
+def test_classify_parts_are_components_not_neighbourhoods():
+    # a meets b meets c, d meets nothing: a and c share a part through b
+    marking = ("a", "b", "c", "d")
+    table = _chain_table(marking, [("a", "b"), ("b", "c")])
+    cls = classify_limit([MarkedLengthSpectrum(marking, (1.0, 2.0, 3.0, 4.0))]
+                         * 3, table)
+    assert cls.null_set == ()
+    assert [(p.classes, p.peripheral, p.label) for p in cls.parts] == [
+        (("a", "b", "c"), (), "flat-candidate"),
+        (("d",), (), "flat-candidate")]
+    # a vanishing z that meets only c takes c out of every part, which cuts
+    # the chain at b
+    marking += ("z",)
+    table = _chain_table(marking, [("a", "b"), ("b", "c"), ("c", "z")])
+    seq = [MarkedLengthSpectrum(marking, (1.0, 2.0, 3.0, 4.0, 1.0 / m))
+           for m in (1, 2, 4, 8, 16, 32)]
+    cls = classify_limit(seq, table)
+    assert cls.null_set == ("z",)
+    assert [(p.classes, p.peripheral, p.label) for p in cls.parts] == [
+        (("a", "b"), ("c", "z"), "flat-candidate"),
+        (("d",), ("z",), "flat-candidate"),
+        (("z",), ("c",), "laminar-candidate")]
+    assert cls.laminar_weights is None
 
 
 def test_monotone_insert_never_shrinks_marking():

@@ -395,9 +395,9 @@ BUILTIN_RAISES = {
     "cli.py:_whole":
         "a config converter, like int and float: _Config.read turns its "
         "ValueError into ConfigError naming the key and the value",
-    "cli.py:_names":
-        "a config converter, like list: _Config.read turns its TypeError "
-        "into ConfigError naming the key and the value",
+    "cli.py:_list_of.read":
+        "the config list converters, like list: _Config.read turns their "
+        "TypeError into ConfigError naming the key and the value",
     "flatsurface/subdivide.py:Soup.add_fan":
         "a piece no fan triangulates; the one caller whose pieces depend "
         "on its arguments, triangle_surgery_glue, re-raises it as "

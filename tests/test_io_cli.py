@@ -126,6 +126,31 @@ def test_cli_config_not_an_object(tmp_path, capsys):
     assert "cfg.json is not a JSON object" in capsys.readouterr().err
 
 
+def test_cli_preset_and_config_exclude_each_other(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(PRESETS["spectrum-octagon"]))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--preset", "spectrum-square-torus",
+              "--config", str(path), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_ray_passes_on_only_the_window_keys_it_sets(tmp_path,
+                                                         monkeypatch):
+    # a setting the config leaves out takes decay_experiment's default
+    seen = []
+    monkeypatch.setattr("cubiclab.blaschke.decay_experiment",
+                        lambda *args, **window: seen.append(window) or [])
+    cfg = {k: v for k, v in PRESETS["ray-z-window"].items()
+           if k not in ("n", "bound")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    main(["ray", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert seen == [{"window_side": 1.6}]
+
+
 def test_cli_config_missing_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"command": "spectrum",
@@ -146,7 +171,10 @@ def test_cli_config_missing_key(tmp_path, capsys):
     ("limits-appendix", "seed", -1, "expected non-negative integer"),
     ("limits-appendix", "sweeps", "pinching-annuli",
      "expected a list of names, got a string"),
-], ids=["eps", "n", "probe", "n-fraction", "torus_check", "seed", "sweeps"])
+    ("surgery-cylinder-ray", "heights", "12",
+     "expected a list of numbers, got a string"),
+], ids=["eps", "n", "probe", "n-fraction", "torus_check", "seed", "sweeps",
+        "heights"])
 def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
                                         value, reason):
     cfg = dict(PRESETS[preset], **{key: value})

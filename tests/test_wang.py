@@ -265,6 +265,21 @@ def test_radial_oracle_fits_one_decay_constant():
     assert fitted(4.0) == pytest.approx(fitted(5.0), rel=1e-6, abs=0.0)
 
 
+def test_radial_oracle_fits_the_octagon_cone_constant():
+    # k = 6, the cone point of angle 6 pi: rho = (1/3) r^3, and the fitted
+    # A_6 reads 2.0940178 at rho = 4 and 2.0940203 at rho = 5, against the
+    # 2.094021 of the whole-plane BVP probe on [0, 9]
+    psi = radial_wang(6, 3.0)
+
+    def fitted(rho):
+        r = (3.0 * rho) ** (1.0 / 3.0)
+        gap = 1.5 * (psi(r) - math.log(2.0 * r ** 12) / 3.0)
+        return gap / k0(math.sqrt(3.0 * 2.0 ** (4.0 / 3.0)) * rho)
+
+    for rho in (4.0, 5.0):
+        assert fitted(rho) == pytest.approx(2.094021, rel=1e-5, abs=0.0)
+
+
 def _allocating_laplacian(grid, field):
     """The stencil as one allocating expression, rounded in the order that
     ``Grid2D.laplacian`` keeps."""
