@@ -12,7 +12,7 @@ from .estimates import (
     log_density_curvature,
     minimal_surface_metric,
 )
-from .decay import DecayCertificate, decay_experiment, flat_metric_path_length
+from .decay import DecayCertificate, decay_experiment
 
 __all__ = [
     "Grid2D", "square_window", "unit_torus_grid",
@@ -21,5 +21,5 @@ __all__ = [
     "AreaBounds", "area_and_bounds",
     "gap_upper_bound", "largest_root",
     "log_density_curvature", "minimal_surface_metric",
-    "DecayCertificate", "decay_experiment", "flat_metric_path_length",
+    "DecayCertificate", "decay_experiment",
 ]

@@ -29,27 +29,11 @@ class DecayCertificate:
     """One barrier check: measured gap at the probe against the closed form."""
 
     t: float
-    flat_radius: float    # |t q|^(2/3) distance to nearest zero; inf if none
     coord_radius: float   # coordinate radius of the comparison disk
     barrier: float        # B / cosh(sqrt(m/2) * coord_radius)
     measured: float       # solved gap at the probe node
     residual: float       # max-norm residual of the gap solve
     passed: bool
-
-
-def flat_metric_path_length(q_coeffs, z_from: complex,
-                            z_to: complex) -> float:
-    """Length of the straight segment in the |q|^(2/3) metric."""
-    from scipy.integrate import quad
-
-    coeffs = np.asarray(q_coeffs, dtype=complex)
-
-    def density(s):
-        z = z_from + s * (z_to - z_from)
-        return abs(np.polyval(coeffs[::-1], z)) ** (1.0 / 3.0)
-
-    val, _err = quad(density, 0.0, 1.0, limit=200)
-    return float(val * abs(z_to - z_from))
 
 
 def _min_abs_q_on_disk(lead, zeros, center: complex, radius: float) -> float:
@@ -93,12 +77,10 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     # solve on the inscribed coordinate disk: all nodes outside it carry
     # the boundary bound, matching the comparison region of the barrier
     disk_fixed = np.abs(grid.zs - probe) >= coord_radius
-    # |t q| is t |q|, so the disk minimum scales as t and the flat
-    # distance to the zeros as t^(1/3): each is computed once, at t = 1
+    # |t q| is t |q|, so the disk minimum scales as t: it is computed
+    # once, at t = 1
     min_q = _min_abs_q_on_disk(nonzero[-1] if len(nonzero) else 0.0,
                                zero_pts, probe, coord_radius)
-    d_flat = min((flat_metric_path_length(coeffs, probe, z0)
-                  for z0 in zero_pts), default=math.inf)
     out = []
     for t in ts:
         q = CubicDifferentialField.from_polynomial(grid, coeffs * t)
@@ -110,6 +92,6 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
         m = 3.0 * 2.0 ** (4.0 / 3.0) * math.exp(-bound / 3.0) * min_d
         barrier = bound / math.cosh(math.sqrt(m / 2.0) * coord_radius)
         passed = measured <= barrier + 1e-6 * max(1.0, bound)
-        out.append(DecayCertificate(t, t ** (1 / 3) * d_flat, coord_radius,
-                                    barrier, measured, residual, passed))
+        out.append(DecayCertificate(t, coord_radius, barrier, measured,
+                                    residual, passed))
     return out

@@ -343,7 +343,7 @@ def cmd_limits(config: dict, out: Path, report: RunReport) -> None:
         cf = geomlimits.far_end_mass(kap, R, C)
         qd = geomlimits.far_end_mass_quadrature(kap, R, C)
         worst = max(worst, abs(cf - qd) / abs(cf))
-    report.add("far-end-mass", "closed form vs 2-d quadrature (10 triples)",
+    report.add("far-end-mass", "closed form vs 1-d quadrature (10 triples)",
                worst < 1e-6, worst, 1e-6)
     err_p = max(abs(geomlimits.pushforward_power_cover(1) - 1.0),
                 abs(geomlimits.pushforward_power_cover(2) - 0.25),

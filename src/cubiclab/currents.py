@@ -162,7 +162,8 @@ def classify_limit(seq: list[MarkedLengthSpectrum],
     if top <= 0:
         raise NotConverged("all projectivized limits vanished")
     limits = np.array(limits) / top
-    limit = ProjectiveSpectrum(marking, tuple(limits), proj[-1].scale)
+    limit = ProjectiveSpectrum(marking, tuple(limits.tolist()),
+                               proj[-1].scale)
 
     names = np.array(marking, dtype=object)
     meets, zero = table > 0, limits <= ZERO_TOL
@@ -179,7 +180,7 @@ def classify_limit(seq: list[MarkedLengthSpectrum],
     blocks[:, free] = reach
     parts = []
     for part in blocks[blocks.argmax(1) == np.flatnonzero(free)]:
-        systole = limits[part].min()
+        systole = float(limits[part].min())
         label = "flat-candidate" if systole > ZERO_TOL else "laminar-candidate"
         periph = null | (crossing & meets[:, part].any(1))
         parts.append(SubsurfaceMarking(tuple(names[part]),

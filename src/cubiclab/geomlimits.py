@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParameters, IndeterminateSequence
 
 PLANE = "plane"
@@ -136,37 +138,39 @@ def far_end_mass(kappa: float, R: float, C: float) -> float:
     """Mass of |q| lambda^(-1) for q = dz^3/z^3 over the far-end collar
     N(R) = {1/R < |z| < C/R} of the annulus:
 
-        2 sqrt(-kappa) (log^2 R / pi) (1 - cos(pi log C / log R)).
+        2 sqrt(-kappa) (log^2 R / pi) (1 - cos(pi log C / log R)),
+
+    evaluated as 4 sqrt(-kappa) (log^2 R / pi) sin^2(pi log C / (2 log R)),
+    which does not cancel as C -> 1+.
     """
     if not (kappa < 0 and R > 1 and 1 < C <= R):
         raise BadParameters(f"need kappa < 0, R > 1, 1 < C <= R, got "
                             f"kappa={kappa}, R={R}, C={C}")
     logR = math.log(R)
-    return (2.0 * math.sqrt(-kappa) * logR ** 2 / math.pi
-            * (1.0 - math.cos(math.pi * math.log(C) / logR)))
+    s = math.sin(math.pi * math.log(C) / (2.0 * logR))
+    return 4.0 * math.sqrt(-kappa) * logR ** 2 / math.pi * s * s
 
 
 def far_end_mass_quadrature(kappa: float, R: float, C: float) -> float:
-    """Adaptive quadrature of the same mass integral, as a cross-check.
+    """A 30-point Gauss-Legendre rule for the same mass integral, as a
+    cross-check.
 
     The integrand |q| lambda^(-1) r depends on the radius alone, so the
-    angular integral is the factor 2 pi and a 1-d ``quad`` in r remains.
+    angular integral is the factor 2 pi and a 1-d quadrature remains.  In
+    v = log(R r) it is sqrt(-kappa) (log R / pi) sin(pi v / log R) dv,
+    smooth and positive on (0, log C]; in log r itself the sine would
+    cancel near r = 1/R.
     """
-    from scipy.integrate import quad
-
     if not (kappa < 0 and R > 1 and 1 < C <= R):
         raise BadParameters(f"need kappa < 0, R > 1, 1 < C <= R, got "
                             f"kappa={kappa}, R={R}, C={C}")
     logR = math.log(R)
     pref = math.sqrt(-kappa) * logR / math.pi
-
-    def integrand(rad):
-        s = abs(math.sin(math.pi * math.log(rad) / logR))
-        # |q| lambda^{-1} r dr with |q| = 1/r^3
-        return pref * s / rad ** 2 * rad
-
-    val, _err = quad(integrand, 1.0 / R, C / R, epsabs=0.0, epsrel=1e-8)
-    return float(2.0 * math.pi * val)
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    half = math.log(C) / 2.0
+    v = half * (nodes + 1.0)
+    val = half * float(weights @ np.sin(np.pi * v / logR))
+    return 2.0 * math.pi * pref * val
 
 
 def core_length_quadrature(R: float, kappa: float = -1.0) -> float:

@@ -173,7 +173,7 @@ def test_criterion_8_appendix_formulas():
         cf = geomlimits.far_end_mass(kappa, Rn, C)
         qd = geomlimits.far_end_mass_quadrature(kappa, Rn, C)
         worst = max(worst, abs(cf - qd) / abs(cf))
-    assert worst < 1e-6
+    assert worst < 1e-12
     for d in (1, 2, 3):
         assert geomlimits.pushforward_power_cover(d, float(d * d)) == 1.0
 

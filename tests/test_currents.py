@@ -106,6 +106,9 @@ def test_classify_constant_sequence():
     assert cls.parts[0].label == "flat-candidate"
     assert cls.parts[0].systole_over_marking > 0
     assert np.allclose(cls.limit.values, projectivize(sp).values)
+    # plain floats, so a repr of the result reads as the rest of the package
+    assert all(type(v) is float for v in cls.limit.values)
+    assert type(cls.parts[0].systole_over_marking) is float
 
 
 def test_classify_two_part_synthetic():

@@ -131,13 +131,30 @@ def test_pushforward_against_symbolic_oracle():
 
 def test_far_end_mass_closed_form_vs_quadrature():
     rng = np.random.default_rng(3)
+    triples = []
     for _ in range(10):
         kappa = -float(rng.uniform(0.05, 1.0))
         R = float(np.exp(rng.uniform(2.0, 12.0)))
         C = float(np.exp(rng.uniform(0.1, 0.9) * np.log(R)))
+        triples.append((kappa, R, C))
+    for kappa in (-0.25, -1.0, -4.0):
+        for R in (1.5, 10.0, 1e3, 1e5, 1e8):
+            triples += [(kappa, R, C)
+                        for C in (1.0 + 1e-9, 1.0001, math.sqrt(R), R)]
+    for kappa, R, C in triples:
         cf = far_end_mass(kappa, R, C)
         qd = far_end_mass_quadrature(kappa, R, C)
-        assert abs(cf - qd) / abs(cf) < 1e-6
+        assert abs(cf - qd) / abs(cf) < 1e-12, (kappa, R, C)
+
+
+def test_far_end_mass_near_an_empty_collar():
+    # as C -> 1+ the mass is pi sqrt(-kappa) log^2 C to relative order
+    # log^2 C / log^2 R; 1 - cos(pi log C / log R) rounded to 0 here
+    C = 1.0 + 1e-9
+    for kappa in (-0.25, -1.0, -4.0):
+        for R in (1.5, 10.0, 1e8):
+            want = math.pi * math.sqrt(-kappa) * math.log(C) ** 2
+            assert abs(far_end_mass(kappa, R, C) - want) <= 1e-15 * want
 
 
 def test_far_end_mass_limits_and_monotonicity():

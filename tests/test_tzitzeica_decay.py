@@ -9,7 +9,6 @@ from cubiclab.blaschke import (
     CubicDifferentialField,
     Grid2D,
     decay_experiment,
-    flat_metric_path_length,
     solve_tzitzeica,
     solve_wang,
     square_window,
@@ -129,16 +128,6 @@ def test_stalled_line_search_names_tol_and_rounding_floor():
     assert stalled < floor <= bound
 
 
-def test_flat_path_length_quadrature():
-    # |t z|^(1/3) integrated from 1 to 0: t^(1/3) * 3/4
-    for t in (1.0, 8.0):
-        got = flat_metric_path_length([0.0, t], 1.0 + 0j, 0j)
-        assert abs(got - 0.75 * t ** (1.0 / 3.0)) < 1e-10
-    # constant differential: plain Euclidean distance times t^(1/3)
-    got = flat_metric_path_length([8.0], 0j, 3.0 + 4.0j)
-    assert abs(got - 2.0 * 5.0) < 1e-10
-
-
 def test_decay_certificates_constant_q():
     certs = decay_experiment([1.0], [1.0, 8.0, 64.0], 0j,
                              window_side=4.0, n=97, bound=1.0)
@@ -151,17 +140,12 @@ def test_decay_certificates_constant_q():
     s2 = (logs[2] - logs[1]) / (t13[2] - t13[1])
     assert s2 < s1 < 0  # at least linear, in fact steepening
     assert all(c.residual < 1e-8 for c in certs)
-    # a constant differential has no zeros
-    assert all(c.flat_radius == math.inf for c in certs)
 
 
 def test_decay_certificates_zq():
     certs = decay_experiment([0.0, 1.0], [1.0, 8.0], 1.0 + 0j,
                              window_side=1.6, n=97, bound=1.0)
     assert all(c.passed for c in certs)
-    # flat distance from the probe to the zero: (3/4) t^(1/3), quadrature
-    for c in certs:
-        assert abs(c.flat_radius - 0.75 * c.t ** (1.0 / 3.0)) < 1e-8
 
 
 def test_disk_minimum_is_a_lower_bound():
