@@ -1,6 +1,6 @@
 """Wang-equation solver in coordinate gauge with comparison estimates."""
 
-from .grid import Grid2D, square_window, unit_torus_grid
+from .grid import Grid2D, square_window
 from .cubic import CubicDifferentialField
 from .solver import (BlaschkeSolution, check_subsolution, solve_tzitzeica,
                      solve_wang)
@@ -15,7 +15,7 @@ from .estimates import (
 from .decay import DecayCertificate, decay_experiment
 
 __all__ = [
-    "Grid2D", "square_window", "unit_torus_grid",
+    "Grid2D", "square_window",
     "CubicDifferentialField",
     "BlaschkeSolution", "check_subsolution", "solve_tzitzeica", "solve_wang",
     "AreaBounds", "area_and_bounds",

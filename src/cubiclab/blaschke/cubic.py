@@ -30,10 +30,6 @@ class CubicDifferentialField:
         coeffs = np.asarray(coeffs, dtype=complex)
         return cls(grid, np.polyval(coeffs[::-1], grid.zs))
 
-    @classmethod
-    def constant(cls, grid: Grid2D, c: complex = 1.0) -> "CubicDifferentialField":
-        return cls.from_polynomial(grid, [c])
-
     def flat_area(self) -> float:
         """Quadrature of |q|^(2/3) over the grid domain."""
         return self.grid.integrate(self.abs23)

@@ -81,10 +81,13 @@ def decay_experiment(q_coeffs, t_list, probe: complex, *,
     # once, at t = 1
     min_q = _min_abs_q_on_disk(nonzero[-1] if len(nonzero) else 0.0,
                                zero_pts, probe, coord_radius)
+    # 0 <= F <= bound: solve to twice the residual's rounding floor where
+    # that is above 1e-10 (from n = 381 on a window of side 1.6)
+    tol = max(1e-10, 2.0 * grid.rounding_floor(bound))
     out = []
     for t in ts:
         q = CubicDifferentialField.from_polynomial(grid, coeffs * t)
-        F, residual = solve_tzitzeica(grid, q, boundary=bound, tol=1e-10,
+        F, residual = solve_tzitzeica(grid, q, boundary=bound, tol=tol,
                                       fixed_mask=disk_fixed)
         iy, ix = grid.nearest_node(probe)
         measured = float(F[iy, ix])

@@ -16,7 +16,7 @@ from .solver import CBRT2, BlaschkeSolution, _safe_exp
 
 def log_density_curvature(grid: Grid2D, log_density) -> np.ndarray:
     """Curvature -(1/2) e^(-w) Lap w of the metric e^w |dz|^2 at the grid's
-    nodes (NaN on the rim of a Dirichlet grid)."""
+    nodes (NaN on the rim)."""
     w = np.asarray(log_density, dtype=float)
     lap = np.full_like(w, np.nan)
     grid.laplacian(w, out=lap[grid.inner])
@@ -49,29 +49,13 @@ class AreaBounds:
     area_h: float
     flat_area: float
     lower: float
-    upper: float
-    literal: bool  # bounds literal only on closed surfaces (periodic torus)
 
 
 def area_and_bounds(sol: BlaschkeSolution) -> AreaBounds:
-    """Quadrature of the metric area against 2^(1/3)||q||.
-
-    On the periodic torus (chi = 0) the two-sided bound collapses to an
-    equality for constant q; on a Dirichlet window the caveat flag is
-    cleared and the numbers are reported without the closed-surface
-    interpretation.
-    """
-    area_h = sol.grid.integrate(sol.h)
+    """Quadrature of the metric area against its lower bound 2^(1/3)||q||,
+    which constant q attains with the flat solution e^(3 psi) = 2|q|^2."""
     flat = sol.q.flat_area()
-    lower = CBRT2 * flat
-    if sol.grid.interior_mask().all():
-        # a grid without rim is the torus: chi = 0 closes the two-sided bound
-        upper = lower
-        literal = True
-    else:
-        upper = math.inf
-        literal = False
-    return AreaBounds(area_h, flat, lower, upper, literal)
+    return AreaBounds(sol.grid.integrate(sol.h), flat, CBRT2 * flat)
 
 
 def minimal_surface_metric(sol: BlaschkeSolution) -> np.ndarray:

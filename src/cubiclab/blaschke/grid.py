@@ -1,30 +1,25 @@
 """Uniform finite-difference grids on axis-aligned rectangles.
 
-The grid is the one place that knows its boundary condition: which nodes
-the 5-point stencil acts on, the stencil itself, and how to precondition
--Lap + diag f' on those nodes.
+The grid is the one place that knows its boundary condition, Dirichlet on
+the rim: which nodes the 5-point stencil acts on, the stencil itself, and
+how to precondition -Lap + diag f' on those nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from ..errors import BadParameters
-
-DIRICHLET = "dirichlet"
-PERIODIC = "periodic"
 
 
 @dataclass(frozen=True)
 class Grid2D:
     """Node layout for the 5-point stencil on [x0,x1] x [y0,y1].
 
-    Dirichlet grids include their boundary nodes; doubly periodic grids
-    exclude the right/top edge (which wraps to the left/bottom).  Fields are
-    arrays of shape (ny, nx), row-major, x varying along the last axis.
+    The nodes include the rim, where Dirichlet values are pinned.  Fields
+    are arrays of shape (ny, nx), row-major, x varying along the last axis.
     """
 
     x0: float
@@ -33,7 +28,6 @@ class Grid2D:
     y1: float
     nx: int
     ny: int
-    bc: str = DIRICHLET
 
     COARSEST = 65  # levels below 65 nodes a side save no CG step above them
 
@@ -44,18 +38,14 @@ class Grid2D:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise BadParameters(f"empty domain rectangle [{self.x0}, "
                                 f"{self.x1}] x [{self.y0}, {self.y1}]")
-        if self.bc not in (DIRICHLET, PERIODIC):
-            raise BadParameters(f"unknown boundary condition {self.bc!r}")
 
     @property
     def dx(self) -> float:
-        n = self.nx - 1 if self.bc == DIRICHLET else self.nx
-        return (self.x1 - self.x0) / n
+        return (self.x1 - self.x0) / (self.nx - 1)
 
     @property
     def dy(self) -> float:
-        n = self.ny - 1 if self.bc == DIRICHLET else self.ny
-        return (self.y1 - self.y0) / n
+        return (self.y1 - self.y0) / (self.ny - 1)
 
     @property
     def zs(self) -> np.ndarray:
@@ -65,9 +55,8 @@ class Grid2D:
 
     @property
     def inner(self) -> tuple[slice, slice]:
-        """The block of nodes the stencil acts on: all but the rim of a
-        Dirichlet grid, every node of a torus."""
-        return np.s_[1:-1, 1:-1] if self.bc == DIRICHLET else np.s_[:, :]
+        """The block of nodes the stencil acts on: all but the rim."""
+        return np.s_[1:-1, 1:-1]
 
     def interior_mask(self) -> np.ndarray:
         m = np.zeros((self.ny, self.nx), dtype=bool)
@@ -76,10 +65,8 @@ class Grid2D:
 
     def laplacian(self, field, out=None) -> np.ndarray:
         """5-point Laplacian of a node field on the inner block, written
-        into ``out`` if given; a torus field is padded by wrapping around."""
+        into ``out`` if given."""
         x = np.asarray(field, dtype=float)
-        if self.bc == PERIODIC:
-            x = np.pad(x, 1, mode="wrap")
         # (x_e - 2 x_c + x_w) / dx^2 + (x_n - 2 x_c + x_s) / dy^2, in order
         c2 = 2.0 * x[1:-1, 1:-1]
         out = np.subtract(x[1:-1, 2:], c2, out=out)
@@ -91,9 +78,14 @@ class Grid2D:
         out += c2
         return out
 
+    def rounding_floor(self, scale: float) -> float:
+        """eps (2/dx^2 + 2/dy^2) scale: the rounding of the stencil's
+        residual on a field of max-norm ``scale``."""
+        return np.finfo(float).eps * (2 / self.dx**2 + 2 / self.dy**2) * scale
+
     def shifted_inverse(self, c: float):
-        """The map b -> (-Lap + c)^-1 b on inner-block arrays: a type-1 sine
-        transform on Dirichlet grids, a real FFT on the torus.
+        """The map b -> (-Lap + c)^-1 b on inner-block arrays, by type-1
+        sine transforms.
 
         The transforms run in single precision, on a float32 copy of b that
         is divided by the eigenvalues (computed in double, then rounded),
@@ -102,28 +94,23 @@ class Grid2D:
         stopping test read the double residual, so its rounding can cost
         iterations but not accuracy.  ``scipy.fft`` is imported here, so a
         process loads it with its first spectral inverse."""
-        from scipy.fft import dstn, idstn, irfft2, rfft2
-        periodic = self.bc == PERIODIC
+        from scipy.fft import dstn, idstn
 
         def symbol(n, h):
-            # eigenvalues of the 1-D negative second difference, in FFT
-            # order on n periodic nodes, in DST-I order on n - 2 inner nodes
-            j, m = (np.arange(n), n) if periodic else (np.arange(1, n - 1),
-                                                        2 * n - 2)
-            return (2.0 / h * np.sin(np.pi * j / m)) ** 2
+            # eigenvalues of the 1-D negative second difference on the
+            # n - 2 inner nodes, in DST-I order
+            return (2.0 / h * np.sin(np.pi * np.arange(1, n - 1)
+                                     / (2 * n - 2))) ** 2
 
         eig = (symbol(self.ny, self.dy)[:, None]
                + symbol(self.nx, self.dx)[None, :] + c).astype(np.float32)
         work = np.empty(eig.shape, dtype=np.float32)
-        forward, back = (rfft2, partial(irfft2, s=eig.shape)) if periodic \
-            else (partial(dstn, type=1), partial(idstn, type=1))
-        eig = eig[:, :self.nx // 2 + 1] if periodic else eig  # real fields
 
         def solve(b):
             work[...] = b
-            spec = forward(work, overwrite_x=True)
+            spec = dstn(work, type=1, overwrite_x=True)
             spec /= eig
-            return back(spec, overwrite_x=True).real.astype(float)
+            return idstn(spec, type=1, overwrite_x=True).astype(float)
         return solve
 
     def preconditioner(self, fp, mask):
@@ -137,11 +124,10 @@ class Grid2D:
         return _Level(mask, fp, self.dx, self.dy, scratch).apply
 
     def halved(self) -> Grid2D | None:
-        """The grid of every other node; None on a torus, on an even side
-        or if it would have fewer than ``COARSEST`` nodes a side."""
+        """The grid of every other node; None on an even side or if it
+        would have fewer than ``COARSEST`` nodes a side."""
         nx, ny = (self.nx + 1) // 2, (self.ny + 1) // 2
-        if self.bc == PERIODIC or not self.nx % 2 == self.ny % 2 == 1 \
-                or min(nx, ny) < self.COARSEST:
+        if not self.nx % 2 == self.ny % 2 == 1 or min(nx, ny) < self.COARSEST:
             return None
         return replace(self, nx=nx, ny=ny)
 
@@ -159,13 +145,11 @@ class Grid2D:
         return iy, ix
 
     def integrate(self, field) -> float:
-        """Quadrature of a node field over the domain: the trapezoid rule on
-        Dirichlet grids, the cell sum (the periodic trapezoid rule) on the
-        torus."""
+        """Quadrature of a node field over the domain: the trapezoid
+        rule."""
         wx = np.ones(self.nx)
         wy = np.ones(self.ny)
-        if self.bc == DIRICHLET:
-            wx[[0, -1]] = wy[[0, -1]] = 0.5
+        wx[[0, -1]] = wy[[0, -1]] = 0.5
         return float(wy @ np.asarray(field, dtype=float) @ wx) \
             * (self.dx * self.dy)
 
@@ -255,7 +239,3 @@ def square_window(center: complex, side: float, n: int) -> Grid2D:
     h = side / 2.0
     return Grid2D(center.real - h, center.real + h,
                   center.imag - h, center.imag + h, n, n)
-
-
-def unit_torus_grid(n: int) -> Grid2D:
-    return Grid2D(0.0, 1.0, 0.0, 1.0, n, n, bc=PERIODIC)

@@ -10,15 +10,15 @@ the flat comparison metric 2^(1/3)|q|^(2/3) satisfies
     Lap F = 3 * 2^(4/3) |q|^(2/3) e^(-F/3) sinh(F).
 
 Both read Lap x = f(x) with f' > 0, so the Newton systems are uniformly
-invertible (also on the torus) and the discrete solutions obey the maximum
-principle.  One matrix-free damped Newton kernel solves both on the free
-nodes (those not pinned to boundary values), applying the grid's 5-point
-stencil to arrays of its stencil block, where a 0/1 float mask holds the
-pinned nodes at zero.  Each step solves (-Lap + diag f') d = r by the
-kernel's own conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for
-step, on buffers allocated once per solve), preconditioned by the grid:
-by a single-precision spectral inverse of -Lap + c if no node of the block
-is pinned, by a multigrid V-cycle if some are.  Iterates and stopping tests
+invertible and the discrete solutions obey the maximum principle.  One
+matrix-free damped Newton kernel solves both on the free nodes (those not
+pinned to boundary values), applying the grid's 5-point stencil to arrays
+of its stencil block, where a 0/1 float mask holds the pinned nodes at
+zero.  Each step solves (-Lap + diag f') d = r by the kernel's own
+conjugate-gradient loop (SciPy's ``sparse.linalg.cg`` step for step, on
+buffers allocated once per solve), preconditioned by the grid: by a
+single-precision spectral inverse of -Lap + c if no node of the block is
+pinned, by a multigrid V-cycle if some are.  Iterates and stopping tests
 stay in double.  The kernel never asks the grid's boundary condition.  A
 Wang solve starts from the solve on the halved grid, prolonged (nested
 iteration), and on the coarsest level from the harmonic extension.
@@ -68,7 +68,8 @@ class BlaschkeSolution:
 
 def check_subsolution(sol: BlaschkeSolution) -> np.ndarray:
     """Margin e^psi - 2^(1/3)|q|^(2/3); nonnegative for valid solutions,
-    identically zero exactly in the flat torus case."""
+    identically zero for the flat solution e^(3 psi) = 2|q|^2 of a constant
+    q."""
     return sol.h - CBRT2 * sol.q.abs23
 
 
@@ -125,23 +126,12 @@ def _pcg(grid: Grid2D, mask: np.ndarray, fp: np.ndarray, b: np.ndarray,
 
 
 def _pinned(grid: Grid2D, values, mask, label: str):
-    """The pinned nodes and their values, checked.  A torus pins no node
-    and takes neither values nor a mask; a Dirichlet grid pins its rim and
-    ``mask``, to ``values`` (a number or a node field), finite there."""
+    """The pinned nodes and their values, checked: the grid's rim and
+    ``mask``, pinned to ``values`` (a number or a node field), finite
+    there."""
     fixed = ~grid.interior_mask()
-    if not fixed.any():
-        if values is not None or mask is not None:
-            masked = 0 if mask is None else int(np.count_nonzero(mask))
-            given = "given" if values is not None else "none"
-            raise BadParameters(
-                f"{label}: a torus grid has no boundary: got {masked} masked "
-                f"nodes and boundary values {given}")
-        return fixed, 0.0
     if mask is not None:
         fixed |= np.asarray(mask, dtype=bool)
-    if values is None:
-        raise BadParameters(f"{label}: Dirichlet solves need boundary values, "
-                            "got None")
     if np.ndim(values) == 0:
         values = np.full((grid.ny, grid.nx), float(values))
     bvals = np.asarray(values, dtype=float)
@@ -188,8 +178,8 @@ def _solve_semilinear(grid: Grid2D, f_and_deriv, fixed_mask, fixed_values,
                 break
             step *= 0.5
         else:
-            floor = np.finfo(float).eps * (2 / grid.dx**2 + 2 / grid.dy**2) \
-                * float(np.abs(x[grid.inner] * mask).max())
+            floor = grid.rounding_floor(
+                float(np.abs(x[grid.inner] * mask).max()))
             raise NoConvergence(
                 f"{label}: line search stalled at residual {rn:.3e} for tol "
                 f"{tol:.3e}; the residual's rounding floor is {floor:.3e}")
@@ -209,13 +199,11 @@ def _wang(grid: Grid2D, abs2, fixed, bvals, tol, max_iter):
     else:
         with np.errstate(divide="ignore"):
             sub = np.log(2.0 * abs2) / 3.0
-        if fixed.any():  # with f' = 0 the preconditioner is the inverse
-            lap = grid.laplacian(base := np.where(fixed, bvals, 0.0))
-            base[grid.inner] += _pcg(grid, np.ones_like(lap),
-                                     np.zeros_like(lap), lap, tol, label)
-            x0 = np.maximum(base, np.maximum(sub, bvals[fixed].min() - 50.0))
-        else:
-            x0 = np.maximum(sub, sub[np.isfinite(sub)].max() - 50.0)
+        # with f' = 0 the preconditioner is the inverse
+        lap = grid.laplacian(base := np.where(fixed, bvals, 0.0))
+        base[grid.inner] += _pcg(grid, np.ones_like(lap), np.zeros_like(lap),
+                                 lap, tol, label)
+        x0 = np.maximum(base, np.maximum(sub, bvals[fixed].min() - 50.0))
 
     def f_and_deriv(psi):
         e1, e2 = _safe_exp(psi), _safe_exp(-2.0 * psi)
@@ -226,21 +214,15 @@ def _wang(grid: Grid2D, abs2, fixed, bvals, tol, max_iter):
 
 
 def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
-               boundary_psi=None, max_iter: int = 60) -> BlaschkeSolution:
-    """Solve Lap psi = 2 e^psi - 4 |q|^2 e^(-2 psi) on the grid.
+               *, boundary_psi, max_iter: int = 60) -> BlaschkeSolution:
+    """Solve Lap psi = 2 e^psi - 4 |q|^2 e^(-2 psi) on the grid, with psi
+    pinned to ``boundary_psi`` (a number or a node field) on the rim.
 
-    Dirichlet solves take boundary psi values (a number or a node field);
-    doubly periodic solves take none and need q not identically zero.
     Newton starts from the same solve on ``grid.halved()``, if there is
     one; ``newton_iterations`` counts the steps on ``grid`` alone.
     """
     abs2 = q.abs2
     fixed, bvals = _pinned(grid, boundary_psi, None, "wang")
-    if not fixed.any() and float(abs2.max()) == 0.0:
-        raise BadParameters(
-            f"q = 0 on the {grid.nx} x {grid.ny} periodic grid: the "
-            "integral of Lap psi vanishes but the right side 2 e^psi is "
-            "strictly positive")
     psi, rn, its = _wang(grid, abs2, fixed, bvals, tol, max_iter)
     sol = BlaschkeSolution(grid, q, psi, rn, its)
     margin = check_subsolution(sol)
@@ -251,25 +233,22 @@ def solve_wang(grid: Grid2D, q: CubicDifferentialField, tol: float = 1e-10,
 
 
 def solve_tzitzeica(grid: Grid2D, q: CubicDifferentialField,
-                    boundary=None, tol: float = 1e-10,
+                    boundary, tol: float = 1e-10,
                     fixed_mask=None) -> tuple[np.ndarray, float]:
     """Solve the gap equation Lap F = 3*2^(4/3)|q|^(2/3) e^(-F/3) sinh F.
 
     Returns F and its max-norm residual over the free nodes.  Dirichlet
     boundary values must be nonnegative; the discrete solution then
     satisfies F >= 0 everywhere (comparison with the zero solution).
-    ``fixed_mask`` may pin additional nodes of a Dirichlet grid to the
-    boundary value, e.g. to solve on an inscribed disk.  A torus grid takes
-    neither ``boundary`` nor ``fixed_mask``: it raises ``BadParameters``.
+    ``fixed_mask`` may pin additional nodes to the boundary value, e.g. to
+    solve on an inscribed disk.
     """
     c = 3.0 * 2.0 ** (4.0 / 3.0) * q.abs23
     fixed, bvals = _pinned(grid, boundary, fixed_mask, "tzitzeica")
-    x0 = 0.0
-    if fixed.any():
-        low = float(bvals[fixed].min())
-        if low < 0:
-            raise BadParameters(f"boundary gap value {low:.6g} < 0")
-        x0 = float(bvals[fixed].mean())
+    low = float(bvals[fixed].min())
+    if low < 0:
+        raise BadParameters(f"boundary gap value {low:.6g} < 0")
+    x0 = float(bvals[fixed].mean())
 
     def f_and_deriv(F):
         Fc = np.clip(F, -_EXP_CAP, _EXP_CAP)

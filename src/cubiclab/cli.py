@@ -87,12 +87,11 @@ PRESETS = {
                          "marking": "octagon-basic"},
     "ray-torus-constant": {
         "command": "ray", "q": [[1.0, 0.0]], "t_list": [1.0, 8.0, 64.0],
-        "probe": [0.0, 0.0], "window_side": 4.0, "n": 97, "bound": 1.0,
-        "torus_check": True},
+        "probe": [0.0, 0.0], "window_side": 4.0, "n": 97, "bound": 1.0},
     "ray-z-window": {
         "command": "ray", "q": [[0.0, 0.0], [1.0, 0.0]],
         "t_list": [1.0, 8.0, 64.0], "probe": [1.0, 0.0],
-        "window_side": 1.6, "n": 97, "bound": 1.0, "torus_check": False},
+        "window_side": 1.6, "n": 97, "bound": 1.0},
     "limits-appendix": {
         "command": "limits", "sweeps": ["pinching-annuli", "core-tracking",
                                         "plane-limit", "oscillating"],
@@ -140,13 +139,6 @@ def _list_of(convert, what: str):
 
 _floats = _list_of(float, "numbers")
 _names = _list_of(str, "names")
-
-
-def _flag(value) -> bool:
-    """A config true or false; a string or a number is not read as one."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {type(value).__name__}")
-    return value
 
 
 def _whole(value) -> int:
@@ -226,7 +218,6 @@ def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
     t_list = config.read("t_list", _floats)
     coeffs = config.read("q", lambda q: [_point(c) for c in q])
     probe = config.read("probe", _point)
-    torus_check = config.read("torus_check", _flag, False)
 
     window = {key: config.read(key, convert) for key, convert in
               (("window_side", float), ("n", _whole), ("bound", float))
@@ -256,25 +247,6 @@ def cmd_ray(config: dict, out: Path, report: RunReport) -> None:
         report.add("superlinear-decay",
                    "log gap decreases superlinearly in t^(1/3)",
                    super_lin, slopes[-1] - slopes[0], 0.0)
-    if torus_check:
-        s = presets.square_torus()
-        flat = currents.spectrum_from_flat(s, presets.torus_marking())
-        rows = [["t", "class", "scaled_blaschke_length", "flat_length"]]
-        worst = 0.0
-        for t in t_list:
-            g = blaschke.unit_torus_grid(16)
-            q = blaschke.CubicDifferentialField.constant(g, t)
-            sol = blaschke.solve_wang(g, q, tol=1e-12)
-            dens = math.exp(float(sol.psi[0, 0]) / 2.0)
-            scale = 2.0 ** (1.0 / 6.0) * t ** (1.0 / 3.0)
-            for name, ell in zip(flat.marking, flat.values):
-                scaled = dens * ell / scale
-                worst = max(worst, abs(scaled - ell))
-                rows.append([_fmt(t), name, _fmt(scaled), _fmt(ell)])
-        _write_csv(out / "ray_convergence.csv", rows)
-        report.add("ray-torus-identity",
-                   "scaled torus lengths match the flat spectrum exactly",
-                   worst < 1e-10, worst, 1e-10)
 
 
 def _limit_sweep(name: str):

@@ -224,10 +224,13 @@ def classify_geometric_limit(seq) -> ModelSurface:
     """Limit model of a sequence of (ModelSurface, z) pairs, z a basepoint
     where the injectivity radius is at least one.
 
-    The decision rules are closed-form predicates on the parameter laws;
-    the sequence itself must satisfy a single case's hypotheses, otherwise
-    IndeterminateSequence is raised, naming the rules and the last values
-    (inj is the injectivity radius at the basepoint and z its modulus).
+    It decides from a finite tail, not from the parameter laws: a
+    parameter settles when its last four terms step by at most 1e-3 of its
+    last value, and diverges when its last three terms rise to at least 20
+    times max(1, |first term|).  So a slowly divergent law can pass for a
+    limit.  A sequence that fits no case raises IndeterminateSequence,
+    naming the rules and the last values (inj is the injectivity radius at
+    the basepoint and z its modulus).
     """
     if not seq:
         raise IndeterminateSequence("empty sequence: 0 terms to classify")

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn, idstn, irfft2, rfft2
+from scipy.fft import dstn, idstn
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from cubiclab.blaschke.grid import DIRICHLET
 from cubiclab.errors import BadParameters, NoConvergence, TrivialClass
 from cubiclab.flatsurface.geodesics import HomotopyClassPath
 from cubiclab.flatsurface.planar import (EPS, angle_between, cross, dot,
@@ -165,15 +164,11 @@ def pivot_side_angles(g):
     return out
 
 
-def five_point_laplacian(f, dx, dy, periodic=False):
+def five_point_laplacian(f, dx, dy):
     """The 5-point Laplacian as second differences (``np.diff``) along each
-    axis: of the field padded by wrapping on a torus grid, otherwise on the
-    interior nodes with NaN on the rim."""
-    g = np.pad(f, 1, mode="wrap") if periodic else f
-    inner = (np.diff(g, 2, axis=1)[1:-1] / dx ** 2
-             + np.diff(g, 2, axis=0)[:, 1:-1] / dy ** 2)
-    if periodic:
-        return inner
+    axis, on the interior nodes with NaN on the rim."""
+    inner = (np.diff(f, 2, axis=1)[1:-1] / dx ** 2
+             + np.diff(f, 2, axis=0)[:, 1:-1] / dy ** 2)
     out = np.full(f.shape, np.nan)
     out[1:-1, 1:-1] = inner
     return out
@@ -184,17 +179,14 @@ def scipy_pcg(grid, mask, fp, b, tol):
     ``scipy.sparse.linalg.cg`` on the block's flattened arrays, with linear
     operators: the 5-point matvec (fp p - Lap p) mask, and as preconditioner
     M r mask.  M is (-Lap + c)^-1, c the mean of fp, when the 0/1 ``mask``
-    pins no node of the block: by sine transforms on the block, or by real
-    FFT on a torus, in single precision: r rounded to float32, divided by
-    the float32 rounding of the double eigenvalues, transformed back and
-    widened to float64.  When it pins some, M is the grid's own
-    ``preconditioner``, the V-cycle.  Tolerances atol = 0.01 tol,
-    rtol = 1e-3 min(1, max|b|); d as a block array."""
-    periodic = grid.bc != DIRICHLET
-
+    pins no node of the block: by sine transforms on the block, in single
+    precision: r rounded to float32, divided by the float32 rounding of the
+    double eigenvalues, transformed back and widened to float64.  When it
+    pins some, M is the grid's own ``preconditioner``, the V-cycle.
+    Tolerances atol = 0.01 tol, rtol = 1e-3 min(1, max|b|); d as a block
+    array."""
     def symbol(n, h):
-        j, m = (np.arange(n), n) if periodic else (np.arange(1, n - 1),
-                                                    2 * n - 2)
+        j, m = np.arange(1, n - 1), 2 * n - 2
         return (2.0 / h * np.sin(np.pi * j / m)) ** 2
 
     eig = (symbol(grid.ny, grid.dy)[:, None] + symbol(grid.nx, grid.dx)[None]
@@ -207,11 +199,7 @@ def scipy_pcg(grid, mask, fp, b, tol):
         return ((fp * v - grid.laplacian(full)) * mask).ravel()
 
     def spectral(w):
-        w = w.astype(np.float32)
-        if periodic:
-            half = eig[:, :grid.nx // 2 + 1]
-            return irfft2(rfft2(w) / half, s=w.shape)
-        return idstn(dstn(w, type=1) / eig, type=1)
+        return idstn(dstn(w.astype(np.float32), type=1) / eig, type=1)
 
     precondition = spectral if mask.all() else grid.preconditioner(fp, mask)
     shape = (b.size, b.size)

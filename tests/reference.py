@@ -16,8 +16,10 @@ crossing words and every other combinatorial value, exactly; numbers to
 1e-12 relative.  Roundoff-level values need only stay within their
 tolerance: a check's ``measured`` value below 1e-9 within the check's
 tolerance, a ``residual`` column within the 1e-10 that ``decay_experiment``
-solves to, and a reference number below 1e-15 in magnitude (a rounded zero,
-such as an isometry shift of -5.6e-17) below 1e-15.
+solves the ray presets' grids to (its tolerance rises above 1e-10 only
+where the rounding floor does, from n = 381 on a window of side 1.6), and
+a reference number below 1e-15 in magnitude (a rounded zero, such as an
+isometry shift of -5.6e-17) below 1e-15.
 """
 
 import csv

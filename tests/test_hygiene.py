@@ -5,7 +5,8 @@ epsilon, takes its planar products from planar.py and uses no NumPy complex
 arithmetic, only flatsurface/io.py knows the surface file's keys, only
 flatsurface/subdivide.py knows how a sub-edge is tagged, only
 blaschke/grid.py applies the stencil and its transforms and computes in
-single precision, and importing the package loads only the SciPy it runs.
+single precision, importing the package loads only the SciPy it runs, and
+every CLI preset's command reads each key of the preset.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cubiclab.cli import COMMANDS, main
+from cubiclab.cli import COMMANDS, PRESETS, _Config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -391,10 +392,6 @@ def test_every_stored_field_is_read():
 # each an internal invariant that no argument can break or an error that its
 # caller turns into a typed one.  An entry with no such raise is stale.
 BUILTIN_RAISES = {
-    "cli.py:_flag":
-        "a config converter, like bool but for true and false only: "
-        "_Config.read turns its TypeError into ConfigError naming the key "
-        "and the value",
     "cli.py:_whole":
         "a config converter, like int and float: _Config.read turns its "
         "ValueError into ConfigError naming the key and the value",
@@ -637,9 +634,9 @@ def test_planar_products_live_in_planar():
     assert _complex_numpy(ROOT / "src/cubiclab/blaschke/cubic.py")
 
 
-# The 5-point stencil and its spectral transforms, which blaschke/grid.py
-# alone applies: the one module that knows the grid's boundary condition,
-# and the one that imports SciPy, for those transforms
+# The 5-point stencil and its sine transforms, which blaschke/grid.py alone
+# applies: the one module that knows the grid's boundary condition, and the
+# one that imports SciPy, for those transforms
 STENCIL_NAMES = ("scipy", "np.roll", "np.pad", "numpy.roll", "numpy.pad")
 
 
@@ -664,7 +661,7 @@ def _stencil_uses(path: Path) -> list[tuple[int, str]]:
 def test_stencil_and_transforms_live_in_grid():
     grid_py = ROOT / "src/cubiclab/blaschke/grid.py"
     used = {name.split(".")[-1] for _line, name in _stencil_uses(grid_py)}
-    assert {"dstn", "rfft2", "pad"} <= used
+    assert {"dstn", "idstn"} <= used  # the gate sees the transforms
     outside = [f"{path.relative_to(ROOT)}:{line}: {name}"
                for path in sorted(ROOT.glob("src/cubiclab/**/*.py"))
                if path != grid_py
@@ -743,7 +740,8 @@ def test_pde_layer_loads_no_sparse_algebra_or_quadrature():
         "cubiclab.geomlimits.far_end_mass_quadrature(-1.0, 100.0, 3.0)",
         "g = cubiclab.blaschke.Grid2D(-1, 1, -1, 1, 33, 33)\n"
         "cubiclab.blaschke.solve_wang(g, cubiclab.blaschke."
-        "CubicDifferentialField.constant(g, 1.0), boundary_psi=0.0)")
+        "CubicDifferentialField.from_polynomial(g, [1.0]), "
+        "boundary_psi=0.0)")
     banned = {"scipy.sparse", "scipy.linalg", "scipy.optimize",
               "scipy.integrate"}
     assert no_scipy == [[]] * 4, no_scipy
@@ -754,3 +752,23 @@ def test_pde_layer_loads_no_sparse_algebra_or_quadrature():
 def test_flat_layer_loads_no_scipy():
     assert _scipy_loaded_by(
         "import cubiclab.flatsurface, cubiclab.currents") == [[]]
+
+
+def test_every_preset_key_is_read(tmp_path, monkeypatch):
+    # a preset key that its command never reads is a setting that only looks
+    # like one: run each preset and record the keys read through the config
+    read, seen = _Config.read, set()
+
+    def recording(config, key, *args):
+        seen.add(key)
+        return read(config, key, *args)
+
+    monkeypatch.setattr(_Config, "read", recording)
+    unread = []
+    for name, preset in sorted(PRESETS.items()):
+        seen.clear()
+        assert main([preset["command"], "--preset", name,
+                     "--out", str(tmp_path / name)]) == 0
+        unread += [f"{name}: {key!r}" for key in sorted(preset.keys() - seen)]
+    assert not unread, ("preset keys that their command never reads:\n"
+                        + "\n".join(unread))

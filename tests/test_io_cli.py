@@ -167,14 +167,12 @@ def test_cli_config_missing_key(tmp_path, capsys):
     ("ray-z-window", "n", "big", "invalid literal for int()"),
     ("ray-z-window", "probe", [0.0], "not enough values to unpack"),
     ("ray-z-window", "n", 33.9, "not a whole number"),
-    ("ray-z-window", "torus_check", "false", "expected true or false"),
     ("limits-appendix", "seed", -1, "expected non-negative integer"),
     ("limits-appendix", "sweeps", "pinching-annuli",
      "expected a list of names, got a string"),
     ("surgery-cylinder-ray", "heights", "12",
      "expected a list of numbers, got a string"),
-], ids=["eps", "n", "probe", "n-fraction", "torus_check", "seed", "sweeps",
-        "heights"])
+], ids=["eps", "n", "probe", "n-fraction", "seed", "sweeps", "heights"])
 def test_cli_config_value_of_wrong_type(tmp_path, capsys, preset, key,
                                         value, reason):
     cfg = dict(PRESETS[preset], **{key: value})

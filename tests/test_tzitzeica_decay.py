@@ -12,30 +12,22 @@ from cubiclab.blaschke import (
     solve_tzitzeica,
     solve_wang,
     square_window,
-    unit_torus_grid,
 )
 from cubiclab.blaschke.decay import _min_abs_q_on_disk
 from cubiclab.errors import BadParameters, NoConvergence
 from oracles import five_point_laplacian
 
 
-def test_torus_gap_vanishes():
-    g = unit_torus_grid(24)
-    q = CubicDifferentialField.constant(g, 1.0)
-    F, _residual = solve_tzitzeica(g, q, tol=1e-12)
-    assert np.abs(F).max() < 1e-10
-
-
-def test_torus_rejects_boundary_data():
-    g = unit_torus_grid(24)
-    q = CubicDifferentialField.from_polynomial(g, [0.3, 1.0])
-    mask = np.zeros((g.ny, g.nx), dtype=bool)
-    mask[10:15, 10:15] = True
-    with pytest.raises(BadParameters, match=r"got 25 masked nodes"):
-        solve_tzitzeica(g, q, boundary=5.0, fixed_mask=mask)
-    with pytest.raises(BadParameters, match=r"got 0 masked nodes and "
-                                            r"boundary values given"):
-        solve_tzitzeica(g, q, boundary=5.0)
+def test_constant_q_gap_vanishes():
+    # the flat solution e^(3 psi) = 2|q|^2 of a constant q has F = 0: the
+    # gap solve with boundary 0 and the gap of the Wang solve with the flat
+    # boundary value both return it
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 33, 33)
+    q = CubicDifferentialField.from_polynomial(g, [2.0 - 1.0j])
+    F, residual = solve_tzitzeica(g, q, boundary=0.0, tol=1e-12)
+    assert not F.any() and residual == 0.0
+    sol = solve_wang(g, q, tol=1e-12, boundary_psi=math.log(10.0) / 3.0)
+    assert np.abs(sol.gap).max() < 1e-10
 
 
 def test_dirichlet_barrier_bound():
@@ -43,7 +35,7 @@ def test_dirichlet_barrier_bound():
     # dominated by 1 / cosh(sqrt(C) d) with 2C = 3 * 2^(4/3) e^(-1/3)
     d = 2.0
     g = Grid2D(-d, d, -d, d, 65, 65)
-    q = CubicDifferentialField.constant(g, 1.0)
+    q = CubicDifferentialField.from_polynomial(g, [1.0])
     F, _residual = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
     C = 0.5 * 3.0 * 2.0 ** (4.0 / 3.0) * math.exp(-1.0 / 3.0)
     barrier = 1.0 / math.cosh(math.sqrt(C) * d)
@@ -58,7 +50,7 @@ def test_dirichlet_barrier_refinement():
     vals = []
     for n in (33, 65, 129):
         g = Grid2D(-d, d, -d, d, n, n)
-        q = CubicDifferentialField.constant(g, 1.0)
+        q = CubicDifferentialField.from_polynomial(g, [1.0])
         F, _residual = solve_tzitzeica(g, q, boundary=1.0, tol=1e-12)
         vals.append(float(F[n // 2, n // 2]))
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
@@ -89,7 +81,7 @@ def test_nonfinite_dirichlet_data_rejected(where, bad):
     # NaN or inf on a pinned node is rejected before any solve, not left
     # to run CG to its iteration cap and raise SingularJacobian
     g = Grid2D(-1, 1, -1, 1, 16, 16)
-    q = CubicDifferentialField.constant(g, 1.0)
+    q = CubicDifferentialField.from_polynomial(g, [1.0])
     mask = np.zeros((g.ny, g.nx), dtype=bool)
     mask[7, 7] = True
     data = np.ones((g.ny, g.nx))
@@ -106,7 +98,7 @@ def test_nonfinite_dirichlet_data_rejected(where, bad):
 
 def test_negative_boundary_rejected():
     g = Grid2D(-1, 1, -1, 1, 16, 16)
-    q = CubicDifferentialField.constant(g, 1.0)
+    q = CubicDifferentialField.from_polynomial(g, [1.0])
     with pytest.raises(BadParameters, match=r"boundary gap value -0\.1 < 0"):
         solve_tzitzeica(g, q, boundary=-0.1)
 
@@ -146,6 +138,16 @@ def test_decay_certificates_zq():
     certs = decay_experiment([0.0, 1.0], [1.0, 8.0], 1.0 + 0j,
                              window_side=1.6, n=97, bound=1.0)
     assert all(c.passed for c in certs)
+
+
+def test_decay_refines_past_the_rounding_floor():
+    # at n = 769 the residual's rounding floor eps (2/dx^2 + 2/dy^2) max|F|
+    # reaches 2.0e-10 on ray-z-window's inputs, above a fixed 1e-10: each t
+    # is solved to twice the floor for max|F| = bound, 4.1e-10 here
+    certs = decay_experiment([0.0, 1.0], [1.0], 1.0, window_side=1.6, n=769)
+    dx = 1.6 / 768
+    assert certs[0].passed
+    assert certs[0].residual <= 2.0 * np.finfo(float).eps * 4.0 / dx ** 2
 
 
 def test_disk_minimum_is_a_lower_bound():

@@ -17,10 +17,8 @@ from cubiclab.blaschke import (
     minimal_surface_metric,
     solve_wang,
     square_window,
-    unit_torus_grid,
 )
 from cubiclab.blaschke import solver
-from cubiclab.blaschke.grid import DIRICHLET, PERIODIC
 from cubiclab.errors import BadParameters, NoConvergence, SingularJacobian
 from oracles import five_point_laplacian, radial_wang, scipy_pcg
 
@@ -32,10 +30,12 @@ def hyperbolic_disk_density(zs):
 
 
 @pytest.fixture(scope="module")
-def torus_solution():
-    g = unit_torus_grid(24)
-    q = CubicDifferentialField.constant(g, 1.0)
-    return solve_wang(g, q, tol=1e-12)
+def flat_solution():
+    # a constant q has the flat solution e^(3 psi) = 2|q|^2, the one
+    # solution on a flat torus; on a window it takes that boundary value
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 33, 33)
+    q = CubicDifferentialField.from_polynomial(g, [1.0])
+    return solve_wang(g, q, tol=1e-12, boundary_psi=math.log(2.0) / 3.0)
 
 
 @pytest.fixture(scope="module")
@@ -48,36 +48,38 @@ def zcubic_solution():
     return solve_wang(g, q, tol=1e-10, boundary_psi=bc), q, g
 
 
-def test_torus_constant_solution(torus_solution):
-    sol = torus_solution
+def test_constant_q_solution_is_flat(flat_solution):
+    sol = flat_solution
     assert np.abs(sol.psi - math.log(2.0) / 3.0).max() < 1e-10
     assert sol.residual < 1e-12
     assert sol.flags["subsolution_ok"]
 
 
-def test_torus_curvature_is_zero(torus_solution):
-    sol = torus_solution
+def test_constant_q_curvature_is_zero(flat_solution):
+    sol = flat_solution
     kappa = log_density_curvature(sol.grid, sol.psi)
     # - 1 + 2 |q|^2 e^(-3 psi) = -1 + 2 * (1/2) = 0: the flat boundary case
-    assert np.abs(kappa).max() < 1e-9
+    assert np.abs(kappa[sol.grid.interior_mask()]).max() < 1e-9
     margin = check_subsolution(sol)
     assert np.abs(margin).max() < 1e-9  # the bound is an infimum here
 
 
-def test_torus_area_equality(torus_solution):
-    sol = torus_solution
-    ab = area_and_bounds(sol)
+def test_torus_area_equality(flat_solution):
+    # the flat torus's one solution e^(3 psi) = 2|q|^2, held on the unit
+    # window by its boundary value: area_h = 2^(1/3) flat, the lower bound
+    ab = area_and_bounds(flat_solution)
     assert abs(ab.flat_area - 1.0) < 1e-12
     assert abs(ab.area_h - CBRT2) < 1e-9
-    assert ab.literal and abs(ab.lower - ab.upper) < 1e-15
+    assert abs(ab.lower - CBRT2) < 1e-12
     assert ab.area_h >= ab.lower - 1e-9
 
 
 def test_torus_area_scaling():
     for c in (2.0, 5.0):
-        g = unit_torus_grid(16)
-        q = CubicDifferentialField.constant(g, c)
-        sol = solve_wang(g, q, tol=1e-12)
+        g = Grid2D(0.0, 1.0, 0.0, 1.0, 17, 17)
+        q = CubicDifferentialField.from_polynomial(g, [c])
+        sol = solve_wang(g, q, tol=1e-12,
+                         boundary_psi=math.log(2.0 * c * c) / 3.0)
         ab = area_and_bounds(sol)
         assert abs(ab.area_h - CBRT2 * c ** (2.0 / 3.0)) < 1e-8
 
@@ -87,7 +89,7 @@ def test_window_area_constant_q():
     # Dirichlet window both areas are exact: |c|^(2/3) side^2 and 2^(1/3) of it
     c, side = 2.0 - 1.0j, 2.5
     g = square_window(0.3 + 0.2j, side, 33)
-    q = CubicDifferentialField.constant(g, c)
+    q = CubicDifferentialField.from_polynomial(g, [c])
     flat = abs(c) ** (2.0 / 3.0) * side ** 2
     assert abs(q.flat_area() - flat) < 1e-12
     psi = np.full((g.ny, g.nx), math.log(2.0 * abs(c) ** 2) / 3.0)
@@ -96,7 +98,7 @@ def test_window_area_constant_q():
     assert math.isfinite(ab.area_h) and math.isfinite(ab.lower)
     assert abs(ab.flat_area - flat) < 1e-12
     assert abs(ab.area_h - CBRT2 * flat) < 1e-9
-    assert not ab.literal and ab.upper == math.inf
+    assert abs(ab.lower - CBRT2 * flat) < 1e-12
 
 
 def _zcubic_problem(n):
@@ -107,20 +109,14 @@ def _zcubic_problem(n):
     return g, q, bc
 
 
-@pytest.mark.parametrize("periodic", [False, True])
-def test_wang_residual_by_independent_stencil(periodic):
+def test_wang_residual_by_independent_stencil():
     # the solver's own residual cannot see a wrong stencil: recompute it
     # with the oracle's second differences on every free node
-    if periodic:
-        g = unit_torus_grid(24)
-        q = CubicDifferentialField.from_polynomial(g, [0.3, 1.0])
-        sol = solve_wang(g, q, tol=1e-10)
-    else:
-        g, q, bc = _zcubic_problem(65)
-        sol = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
-        assert np.array_equal(sol.psi[~g.interior_mask()],
-                              bc[~g.interior_mask()])
-    lap = five_point_laplacian(sol.psi, g.dx, g.dy, periodic=periodic)
+    g, q, bc = _zcubic_problem(65)
+    sol = solve_wang(g, q, tol=1e-10, boundary_psi=bc)
+    assert np.array_equal(sol.psi[~g.interior_mask()],
+                          bc[~g.interior_mask()])
+    lap = five_point_laplacian(sol.psi, g.dx, g.dy)
     rhs = 2.0 * np.exp(sol.psi) - 4.0 * q.abs2 * np.exp(-2.0 * sol.psi)
     assert np.abs(lap - rhs)[g.interior_mask()].max() <= 1e-10
 
@@ -173,12 +169,11 @@ def test_halved_grid_takes_every_other_node():
 
 
 @pytest.mark.parametrize("grid", [
-    unit_torus_grid(129),
     Grid2D(-4.0, 4.0, -4.0, 4.0, 128, 129),  # an even side
     Grid2D(-4.0, 4.0, -4.0, 4.0, 129, 128),
     Grid2D(-4.0, 4.0, -4.0, 4.0, 129, 127),  # 64 nodes a side when halved
     Grid2D(-4.0, 4.0, -4.0, 4.0, 65, 65)])
-def test_halved_is_none_on_a_torus_an_even_side_or_below_the_threshold(grid):
+def test_halved_is_none_on_an_even_side_or_below_the_threshold(grid):
     assert Grid2D.COARSEST == 65
     assert grid.halved() is None
 
@@ -283,17 +278,15 @@ def test_radial_oracle_fits_the_octagon_cone_constant():
 def _allocating_laplacian(grid, field):
     """The stencil as one allocating expression, rounded in the order that
     ``Grid2D.laplacian`` keeps."""
-    x = np.pad(field, 1, mode="wrap") if grid.bc == PERIODIC else field
-    c2 = 2.0 * x[1:-1, 1:-1]
-    return ((x[1:-1, 2:] - c2 + x[1:-1, :-2]) * (1.0 / grid.dx ** 2)
-            + (x[2:, 1:-1] - c2 + x[:-2, 1:-1]) * (1.0 / grid.dy ** 2))
+    c2 = 2.0 * field[1:-1, 1:-1]
+    return ((field[1:-1, 2:] - c2 + field[1:-1, :-2]) * (1.0 / grid.dx ** 2)
+            + (field[2:, 1:-1] - c2 + field[:-2, 1:-1]) * (1.0 / grid.dy ** 2))
 
 
-@pytest.mark.parametrize("bc", [DIRICHLET, PERIODIC])
-def test_buffered_laplacian_keeps_the_bits(bc):
+def test_buffered_laplacian_keeps_the_bits():
     # into a reused buffer, twice on different fields, so that neither call
     # reads what an earlier one left in the buffer or in its own temporary
-    g = Grid2D(-1.0, 2.0, 0.0, 1.3, 40, 27, bc=bc)
+    g = Grid2D(-1.0, 2.0, 0.0, 1.3, 40, 27)
     rng = np.random.default_rng(11)
     out = np.empty(g.laplacian(np.zeros((g.ny, g.nx))).shape)
     for _ in range(2):
@@ -305,20 +298,16 @@ def test_buffered_laplacian_keeps_the_bits(bc):
 
 
 @pytest.mark.parametrize("domain,rhs", [
-    (domain, rhs) for domain in ("square", "disk", "torus")
-    for rhs in ("order-0.1", "order-1e-7", "harmonic")
-    if (domain, rhs) != ("torus", "harmonic")])  # -Lap is singular there
+    (domain, rhs) for domain in ("square", "disk")
+    for rhs in ("order-0.1", "order-1e-7", "harmonic")])
 def test_pcg_matches_scipy_cg(domain, rhs):
     # the kernel's conjugate-gradient loop against SciPy's cg driving the
-    # same operators: equal to the last bit, on the Dirichlet square, the
-    # disk mask of decay_experiment and the torus; f' spread over five
-    # decades (11-36 iterations) and b of order 0.1 (rtol = 1e-3 max|b|
-    # sets the stopping test) or 1e-7 (atol does), or f' = 0 and b of
-    # order 1 (rtol = 1e-3), as in the harmonic start of solve_wang
-    if domain == "torus":
-        g = unit_torus_grid(24)
-        free = g.interior_mask()
-    elif domain == "disk":
+    # same operators: equal to the last bit, on the Dirichlet square and the
+    # disk mask of decay_experiment; f' spread over five decades (11-36
+    # iterations) and b of order 0.1 (rtol = 1e-3 max|b| sets the stopping
+    # test) or 1e-7 (atol does), or f' = 0 and b of order 1 (rtol = 1e-3),
+    # as in the harmonic start of solve_wang
+    if domain == "disk":
         g = square_window(1.0, 1.6, 65)
         free = g.interior_mask() & (np.abs(g.zs - 1.0) < 0.999 * 0.8)
     else:
@@ -414,29 +403,11 @@ def test_polynomial_field_evaluated_once(monkeypatch):
     assert np.array_equal(q.values, polyval([0.8, 0.5], g.zs))
 
 
-def test_q_zero_periodic_has_no_solution():
-    g = unit_torus_grid(16)
-    q = CubicDifferentialField.constant(g, 0.0)
-    with pytest.raises(BadParameters,
-                       match=r"q = 0 on the 16 x 16 periodic grid"):
-        solve_wang(g, q, tol=1e-10)
-
-
-def test_torus_rejects_boundary_psi():
-    # a torus has no rim to pin: boundary data is an error, not ignored
-    g = unit_torus_grid(16)
-    q = CubicDifferentialField.constant(g, 1.0)
-    with pytest.raises(BadParameters, match=r"wang: a torus grid has no "
-                       r"boundary: got 0 masked nodes and boundary values "
-                       r"given"):
-        solve_wang(g, q, tol=1e-10, boundary_psi=np.zeros((g.ny, g.nx)))
-
-
 def test_disk_refinement_second_order():
     errs = []
     for n in (65, 129):
         g = Grid2D(-1.3, 1.3, -1.3, 1.3, n, n)
-        q = CubicDifferentialField.constant(g, 0.0)
+        q = CubicDifferentialField.from_polynomial(g, [0.0])
         sol = solve_wang(g, q, tol=1e-10,
                          boundary_psi=hyperbolic_disk_density(g.zs))
         err = np.abs(sol.psi - hyperbolic_disk_density(g.zs))
@@ -447,7 +418,7 @@ def test_disk_refinement_second_order():
 
 def test_disk_curvature_minus_one():
     g = Grid2D(-1.3, 1.3, -1.3, 1.3, 65, 65)
-    q = CubicDifferentialField.constant(g, 0.0)
+    q = CubicDifferentialField.from_polynomial(g, [0.0])
     sol = solve_wang(g, q, tol=1e-10,
                      boundary_psi=hyperbolic_disk_density(g.zs))
     kappa = log_density_curvature(sol.grid, sol.psi)
@@ -508,8 +479,8 @@ def test_minimal_surface_sandwich(zcubic_solution):
     assert np.allclose(gm[~nz], 12.0 * h[~nz])
 
 
-def test_minimal_surface_limits(torus_solution):
-    sol = torus_solution
+def test_minimal_surface_limits(flat_solution):
+    sol = flat_solution
     gm = minimal_surface_metric(sol)
     assert np.allclose(gm, 24.0 * sol.h, atol=1e-9)  # gap identically zero
 
@@ -540,17 +511,21 @@ def test_largest_root():
 
 
 def test_phase_invariance_of_solutions():
-    g = unit_torus_grid(16)
+    # q = 0.3 + z, whose zero is no node, with the flat boundary value
+    # log(2|q|^2)/3, which sees only |q| too
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 33, 33)
     base = CubicDifferentialField.from_polynomial(g, [0.3, 1.0])
-    sol = solve_wang(g, base, tol=1e-12)
+
+    def solve(q):
+        return solve_wang(g, q, tol=1e-12,
+                          boundary_psi=np.log(2.0 * q.abs2) / 3.0).psi
+
+    psi = solve(base)
     # exact negation: |q|^2 bit-identical, hence bit-identical psi
-    neg = CubicDifferentialField(g, -base.values)
-    sol_neg = solve_wang(g, neg, tol=1e-12)
-    assert np.array_equal(sol.psi, sol_neg.psi)
+    assert np.array_equal(psi, solve(CubicDifferentialField(g, -base.values)))
     # generic unit phase: identical up to rounding in |q|^2
     rot = CubicDifferentialField(g, base.values * np.exp(0.7j))
-    sol_rot = solve_wang(g, rot, tol=1e-12)
-    assert np.abs(sol.psi - sol_rot.psi).max() < 1e-12
+    assert np.abs(psi - solve(rot)).max() < 1e-12
 
 
 def test_discrete_maximum_principle():
@@ -574,6 +549,6 @@ def test_discrete_maximum_principle():
         sub = np.log(2.0 * q.abs2) / 3.0
     assert (sol.psi >= sub - 1e-8).all()
     # the q = 0 solution with the same boundary data is a subsolution too
-    free = solve_wang(g, CubicDifferentialField.constant(g, 0.0), tol=1e-10,
-                      boundary_psi=bc)
+    free = solve_wang(g, CubicDifferentialField.from_polynomial(g, [0.0]),
+                      tol=1e-10, boundary_psi=bc)
     assert (sol.psi >= free.psi - 1e-8).all()
