@@ -1,6 +1,7 @@
 """Flat cylinders: detection of the maximal parallel family around a
 nonsingular closed geodesic, and insertion of a flat cylinder of given
-height along it.
+height along it.  Collapsing the inserted cylinder onto its core is a
+homotopy equivalence, so transport lifts any representative of a class.
 
 In a developed strip whose holonomy is a translation by d, the lines
 parallel to d that cross every portal are those with offset
@@ -168,16 +169,15 @@ def detect_cylinder(g: GeodesicRepresentative) -> FlatCylinder | None:
 class TransportMap:
     """Carries homotopy classes through a cylinder insertion.
 
-    A class is transported by tracing a representative through the
-    subdivided triangles.  Inside one old triangle the new triangles are
-    the fans of the pieces between its parallel chords and the two
-    triangles of each chord's band rectangle.  A fan is a path, and a
-    rectangle joins only the two pieces on either side of its chord, so
-    these triangles form a tree: a segment from one sub-edge of the old
-    triangle to another takes the one route between their triangles.  A
-    crossing of the core thus becomes a pass through the inserted band,
-    which preserves the intersection pattern and hence the homotopy class
-    on the new surface.
+    A class is transported by tracing its own crossing word, at mid-edge
+    or, on a core cut, halfway to the next cut up.  Inside one old triangle
+    the new triangles are the fans of the pieces between its parallel
+    chords and the two triangles of each chord's band rectangle.  A fan is
+    a path, and a rectangle joins only the pieces on either side of its
+    chord, so these triangles form a tree: a segment between two sub-edges
+    of the old triangle takes the one route between their triangles.
+    Collapsing the band maps the route to a path homotopic to the segment,
+    so any representative, tight or not, carries the class.
 
     ``cuts`` holds the core's cuts on the old slots (``subdivide.add_cut``),
     ``where`` finds a soup tag's edge on the new surface and ``region[i]``
@@ -191,28 +191,26 @@ class TransportMap:
     region: list[int]
 
     def transport(self, path: HomotopyClassPath) -> HomotopyClassPath:
-        rep = tighten_geodesic(self.old_surface, path)
-        us = [self._nudged_param(slot, u)
-              for slot, u in zip(rep.crossings, rep.params)]
+        path.validate_on(self.old_surface)
+        us = [self._nudged_param(slot) for slot in path.crossings]
         out: list[tuple[int, int]] = []
-        for k, slot in enumerate(rep.crossings):
+        for k, slot in enumerate(path.crossings):
             entry = self._sub_slot(*self.old_surface.partner_param(
-                rep.crossings[k - 1], us[k - 1]))
+                path.crossings[k - 1], us[k - 1]))
             exit_ = self._sub_slot(slot, us[k])
             out += self._route(entry[0], exit_[0])
             out.append(exit_)
-        return HomotopyClassPath(tuple(out), label=rep.label)
+        return HomotopyClassPath(tuple(out), label=path.label)
 
     # -- helpers ---------------------------------------------------------
 
-    def _nudged_param(self, slot, u: float) -> float:
+    def _nudged_param(self, slot) -> float:
         cuts = [c for c, _cid in self.cuts.get(slot, [])]
-        u = min(max(u, EPS), 1.0 - EPS)
         for c in cuts:
-            if abs(u - c) < EPS:
+            if abs(0.5 - c) < EPS:
                 above = [x for x in cuts if x > c + EPS] + [1.0]
                 return 0.5 * (c + min(above))
-        return u
+        return 0.5
 
     def _sub_slot(self, slot, u: float):
         """The new edge of the piece of an old slot, between two cuts,

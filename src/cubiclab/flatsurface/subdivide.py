@@ -95,8 +95,6 @@ class Soup:
         triangles in path order.
         """
         m = len(piece.verts)
-        if m == 3:
-            return [self.add_triangle(piece.coords, piece.tags)]
         z = piece.coords
         for a in range(m):
             if all(left_of(z[(a + i) % m] - z[a], z[(a + i + 1) % m] - z[a])

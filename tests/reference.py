@@ -328,7 +328,9 @@ def _cylinders() -> dict:
 
 def _transport() -> dict:
     """Words and lengths of marking classes carried through 4 cylinder
-    insertions and tightened on the new surface."""
+    insertions and tightened on the new surface.  The traced representative
+    is each class's own word as given (the presets' combinatorial loops),
+    crossing every edge at mid-edge; nothing is tightened before."""
     sq, rect = presets.square_torus(), presets.rectangle_torus(1.3, 0.7)
     rect_marking = _named_classes("1.3 x 0.7 torus")
     cases = {

@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cubiclab.errors import NotCylindrical, NotNonsingular
-from cubiclab.flatsurface import presets, tighten_geodesic
+from cubiclab.errors import NotCylindrical, NotNonsingular, TrivialClass
+from cubiclab.flatsurface import HomotopyClassPath, cylinders, presets, \
+    tighten_geodesic
 from cubiclab.flatsurface.cylinders import (
     detect_cylinder,
     insert_cylinder_detailed,
@@ -210,6 +211,70 @@ def test_slanted_cores_transport_to_the_grafted_lattice():
                 moved = res.transport.transport(presets.torus_class(*c))
                 g = tighten_geodesic(res.surface, moved, tol=1e-12)
                 assert abs(g.length - expect) < 1e-12 * expect, (v, h, c)
+
+
+def test_transport_makes_no_geodesic_solve(monkeypatch):
+    # the class's own word is traced: nothing is tightened on the old
+    # surface, and the carried classes have the grafted lengths
+    s = presets.square_torus()
+    res = insert_cylinder_detailed(s, presets.torus_class(1, 0), 2.0)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("transport called tighten_geodesic")
+
+    monkeypatch.setattr(cylinders, "tighten_geodesic", refuse)
+    moved = [res.transport.transport(c) for c in presets.torus_marking()]
+    assert [m.label for m in moved] == [c.label
+                                        for c in presets.torus_marking()]
+    lengths = [tighten_geodesic(res.surface, m, tol=1e-12).length
+               for m in moved]
+    assert max(abs(a - b) for a, b in
+               zip(lengths, (1.0, 3.0, math.sqrt(10.0)))) < 1e-12
+
+
+def _detours(path, gluings):
+    """The words of path with one backtrack pair inserted after a crossing:
+    out of the triangle it enters through another edge and straight back."""
+    w = list(path.crossings)
+    for k, slot in enumerate(w):
+        t, e_in = gluings[slot]
+        for e in range(3):
+            if e != e_in:
+                yield w[:k + 1] + [(t, e), gluings[(t, e)]] + w[k + 1:]
+
+
+@pytest.mark.parametrize("v,h", [((1, 0), 2.0), ((3, 5), 0.5)])
+def test_transport_carries_the_class_not_the_word(v, h):
+    # a word with a backtrack pair, and each cyclic rotation of it, is the
+    # class of the plain word: all carry to its grafted length
+    # |c + h det(v, c) iv/|v||
+    s = presets.square_torus()
+    res = insert_cylinder_detailed(s, presets.torus_class(*v), h)
+    vz = complex(*v)
+    for c in [(1, 1), (2, -3)]:
+        det = v[0] * c[1] - v[1] * c[0]
+        expect = abs(complex(*c) + h * det * 1j * vz / abs(vz))
+        plain = presets.torus_class(*c)
+        for word in [list(plain.crossings), *_detours(plain, s.gluings)]:
+            r = len(word) // 2
+            for rotated in (word, word[r:] + word[:r]):
+                moved = res.transport.transport(HomotopyClassPath(rotated))
+                g = tighten_geodesic(res.surface, moved, tol=1e-12)
+                assert abs(g.length - expect) < 1e-12 * expect, (c, rotated)
+
+
+def test_transported_trivial_loop_stays_trivial():
+    # a class followed by its inverse bounds a disk; so does its transport,
+    # whose tightening on the new surface raises
+    s = presets.square_torus()
+    res = insert_cylinder_detailed(s, presets.torus_class(1, 0), 2.0)
+    w = presets.torus_class(1, 1).crossings
+    loops = [w + tuple(s.gluings[c] for c in reversed(w)),
+             ((0, 0), s.gluings[(0, 0)])]
+    for loop in map(HomotopyClassPath, loops):
+        moved = res.transport.transport(loop)
+        with pytest.raises(TrivialClass):
+            tighten_geodesic(res.surface, moved)
 
 
 def test_insert_preserves_core_and_stretches_crossers():

@@ -5,8 +5,9 @@ epsilon, takes its planar products from planar.py and uses no NumPy complex
 arithmetic, only flatsurface/io.py knows the surface file's keys, only
 flatsurface/subdivide.py knows how a sub-edge is tagged, only
 blaschke/grid.py applies the stencil and its transforms and computes in
-single precision, importing the package loads only the SciPy it runs, and
-every CLI preset's command reads each key of the preset.
+single precision, importing the package loads only the SciPy it runs,
+every CLI preset's command reads each key of the preset, and the first pass
+of every benchmark workload passes its own checks.
 
 No linter ships with the project, so this walks the syntax trees of the
 package, its tests and the benchmark with ``ast``.
@@ -21,6 +22,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cubiclab.cli import COMMANDS, PRESETS, _Config, main
 
@@ -191,6 +193,23 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     assert missing == sorted(UNRESOLVED_SPANS), (
         "benchmark span targets that resolve to nothing (or stale "
         f"UNRESOLVED_SPANS entries): {missing}")
+
+
+@pytest.mark.parametrize("name,smoke", [
+    ("wang-zcubic", True), ("decay-ray", True), ("flat-spectrum", True),
+    ("saddle-surgery", True), ("flat-spectrum", False),
+    ("saddle-surgery", False)])
+def test_benchmark_workload_first_pass_checks(monkeypatch, name, smoke):
+    # pass 0 of each benchmark workload, in this process with seed 12: no
+    # operation raises and every check of the pass holds
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worker = importlib.import_module("worker")
+    modname, _, classname = worker.WORKLOADS[name].partition(":")
+    workload = getattr(importlib.import_module(modname), classname)(12, smoke)
+    _op_s, done, errors = worker.run_pass(workload, 0)
+    assert not errors, "\n".join(errors)
+    verdicts = workload.check(0, done)
+    assert verdicts and all(verdicts), verdicts
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -1,8 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from cubiclab.blaschke.decay import DecayCertificate
 from cubiclab.cli import PRESETS, RunReport, main
 from cubiclab.flatsurface import presets, tighten_geodesic
 from cubiclab.flatsurface import io as fsio
@@ -149,6 +151,31 @@ def test_cli_ray_passes_on_only_the_window_keys_it_sets(tmp_path,
     path.write_text(json.dumps(cfg))
     main(["ray", "--config", str(path), "--out", str(tmp_path / "o")])
     assert seen == [{"window_side": 1.6}]
+
+
+@pytest.mark.parametrize("gaps,passed,measured", [
+    # slopes of log gap over t^(1/3): log 2 and -log 20 / 2, a rise first
+    ((1.0, 2.0, 0.1), False, math.log(2.0)),
+    # slopes -log 2 and -log 8 / 2: the step between them is the largest
+    ((1.0, 0.5, 0.0625), True, -math.log(2.0) / 2.0),
+])
+def test_cli_superlinear_decay_verdict_follows_its_measure(
+        tmp_path, monkeypatch, gaps, passed, measured):
+    # the check passes exactly when its measured value is below its
+    # tolerance 0: the largest slope and the largest step between slopes
+    certs = [DecayCertificate(t, 1.0, 1.0, g, 0.0, True)
+             for t, g in zip((1.0, 8.0, 64.0), gaps)]
+    monkeypatch.setattr("cubiclab.blaschke.decay_experiment",
+                        lambda *args, **window: certs)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(PRESETS["ray-z-window"]))
+    main(["ray", "--config", str(path), "--out", str(tmp_path / "o")])
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())
+    (check,) = [c for c in checks["checks"]
+                if c["check_id"] == "superlinear-decay"]
+    assert check["passed"] is passed
+    assert check["passed"] is (check["measured"] < check["tolerance"])
+    assert abs(check["measured"] - measured) < 1e-15
 
 
 def test_cli_config_missing_key(tmp_path, capsys):
