@@ -245,7 +245,7 @@ def _detours(path, gluings):
 
 @pytest.mark.parametrize("v,h", [((1, 0), 2.0), ((3, 5), 0.5)])
 def test_transport_carries_the_class_not_the_word(v, h):
-    # a word with a backtrack pair, and each cyclic rotation of it, is the
+    # a word with a backtrack pair, and a cyclic rotation of it, is the
     # class of the plain word: all carry to its grafted length
     # |c + h det(v, c) iv/|v||
     s = presets.square_torus()
